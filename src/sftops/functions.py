@@ -11,6 +11,7 @@ finitely many basis points their columns can touch, and a block is
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -123,8 +124,7 @@ def alpha(f: LocallyConstantFunction, k: int) -> LocallyConstantFunction:
 
 
 def _word_bit(seed: str, word) -> int:
-    import hashlib
-
+    """Reference bit of one word; profile_value hashes the prefixes incrementally."""
     h = hashlib.sha256(f"{seed}:{','.join(map(str, word))}".encode()).digest()
     return h[0] & 1
 
@@ -152,13 +152,18 @@ class ProfileFunction:
         return self.coeff == 0
 
     def profile_value(self, z: EventuallyPeriodicPoint) -> complex:
-        sgn = 1 if self.side == STABLE else -1
+        # the hash of word_m extends the hash of word_{m-1}: the same bytes
+        # as _word_bit(seed, word_m), fed once
         t = self.support.threshold
+        if self.side == STABLE:
+            word = z.window(t + 1, t + self.depth + 1)
+        else:
+            word = z.window(-t - self.depth, -t)[::-1]
+        h = hashlib.sha256(f"{self.seed}:".encode())
         total = 1.0
-        word = []
-        for mm in range(1, self.depth + 1):
-            word.append(z.at(sgn * (t + mm)))
-            total += 2.0**-mm * _word_bit(self.seed, word)
+        for mm, symbol in enumerate(word, 1):
+            h.update(f"{',' if mm > 1 else ''}{symbol}".encode())
+            total += 2.0**-mm * (h.copy().digest()[0] & 1)
         return self.coeff * total
 
 
@@ -679,7 +684,7 @@ def _bridge_points(
         if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
             return []
         cand = splice_at(past, future, future_lo - 1)
-        if not all(cand.at(i) == past.at(i) for i in range(future_lo, past_hi + 1)):
+        if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
             return []
         return [cand]
     words = [(past.at(past_hi),)]
@@ -697,7 +702,7 @@ def _bridge_points(
 def _word_point(past, word, past_hi):
     """`past` with word[1:] written on (past_hi, past_hi + len - 1]."""
     lo = min(past.core_start, past_hi)
-    prefix = tuple(past.at(i) for i in range(lo, past_hi))
+    prefix = past.window(lo, past_hi)
     return build_point(
         _anchor(past.left_cycle, past.core_start, lo),
         prefix + word,

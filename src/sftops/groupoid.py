@@ -101,7 +101,12 @@ def phi_auto(a: GroupoidElement, k: int) -> GroupoidElement:
     return GroupoidElement(shift(a.first, k), shift(a.second, k), a.side)
 
 
-@lru_cache(maxsize=None)
+# Entry bound of the two per-element caches below; a spectrum or audit run
+# on the reference scenarios peaks at a few hundred distinct elements.
+CACHE_MAXSIZE = 4096
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def min_splice_time(a: GroupoidElement) -> float:
     """Smallest integer N (of any sign) at which the holonomy splice around
     the pair is coherent: the coordinates agree on i >= N - 1 (stable side)
@@ -119,7 +124,7 @@ def min_splice_time(a: GroupoidElement) -> float:
     return 1 - int(depth)  # depth = D_min - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def c_first_time(a: GroupoidElement) -> int:
     """First time N >= 0 after which the pair is locally stably (resp.
     unstably) close at scale kappa**-1.

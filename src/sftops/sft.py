@@ -163,7 +163,7 @@ def primitive_root(w: Word) -> Word:
     """Shortest word u with w = u**k."""
     n = len(w)
     for d in range(1, n + 1):
-        if n % d == 0 and all(w[i] == w[i % d] for i in range(n)):
+        if n % d == 0 and w[:d] * (n // d) == w:
             return w[:d]
     return w
 
@@ -175,7 +175,15 @@ def _anchor(cycle: Word, old: int, new: int) -> Word:
     return cycle[shift_by:] + cycle[:shift_by]
 
 
+def _tile(cycle: Word, offset: int, n: int) -> Word:
+    """The n symbols of the periodic word cycle**inf read from index offset."""
+    m = len(cycle)
+    k = offset % m
+    return (cycle * ((k + n) // m + 1))[k : k + n]
+
+
 def _raw_at(left: Word, core: Word, right: Word, start: int, i: int):
+    """Reference reader of a raw encoding, one symbol at a time."""
     end = start + len(core)
     if i < start:
         return left[(i - start) % len(left)]
@@ -209,7 +217,30 @@ class EventuallyPeriodicPoint:
         return not self.core and self.left_cycle == self.right_cycle and self.core_start == 0
 
     def at(self, i: int):
-        return _raw_at(self.left_cycle, self.core, self.right_cycle, self.core_start, i)
+        j = i - self.core_start
+        if j < 0:
+            return self.left_cycle[j % len(self.left_cycle)]
+        n = len(self.core)
+        if j < n:
+            return self.core[j]
+        return self.right_cycle[(j - n) % len(self.right_cycle)]
+
+    def window(self, lo: int, hi: int) -> Word:
+        """The symbols on [lo, hi) as one tuple (empty when hi <= lo)."""
+        if hi <= lo:
+            return ()
+        s = self.core_start
+        e = s + len(self.core)
+        if e <= lo:
+            return _tile(self.right_cycle, lo - e, hi - lo)
+        if hi <= s:
+            return _tile(self.left_cycle, lo - s, hi - lo)
+        out = self.core[max(lo, s) - s : hi - s]
+        if lo < s:
+            out = _tile(self.left_cycle, lo - s, s - lo) + out
+        if e < hi:
+            out += _tile(self.right_cycle, 0, hi - e)
+        return out
 
     def sort_key(self):
         return (self.left_cycle, self.core_start, self.core, self.right_cycle)
@@ -228,40 +259,44 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
         raise ValueError("cycles must be nonempty")
     end = start + len(core)
     period_lcm = math.lcm(ml, mr)
+    floor = start - period_lcm - mr
+    ceil = end + period_lcm + ml
+    # the raw encoding, not canonical, only read: every symbol used below
+    # lies in [lo, ceil], as the new left cycle can start ml below the floor
+    raw = EventuallyPeriodicPoint(left, core, right, start)
+    lo = floor - ml
+    win = raw.window(lo, ceil + 1)
 
     # Try to extend right-tail periodicity to the left; hitting the floor
     # means the left-cyclic zone is itself mr-periodic over a full lcm
     # window, i.e. the sequence is globally periodic.
     r = end
-    floor = start - period_lcm - mr
-    while r > floor and _raw_at(left, core, right, start, r - 1) == _raw_at(
-        left, core, right, start, r - 1 + mr
-    ):
+    while r > floor and win[r - 1 - lo] == win[r - 1 + mr - lo]:
         r -= 1
     if r <= floor:
-        w0 = tuple(_raw_at(left, core, right, start, i) for i in range(mr))
-        w = primitive_root(w0)
+        w = primitive_root(raw.window(0, mr))
         return EventuallyPeriodicPoint(w, (), w, 0)
     big_r = r
 
     lft = start - 1
-    ceil = end + period_lcm + ml
-    while lft < ceil and _raw_at(left, core, right, start, lft + 1) == _raw_at(
-        left, core, right, start, lft + 1 - ml
-    ):
+    while lft < ceil and win[lft + 1 - lo] == win[lft + 1 - ml - lo]:
         lft += 1
-    assert lft < ceil, "non-periodic point extended past the periodicity bound"
+    if lft >= ceil:
+        raise ValueError(
+            f"no canonical form for left={left} core={core} right={right} "
+            f"start={start}: the left tail extends past the periodicity bound"
+        )
     big_l = lft
 
     if big_l + 1 >= big_r:
         s = e = big_r
     else:
         s, e = big_l + 1, big_r
-    new_core = tuple(_raw_at(left, core, right, start, i) for i in range(s, e))
-    new_left = tuple(_raw_at(left, core, right, start, i) for i in range(s - ml, s))
-    new_right = tuple(_raw_at(left, core, right, start, i) for i in range(e, e + mr))
     return EventuallyPeriodicPoint(
-        primitive_root(new_left), new_core, primitive_root(new_right), s
+        primitive_root(win[s - ml - lo : s - lo]),
+        win[s - lo : e - lo],
+        primitive_root(win[e - lo : e + mr - lo]),
+        s,
     )
 
 
@@ -279,18 +314,13 @@ def validate_point(x: EventuallyPeriodicPoint, m: TransitionMatrix) -> None:
             raise ValueError(f"forbidden transition {x.at(i)}->{x.at(i + 1)} at index {i}")
 
 
-def symbol_at(x: EventuallyPeriodicPoint, i: int):
-    return x.at(i)
-
-
 def shift(x: EventuallyPeriodicPoint, k: int) -> EventuallyPeriodicPoint:
     """The shifted point y with y.at(i) = x.at(i + k)."""
     if k == 0:
         return x
     if x.is_periodic:
         m = len(x.left_cycle)
-        w = _anchor(x.left_cycle, 0, -k)  # w[t] = cycle[(t + k) % m]
-        w = x.left_cycle[k % m :] + x.left_cycle[: k % m]
+        w = x.left_cycle[k % m :] + x.left_cycle[: k % m]  # w[t] = cycle[(t + k) % m]
         return EventuallyPeriodicPoint(w, (), w, 0)
     return EventuallyPeriodicPoint(
         x.left_cycle, x.core, x.right_cycle, x.core_start - k
@@ -328,13 +358,13 @@ def _left_bound(x, y, hi: int) -> int:
 def agree_from(x, y, lo: int) -> bool:
     """True iff x.at(i) == y.at(i) for every i >= lo."""
     hi = _right_bound(x, y, lo)
-    return all(x.at(i) == y.at(i) for i in range(lo, hi + 1))
+    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
 
 
 def agree_upto(x, y, hi: int) -> bool:
     """True iff x.at(i) == y.at(i) for every i <= hi."""
     lo = _left_bound(x, y, hi)
-    return all(x.at(i) == y.at(i) for i in range(lo, hi + 1))
+    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
 
 
 def agreement_depth(x, y):
@@ -400,9 +430,7 @@ def splice_at(past, future, m: int) -> EventuallyPeriodicPoint:
     hi = max(future.core_end, m + 1)
     left = _anchor(past.left_cycle, past.core_start, lo)
     right = _anchor(future.right_cycle, future.core_end, hi)
-    core = tuple(past.at(i) for i in range(lo, m + 1)) + tuple(
-        future.at(i) for i in range(m + 1, hi)
-    )
+    core = past.window(lo, m + 1) + future.window(m + 1, hi)
     return build_point(left, core, right, lo)
 
 

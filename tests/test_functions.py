@@ -229,6 +229,25 @@ class TestProfileFunctions:
         for g in els:
             assert abs(fn.evaluate_profile(prof, g) - fn.evaluate(mat, g)) < 1e-12
 
+    def test_profile_value_matches_word_bits(self):
+        # the incremental hash against one _word_bit per prefix, at the
+        # reference depth, on both sides and on points of both matrices
+        golden = sft.TransitionMatrix.from_rows([[1, 1], [1, 0]])
+        pts = sft.enumerate_homoclinic(FULL, P, Q, 3) + sft.enumerate_homoclinic(
+            golden, sft.PeriodicOrbit((0, 1)), Q, 3
+        )
+        for anchor in (CA, CB):
+            for radius in (1, 4):
+                prof = fn.ProfileFunction(gd.BaseSet(anchor, radius, 0), depth=30, seed="ref-a")
+                sgn = 1 if prof.side == gd.STABLE else -1
+                t = prof.support.threshold
+                for z in pts:
+                    word = [z.at(sgn * (t + mm)) for mm in range(1, 31)]
+                    ref = 1.0 + sum(
+                        2.0**-mm * fn._word_bit("ref-a", word[:mm]) for mm in range(1, 31)
+                    )
+                    assert prof.profile_value(z) == prof.coeff * ref
+
     def test_profile_involution_round_trip(self):
         prof = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
         assert fn.involution_profile(fn.involution_profile(prof)) == prof

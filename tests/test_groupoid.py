@@ -67,6 +67,24 @@ class TestFirstTime:
         assert gd.c_first_time(gd.reverse_element(a)) == 7
 
 
+class TestCaches:
+    def test_bounded_after_more_distinct_calls(self):
+        a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
+        gd.min_splice_time.cache_clear()
+        gd.c_first_time.cache_clear()
+        calls = gd.CACHE_MAXSIZE + 100
+        for j in range(calls):
+            assert gd.c_first_time(gd.phi_auto(a, -j)) == 5 + j
+        for cached in (gd.min_splice_time, gd.c_first_time):
+            info = cached.cache_info()
+            assert info.misses == calls
+            assert info.maxsize == gd.CACHE_MAXSIZE
+            assert info.currsize <= gd.CACHE_MAXSIZE
+        # the first entry was evicted and is recomputed
+        assert gd.c_first_time(a) == 5
+        assert gd.c_first_time.cache_info().misses == calls + 1
+
+
 class TestHolonomy:
     def setup_method(self):
         self.y = sft.build_point((0,), (1, 0), (1,), -2)  # step with a 1 at -2

@@ -106,6 +106,14 @@ class TestPoints:
         assert sft.reverse_point(x) == pt([0], [1], [0], -3)
         assert sft.reverse_point(STEP).at(0) == 1 and sft.reverse_point(STEP).at(1) == 0
 
+    def test_new_left_cycle_starts_below_floor(self):
+        # ...100100|000...: the right tail reaches back to -2, so the new
+        # left cycle is read on [-5, -2), below build_point's floor of -4
+        x = sft.build_point((1, 0, 0), (), (0,), 0)
+        assert x == sft.EventuallyPeriodicPoint((0, 0, 1), (), (0,), -2)
+        for i in range(-12, 6):
+            assert x.at(i) == sft._raw_at((1, 0, 0), (), (0,), 0, i)
+
     def test_encode_decode_roundtrip(self):
         for x in (ZERO, STEP, pt([0], [1, 0], [1], -2), sft.periodic_point((0, 1))):
             assert sft.decode_point(sft.encode_point(x)) == x
@@ -296,6 +304,22 @@ class TestHypothesis:
         assert again == x
         for i in range(start - 8, start + len(core) + 8):
             assert x.at(i) == sft._raw_at(tuple(left), tuple(core), tuple(right), start, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(words, st.lists(st.integers(0, 1), max_size=5), words, st.integers(-5, 5))
+    def test_window_matches_raw_reader(self, left, core, right, start):
+        # every [lo, hi) from empty and reversed ranges through ranges inside
+        # the core to ranges three cycle lengths past both ends, on the
+        # canonical point and on the raw encoding build_point reads
+        raw = (tuple(left), tuple(core), tuple(right), start)
+        x = sft.build_point(*raw)
+        reach = 3 * max(len(left), len(right)) + 1
+        span = range(min(start, x.core_start) - reach, max(start + len(core), x.core_end) + reach + 1)
+        seq = {i: sft._raw_at(*raw, i) for i in span}
+        for y in (x, sft.EventuallyPeriodicPoint(*raw)):
+            for lo in span:
+                for hi in span:
+                    assert y.window(lo, hi) == tuple(seq[i] for i in range(lo, hi))
 
     @settings(max_examples=100, deadline=None)
     @given(words, st.lists(st.integers(0, 1), max_size=4), words, st.integers(-4, 4), st.integers(-6, 6))
