@@ -29,7 +29,7 @@ from .groupoid import (
     holonomy_apply,
     in_domain,
 )
-from .sft import STABLE, MetricParams, agreement_depth, agreement_floor
+from .sft import STABLE, agreement_depth, agreement_floor
 
 _FUZZ = 1e-9
 _DEEP = 10**6  # stands for "member at every finite index"
@@ -90,9 +90,7 @@ def v_set_membership(b: GroupoidElement, a: GroupoidElement, v: int, cp: CoverIn
     return base_set_membership(v_set(a, v, cp), b)
 
 
-def u_cover_member(
-    a: GroupoidElement, c: GroupoidElement, n: int, cp: CoverIndexParams, p: MetricParams = None
-) -> bool:
+def u_cover_member(a: GroupoidElement, c: GroupoidElement, n: int, cp: CoverIndexParams) -> bool:
     """Membership of a in U_n(c) = V_{k(c, n)}(c); level 0 is the whole space."""
     if n == 0:
         return True
@@ -147,7 +145,6 @@ def quasimetric_rho(
     candidates: Sequence[GroupoidElement],
     n_max: int,
     cp: CoverIndexParams,
-    p: MetricParams = None,
 ) -> float:
     """inf{2**-n : some U_n-cover member around a candidate holds a and b}.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -341,6 +342,10 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
     if a_name not in scenario.functions or b_name not in scenario.functions:
         print(f"unknown function name: {a_name!r} or {b_name!r}", file=sys.stderr)
         return EXIT_INVALID
+    sides = (scenario.functions[a_name].side, scenario.functions[b_name].side)
+    if sides != (sft.STABLE, sft.UNSTABLE):
+        print(f"spectrum needs a stable and an unstable function, got {sides}", file=sys.stderr)
+        return EXIT_INVALID
     window = args.window or scenario.window
     analysis = spectrum_analysis(scenario, a_name, b_name, window)
     rep = _report_skeleton(scenario, "spectrum")
@@ -381,7 +386,7 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     rep = _report_skeleton(scenario, "fredholm")
     seeds = list(sft.enumerate_homoclinic(m, scenario.orbit_p, scenario.orbit_q, 2))
     for f in scenario.functions.values():
-        for bs in _supports_of_fn(f):
+        for bs in f.supports():
             for pt in (bs.anchor.first, bs.anchor.second):
                 if sft.is_homoclinic(pt, scenario.orbit_p, scenario.orbit_q):
                     seeds.append(pt)
@@ -468,14 +473,6 @@ def cmd_report_all(scenario: Scenario, out_dir: str, args) -> int:
     return worst
 
 
-def _supports_of_fn(f):
-    if isinstance(f, fn.FunctionSum):
-        return [bs for part in f.parts for bs in _supports_of_fn(part)]
-    if isinstance(f, fn.ProfileFunction):
-        return [f.support]
-    return [bs for bs, _ in f.terms]
-
-
 COMMANDS = {
     "validate": cmd_validate,
     "metric-audit": cmd_metric_audit,
@@ -500,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=_parse_window, default=None, help="a..b block window")
     parser.add_argument("--p-grid", type=_parse_grid, default=None)
     parser.add_argument("--cap", type=int, default=None, help="basis cap override")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--stable-function", default="a")
     parser.add_argument("--unstable-function", default="b")
     return parser
@@ -522,16 +518,18 @@ def main(argv=None) -> int:
             scenario = REFERENCE_SCENARIOS[args.scenario]()
         else:
             scenario = load_scenario(args.scenario)
-        scenario.validate()
+        if args.seed is not None:
+            scenario.seed = args.seed
+        if args.p_grid is not None:
+            scenario.p_grid = args.p_grid
+        if args.cap is not None:
+            scenario.basis_cap = args.cap
+        # --window only feeds spectrum and stays out of the scenario (and
+        # so out of scenario_hash), but is validated with it
+        dataclasses.replace(scenario, window=args.window or scenario.window).validate()
     except (InvalidScenario, SftopsError, ValueError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.p_grid is not None:
-        scenario.p_grid = args.p_grid
-    if args.cap is not None:
-        scenario.basis_cap = args.cap
     os.makedirs(args.out, exist_ok=True)
     start = time.time()
     code = COMMANDS[args.command](scenario, args.out, args)

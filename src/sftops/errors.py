@@ -33,10 +33,6 @@ class OutsideDomain(SftopsError):
     pass
 
 
-class BasisCapExceeded(SftopsError):
-    pass
-
-
 class UntrustedBlocks(SftopsError):
     def __init__(self, blocks):
         self.blocks = sorted(blocks)

@@ -26,7 +26,6 @@ from .errors import (
 from .functions import (
     BasisRegistry,
     SparseOperator,
-    alpha_any,
     represent,
     unitary_u,
 )
@@ -138,7 +137,7 @@ def inflate_stable(
         if f is None:
             out.blocks[(n, n + j)] = _identity(reg.cap, size)
         else:
-            out.blocks[(n, n + j)] = represent(alpha_any(f, n), reg)
+            out.blocks[(n, n + j)] = represent(f.alpha(n), reg)
     return out
 
 
@@ -310,6 +309,13 @@ def contour_calculus(
     clearance = radius - np.max(np.abs(eigs - center))
     if clearance < 1e-3:
         raise ContourHitsSpectrum(f"clearance {clearance} below 1e-3")
+    return _trapezoid(s, f, center, radius, nodes)
+
+
+def _trapezoid(
+    s: np.ndarray, f: Callable[[complex], complex], center: complex, radius: float, nodes: int
+) -> np.ndarray:
+    """(2 pi i)**-1 of the trapezoid sum of f(z)(z - S)**-1 on a circle."""
     n = s.shape[0]
     acc = np.zeros_like(s)
     for k in range(nodes):
@@ -381,13 +387,7 @@ def contour_calculus_on(
     dist = np.abs(np.abs(eigs - center) - radius)
     if np.min(dist) < 1e-3:
         raise ContourHitsSpectrum("explicit contour passes too near the spectrum")
-    n = s.shape[0]
-    acc = np.zeros_like(s)
-    for k in range(nodes):
-        theta = 2.0 * math.pi * k / nodes
-        z = center + radius * cmath.exp(1j * theta)
-        acc += f(z) * cmath.exp(1j * theta) * np.linalg.inv(z * np.eye(n) - s)
-    return acc * (radius / nodes)
+    return _trapezoid(s, f, center, radius, nodes)
 
 
 # ---------------------------------------------------------------------------

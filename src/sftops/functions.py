@@ -1,8 +1,9 @@
 """Locally constant function algebras and the fundamental representation.
 
-Functions are finite complex combinations of base-set indicators; the
-value at an element is the sum of the coefficients of the base sets
-containing it, so every evaluation is exact.  The representation acts on
+A function is a finite list of terms, each a complex multiple of a
+base-set indicator or a compressed profile of such indicators; the value
+at an element is the sum of the values of the terms whose base sets
+contain it, so every evaluation is exact.  The representation acts on
 the span of an enumerated homoclinic basis; commutator blocks
 R_n = alpha^n(a) b - b alpha^n(a) are assembled exactly by enumerating the
 finitely many basis points their columns can touch, and a block is
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
     GroupoidElement,
+    _holonomy_splice,
     base_set_membership,
     holonomy_apply,
     in_domain,
@@ -44,83 +46,147 @@ from .sft import (
 )
 
 # ---------------------------------------------------------------------------
-# the function class
+# the function type
+#
+# A function is a finite list of terms on one side.  A depth-0 term is
+# coeff times the indicator of its base set.  A deeper term is a compressed
+# "profile": on its bisection graph it takes the value
+# coeff * (1 + sum_{m <= depth} 2**-m * bit(word_m(source))), where
+# word_m(z) is the cylinder word of the source z over the m coordinates
+# beyond the domain threshold (forward on the stable side, backward on the
+# unstable side) and bit is a seeded hash bit.  That is exactly a finite
+# combination of indicator terms (one per word up to the depth), stored so
+# that evaluation is O(depth) instead of O(2**depth); materialize_profile
+# recovers the explicit terms.
+
+
+class Term(NamedTuple):
+    support: BaseSet
+    coeff: complex
+    depth: int = 0
+    seed: str = ""
 
 
 @dataclass(frozen=True)
 class LocallyConstantFunction:
     side: str
-    terms: Tuple  # of (BaseSet, complex)
+    terms: Tuple[Term, ...]
 
     def __post_init__(self):
-        for bs, _ in self.terms:
-            if bs.side != self.side:
+        terms = tuple(Term(*t) for t in self.terms)
+        for t in terms:
+            if t.support.side != self.side:
                 raise SideMismatch("term base set on the wrong side")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return all(t.coeff == 0 for t in self.terms)
+
+    def supports(self) -> Tuple[BaseSet, ...]:
+        return tuple(t.support for t in self.terms)
 
     def scaled(self, c: complex) -> "LocallyConstantFunction":
-        return LocallyConstantFunction(self.side, tuple((bs, c * v) for bs, v in self.terms))
+        return self._map(lambda t: t._replace(coeff=c * t.coeff))
+
+    def _map(self, move) -> "LocallyConstantFunction":
+        return LocallyConstantFunction(self.side, tuple(move(t) for t in self.terms))
+
+    def alpha(self, k: int) -> "LocallyConstantFunction":
+        """The shift automorphism, f -> f o Phi^-k on its side.
+
+        A stable base set moves to anchor Phi^k(anchor) with threshold and
+        time shallower by k; both deepen by k on the unstable side.
+        """
+        sgn = 1 if self.side == STABLE else -1
+
+        def move(t):
+            bs = t.support
+            anchor = phi_auto(bs.anchor, k)
+            return t._replace(support=BaseSet(anchor, bs.radius_exp - sgn * k, bs.time - sgn * k))
+
+        return self._map(move)
+
+    def involution(self) -> "LocallyConstantFunction":
+        """f*(gamma) = conj(f(gamma^-1)): invert the base sets, conjugate.
+
+        The holonomy is the identity beyond the splice time, so the range
+        and source carry the same cylinder word and a profile transfers.
+        """
+
+        def move(t):
+            bs = t.support
+            inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
+            return t._replace(support=inv, coeff=t.coeff.conjugate())
+
+        return self._map(move)
+
+    def profile_value(self, z: EventuallyPeriodicPoint, term: Optional[Term] = None) -> complex:
+        """Value of a term (by default the first) on the graph element with source z."""
+        bs, coeff, depth, seed = term or self.terms[0]
+        # the hash of word_m extends the hash of word_{m-1}: the same bytes
+        # as _word_bit(seed, word_m), fed once
+        t = bs.threshold
+        if self.side == STABLE:
+            word = z.window(t + 1, t + depth + 1)
+        else:
+            word = z.window(-t - depth, -t)[::-1]
+        h = hashlib.sha256(f"{seed}:".encode())
+        total = 1.0
+        for mm, symbol in enumerate(word, 1):
+            h.update(f"{',' if mm > 1 else ''}{symbol}".encode())
+            total += 2.0**-mm * (h.copy().digest()[0] & 1)
+        return coeff * total
+
+    def _term_value(self, z: EventuallyPeriodicPoint, term: Term) -> complex:
+        return term.coeff if term.depth == 0 else self.profile_value(z, term)
+
+    def _lone_profile(self) -> bool:
+        # a lone profile term's value is kept as computed, not added to 0j
+        # (which would turn an imaginary -0.0 into 0.0)
+        return len(self.terms) == 1 and self.terms[0].depth > 0
+
+    def evaluate(self, gamma: GroupoidElement) -> complex:
+        """Sum of the term values over the base sets containing gamma."""
+        if gamma.side != self.side:
+            raise SideMismatch("element on the wrong side")
+        total = 0.0 + 0.0j
+        for term in self.terms:
+            if base_set_membership(term.support, gamma):
+                value = self._term_value(gamma.second, term)
+                if self._lone_profile():
+                    return value
+                total += value
+        return total
+
+    def lipschitz_constant(self, p: MetricParams) -> float:
+        """Certified upper bound: an indicator at radius exponent n separates
+        from its complement by at least kappa**-(n+1); a profile adds one
+        such step of weight 2**-m per word coordinate m."""
+        total = 0
+        for bs, coeff, depth, _ in self.terms:
+            base = abs(coeff) * p.kappa ** (bs.radius_exp + 1)
+            if depth:
+                steps = sum(
+                    2.0**-mm * p.kappa ** (bs.radius_exp + 1 + mm) for mm in range(1, depth + 1)
+                )
+                base += abs(coeff) * steps
+            total += base
+        return total
 
 
 def indicator(bs: BaseSet, coeff: complex = 1.0) -> LocallyConstantFunction:
     return LocallyConstantFunction(bs.side, ((bs, complex(coeff)),))
 
 
+def profile(
+    bs: BaseSet, depth: int, seed: str, coeff: complex = 1.0 + 0.0j
+) -> LocallyConstantFunction:
+    return LocallyConstantFunction(bs.side, (Term(bs, coeff, depth, seed),))
+
+
 def zero_function(side: str = STABLE) -> LocallyConstantFunction:
     return LocallyConstantFunction(side, ())
-
-
-def evaluate(f: LocallyConstantFunction, gamma: GroupoidElement) -> complex:
-    """Sum of the coefficients of the base sets containing gamma."""
-    if gamma.side != f.side:
-        raise SideMismatch("element on the wrong side")
-    total = 0.0 + 0.0j
-    for bs, coeff in f.terms:
-        if base_set_membership(bs, gamma):
-            total += coeff
-    return total
-
-
-def lipschitz_constant(f: LocallyConstantFunction, p: MetricParams) -> float:
-    """Certified upper bound: an indicator at radius exponent n separates
-    from its complement by at least kappa**-(n+1)."""
-    return sum(abs(coeff) * p.kappa ** (bs.radius_exp + 1) for bs, coeff in f.terms)
-
-
-def involution(f: LocallyConstantFunction) -> LocallyConstantFunction:
-    """f*(gamma) = conj(f(gamma^-1)): invert the base sets, conjugate."""
-    terms = []
-    for bs, coeff in f.terms:
-        inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
-        terms.append((inv, coeff.conjugate()))
-    return LocallyConstantFunction(f.side, tuple(terms))
-
-
-def alpha(f: LocallyConstantFunction, k: int) -> LocallyConstantFunction:
-    """The shift automorphism, f -> f o Phi^-k on its side.
-
-    A stable base set moves to anchor Phi^k(anchor) with threshold and
-    time shallower by k; both deepen by k on the unstable side.
-    """
-    sgn = 1 if f.side == STABLE else -1
-    terms = []
-    for bs, coeff in f.terms:
-        anchor = phi_auto(bs.anchor, k)
-        terms.append((BaseSet(anchor, bs.radius_exp - sgn * k, bs.time - sgn * k), coeff))
-    return LocallyConstantFunction(f.side, tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# profile functions: locally constant functions with full word resolution
-#
-# A single bisection carries a value that depends on the source's cylinder
-# word beyond the domain threshold, through a seeded +-bit per word.  This
-# is exactly a finite combination of indicator terms (one per word up to
-# the depth cap), stored in compressed form so evaluation is O(depth)
-# instead of O(2**depth); materialize_profile recovers the explicit terms.
 
 
 def _word_bit(seed: str, word) -> int:
@@ -129,91 +195,30 @@ def _word_bit(seed: str, word) -> int:
     return h[0] & 1
 
 
-@dataclass(frozen=True)
-class ProfileFunction:
-    """coeff * (1 + sum_m 2**-m * bit(word_m(source))) on one bisection graph.
-
-    word_m(z) is the cylinder word of the source z over the m coordinates
-    beyond the domain threshold (forward on the stable side, backward on
-    the unstable side).
-    """
-
-    support: BaseSet
-    depth: int
-    seed: str
-    coeff: complex = 1.0 + 0.0j
-
-    @property
-    def side(self) -> str:
-        return self.support.side
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def profile_value(self, z: EventuallyPeriodicPoint) -> complex:
-        # the hash of word_m extends the hash of word_{m-1}: the same bytes
-        # as _word_bit(seed, word_m), fed once
-        t = self.support.threshold
-        if self.side == STABLE:
-            word = z.window(t + 1, t + self.depth + 1)
-        else:
-            word = z.window(-t - self.depth, -t)[::-1]
-        h = hashlib.sha256(f"{self.seed}:".encode())
-        total = 1.0
-        for mm, symbol in enumerate(word, 1):
-            h.update(f"{',' if mm > 1 else ''}{symbol}".encode())
-            total += 2.0**-mm * (h.copy().digest()[0] & 1)
-        return self.coeff * total
-
-
-def evaluate_profile(f: ProfileFunction, gamma: GroupoidElement) -> complex:
-    if gamma.side != f.side:
-        raise SideMismatch("element on the wrong side")
-    if not base_set_membership(f.support, gamma):
-        return 0.0 + 0.0j
-    return f.profile_value(gamma.second)
-
-
-def alpha_profile(f: ProfileFunction, k: int) -> ProfileFunction:
-    sgn = 1 if f.side == STABLE else -1
-    bs = f.support
-    moved = BaseSet(phi_auto(bs.anchor, k), bs.radius_exp - sgn * k, bs.time - sgn * k)
-    return ProfileFunction(moved, f.depth, f.seed, f.coeff)
-
-
-def involution_profile(f: ProfileFunction) -> ProfileFunction:
-    # the holonomy is the identity beyond the splice time, so the range
-    # and source carry the same cylinder word and the profile transfers
-    bs = f.support
-    inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
-    return ProfileFunction(inv, f.depth, f.seed, f.coeff.conjugate())
-
-
-def materialize_profile(f: ProfileFunction, m: TransitionMatrix) -> LocallyConstantFunction:
-    """Explicit indicator terms of a profile function (small depths only)."""
-    if f.depth > 12:
+def materialize_profile(f: LocallyConstantFunction, m: TransitionMatrix) -> LocallyConstantFunction:
+    """Explicit indicator terms of a one-term profile function (small depths only)."""
+    ((bs, coeff, depth, seed),) = f.terms
+    if depth > 12:
         raise ValueError("refusing to materialize a deep profile")
     sgn = 1 if f.side == STABLE else -1
-    bs = f.support
-    terms = [(bs, f.coeff)]
+    terms = [(bs, coeff)]
     t = bs.threshold
     anchor_z = bs.anchor.second
     frontier = [()]
-    for mm in range(1, f.depth + 1):
+    for mm in range(1, depth + 1):
         new = []
         for word in frontier:
             prev = anchor_z.at(sgn * (t + mm - 1)) if not word else word[-1]
             for s in (m.successors(prev) if sgn == 1 else m.predecessors(prev)):
                 w2 = word + (s,)
                 new.append(w2)
-                if _word_bit(f.seed, list(w2)):
+                if _word_bit(seed, list(w2)):
                     z = _write_word(anchor_z, t, w2, sgn, m)
                     sub = GroupoidElement(
                         holonomy_apply(bs, z), z, f.side
                     )
                     terms.append(
-                        (BaseSet(sub, bs.radius_exp + mm, bs.time), f.coeff * 2.0**-mm)
+                        (BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm)
                     )
         frontier = new
     return LocallyConstantFunction(f.side, tuple(terms))
@@ -245,71 +250,6 @@ def _set_symbol(pt, pos, s):
 
 def reverse_base_set(bs: BaseSet) -> BaseSet:
     return BaseSet(reverse_element(bs.anchor), bs.radius_exp, bs.time)
-
-
-def reverse_function(f: LocallyConstantFunction) -> LocallyConstantFunction:
-    other = UNSTABLE if f.side == STABLE else STABLE
-    return LocallyConstantFunction(
-        other, tuple((reverse_base_set(bs), c) for bs, c in f.terms)
-    )
-
-
-@dataclass(frozen=True)
-class FunctionSum:
-    """Pointwise sum of function pieces (indicator combinations and
-    profiles) on one side."""
-
-    side: str
-    parts: Tuple
-
-    def __post_init__(self):
-        for part in self.parts:
-            if part.side != self.side:
-                raise SideMismatch("summand on the wrong side")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(getattr(p, "is_zero", False) for p in self.parts)
-
-
-# generic entry points over the function representations
-
-
-def evaluate_any(f, gamma: GroupoidElement) -> complex:
-    if isinstance(f, FunctionSum):
-        return sum((evaluate_any(p, gamma) for p in f.parts), 0.0 + 0.0j)
-    if isinstance(f, ProfileFunction):
-        return evaluate_profile(f, gamma)
-    return evaluate(f, gamma)
-
-
-def alpha_any(f, k: int):
-    if isinstance(f, FunctionSum):
-        return FunctionSum(f.side, tuple(alpha_any(p, k) for p in f.parts))
-    if isinstance(f, ProfileFunction):
-        return alpha_profile(f, k)
-    return alpha(f, k)
-
-
-def involution_any(f):
-    if isinstance(f, FunctionSum):
-        return FunctionSum(f.side, tuple(involution_any(p) for p in f.parts))
-    if isinstance(f, ProfileFunction):
-        return involution_profile(f)
-    return involution(f)
-
-
-def lipschitz_constant_any(f, p: MetricParams) -> float:
-    if isinstance(f, FunctionSum):
-        return sum(lipschitz_constant_any(part, p) for part in f.parts)
-    if isinstance(f, ProfileFunction):
-        base = abs(f.coeff) * p.kappa ** (f.support.radius_exp + 1)
-        steps = sum(
-            2.0**-mm * p.kappa ** (f.support.radius_exp + 1 + mm)
-            for mm in range(1, f.depth + 1)
-        )
-        return base + abs(f.coeff) * steps
-    return lipschitz_constant(f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +345,15 @@ def compose_base_sets(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseS
 def convolve(
     f: LocallyConstantFunction, g: LocallyConstantFunction, m: TransitionMatrix
 ) -> LocallyConstantFunction:
-    """Convolution product, computed termwise through bisection composition."""
+    """Convolution product of indicator combinations, computed termwise
+    through bisection composition (materialize_profile expands a profile)."""
     if f.side != g.side:
         raise SideMismatch("cannot convolve across sides")
+    if any(t.depth for t in f.terms + g.terms):
+        raise ValueError("convolve takes depth-0 terms only")
     terms = []
-    for bf, cf in f.terms:
-        for bg, cg in g.terms:
+    for bf, cf, _, _ in f.terms:
+        for bg, cg, _, _ in g.terms:
             for composed in compose_base_sets(bf, bg, m):
                 terms.append((composed, cf * cg))
     return LocallyConstantFunction(f.side, tuple(terms))
@@ -423,7 +366,7 @@ def convolve_bruteforce(
     gamma = alpha . beta with alpha in supp(f), beta in supp(g)."""
     total = 0.0 + 0.0j
     mids = set()
-    for bs, _ in f.terms:
+    for bs in f.supports():
         # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
         inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
         if in_domain(inv, gamma.first):
@@ -431,7 +374,7 @@ def convolve_bruteforce(
     for z in mids:
         a = GroupoidElement(gamma.first, z, gamma.side)
         b = GroupoidElement(z, gamma.second, gamma.side)
-        total += evaluate(f, a) * evaluate(g, b)
+        total += f.evaluate(a) * g.evaluate(b)
     return total
 
 
@@ -478,6 +421,15 @@ class BasisRegistry:
         return len(self.points) - 1
 
 
+def _accumulate(acc: dict, key, v: complex) -> None:
+    """acc[key] += v from 0j, dropping the entry when it cancels."""
+    cur = acc.get(key, 0.0 + 0.0j) + v
+    if cur == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = cur
+
+
 @dataclass
 class SparseOperator:
     """Complex matrix with finitely many entries, indexed by the registry."""
@@ -488,15 +440,7 @@ class SparseOperator:
     def add(self, i: int, j: int, v: complex) -> None:
         if i >= self.dim or j >= self.dim:
             raise IndexError("entry outside the declared dimension")
-        cur = self.entries.get((i, j), 0.0 + 0.0j) + v
-        if cur == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = cur
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
+        _accumulate(self.entries, (i, j), v)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -543,18 +487,9 @@ class SparseOperator:
             a[i, j] = v
         return a
 
-    def rank(self, floor: float = 1e-14) -> int:
-        from .schatten import singular_values
-
-        spec = singular_values(self)
-        if len(spec.values) == 0:
-            return 0
-        top = spec.values[0]
-        return int(np.sum(spec.values > floor * top))
-
 
 def apply_to_point(
-    f, x: EventuallyPeriodicPoint
+    f: LocallyConstantFunction, x: EventuallyPeriodicPoint
 ) -> Dict[EventuallyPeriodicPoint, complex]:
     """The column of the fundamental representation at delta_x, as points.
 
@@ -562,27 +497,14 @@ def apply_to_point(
     when x lies in the domain disk, else to zero.
     """
     out: Dict[EventuallyPeriodicPoint, complex] = {}
-    if isinstance(f, FunctionSum):
-        for part in f.parts:
-            for y, v in apply_to_point(part, x).items():
-                cur = out.get(y, 0.0 + 0.0j) + v
-                if cur == 0:
-                    out.pop(y, None)
-                else:
-                    out[y] = cur
-        return out
-    if isinstance(f, ProfileFunction):
-        if in_domain(f.support, x):
-            out[holonomy_apply(f.support, x)] = f.profile_value(x)
-        return out
-    for bs, coeff in f.terms:
-        if in_domain(bs, x):
-            y = holonomy_apply(bs, x)
-            cur = out.get(y, 0.0 + 0.0j) + coeff
-            if cur == 0:
-                out.pop(y, None)
-            else:
-                out[y] = cur
+    for term in f.terms:
+        if not in_domain(term.support, x):
+            continue
+        y = _holonomy_splice(term.support, x)
+        value = f._term_value(x, term)
+        if f._lone_profile():
+            return {y: value}
+        _accumulate(out, y, value)
     return out
 
 
@@ -592,11 +514,7 @@ def apply_to_column(
     out: Dict[EventuallyPeriodicPoint, complex] = {}
     for x, weight in col.items():
         for y, v in apply_to_point(f, x).items():
-            cur = out.get(y, 0.0 + 0.0j) + weight * v
-            if cur == 0:
-                out.pop(y, None)
-            else:
-                out[y] = cur
+            _accumulate(out, y, weight * v)
     return out
 
 
@@ -648,20 +566,10 @@ class BlockOperator:
         return {n: b for n, b in self.blocks.items() if n not in self.untrusted}
 
 
-def _anchor_groups(f):
+def _anchor_groups(f: LocallyConstantFunction):
     """Terms grouped by source anchor point: (weakest threshold, deepest time)."""
-    if isinstance(f, FunctionSum):
-        groups = {}
-        for part in f.parts:
-            for key, (thr, tmax) in _anchor_groups(part).items():
-                cur_thr, cur_tmax = groups.get(key, (thr, tmax))
-                groups[key] = (min(cur_thr, thr), max(cur_tmax, tmax))
-        return groups
-    if isinstance(f, ProfileFunction):
-        bs = f.support
-        return {bs.anchor.second: (bs.threshold, bs.time)}
     groups = {}
-    for bs, _ in f.terms:
+    for bs in f.supports():
         key = bs.anchor.second
         thr, tmax = groups.get(key, (bs.threshold, bs.time))
         groups[key] = (min(thr, bs.threshold), max(tmax, bs.time))
@@ -753,16 +661,20 @@ def estimate_column_count(
     a_n: LocallyConstantFunction, b: LocallyConstantFunction, m: TransitionMatrix
 ) -> int:
     """Upper bound on the support enumeration size, via path counting."""
-    arr = np.array(m.entries, dtype=object)
     total = 0
     for s_pat, u_pat, past_hi, future_lo in _support_windows(a_n, b):
         gap = future_lo - past_hi
         if gap <= 1:
             total += 1
             continue
-        power = np.linalg.matrix_power(arr, gap)
-        total += int(power[s_pat.at(past_hi), u_pat.at(future_lo)])
+        total += _path_count(m, s_pat.at(past_hi), u_pat.at(future_lo), gap)
     return total
+
+
+def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
+    """Number of allowed paths of `length` steps from start to end, exactly."""
+    power = np.linalg.matrix_power(np.array(m.entries, dtype=object), length)
+    return int(power[start, end])
 
 
 def commutator_blocks(
@@ -786,8 +698,8 @@ def commutator_blocks(
     blocks: Dict[int, SparseOperator] = {}
     untrusted: Dict[int, str] = {}
     for n in range(n_min, n_max + 1):
-        a_n = alpha_any(a, n)
-        b_n = alpha_any(b, -n) if mixed else b
+        a_n = a.alpha(n)
+        b_n = b.alpha(-n) if mixed else b
         est = estimate_column_count(a_n, b_n, m)
         room = reg.cap - len(reg)
         if est > room:
@@ -802,11 +714,7 @@ def commutator_blocks(
             bwd = apply_to_column(b_n, apply_to_point(a_n, x))
             col: Dict[EventuallyPeriodicPoint, complex] = dict(fwd)
             for y, v in bwd.items():
-                cur = col.get(y, 0.0 + 0.0j) - v
-                if cur == 0:
-                    col.pop(y, None)
-                else:
-                    col[y] = cur
+                _accumulate(col, y, -v)
             if not col:
                 continue
             j = reg.add(x)
@@ -856,10 +764,7 @@ def intersection_count(
             shifted.at(i) == stable_center.at(i) for i in range(future_lo, past_hi + 1)
         )
         return 1 if agree else 0
-    arr = np.array(m.entries, dtype=object)
-    gap = future_lo - past_hi
-    power = np.linalg.matrix_power(arr, gap)
-    return int(power[shifted.at(past_hi), stable_center.at(future_lo)])
+    return _path_count(m, shifted.at(past_hi), stable_center.at(future_lo), future_lo - past_hi)
 
 
 def intersection_points(

@@ -198,6 +198,11 @@ def holonomy_apply(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodic
     (stable) or future (unstable) onto z."""
     if not in_domain(v, z):
         raise OutsideDomain("point outside the base-set domain disk")
+    return _holonomy_splice(v, z)
+
+
+def _holonomy_splice(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
+    """holonomy_apply for a z whose domain test the caller has already made."""
     if v.side == STABLE:
         return splice_at(v.anchor.first, z, v.time)
     return splice_at(z, v.anchor.first, -v.time - 1)
@@ -208,7 +213,7 @@ def base_set_membership(v: BaseSet, b: GroupoidElement) -> bool:
         return False
     if not in_domain(v, b.second):
         return False
-    return holonomy_apply(v, b.second) == b.first
+    return _holonomy_splice(v, b.second) == b.first
 
 
 def elements_of(v: BaseSet, sources) -> list:
@@ -216,7 +221,7 @@ def elements_of(v: BaseSet, sources) -> list:
     out = []
     for z in sources:
         if in_domain(v, z):
-            out.append(GroupoidElement(holonomy_apply(v, z), z, v.side))
+            out.append(GroupoidElement(_holonomy_splice(v, z), z, v.side))
     return out
 
 

@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InvalidScenario, OrbitsNotDisjoint
 from .groupoid import BaseSet, GroupoidElement
-from .functions import FunctionSum, LocallyConstantFunction, ProfileFunction
+from .functions import LocallyConstantFunction, Term, profile
 from .sft import (
     STABLE,
     UNSTABLE,
@@ -35,7 +35,7 @@ class Scenario:
     core_bound: int
     window: Tuple[int, int]
     basis_cap: int
-    functions: Dict[str, object] = field(default_factory=dict)
+    functions: Dict[str, LocallyConstantFunction] = field(default_factory=dict)
     p_grid: List[float] = field(default_factory=list)
     seed: int = 0
 
@@ -45,6 +45,8 @@ class Scenario:
 
     def validate(self) -> None:
         validate_matrix(self.matrix)
+        if not self.kappa > 1:
+            raise InvalidScenario("kappa must be > 1")
         PeriodicOrbit.from_word(self.orbit_p.cycle, self.matrix)
         PeriodicOrbit.from_word(self.orbit_q.cycle, self.matrix)
         if not orbits_disjoint(self.orbit_p, self.orbit_q):
@@ -56,17 +58,11 @@ class Scenario:
         if self.core_bound < 0 or self.basis_cap < 1:
             raise InvalidScenario("bad core bound or basis cap")
         for f in self.functions.values():
-            for bs in _supports_of(f):
+            for bs, _, depth, _ in f.terms:
+                if depth < 0:
+                    raise InvalidScenario("negative profile depth")
                 for pt in (bs.anchor.first, bs.anchor.second):
                     validate_point(pt, self.matrix)
-
-
-def _supports_of(f):
-    if isinstance(f, FunctionSum):
-        return [bs for part in f.parts for bs in _supports_of(part)]
-    if isinstance(f, ProfileFunction):
-        return [f.support]
-    return [bs for bs, _ in f.terms]
 
 
 def _base_set_to_dict(bs: BaseSet) -> dict:
@@ -82,45 +78,57 @@ def _base_set_from_dict(d: dict, side: str) -> BaseSet:
     return BaseSet(anchor, int(d["radius_exp"]), int(d["time"]))
 
 
-def function_to_dict(f) -> dict:
-    if isinstance(f, FunctionSum):
-        return {"side": f.side, "sum": [function_to_dict(p) for p in f.parts]}
-    if isinstance(f, ProfileFunction):
+def function_to_dict(f: LocallyConstantFunction) -> dict:
+    """`terms` for depth-0 terms, `profile` for one deeper term, and
+    otherwise a `sum` over the maximal runs of those two forms."""
+    runs = []
+    for t in f.terms:
+        if t.depth == 0 and runs and runs[-1][-1].depth == 0:
+            runs[-1].append(t)
+        else:
+            runs.append([t])
+    parts = [_run_to_dict(f.side, run) for run in runs] or [_run_to_dict(f.side, [])]
+    return parts[0] if len(parts) == 1 else {"side": f.side, "sum": parts}
+
+
+def _run_to_dict(side: str, run) -> dict:
+    if run and run[0].depth > 0:
+        ((bs, c, depth, seed),) = run
         return {
-            "side": f.side,
+            "side": side,
             "profile": {
-                "support": _base_set_to_dict(f.support),
-                "depth": f.depth,
-                "seed": f.seed,
-                "coeff": [f.coeff.real, f.coeff.imag],
+                "support": _base_set_to_dict(bs),
+                "depth": depth,
+                "seed": seed,
+                "coeff": [c.real, c.imag],
             },
         }
-    return {
-        "side": f.side,
-        "terms": [
-            dict(_base_set_to_dict(bs), coeff=[c.real, c.imag]) for bs, c in f.terms
-        ],
-    }
+    terms = [dict(_base_set_to_dict(bs), coeff=[c.real, c.imag]) for bs, c, _, _ in run]
+    return {"side": side, "terms": terms}
 
 
-def function_from_dict(d: dict):
+def function_from_dict(d: dict) -> LocallyConstantFunction:
+    """The term list of any of the three forms; a `sum` concatenates its parts."""
     side = d["side"]
     if side not in (STABLE, UNSTABLE):
         raise InvalidScenario(f"unknown side {side!r}")
     if "sum" in d:
-        return FunctionSum(side, tuple(function_from_dict(p) for p in d["sum"]))
-    if "profile" in d:
+        terms = tuple(t for part in d["sum"] for t in function_from_dict(part).terms)
+    elif "profile" in d:
         p = d["profile"]
-        return ProfileFunction(
-            _base_set_from_dict(p["support"], side),
-            int(p["depth"]),
-            str(p["seed"]),
-            complex(p["coeff"][0], p["coeff"][1]),
+        terms = (
+            Term(
+                _base_set_from_dict(p["support"], side),
+                complex(p["coeff"][0], p["coeff"][1]),
+                int(p["depth"]),
+                str(p["seed"]),
+            ),
         )
-    terms = tuple(
-        (_base_set_from_dict(t, side), complex(t["coeff"][0], t["coeff"][1]))
-        for t in d["terms"]
-    )
+    else:
+        terms = tuple(
+            (_base_set_from_dict(t, side), complex(t["coeff"][0], t["coeff"][1]))
+            for t in d["terms"]
+        )
     return LocallyConstantFunction(side, terms)
 
 
@@ -190,8 +198,8 @@ def full_shift_scenario() -> Scenario:
     future_dist = build_point((0,), (1, 1, 1, 0), (1,), 0)
     ca = GroupoidElement(step, past_dist, STABLE)
     cb = GroupoidElement(step, future_dist, UNSTABLE)
-    a = ProfileFunction(BaseSet(ca, 1, 0), depth=30, seed="ref-a")
-    b = ProfileFunction(BaseSet(cb, 1, 0), depth=30, seed="ref-b")
+    a = profile(BaseSet(ca, 1, 0), depth=30, seed="ref-a")
+    b = profile(BaseSet(cb, 1, 0), depth=30, seed="ref-b")
     e_unit = LocallyConstantFunction(
         STABLE, tuple((BaseSet(GroupoidElement(step, step, STABLE), k, 0), 2.0**-k) for k in range(6))
     )
@@ -233,8 +241,8 @@ def golden_mean_scenario() -> Scenario:
     future_dist = build_point((0,), (0, 1, 0, 0, 1), (0, 1), 0)  # 00 break at +3
     ca = GroupoidElement(spine, past_dist, STABLE)
     cb = GroupoidElement(spine, future_dist, UNSTABLE)
-    a = ProfileFunction(BaseSet(ca, 1, 0), depth=30, seed="gm-a")
-    b = ProfileFunction(BaseSet(cb, 1, 0), depth=30, seed="gm-b")
+    a = profile(BaseSet(ca, 1, 0), depth=30, seed="gm-a")
+    b = profile(BaseSet(cb, 1, 0), depth=30, seed="gm-b")
     e_proj = LocallyConstantFunction(
         STABLE, ((BaseSet(GroupoidElement(spine, spine, STABLE), 2, 0), 1.0 + 0.0j),)
     )

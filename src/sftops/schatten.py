@@ -120,11 +120,6 @@ def singular_values(a, source: str = "") -> SingularSpectrum:
     return SingularSpectrum(vals, source=source)
 
 
-def operator_norm(a) -> float:
-    spec = singular_values(a)
-    return float(spec.values[0]) if len(spec.values) else 0.0
-
-
 def numerical_rank(spec: SingularSpectrum, floor: float = RANK_FLOOR) -> int:
     if len(spec.values) == 0:
         return 0

@@ -434,7 +434,7 @@ def splice_at(past, future, m: int) -> EventuallyPeriodicPoint:
     return build_point(left, core, right, lo)
 
 
-def bracket(x, y, p: MetricParams = None) -> EventuallyPeriodicPoint:
+def bracket(x, y) -> EventuallyPeriodicPoint:
     """[x, y]: past of y, future of x.  Defined when d(x, y) <= kappa**-1."""
     r = agreement_radius(x, y)
     if r is not None and r < 1:

@@ -1,9 +1,13 @@
 import json
 import math
+import pathlib
+import re
 
 from sftops import cli
 from sftops import groupoid as gd
 from sftops import scenarios as sn
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def small_scenario(tmp_path, name="small"):
@@ -255,9 +259,121 @@ class TestScenarioRoundTrip:
             assert sn.scenario_hash(s) == sn.scenario_hash(s2)
 
     def test_shipped_scenarios_match_builders(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+        root = ROOT / "scenarios"
         for name, mk in sn.REFERENCE_SCENARIOS.items():
             shipped = sn.load_scenario(str(root / f"{name}.json"))
             assert sn.scenario_hash(shipped) == sn.scenario_hash(mk())
+
+    def test_reference_hashes_pinned(self):
+        # recorded before the function types were merged; every report
+        # carries this hash
+        pinned = {"full-2-shift": "37c68ad9b43fffb3", "golden-mean": "9da2ff7c046d10a1"}
+        for name, mk in sn.REFERENCE_SCENARIOS.items():
+            assert sn.scenario_hash(mk()) == pinned[name]
+            shipped = sn.load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+            assert sn.scenario_hash(shipped) == pinned[name]
+
+
+def shipped_functions():
+    text = (ROOT / "scenarios" / "full-2-shift.json").read_text()
+    return json.loads(text)["functions"]
+
+
+class TestFunctionJson:
+    """The three JSON spellings of a term list, read from the shipped file."""
+
+    def round_trip(self, d):
+        f = sn.function_from_dict(json.loads(json.dumps(d)))
+        return f, json.loads(json.dumps(sn.function_to_dict(f)))
+
+    def test_terms_form(self):
+        d = shipped_functions()["e_unit"]
+        f, back = self.round_trip(d)
+        assert back == d
+        assert len(f.terms) == 6 and all(t.depth == 0 for t in f.terms)
+
+    def test_profile_form(self):
+        d = shipped_functions()["a"]
+        f, back = self.round_trip(d)
+        assert back == d
+        ((_, coeff, depth, seed),) = f.terms
+        assert (coeff, depth, seed) == (1.0, 30, "ref-a")
+
+    def test_sum_form(self):
+        fns = shipped_functions()
+        d = {"side": "stable", "sum": [fns["a_terms"], fns["a"], fns["e_proj"]]}
+        f, back = self.round_trip(d)
+        assert back == d
+        parts = [sn.function_from_dict(p) for p in d["sum"]]
+        assert f.terms == sum((p.terms for p in parts), ())
+
+    def test_sum_normalised_to_maximal_runs(self):
+        fns = shipped_functions()
+        nested = {"side": "stable", "sum": [fns["a_terms"], {"side": "stable", "sum": [fns["e_proj"]]}]}
+        _, back = self.round_trip(nested)
+        merged = dict(fns["a_terms"], terms=fns["a_terms"]["terms"] + fns["e_proj"]["terms"])
+        assert back == merged
+        lone = {"side": "stable", "sum": [fns["a"]]}
+        assert self.round_trip(lone)[1] == fns["a"]
+
+    def test_side_mismatch_in_sum_exit_2(self, tmp_path):
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        fns = data["functions"]
+        fns["mixed"] = {"side": "stable", "sum": [fns["a"], fns["b"]]}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+class TestBadInput:
+    """Bad input exits 2 with a message, not with a traceback, 1 or 3."""
+
+    def test_kappa_one_exit_2(self, tmp_path):
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data["kappa"] = 1.0
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_negative_depth_exit_2(self, tmp_path):
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data["functions"]["a"]["profile"]["depth"] = -1
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_bad_p_grid_and_window_exit_2(self, tmp_path):
+        path = small_scenario(tmp_path)
+        argv = ["spectrum", "--scenario", path, "--out", str(tmp_path), "--p-grid=-1,0", "--window=2..1"]
+        assert run(argv) == 2
+
+    def test_empty_window_exit_2(self, tmp_path):
+        path = small_scenario(tmp_path)
+        assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--window=2..1"]) == 2
+
+    def test_zero_cap_exit_2(self, tmp_path):
+        path = small_scenario(tmp_path)
+        assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--cap=0"]) == 2
+
+    def test_swapped_sides_exit_2(self, tmp_path, capsys):
+        path = small_scenario(tmp_path)
+        argv = ["spectrum", "--scenario", path, "--out", str(tmp_path)]
+        argv += ["--stable-function=b", "--unstable-function=a"]
+        assert run(argv) == 2
+        assert "stable" in capsys.readouterr().err
+
+
+def test_readme_lists_exactly_the_cli_options():
+    # a flag the README does not document (say, one that is parsed and
+    # never read) fails here
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parsed = {
+        opt
+        for action in cli.build_parser()._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    assert parsed == documented
+    assert len(parsed) == 9

@@ -55,7 +55,7 @@ class TestInflation:
     def test_block_is_alpha_representation(self, reg):
         infl = fd.inflate_stable(A_FN, 0, WINDOW, reg)
         for n in infl.slots():
-            expect = fn.represent(fn.alpha(A_FN, n), reg)
+            expect = fn.represent(A_FN.alpha(n), reg)
             got = infl.block(n, n)
             diff = (got - expect) if got is not None else expect
             assert max((abs(v) for v in diff.entries.values()), default=0.0) == 0.0
@@ -88,7 +88,7 @@ class TestInflation:
         u_mat = fn.unitary_u(reg)
         for n in range(WINDOW[0] + 2, WINDOW[1] - 2):
             block = lhs.block(n, n + j - jp) or fn.SparseOperator(reg.cap)
-            expect = fn.represent(fn.alpha(A_FN, n), reg).matmul(
+            expect = fn.represent(A_FN.alpha(n), reg).matmul(
                 fn.represent(B_FN, reg).matmul(_u_power(u_mat, jp, reg))
             )
             diff = block - expect

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftops import functions as fn
 from sftops import groupoid as gd
+from sftops import scenarios as sn
 from sftops import schatten as sc
 from sftops import sft
 from sftops.errors import SideMismatch
@@ -38,33 +41,33 @@ def seeded_registry(bound=5, cap=9000):
 
 class TestEvaluate:
     def test_anchor_value(self):
-        assert fn.evaluate(A, CA) == sum(2.0**-k for k in range(8))
+        assert A.evaluate(CA) == sum(2.0**-k for k in range(8))
 
     def test_outside_supports(self):
         far = gd.unit(sft.build_point((0,), (1,), (0,), 9))
-        assert fn.evaluate(A, far) == 0
+        assert A.evaluate(far) == 0
 
     def test_nested_overlap(self):
         v_outer = gd.BaseSet(gd.unit(STEP), 1, 0)
         v_inner = gd.BaseSet(gd.unit(STEP), 4, 0)
         f = fn.LocallyConstantFunction(gd.STABLE, ((v_outer, 1.0 + 0j), (v_inner, 2.0 + 0j)))
-        assert fn.evaluate(f, gd.unit(STEP)) == 3.0
+        assert f.evaluate(gd.unit(STEP)) == 3.0
 
     def test_side_mismatch(self):
         with pytest.raises(SideMismatch):
-            fn.evaluate(A, CB)
+            A.evaluate(CB)
 
 
 class TestLipschitz:
     def test_zero_function(self):
-        assert fn.lipschitz_constant(fn.zero_function(), P2) == 0.0
+        assert fn.zero_function().lipschitz_constant(P2) == 0.0
 
     def test_scaling(self):
-        assert fn.lipschitz_constant(A.scaled(3.0), P2) == 3.0 * fn.lipschitz_constant(A, P2)
+        assert A.scaled(3.0).lipschitz_constant(P2) == 3.0 * A.lipschitz_constant(P2)
 
     def test_bound_dominates_sampled_ratios(self):
         ind = fn.indicator(gd.BaseSet(CA, 2, 0))
-        bound = fn.lipschitz_constant(ind, P2)
+        bound = ind.lipschitz_constant(P2)
         assert bound == 2.0**3
         from sftops import sampling as smp
 
@@ -75,7 +78,7 @@ class TestLipschitz:
                 e = gd.groupoid_metric_exponent(a, b)
                 if e is None:
                     continue
-                gap = abs(fn.evaluate(ind, a) - fn.evaluate(ind, b))
+                gap = abs(ind.evaluate(a) - ind.evaluate(b))
                 if gap:
                     worst = max(worst, gap / 2.0**-e)
         assert 0 < worst <= bound
@@ -83,36 +86,36 @@ class TestLipschitz:
 
 class TestInvolution:
     def test_involutive(self):
-        assert fn.involution(fn.involution(A)) == A
+        assert A.involution().involution() == A
 
     def test_matrix_adjoint(self):
         reg = seeded_registry()
         fn.represent(A, reg)
-        fn.represent(fn.involution(A), reg)
+        fn.represent(A.involution(), reg)
         reg.freeze()
         m1 = fn.represent(A, reg).dagger()
-        m2 = fn.represent(fn.involution(A), reg)
+        m2 = fn.represent(A.involution(), reg)
         assert not (m1 - m2).entries
 
     def test_real_unit_space_fixed(self):
-        assert fn.involution(E_UNIT) == E_UNIT
+        assert E_UNIT.involution() == E_UNIT
 
 
 class TestAlpha:
     def test_identity(self):
-        assert fn.alpha(A, 0) == A
+        assert A.alpha(0) == A
 
     def test_inverse(self):
-        assert fn.alpha(fn.alpha(A, 1), -1) == A
+        assert A.alpha(1).alpha(-1) == A
 
     def test_pointwise_transport(self):
-        f1 = fn.alpha(A, 1)
+        f1 = A.alpha(1)
         for g in (CA, gd.unit(STEP), gd.GroupoidElement(STEP, Y, gd.STABLE)):
-            assert fn.evaluate(f1, g) == fn.evaluate(A, gd.phi_auto(g, -1))
+            assert f1.evaluate(g) == A.evaluate(gd.phi_auto(g, -1))
 
     def test_u_conjugation_columnwise(self):
         reg = seeded_registry()
-        f1 = fn.alpha(A, 1)
+        f1 = A.alpha(1)
         for x in list(reg.points)[:60]:
             lhs = fn.apply_to_point(f1, x)
             xm = sft.shift(x, -1)
@@ -125,22 +128,22 @@ class TestConvolve:
         assert fn.convolve(A, fn.zero_function(gd.STABLE), FULL).is_zero
 
     def test_pointwise_oracle(self):
-        astar = fn.involution(A)
+        astar = A.involution()
         prod = fn.convolve(A, astar, FULL)
-        gammas = [bs.anchor for bs, _ in prod.terms][:10]
+        gammas = [bs.anchor for bs in prod.supports()][:10]
         gammas += [CA, gd.unit(STEP)]
         for gam in gammas:
-            assert abs(fn.evaluate(prod, gam) - fn.convolve_bruteforce(A, astar, gam)) < 1e-12
+            assert abs(prod.evaluate(gam) - fn.convolve_bruteforce(A, astar, gam)) < 1e-12
 
     def test_unit_absorbs(self):
         # a unit-space disk containing the range of A acts as identity there
         big_unit = fn.indicator(gd.BaseSet(gd.unit(STEP), 0, 0))
         prod = fn.convolve(big_unit, A, FULL)
         for gam in (CA,):
-            assert abs(fn.evaluate(prod, gam) - fn.evaluate(A, gam)) < 1e-12
+            assert abs(prod.evaluate(gam) - A.evaluate(gam)) < 1e-12
 
     def test_matrix_multiplicativity(self):
-        astar = fn.involution(A)
+        astar = A.involution()
         reg = seeded_registry()
         pairs = {
             "ea": (E_UNIT, A),
@@ -185,7 +188,7 @@ class TestRepresent:
         ma = fn.represent(a_ind, reg)
         mb = fn.represent(b_ind, reg)
         for prod in (ma.matmul(mb), mb.matmul(ma)):
-            assert prod.rank() <= 1
+            assert sc.numerical_rank(sc.singular_values(prod)) <= 1
 
     def test_growth_and_cap(self):
         reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(FULL, P, Q, 2), cap=60)
@@ -221,13 +224,13 @@ class TestUnitary:
 
 class TestProfileFunctions:
     def test_profile_matches_materialization(self):
-        prof = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=5, seed="t")
+        prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=5, seed="t")
         mat = fn.materialize_profile(prof, FULL)
         from sftops import sampling as smp
 
         els = smp.nested_family(FULL, CA, range(1, 9), P) + [CA]
         for g in els:
-            assert abs(fn.evaluate_profile(prof, g) - fn.evaluate(mat, g)) < 1e-12
+            assert abs(prof.evaluate(g) - mat.evaluate(g)) < 1e-12
 
     def test_profile_value_matches_word_bits(self):
         # the incremental hash against one _word_bit per prefix, at the
@@ -238,35 +241,99 @@ class TestProfileFunctions:
         )
         for anchor in (CA, CB):
             for radius in (1, 4):
-                prof = fn.ProfileFunction(gd.BaseSet(anchor, radius, 0), depth=30, seed="ref-a")
+                prof = fn.profile(gd.BaseSet(anchor, radius, 0), depth=30, seed="ref-a")
+                (term,) = prof.terms
                 sgn = 1 if prof.side == gd.STABLE else -1
-                t = prof.support.threshold
+                t = term.support.threshold
                 for z in pts:
                     word = [z.at(sgn * (t + mm)) for mm in range(1, 31)]
                     ref = 1.0 + sum(
                         2.0**-mm * fn._word_bit("ref-a", word[:mm]) for mm in range(1, 31)
                     )
-                    assert prof.profile_value(z) == prof.coeff * ref
+                    assert prof.profile_value(z) == term.coeff * ref
 
     def test_profile_involution_round_trip(self):
-        prof = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
-        assert fn.involution_profile(fn.involution_profile(prof)) == prof
+        prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
+        assert prof.involution().involution() == prof
 
     def test_profile_alpha_transport(self):
-        prof = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
-        f1 = fn.alpha_profile(prof, 1)
+        prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
+        f1 = prof.alpha(1)
         for g in (CA, gd.GroupoidElement(STEP, Y, gd.STABLE)):
-            assert fn.evaluate_profile(f1, g) == fn.evaluate_profile(prof, gd.phi_auto(g, -1))
+            assert f1.evaluate(g) == prof.evaluate(gd.phi_auto(g, -1))
 
     def test_sum_function(self):
-        s = fn.FunctionSum(gd.STABLE, (A, E_UNIT))
-        assert fn.evaluate_any(s, CA) == fn.evaluate(A, CA) + fn.evaluate(E_UNIT, CA)
+        s = fn.LocallyConstantFunction(gd.STABLE, A.terms + E_UNIT.terms)
+        assert s.evaluate(CA) == A.evaluate(CA) + E_UNIT.evaluate(CA)
+
+
+REFERENCE = {name: mk() for name, mk in sn.REFERENCE_SCENARIOS.items()}
+LINEARITY_REGISTRY = {
+    name: sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
+    for name, s in REFERENCE.items()
+}
+
+
+class TestLinearity:
+    # a function is the sum of its terms: represent of a mix of indicator
+    # and profile terms is the entrywise sum of represent of each one-term
+    # piece, on both reference matrices
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(sorted(REFERENCE)),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 4),
+                st.sampled_from([0, 3, 8]),
+                st.sampled_from([1.0, -0.5, 0.25j, 1 - 1j]),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        st.integers(-2, 3),
+    )
+    def test_represent_is_the_sum_over_terms(self, name, specs, k):
+        s = REFERENCE[name]
+        off_diag, unit = (s.functions[k].terms[0].support.anchor for k in ("a", "e_proj"))
+        terms = tuple(
+            fn.Term(gd.BaseSet(unit if on_unit else off_diag, radius, 0), coeff, depth, "lin")
+            for on_unit, radius, depth, coeff in specs
+        )
+        f = fn.LocallyConstantFunction(gd.STABLE, terms).alpha(k)
+        pieces = [fn.LocallyConstantFunction(gd.STABLE, (t,)) for t in f.terms]
+        reg = fn.BasisRegistry.seeded(LINEARITY_REGISTRY[name], cap=100000)
+        fn.represent(f, reg)
+        reg.freeze()
+        summed = fn.SparseOperator(reg.cap)
+        for piece in pieces:
+            summed = summed + fn.represent(piece, reg)
+        assert not (fn.represent(f, reg) - summed).entries
+        assert reg.truncation_events == 0
+
+
+class TestApplyToPoint:
+    def test_one_domain_test_per_term_per_column(self, monkeypatch):
+        calls = []
+        real = gd.in_domain
+
+        def counted(v, z):
+            calls.append(z)
+            return real(v, z)
+
+        monkeypatch.setattr(fn, "in_domain", counted)
+        monkeypatch.setattr(gd, "in_domain", counted)
+        prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=8, seed="t")
+        pts = seeded_registry(bound=3).points
+        hits = sum(bool(fn.apply_to_point(f, x)) for f in (prof, A) for x in pts)
+        assert hits > 0
+        assert len(calls) == len(pts) * (1 + len(A.terms))
 
 
 @pytest.fixture(scope="module")
 def blocks():
-    a = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
-    b = fn.ProfileFunction(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
+    a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
+    b = fn.profile(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
     reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(FULL, P, Q, 2), cap=6000)
     return fn.commutator_blocks(a, b, (-8, 12), reg, FULL)
 
@@ -280,7 +347,7 @@ class TestCommutatorBlocks:
 
     def test_finite_ranks(self, blocks):
         for n, op in blocks.trusted_blocks().items():
-            assert op.rank() < 6000
+            assert sc.numerical_rank(sc.singular_values(op)) < 6000
 
     def test_norms_decay(self, blocks):
         norms = {}
@@ -292,8 +359,8 @@ class TestCommutatorBlocks:
         assert all(b < a for a, b in zip(deep, deep[1:]))
 
     def test_untrusted_flagging(self):
-        a = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
-        b = fn.ProfileFunction(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
+        a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
+        b = fn.profile(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
         reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(FULL, P, Q, 2), cap=300)
         blocks = fn.commutator_blocks(a, b, (-2, 14), reg, FULL)
         assert blocks.untrusted
@@ -328,11 +395,11 @@ class TestSupportEnumerationSoundness:
     # boundary by one-symbol perturbations of the enumerated support and
     # confirm no nonzero column falls outside it
     def test_no_column_outside_enumerated_support(self):
-        a = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
-        b = fn.ProfileFunction(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
+        a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
+        b = fn.profile(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
         nonzero_blocks = 0
         for n in range(0, 9):
-            a_n = fn.alpha_any(a, n)
+            a_n = a.alpha(n)
             support = set(fn.commutator_column_support(a_n, b, FULL))
             if not support:
                 continue
@@ -346,12 +413,12 @@ class TestSupportEnumerationSoundness:
         assert nonzero_blocks >= 3  # the probe exercised genuine columns
 
     def test_mixed_variant_support(self):
-        a = fn.ProfileFunction(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
-        b = fn.ProfileFunction(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
+        a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
+        b = fn.profile(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
         nonzero_blocks = 0
         for n in (2, 3, 4):
-            a_n = fn.alpha_any(a, n)
-            b_n = fn.alpha_any(b, -n)
+            a_n = a.alpha(n)
+            b_n = b.alpha(-n)
             support = set(fn.commutator_column_support(a_n, b_n, FULL))
             if not support:
                 continue
