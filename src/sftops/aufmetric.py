@@ -24,9 +24,9 @@ from .errors import InsufficientData
 from .groupoid import (
     BaseSet,
     GroupoidElement,
+    _holonomy_splice,
     base_set_membership,
     c_first_time,
-    holonomy_apply,
     in_domain,
 )
 from .sft import STABLE, agreement_depth, agreement_floor
@@ -51,8 +51,8 @@ class CoverIndexParams:
 
     @property
     def eps_prime_exp(self) -> int:
-        # largest realized metric value <= lambda**-1 / 2
-        return 2
+        # largest realized metric value lambda**-e <= lambda**-1 / 2
+        return 1 + max(1, math.ceil(math.log(2.0, self.lambda_x) - _FUZZ))
 
     @property
     def disk_margin(self) -> int:
@@ -106,10 +106,7 @@ def v_index_cap(a: GroupoidElement, c: GroupoidElement, cp: CoverIndexParams) ->
     cap is depth - disk_margin once the base requirements hold.
     """
     n_c = c_first_time(c)
-    if a.side == STABLE:
-        d = agreement_depth(a.second, c.second)
-    else:
-        d = -agreement_floor(a.second, c.second)
+    d = _source_depth(a.side, a.second, c.second)
     if d == -math.inf:
         return -1
     margin = cp.disk_margin
@@ -119,9 +116,16 @@ def v_index_cap(a: GroupoidElement, c: GroupoidElement, cp: CoverIndexParams) ->
     bs = v_set(c, min(cap, n_c), cp)
     if not in_domain(bs, a.second):
         return -1
-    if holonomy_apply(bs, a.second) != a.first:
+    if _holonomy_splice(bs, a.second) != a.first:
         return -1
     return cap
+
+
+def _source_depth(side: str, z, anchor_source):
+    """One-sided agreement depth of z with the anchor source, on `side`."""
+    if side == STABLE:
+        return agreement_depth(z, anchor_source)
+    return -agreement_floor(z, anchor_source)
 
 
 def cover_level_from_cap(cap: int, n_c1: int, cp: CoverIndexParams) -> int:
@@ -132,6 +136,15 @@ def cover_level_from_cap(cap: int, n_c1: int, cp: CoverIndexParams) -> int:
         return _DEEP
     extra = (cap - n_c1) // cp.ceil_log3
     return max(1, 1 + extra) if cap >= n_c1 + cp.ceil_log3 else 1
+
+
+def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
+    """cover_level_from_cap over a whole table; column j has center N_{c,1} = n_c1[j]."""
+    n_c1 = n_c1[None, :]
+    deeper = 1 + (vcap - n_c1) // cp.ceil_log3
+    return np.select(
+        [vcap < 1, vcap >= _DEEP, vcap >= n_c1 + cp.ceil_log3], [0, _DEEP, deeper], default=1
+    )
 
 
 def max_cover_level(a: GroupoidElement, c: GroupoidElement, cp: CoverIndexParams) -> int:
@@ -162,12 +175,42 @@ def quasimetric_rho(
 
 
 def build_vcap_table(elements: Sequence[GroupoidElement], cp: CoverIndexParams) -> np.ndarray:
-    """vcap[i, j] = largest V-index v with elements[i] in V_v(elements[j])."""
+    """vcap[i, j] = largest V-index v with elements[i] in V_v(elements[j]).
+
+    Entry for entry this is v_index_cap(elements[i], elements[j], cp), but
+    the work is shared.  v_index_cap reads the row element a through its
+    side and source point (the depth, the domain test and the splice) and
+    through its range point only in the final equality, and the audit
+    families put hundreds of elements on a few dozen sources.  So rows are
+    grouped by (side, source): the depth is computed once per group and
+    distinct center source, the domain test and the holonomy splice once per
+    (center, group) that passes the depth test, and the cap is written into
+    the rows of the group whose range point is the splice.
+    """
     m = len(elements)
     vm = np.full((m, m), -1, dtype=np.int64)
+    groups = {}  # (side, source) -> {range point: row indices}
+    for i, a in enumerate(elements):
+        groups.setdefault((a.side, a.second), {}).setdefault(a.first, []).append(i)
+    keys, rows_by_range = list(groups), list(groups.values())
+    centers = {}  # center source -> column indices
     for j, c in enumerate(elements):
-        for i, a in enumerate(elements):
-            vm[i, j] = v_index_cap(a, c, cp)
+        centers.setdefault(c.second, []).append(j)
+    margin = cp.disk_margin
+    for source, columns in centers.items():
+        depths = np.array([_source_depth(side, z, source) for side, z in keys])
+        for j in columns:
+            c = elements[j]
+            n_c = c_first_time(c)
+            bs = v_set(c, n_c, cp)  # the V-set of every cap >= 0
+            for g in np.flatnonzero(depths >= n_c + margin):
+                z = keys[g][1]
+                if not in_domain(bs, z):
+                    continue
+                rows = rows_by_range[g].get(_holonomy_splice(bs, z))
+                if rows:
+                    d = depths[g]
+                    vm[rows, j] = _DEEP if d == math.inf else int(d) - margin
     return vm
 
 
@@ -218,16 +261,12 @@ def build_quasimetric_table(
     m = len(elements)
     if vcap is None:
         vcap = build_vcap_table(elements, cp)
-    n_c1 = np.array([max(c_first_time(c), 1) for c in elements])
-    levels = np.zeros((m, m), dtype=np.int64)
-    for j in range(m):
-        for i in range(m):
-            levels[i, j] = cover_level_from_cap(int(vcap[i, j]), int(n_c1[j]), cp)
+    n_c1 = np.array([max(c_first_time(c), 1) for c in elements], dtype=np.int64)
+    levels = cover_levels(vcap, n_c1, cp)
     exps = np.full((m, m), -1, dtype=int)
-    for i in range(m):
-        best = np.minimum(levels[i], levels).max(axis=1)  # over shared centers
-        for j in range(i + 1, m):
-            exps[i, j] = exps[j, i] = int(min(max(best[j], 0), n_max))
+    for i in range(m - 1):
+        best = np.minimum(levels[i], levels[i + 1 :]).max(axis=1)  # over shared centers
+        exps[i, i + 1 :] = exps[i + 1 :, i] = np.clip(best, 0, n_max)
     if ids is None:
         ids = [str(i) for i in range(m)]
     return QuasimetricTable(list(ids), exps, candidate_count=m)

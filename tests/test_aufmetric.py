@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from sftops import aufmetric as auf
+from sftops import groupoid as gd
 from sftops import sampling as smp
+from sftops import scenarios as sn
 from sftops import sft
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -16,11 +19,37 @@ def elements(count=160, seed=3):
     return smp.audit_elements(FULL, P, Q, rng, count)
 
 
+REFERENCE = {name: mk() for name, mk in sn.REFERENCE_SCENARIOS.items()}
+KAPPAS = (1.5, 2.0, 3.0)
+
+
+def reference_elements(name, count, seed=5):
+    s = REFERENCE[name]
+    return smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, np.random.default_rng(seed), count)
+
+
+def pair_vcap(els, cp):
+    """The per-pair oracle: one v_index_cap call per table entry."""
+    return np.array([[auf.v_index_cap(a, c, cp) for c in els] for a in els], dtype=np.int64)
+
+
 class TestIndices:
     def test_ceil_log3(self):
         assert CP.ceil_log3 == 2
         assert auf.CoverIndexParams(3.0).ceil_log3 == 1
         assert auf.CoverIndexParams(1.5).ceil_log3 == 3
+
+    def test_eps_prime_exp(self):
+        assert [auf.CoverIndexParams(k).eps_prime_exp for k in KAPPAS] == [3, 2, 2]
+        assert [auf.CoverIndexParams(k).disk_margin for k in KAPPAS] == [6, 4, 3]
+
+    @pytest.mark.parametrize("kappa", KAPPAS + (1.2, 1.9, 2.5, 4.0, 10.0))
+    def test_eps_prime_is_largest_realized_value_below_half(self, kappa):
+        # kappa**-e <= kappa**-1 / 2 < kappa**-(e - 1) for e = eps_prime_exp
+        e = auf.CoverIndexParams(kappa).eps_prime_exp
+        half = kappa**-1 / 2
+        assert kappa**-e <= half * (1 + 1e-12)
+        assert kappa ** -(e - 1) > half
 
     def test_j_examples(self):
         assert auf.j_index(0, 0, CP) == 2
@@ -74,6 +103,78 @@ class TestCovers:
                 lvl = auf.max_cover_level(a, c, CP)
                 for n in (1, 2, 3):
                     assert auf.u_cover_member(a, c, n, CP) == (n <= lvl)
+
+
+class TestVcapTable:
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_per_pair_oracle(self, name, kappa):
+        cp = auf.CoverIndexParams(kappa)
+        stable = reference_elements(name, 40)
+        unstable = [gd.reverse_element(a) for a in stable]
+        # both sides, each source under several elements, repeated elements
+        mixed = (
+            stable[::2]
+            + unstable[1::2]
+            + [gd.unit(a.second, gd.UNSTABLE) for a in stable[:8]]
+            + [gd.unit(a.second) for a in unstable[:8]]
+            + stable[:4]
+        )
+        for els in (stable, unstable, mixed):
+            assert len({a.second for a in els}) < len(els)
+            want = pair_vcap(els, cp)
+            assert (want[~np.eye(len(els), dtype=bool)] >= 0).any()
+            assert np.array_equal(auf.build_vcap_table(els, cp), want)
+
+    def test_one_depth_per_source_pair(self, monkeypatch):
+        calls = []
+        real = auf.agreement_depth
+
+        def counting(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(auf, "agreement_depth", counting)
+        els = elements(160)
+        vcap = auf.build_vcap_table(els, CP)
+        monkeypatch.setattr(auf, "agreement_depth", real)
+        assert np.array_equal(vcap, pair_vcap(els, CP))
+        sources = {a.second for a in els}
+        assert len(calls) == len(set(calls)) <= len(sources) ** 2 < len(els) ** 2
+
+
+class TestCoverLevels:
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_matches_scalar_rule(self, kappa):
+        cp = auf.CoverIndexParams(kappa)
+        n_c1 = np.array([1, 2, 3, 5, 9], dtype=np.int64)
+        boundary = {n + cp.ceil_log3 + d for n in n_c1 for d in (-1, 0, 1)}
+        caps = sorted(boundary | set(range(-1, 30)) | {auf._DEEP - 1, auf._DEEP})
+        vcap = np.repeat(np.array(caps, dtype=np.int64)[:, None], len(n_c1), axis=1)
+        got = auf.cover_levels(vcap, n_c1, cp)
+        for i, cap in enumerate(caps):
+            for j, n in enumerate(n_c1):
+                assert got[i, j] == auf.cover_level_from_cap(cap, int(n), cp)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_table_matches_scalar_levels(self, kappa):
+        cp = auf.CoverIndexParams(kappa)
+        els = reference_elements("golden-mean", 60)
+        vcap = pair_vcap(els, cp)
+        n_c1 = [max(gd.c_first_time(c), 1) for c in els]
+        m = len(els)
+        levels = [
+            [auf.cover_level_from_cap(int(vcap[i, j]), n_c1[j], cp) for j in range(m)]
+            for i in range(m)
+        ]
+        want = np.full((m, m), -1)
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    best = max(min(levels[i][k], levels[j][k]) for k in range(m))
+                    want[i, j] = min(max(best, 0), 3)
+        got = auf.build_quasimetric_table(els, cp, n_max=3, vcap=vcap).exponents
+        assert np.array_equal(got, want)
 
 
 class TestQuasimetric:

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 import pathlib
 import re
+
+import pytest
 
 from sftops import cli
 from sftops import groupoid as gd
@@ -106,6 +109,14 @@ class TestMetricAudit:
         assert rep["total_failures"] > 0
         bad = [c for c in rep["checks"].values() if c["failures"]]
         assert bad and bad[0]["first_counterexample"] is not None
+        # pinned witnesses: building them only on failure must not change them
+        checks = rep["checks"]
+        assert checks["inversion_isometry"]["first_counterexample"] == [175, 109, 1, 0]
+        assert checks["units_two_branch"]["failures"] == 4
+        assert checks["units_two_branch"]["first_counterexample"] == [
+            "Point('0*|10@3|1*')",
+            "Point('0*|10@0|1*')",
+        ]
 
 
 class TestDeterminism:
@@ -147,6 +158,34 @@ class TestDeterminism:
         r1 = json.loads((out1 / "auf_audit.json").read_text())
         r2 = json.loads((out2 / "auf_audit.json").read_text())
         assert r1["star_refinement"] != r2["star_refinement"]
+
+
+# SHA-256 of the audit reports at --samples 2000, recorded before the AUF
+# tables were shared per source and the metric-audit elements built once
+AUDIT_DIGESTS = {
+    ("full-2-shift", "auf-audit"): {
+        "auf_audit.json": "6b88423402c6228226cb798b6d353e682a351bf451ef896af2a354af7a1f3ae2",
+        "quasimetric.csv": "a9a8ddd4a3899dc30e9a6c71cf9ee5608e35910eaa498c31273533a5983697c0",
+    },
+    ("full-2-shift", "metric-audit"): {
+        "metric_audit.json": "6a39c59e68595810447d190c82494b9657275b1275c5b27573da77d63fed5f55",
+    },
+    ("golden-mean", "auf-audit"): {
+        "auf_audit.json": "586e3ea631736edf78d914f3fbcf04926fde176addbb6590072faf56c95f17b3",
+        "quasimetric.csv": "cb9728b2fc5320909f0dc2e5cd346353937cdeff43c6af1f301c319ad8e1c995",
+    },
+    ("golden-mean", "metric-audit"): {
+        "metric_audit.json": "91bb5d84b284b823981febeb3395a40346951fa1e3d53744e920f0f58a06289a",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario,command", sorted(AUDIT_DIGESTS))
+def test_audit_reports_pinned(tmp_path, scenario, command):
+    out = tmp_path / "o"
+    assert run([command, "--scenario", scenario, "--out", str(out), "--samples", "2000"]) == 0
+    for name, digest in AUDIT_DIGESTS[scenario, command].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestAufAudit:
