@@ -275,12 +275,15 @@ def build_quasimetric_table(
 def chain_metric(t: QuasimetricTable) -> np.ndarray:
     """All-pairs shortest paths over the complete graph weighted by rho.
 
-    Floyd-Warshall; sums of dyadic values are exact in binary floats.
+    Floyd-Warshall; sums of dyadic values are exact in binary floats.  Each
+    step's sums go to one preallocated buffer and are complete before the
+    minimum is written back, as in d = min(d, d[:, k] + d[k, :]).
     """
-    d = t.values().copy()
-    m = t.size
-    for k in range(m):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    d = t.values()
+    via = np.empty_like(d)
+    for k in range(t.size):
+        np.add(d[:, k, None], d[None, k, :], out=via)
+        np.minimum(d, via, out=d)
     return d
 
 
@@ -303,15 +306,15 @@ def sandwich_check(t: QuasimetricTable, d: np.ndarray) -> SandwichReport:
     reported as data, not raised.
     """
     rho = t.values()
+    ids = t.point_ids
     rep = SandwichReport()
-    m = t.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            rep.checked += 1
-            if d[i, j] > rho[i, j] + 1e-15:
-                rep.upper_violations.append((t.point_ids[i], t.point_ids[j], d[i, j], rho[i, j]))
-            if d[i, j] < 0.25 * rho[i, j] - 1e-15:
-                rep.lower_violations.append((t.point_ids[i], t.point_ids[j], d[i, j], rho[i, j]))
+    for i in range(t.size):
+        dr, rr = d[i, i + 1 :], rho[i, i + 1 :]  # the pairs (i, j > i)
+        rep.checked += len(dr)
+        for j in np.flatnonzero(dr > rr + 1e-15):
+            rep.upper_violations.append((ids[i], ids[i + 1 + j], dr[j], rr[j]))
+        for j in np.flatnonzero(dr < 0.25 * rr - 1e-15):
+            rep.lower_violations.append((ids[i], ids[i + 1 + j], dr[j], rr[j]))
     return rep
 
 
@@ -335,7 +338,12 @@ def star_refinement_check(
     vcap: np.ndarray = None,
 ) -> StarReport:
     """Sampled star lemma: whenever V_{j(a,n)}(a) meets V_{j(a,n)}(b) inside
-    the sample, every sampled member of V_{j(a,n)}(b) lies in V_n(a)."""
+    the sample, every sampled member of V_{j(a,n)}(b) lies in V_n(a).
+
+    Each trial draws the center index and then the level index, the level
+    as n_levels[rng.integers(len(n_levels))], which is rng.choice's draw.
+    Violations are listed by witness b, then member e, both ascending.
+    """
     if vcap is None:
         vcap = build_vcap_table(elements, cp)
     m = len(elements)
@@ -343,20 +351,19 @@ def star_refinement_check(
     rep = StarReport()
     for _ in range(trials):
         ai = int(rng.integers(m))
-        n = int(rng.choice(n_levels))
+        n = int(n_levels[int(rng.integers(len(n_levels)))])
         j = j_index(n_first[ai], n, cp)
         in_a = vcap[:, ai] >= j
         if not in_a.any():
             rep.triples_checked += 1
             continue
-        meets = (vcap[in_a, :] >= j).any(axis=0)  # b with a shared witness
-        for bi in np.flatnonzero(meets):
-            rep.triples_checked += 1
-            rep.witnesses += 1
-            members_b = np.flatnonzero(vcap[:, bi] >= j)
-            for ei in members_b:
-                if vcap[ei, ai] < n:
-                    rep.violations.append((ai, int(bi), int(ei), n))
+        bis = np.flatnonzero((vcap[in_a, :] >= j).any(axis=0))  # b with a shared witness
+        rep.triples_checked += len(bis)
+        rep.witnesses += len(bis)
+        # [b, e]: e in V_j(b) but not in V_n(a)
+        bad = (vcap[:, bis] >= j).T & (vcap[:, ai] < n)
+        for b, e in zip(*np.nonzero(bad)):
+            rep.violations.append((ai, int(bis[b]), int(e), n))
     return rep
 
 
@@ -417,13 +424,12 @@ def diameter_bound_check(
 
 
 def table_to_csv(t: QuasimetricTable) -> str:
+    rows = t.exponents.tolist()
+    # each distinct exponent is formatted once
+    cell = {e: "0" if e == -1 else ("1" if e == 0 else f"2^-{e}") for e in set().union(*rows)}
     lines = [",".join([""] + list(t.point_ids))]
-    for i, pid in enumerate(t.point_ids):
-        row = [pid]
-        for j in range(t.size):
-            e = t.exponents[i, j]
-            row.append("0" if e == -1 else ("1" if e == 0 else f"2^-{e}"))
-        lines.append(",".join(row))
+    for pid, row in zip(t.point_ids, rows):
+        lines.append(",".join([pid] + [cell[e] for e in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,8 @@ named seed, and writes machine-readable reports (JSON, CSV with 17
 significant digits) into the output directory.
 
 Exit codes: 0 success, 1 property-failure findings, 2 invalid input,
-3 resource cap (no trusted block).
+3 resource cap (no trusted block), 4 internal error (an uncaught exception
+inside a command).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -65,6 +67,24 @@ def _report_skeleton(scenario: Scenario, command: str) -> dict:
 
 def _seeded_rng(scenario: Scenario, salt: int = 0):
     return np.random.default_rng(scenario.seed + salt)
+
+
+DRAW_CHUNK = 1024
+
+
+def _draws(rng, bound: int, count: int):
+    """The values of `count` successive int(rng.integers(bound)) calls, in
+    order, drawn one chunk of DRAW_CHUNK at a time.
+
+    numpy draws rng.integers(bound, size=k) as k scalar draws, so the
+    values and the generator state after them are the same
+    (tests/test_cli.py pins this).  Drawing by chunk keeps only one chunk of
+    Python ints alive.
+    """
+    while count > 0:
+        k = min(DRAW_CHUNK, count)
+        yield from rng.integers(bound, size=k).tolist()
+        count -= k
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +113,13 @@ def cmd_validate(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
-    """Ultrametric / isometry / contraction property suite on sampled data."""
+    """Ultrametric / isometry / contraction property suite on sampled data.
+
+    Draw order: the elements, then two indices per sampled pair, three per
+    triangle and two pool indices per unit pair, each loop consuming its
+    draws in order; no other draw comes between.  The loops take them from
+    `_draws`, which batches them without changing that sequence.
+    """
     rng = _seeded_rng(scenario, 1)
     m = scenario.matrix
     samples = args.samples
@@ -130,11 +156,13 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
     def val(e):
         return 0.0 if e is None else scenario.kappa**-e
 
-    shifted = [gd.phi_auto(a, -1) for a in elements]
-    inverted = [gd.inverse(a) for a in elements]
-    pair_budget = samples
-    for _ in range(pair_budget):
-        i, j = int(rng.integers(n)), int(rng.integers(n))
+    # equal elements share one object, so that the metric's equality test
+    # and its first-time cache lookups mostly end at the identity check
+    canon = {a: a for a in elements}
+    shifted = [canon.setdefault(x, x) for x in (gd.phi_auto(a, -1) for a in elements)]
+    inverted = [canon.setdefault(x, x) for x in (gd.inverse(a) for a in elements)]
+    draws = _draws(rng, n, 2 * samples)
+    for i, j in zip(draws, draws):
         e = dist(i, j)
         ee = gd.groupoid_metric_exponent(shifted[i], shifted[j])
         if e is not None and e >= 1:
@@ -149,13 +177,14 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
         cs = gd.c_first_time(elements[i])
         csm = gd.c_first_time(shifted[i])
         record("first_time_shift", csm == cs + 1 or cs == 0, (i, cs, csm))
-    for _ in range(samples // 3):
-        i, j, k = (int(rng.integers(n)) for _ in range(3))
+    draws = _draws(rng, n, 3 * (samples // 3))
+    for i, j, k in zip(draws, draws, draws):
         dij, djk, dik = val(dist(i, j)), val(dist(j, k)), val(dist(i, k))
         record("ultrametric_triangle", dik <= max(dij, djk) + 1e-15, (i, j, k))
     pool = smp.homoclinic_pool(m, scenario.orbit_p, scenario.orbit_q, 2, range(0, 5))
-    for _ in range(samples // 5):
-        x, y = pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]
+    draws = _draws(rng, len(pool), 2 * (samples // 5))
+    for xi, yi in zip(draws, draws):
+        x, y = pool[xi], pool[yi]
         ok = gd.units_metric_exponent(x, y) == gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
         record("units_two_branch", ok, None if ok else (str(x), str(y)))
     checks["holonomy_isometry"] = [0, 0, None]
@@ -531,7 +560,16 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     os.makedirs(args.out, exist_ok=True)
     start = time.time()
-    code = COMMANDS[args.command](scenario, args.out, args)
+    try:
+        code = COMMANDS[args.command](scenario, args.out, args)
+    except Exception as exc:
+        # a crash is not a property finding, so it must not exit 1; traceback
+        # is imported here because importing it adds 0.1 MB to every run
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"{args.command}: exit {code} in {time.time() - start:.1f}s", file=sys.stderr)
     return code
 

@@ -41,8 +41,16 @@ from .sft import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupoidElement:
+    """An ordered pair (first, second) = (range, source) on one side.
+
+    The hash is computed once, at construction, and kept outside the
+    fields: the metric and the per-element caches hash and compare the
+    same elements many times.  Equality is field equality.  The stored hash
+    is this process's, so an element is not to be unpickled in another.
+    """
+
     first: EventuallyPeriodicPoint
     second: EventuallyPeriodicPoint
     side: str = STABLE
@@ -50,6 +58,19 @@ class GroupoidElement:
     def __post_init__(self):
         if self.side not in (STABLE, UNSTABLE):
             raise ValueError(f"unknown side {self.side!r}")
+        object.__setattr__(self, "_hash", hash((self.first, self.second, self.side)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        return self.side == other.side and self.first == other.first and self.second == other.second
 
     def sort_key(self):
         return (self.first.sort_key(), self.second.sort_key())

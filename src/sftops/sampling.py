@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .groupoid import GroupoidElement, base_set, c_first_time, holonomy_apply, in_domain, unit
+from .groupoid import GroupoidElement, _holonomy_splice, base_set, c_first_time, in_domain, unit
 from .sft import (
     STABLE,
     EventuallyPeriodicPoint,
@@ -120,7 +120,7 @@ def nested_family(
             continue
         for z in variations_at_depth(m, anchor.second, t, p):
             if in_domain(bs, z):
-                out.append(GroupoidElement(holonomy_apply(bs, z), z, anchor.side))
+                out.append(GroupoidElement(_holonomy_splice(bs, z), z, anchor.side))
     return out
 
 

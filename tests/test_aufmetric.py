@@ -33,6 +33,105 @@ def pair_vcap(els, cp):
     return np.array([[auf.v_index_cap(a, c, cp) for c in els] for a in els], dtype=np.int64)
 
 
+def chain_metric_oracle(t):
+    """Floyd-Warshall allocating a new matrix per step."""
+    d = t.values().copy()
+    for k in range(t.size):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+def sandwich_oracle(t, d):
+    """The pairwise double loop over i < j."""
+    rho = t.values()
+    rep = auf.SandwichReport()
+    for i in range(t.size):
+        for j in range(i + 1, t.size):
+            rep.checked += 1
+            if d[i, j] > rho[i, j] + 1e-15:
+                rep.upper_violations.append((t.point_ids[i], t.point_ids[j], d[i, j], rho[i, j]))
+            if d[i, j] < 0.25 * rho[i, j] - 1e-15:
+                rep.lower_violations.append((t.point_ids[i], t.point_ids[j], d[i, j], rho[i, j]))
+    return rep
+
+
+def star_oracle(elements, cp, rng, trials, n_levels, vcap):
+    """Per-trial loops over witnesses and members, levels from rng.choice."""
+    n_first = [gd.c_first_time(e) for e in elements]
+    rep = auf.StarReport()
+    for _ in range(trials):
+        ai = int(rng.integers(len(elements)))
+        n = int(rng.choice(n_levels))
+        j = auf.j_index(n_first[ai], n, cp)
+        in_a = vcap[:, ai] >= j
+        if not in_a.any():
+            rep.triples_checked += 1
+            continue
+        for bi in np.flatnonzero((vcap[in_a, :] >= j).any(axis=0)):
+            rep.triples_checked += 1
+            rep.witnesses += 1
+            for ei in np.flatnonzero(vcap[:, bi] >= j):
+                if vcap[ei, ai] < n:
+                    rep.violations.append((ai, int(bi), int(ei), n))
+    return rep
+
+
+def csv_oracle(t):
+    lines = [",".join([""] + list(t.point_ids))]
+    for i, pid in enumerate(t.point_ids):
+        row = [pid]
+        for j in range(t.size):
+            e = t.exponents[i, j]
+            row.append("0" if e == -1 else ("1" if e == 0 else f"2^-{e}"))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def random_table(rng, m, values):
+    """A symmetric table with off-diagonal exponents drawn from `values`."""
+    e = rng.choice(values, size=(m, m))
+    e = np.triu(e, 1)
+    e = e + e.T
+    np.fill_diagonal(e, -1)
+    return auf.QuasimetricTable([f"p{i}" for i in range(m)], e)
+
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    out = {}
+    for name in REFERENCE:
+        els = reference_elements(name, 200)
+        vcap = auf.build_vcap_table(els, CP)
+        out[name] = (els, vcap, auf.build_quasimetric_table(els, CP, vcap=vcap))
+    return out
+
+
+class TestNestedFamily:
+    def test_one_domain_test_per_candidate(self, monkeypatch):
+        tested, applied = [], []
+        real_in_domain, real_apply = gd.in_domain, gd.holonomy_apply
+
+        def counted_in_domain(v, z):
+            tested.append(z)
+            return real_in_domain(v, z)
+
+        def counted_apply(v, z):
+            applied.append(z)
+            return real_apply(v, z)
+
+        for mod in (gd, smp):
+            monkeypatch.setattr(mod, "in_domain", counted_in_domain)
+            monkeypatch.setattr(mod, "holonomy_apply", counted_apply, raising=False)
+        anchor = gd.GroupoidElement(STEP, sft.build_point((0,), (1, 0), (1,), -2))
+        depths = range(gd.c_first_time(anchor) + 2, 12)
+        candidates = sum(
+            len(smp.variations_at_depth(FULL, anchor.second, t, P)) for t in depths
+        )
+        els = smp.nested_family(FULL, anchor, depths, P)
+        assert els and not applied
+        assert len(tested) == candidates
+
+
 class TestIndices:
     def test_ceil_log3(self):
         assert CP.ceil_log3 == 2
@@ -262,6 +361,19 @@ class TestChainMetric:
         assert np.allclose(np.diag(d), 0.0)
 
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_allocating_oracle_on_reference(self, reference_tables, name):
+        t = reference_tables[name][2]
+        assert np.array_equal(auf.chain_metric(t), chain_metric_oracle(t))
+
+    def test_matches_allocating_oracle_on_random_dyadic(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 5, 23, 60):
+            for _ in range(4):
+                t = random_table(rng, m, [0, 1, 2, 3, 5, 9, 40])
+                assert np.array_equal(auf.chain_metric(t), chain_metric_oracle(t))
+
+
 class TestSandwich:
     def test_cover_derived_table_clean(self):
         els = elements(140)
@@ -289,6 +401,29 @@ class TestSandwich:
         assert (d <= t.values() + 1e-15).all()
 
 
+    def test_matches_loop_oracle_with_both_violations(self):
+        rng = np.random.default_rng(23)
+        t = random_table(rng, 40, [0, 1, 2, 3, 4])
+        # scale each entry of D by 1/8, 1/2, 1 or 2: too small, fine, too large
+        d = t.values() * rng.choice([0.125, 0.5, 1.0, 2.0], size=(t.size, t.size))
+        rep, ref = auf.sandwich_check(t, d), sandwich_oracle(t, d)
+        assert ref.upper_violations and ref.lower_violations
+        assert rep.checked == ref.checked
+        assert rep.upper_violations == ref.upper_violations
+        assert rep.lower_violations == ref.lower_violations
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_loop_oracle_on_reference(self, reference_tables, name):
+        t = reference_tables[name][2]
+        d = auf.chain_metric(t)
+        rep, ref = auf.sandwich_check(t, d), sandwich_oracle(t, d)
+        assert (rep.checked, rep.upper_violations, rep.lower_violations) == (
+            ref.checked,
+            ref.upper_violations,
+            ref.lower_violations,
+        )
+
+
 class TestStar:
     def test_star_holds_with_witnesses(self):
         els = elements(200, seed=9)
@@ -296,6 +431,30 @@ class TestStar:
         rep = auf.star_refinement_check(els, CP, rng, 200)
         assert rep.ok
         assert rep.witnesses >= 100
+
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_loop_oracle_on_tampered_table(self, reference_tables, name):
+        els, vcap, _ = reference_tables[name]
+        # knock a tenth of the memberships out, so members of V_j(b) leave V_n(a)
+        knock = np.random.default_rng(29).random(vcap.shape) < 0.1
+        tampered = np.where(knock, -1, vcap)
+        levels = (0, 1, 2, 3)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        rep = auf.star_refinement_check(els, CP, rng, 300, levels, vcap=tampered)
+        ref = star_oracle(els, CP, ref_rng, 300, levels, tampered)
+        assert len(ref.violations) > 20
+        assert rep.violations == ref.violations
+        assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_loop_oracle_on_reference(self, reference_tables, name):
+        els, vcap, _ = reference_tables[name]
+        rep = auf.star_refinement_check(els, CP, np.random.default_rng(37), 300, vcap=vcap)
+        ref = star_oracle(els, CP, np.random.default_rng(37), 300, (0, 1, 2, 3), vcap)
+        assert rep.ok and ref.ok
+        assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
 
 
 class TestDiameter:
@@ -337,3 +496,13 @@ class TestCsv:
         t = auf.QuasimetricTable(["x", "y"], np.array([[-1, 3], [3, -1]]))
         text = auf.table_to_csv(t)
         assert "2^-3" in text and "0" in text
+
+    def test_matches_cell_loop_oracle(self):
+        deep = [-1, 0, 1, 2, 9, 40, 1000, 10**6]
+        rng = np.random.default_rng(41)
+        for m in (0, 1, 3, 30):
+            t = random_table(rng, m, deep)
+            text = auf.table_to_csv(t)
+            assert text == csv_oracle(t)
+            if m:
+                assert np.array_equal(auf.table_from_csv(text).exponents, t.exponents)

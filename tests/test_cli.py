@@ -4,10 +4,12 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from sftops import cli
 from sftops import groupoid as gd
+from sftops import sampling as smp
 from sftops import scenarios as sn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -160,32 +162,106 @@ class TestDeterminism:
         assert r1["star_refinement"] != r2["star_refinement"]
 
 
-# SHA-256 of the audit reports at --samples 2000, recorded before the AUF
-# tables were shared per source and the metric-audit elements built once
+# SHA-256 of the audit reports by --samples: the 2000 entries were recorded
+# before the AUF tables were shared per source and the metric-audit elements
+# built once, the 20000 entries (the benchmark's size) before the audits'
+# draws were batched; the latter equal the seed-0 records in
+# perfbench/digests.json
 AUDIT_DIGESTS = {
     ("full-2-shift", "auf-audit"): {
-        "auf_audit.json": "6b88423402c6228226cb798b6d353e682a351bf451ef896af2a354af7a1f3ae2",
-        "quasimetric.csv": "a9a8ddd4a3899dc30e9a6c71cf9ee5608e35910eaa498c31273533a5983697c0",
+        2000: {
+            "auf_audit.json": "6b88423402c6228226cb798b6d353e682a351bf451ef896af2a354af7a1f3ae2",
+            "quasimetric.csv": "a9a8ddd4a3899dc30e9a6c71cf9ee5608e35910eaa498c31273533a5983697c0",
+        },
+        20000: {
+            "auf_audit.json": "d8ce725f55f9e2b599a5a4d55fd77cde761f29befa12d47f6f38b398185e64ea",
+            "quasimetric.csv": "ba4bdbca361910e181604c2bcf7620ef570f090625693a453b6dac871881c962",
+        },
     },
     ("full-2-shift", "metric-audit"): {
-        "metric_audit.json": "6a39c59e68595810447d190c82494b9657275b1275c5b27573da77d63fed5f55",
+        2000: {
+            "metric_audit.json": "6a39c59e68595810447d190c82494b9657275b1275c5b27573da77d63fed5f55",
+        },
+        20000: {
+            "metric_audit.json": "9712d60a8206865a5c87996e2662ff0f6b47ac0b235eed4dd2663e63d2c71c85",
+        },
     },
     ("golden-mean", "auf-audit"): {
-        "auf_audit.json": "586e3ea631736edf78d914f3fbcf04926fde176addbb6590072faf56c95f17b3",
-        "quasimetric.csv": "cb9728b2fc5320909f0dc2e5cd346353937cdeff43c6af1f301c319ad8e1c995",
+        2000: {
+            "auf_audit.json": "586e3ea631736edf78d914f3fbcf04926fde176addbb6590072faf56c95f17b3",
+            "quasimetric.csv": "cb9728b2fc5320909f0dc2e5cd346353937cdeff43c6af1f301c319ad8e1c995",
+        },
+        20000: {
+            "auf_audit.json": "cea209d77818f125d31c83a84625b107c78a29528c095d8ab2ae2ceb8e3af1ee",
+            "quasimetric.csv": "e50282a19dafc0e74db822008cdbe53c9a558a547b8ee2edfef60bad12af2cd4",
+        },
     },
     ("golden-mean", "metric-audit"): {
-        "metric_audit.json": "91bb5d84b284b823981febeb3395a40346951fa1e3d53744e920f0f58a06289a",
+        2000: {
+            "metric_audit.json": "91bb5d84b284b823981febeb3395a40346951fa1e3d53744e920f0f58a06289a",
+        },
+        20000: {
+            "metric_audit.json": "7d94b12c6da2a8751d436d31f155c9e068675104d24fd52715b89cc62d908f29",
+        },
     },
 }
 
 
 @pytest.mark.parametrize("scenario,command", sorted(AUDIT_DIGESTS))
 def test_audit_reports_pinned(tmp_path, scenario, command):
-    out = tmp_path / "o"
-    assert run([command, "--scenario", scenario, "--out", str(out), "--samples", "2000"]) == 0
-    for name, digest in AUDIT_DIGESTS[scenario, command].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    for samples, digests in AUDIT_DIGESTS[scenario, command].items():
+        out = tmp_path / str(samples)
+        argv = [command, "--scenario", scenario, "--out", str(out), "--samples", str(samples)]
+        assert run(argv) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (samples, name)
+
+
+def test_audit_pins_match_benchmark_digests():
+    # the benchmark checks its seed-0 reports against the same bytes
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["audit-mix"]
+    for (scenario, command), by_samples in AUDIT_DIGESTS.items():
+        assert recorded[f"{scenario} {command} --samples 20000"] == by_samples[20000]
+
+
+def audit_draw_bounds(name):
+    """Every bound the audits draw indices from on a reference scenario."""
+    s = sn.REFERENCE_SCENARIOS[name]()
+    m, p, q = s.matrix, s.orbit_p, s.orbit_q
+    bounds = {len(smp.homoclinic_pool(m, p, q, 2, range(0, 5)))}  # metric-audit unit pairs
+    for samples in (2000, 10000, 20000):
+        rng = np.random.default_rng(s.seed + 1)
+        bounds.add(len(smp.audit_elements(m, p, q, rng, max(240, samples // 40))))
+        rng = np.random.default_rng(s.seed + 2)
+        bounds.add(len(smp.audit_elements(m, p, q, rng, max(200, samples // 50))))
+    return sorted(bounds)
+
+
+@pytest.mark.parametrize("name", sorted(sn.REFERENCE_SCENARIOS))
+def test_numpy_draw_contract(name):
+    # the audits batch their index draws; if a numpy release changes how a
+    # batch relates to scalar draws, this fails instead of the reports
+    # changing silently
+    bounds = audit_draw_bounds(name)
+    assert len(bounds) >= 3
+    for bound in bounds:
+        for seed in (0, 1, 2**32 + 7):
+            for count in (1, 7, cli.DRAW_CHUNK, 2 * cli.DRAW_CHUNK + 3):
+                scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                scalar = [int(scalar_rng.integers(bound)) for _ in range(count)]
+                assert list(cli._draws(batch_rng, bound, count)) == scalar
+                chunk = batch_rng.integers(bound, size=count).tolist()
+                assert chunk == [int(scalar_rng.integers(bound)) for _ in range(count)]
+                assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+    levels = (0, 1, 2, 3)  # star_refinement_check's levels
+    for seed in (0, 1, 2):
+        choice_rng, index_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for bound in bounds:
+            assert int(choice_rng.integers(bound)) == int(index_rng.integers(bound))
+            for _ in range(50):
+                drawn = levels[int(index_rng.integers(len(levels)))]
+                assert int(choice_rng.choice(levels)) == drawn
+        assert choice_rng.bit_generator.state == index_rng.bit_generator.state
 
 
 class TestAufAudit:
@@ -400,6 +476,18 @@ class TestBadInput:
         argv += ["--stable-function=b", "--unstable-function=a"]
         assert run(argv) == 2
         assert "stable" in capsys.readouterr().err
+
+
+def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
+    # a crash inside a command is not a property finding (exit 1)
+    def crash(scenario, out_dir, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", crash)
+    assert run(["validate", "--scenario", "full-2-shift", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
 
 
 def test_readme_lists_exactly_the_cli_options():

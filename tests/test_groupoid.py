@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from sftops import sft
 from sftops import groupoid as gd
+from sftops import scenarios as sn
 from sftops.errors import NotComposable, OutsideDomain, SideMismatch
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -65,6 +67,46 @@ class TestFirstTime:
         assert gd.c_first_time_bruteforce(a) == 7
         # time reversal carries the unstable first time to the stable one
         assert gd.c_first_time(gd.reverse_element(a)) == 7
+
+
+def _identity_family(m, p, q):
+    """Elements with many equal and near-equal pairs: units on both sides,
+    stable pairs, their inverses, shifts and time reversals."""
+    pts = sft.enumerate_homoclinic(m, p, q, 3)[:12]
+    base = [gd.unit(x, side) for x in pts[:6] for side in (gd.STABLE, gd.UNSTABLE)]
+    base += [stable(x, y) for x in pts for y in pts if sft.agreement_floor(x, y) != math.inf][:20]
+    els = list(base)
+    for a in base:
+        els += [gd.inverse(a), gd.phi_auto(a, -1), gd.phi_auto(a, 2), gd.reverse_element(a)]
+        els.append(gd.reverse_element(gd.reverse_element(a)))  # equal to a, not identical
+    return els
+
+
+class TestElementIdentity:
+    @pytest.mark.parametrize("name", sorted(sn.REFERENCE_SCENARIOS))
+    def test_eq_and_hash_follow_the_fields(self, name):
+        s = sn.REFERENCE_SCENARIOS[name]()
+        els = _identity_family(s.matrix, s.orbit_p, s.orbit_q)
+        fields = [(a.first, a.second, a.side) for a in els]
+        equal_pairs = 0
+        for a, fa in zip(els, fields):
+            assert hash(a) == hash(fa)
+            for b, fb in zip(els, fields):
+                assert (a == b) == (fa == fb)
+                assert (a != b) == (fa != fb)
+                equal_pairs += a is not b and fa == fb
+        assert equal_pairs > len(els)  # the family does exercise non-identical equality
+        assert len(set(els)) == len(set(fields))
+
+    def test_side_is_part_of_identity(self):
+        a, b = gd.unit(STEP, gd.STABLE), gd.unit(STEP, gd.UNSTABLE)
+        assert a != b and hash(a) != hash(b)
+
+    def test_fields_and_repr_unchanged(self):
+        a = stable(STEP, ZERO)
+        assert [f.name for f in dataclasses.fields(a)] == ["first", "second", "side"]
+        assert repr(a) == f"GroupoidElement(first={STEP!r}, second={ZERO!r}, side='stable')"
+        assert a != (STEP, ZERO, gd.STABLE)
 
 
 class TestCaches:
