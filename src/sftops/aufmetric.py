@@ -434,7 +434,8 @@ def table_to_csv(t: QuasimetricTable) -> str:
 
 
 def table_from_csv(text: str) -> QuasimetricTable:
-    lines = [ln for ln in text.strip().splitlines() if ln]
+    # the table of no points is one empty header line
+    lines = [ln for ln in text.strip().splitlines() if ln] or [""]
     ids = lines[0].split(",")[1:]
     m = len(ids)
     exps = np.full((m, m), -1, dtype=int)

@@ -27,20 +27,16 @@ from .groupoid import (
     holonomy_apply,
     in_domain,
     inverse,
-    min_splice_time,
     phi_auto,
     reverse_element,
 )
-from .sampling import path_to_cycle
 from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
     MetricParams,
     TransitionMatrix,
-    _anchor,
     agreement_depth,
-    build_point,
     shift,
     splice_at,
 )
@@ -200,52 +196,26 @@ def materialize_profile(f: LocallyConstantFunction, m: TransitionMatrix) -> Loca
     ((bs, coeff, depth, seed),) = f.terms
     if depth > 12:
         raise ValueError("refusing to materialize a deep profile")
-    sgn = 1 if f.side == STABLE else -1
     terms = [(bs, coeff)]
     t = bs.threshold
-    anchor_z = bs.anchor.second
-    frontier = [()]
-    for mm in range(1, depth + 1):
-        new = []
-        for word in frontier:
-            prev = anchor_z.at(sgn * (t + mm - 1)) if not word else word[-1]
-            for s in (m.successors(prev) if sgn == 1 else m.predecessors(prev)):
-                w2 = word + (s,)
-                new.append(w2)
-                if _word_bit(seed, list(w2)):
-                    z = _write_word(anchor_z, t, w2, sgn, m)
-                    sub = GroupoidElement(
-                        holonomy_apply(bs, z), z, f.side
-                    )
-                    terms.append(
-                        (BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm)
-                    )
-        frontier = new
-    return LocallyConstantFunction(f.side, tuple(terms))
-
-
-def _write_word(base, t, word, sgn, m):
-    """A point matching base through threshold t (signed side) and carrying
-    the word on the next len(word) coordinates."""
-    if sgn == 1:
-        positions = range(t + 1, t + len(word) + 1)
+    z0 = bs.anchor.second
+    # the words are read forward from t + 1 (stable) or backward from -t - 1
+    if f.side == STABLE:
+        walks, first = m.paths, z0.at(t)
     else:
-        positions = range(-t - 1, -t - len(word) - 1, -1)
-    for pos, s in zip(positions, word):
-        base = _set_symbol(base, pos, s)
-    return base
-
-
-def _set_symbol(pt, pos, s):
-    lo = min(pt.core_start, pos)
-    hi = max(pt.core_end, pos + 1)
-    core = tuple(pt.at(i) if i != pos else s for i in range(lo, hi))
-    return build_point(
-        _anchor(pt.left_cycle, pt.core_start, lo),
-        core,
-        _anchor(pt.right_cycle, pt.core_end, hi),
-        lo,
-    )
+        walks, first = m.transpose().paths, z0.at(-t)
+    for mm in range(1, depth + 1):
+        for walk in walks(first, mm):
+            word = walk[1:]
+            if not _word_bit(seed, word):
+                continue
+            if f.side == STABLE:
+                z = splice_at(z0, z0, t, word)
+            else:
+                z = splice_at(z0, z0, -t - mm - 1, word[::-1])
+            sub = GroupoidElement(holonomy_apply(bs, z), z, f.side)
+            terms.append((BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm))
+    return LocallyConstantFunction(f.side, tuple(terms))
 
 
 def reverse_base_set(bs: BaseSet) -> BaseSet:
@@ -256,42 +226,17 @@ def reverse_base_set(bs: BaseSet) -> BaseSet:
 # base-set composition and the convolution product
 
 
-def _extend_pattern(pt: EventuallyPeriodicPoint, lo: int, hi: int, m: TransitionMatrix):
-    """Points matching pt through index lo, with every allowed word on
-    (lo, hi] and an allowed tail falling back onto pt's right cycle."""
-    frontier = [(pt.at(lo),)]
-    for _ in range(lo + 1, hi + 1):
-        frontier = [w + (s,) for w in frontier for s in m.successors(w[-1])]
-    out = []
-    for w in frontier:
-        word = w[1:]
-        tail = path_to_cycle(m, word[-1] if word else pt.at(lo), pt.right_cycle)
-        rot = pt.right_cycle
-        while rot[0] != tail[-1]:
-            rot = rot[1:] + rot[:1]
-        start = lo + 1
-        core = word + tail[1:]
-        left = _anchor(pt.left_cycle, pt.core_start, min(pt.core_start, start))
-        prefix = tuple(pt.at(i) for i in range(min(pt.core_start, start), start))
-        out.append(
-            build_point(
-                left,
-                prefix + core,
-                rot[1:] + rot[:1],
-                min(pt.core_start, start),
-            )
-        )
-    return out
-
-
 def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet]:
     """Base sets whose union is the product bisection V.W on the stable side.
 
     Domain of the product: y with y in dom(W) and h_W(y) in dom(V), which
     pins y to e2 through T_w and to c2 on (N_w, T_v]; the image anchor must
     match c2 up to min(N_w, T_v).  The result is one base set at depth
-    max(T_v, T_w) except when the composed anchor's first time exceeds
-    max(N_v, N_w); then the domain splits into slightly deeper subdisks.
+    max(T_v, T_w) and time max(N_v, N_w).
+
+    That time is coherent: h_v(z) agrees with z from N_v - 1 on (the anchor
+    pair agrees there and z matches c2 up to T_v > N_v), likewise h_w, so
+    the composed anchor agrees with its source from max(N_v, N_w) - 1 on.
     """
     c2 = v.anchor.second
     e1, e2 = w.anchor.first, w.anchor.second
@@ -316,21 +261,7 @@ def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet
     if not in_domain(v, mid):
         return []
     anchor = GroupoidElement(holonomy_apply(v, mid), center, STABLE)
-    time = max(nv, nw, int(max(min_splice_time(anchor), -(10**9))))
-    if depth - 1 >= time:
-        return [BaseSet(anchor, depth - 1, time)]
-    # corner case: the splice only becomes coherent deeper than the disk;
-    # split the domain into one-symbol-richer subdisks
-    out = []
-    for sub_center in _extend_pattern(center, depth, time + 1, m):
-        if not in_domain(w, sub_center):
-            continue
-        sub_mid = holonomy_apply(w, sub_center)
-        if not in_domain(v, sub_mid):
-            continue
-        sub_anchor = GroupoidElement(holonomy_apply(v, sub_mid), sub_center, STABLE)
-        out.append(BaseSet(sub_anchor, time, time))
-    return out
+    return [BaseSet(anchor, depth - 1, max(nv, nw))]
 
 
 def compose_base_sets(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet]:
@@ -585,38 +516,21 @@ def _bridge_points(
 ) -> List[EventuallyPeriodicPoint]:
     """Points matching `past` through past_hi and `future` from future_lo on.
 
-    When the pinned regions meet, the splice is unique (or impossible);
+    When the pinned regions overlap, the splice is unique (or impossible);
     otherwise every allowed bridging word over the free window contributes.
     """
-    if past_hi >= future_lo - 1:
+    if past_hi >= future_lo:
         if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
             return []
         cand = splice_at(past, future, future_lo - 1)
         if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
             return []
         return [cand]
-    words = [(past.at(past_hi),)]
-    for _ in range(past_hi + 1, future_lo):
-        words = [w + (s,) for w in words for s in m.successors(w[-1])]
-    out = []
-    for w in words:
-        if not m.allowed(w[-1], future.at(future_lo)):
-            continue
-        mid_tail = splice_at(_word_point(past, w, past_hi), future, future_lo - 1)
-        out.append(mid_tail)
-    return out
-
-
-def _word_point(past, word, past_hi):
-    """`past` with word[1:] written on (past_hi, past_hi + len - 1]."""
-    lo = min(past.core_start, past_hi)
-    prefix = past.window(lo, past_hi)
-    return build_point(
-        _anchor(past.left_cycle, past.core_start, lo),
-        prefix + word,
-        past.right_cycle,
-        lo,
-    )
+    return [
+        splice_at(past, future, past_hi, w[1:])
+        for w in m.paths(past.at(past_hi), future_lo - past_hi - 1)
+        if m.allowed(w[-1], future.at(future_lo))
+    ]
 
 
 def commutator_column_support(

@@ -19,8 +19,8 @@ from .sft import (
     PeriodicOrbit,
     TransitionMatrix,
     agreement_floor,
-    build_point,
     enumerate_homoclinic,
+    periodic_point,
     shift,
     splice_at,
 )
@@ -58,48 +58,20 @@ def path_to_cycle(m: TransitionMatrix, start: int, cycle) -> tuple:
     raise ValueError("cycle unreachable; matrix not irreducible?")
 
 
-def tail_point(m: TransitionMatrix, symbol: int, at: int, p: PeriodicOrbit) -> EventuallyPeriodicPoint:
-    """A point carrying `symbol` at index `at` and then falling onto p's cycle.
-
-    Only coordinates >= at are meaningful to callers (they splice its
-    future); the left tail is completed through the same cycle.
-    """
-    word = path_to_cycle(m, symbol, p.cycle)
-    landing = word[-1]
-    rot = p.cycle
-    while rot[0] != landing:
-        rot = rot[1:] + rot[:1]
-    right = rot[1:] + rot[:1]  # pattern after the landing symbol
-    left_cycle = _cycle_through(m, symbol)
-    return build_point(left_cycle, word, right, at)
-
-
-def _cycle_through(m: TransitionMatrix, symbol: int) -> tuple:
-    """Some allowed cycle word starting at `symbol`, with allowed wrap."""
-    seen = {s: (s,) for s in m.successors(symbol)}
-    queue = deque(m.successors(symbol))
-    while queue:
-        s = queue.popleft()
-        if m.allowed(s, symbol):
-            return (symbol,) + seen[s]
-        for t in m.successors(s):
-            if t not in seen:
-                seen[t] = seen[s] + (t,)
-                queue.append(t)
-    raise ValueError("no return path; matrix not irreducible?")
-
-
 def variations_at_depth(
     m: TransitionMatrix, b: EventuallyPeriodicPoint, t: int, p: PeriodicOrbit
 ) -> list:
     """Points equal to b through index t, deviating at t + 1, then p-asymptotic."""
     out = []
     cur = b.at(t + 1)
+    cycle = periodic_point(p.cycle)
     for s in m.successors(b.at(t)):
         if s == cur:
             continue
-        tp = tail_point(m, s, t + 1, p)
-        out.append(splice_at(b, tp, t))
+        word = path_to_cycle(m, s, p.cycle)
+        # the P-tail in the phase where the word's last symbol lands on it
+        tail = shift(cycle, p.cycle.index(word[-1]) - t - len(word))
+        out.append(splice_at(b, tail, t, word))
     return out
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -58,6 +57,14 @@ class TransitionMatrix:
 
     def predecessors(self, j: int):
         return [i for i in range(self.n) if self.entries[i][j] == 1]
+
+    def paths(self, first: int, steps: int):
+        """The allowed words of steps + 1 symbols starting at `first`, in
+        lexicographic order."""
+        words = [(first,)]
+        for _ in range(steps):
+            words = [w + (s,) for w in words for s in self.successors(w[-1])]
+        return words
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
@@ -420,17 +427,18 @@ def metric(x, y, p: MetricParams) -> float:
     return p.value(agreement_radius(x, y))
 
 
-def splice_at(past, future, m: int) -> EventuallyPeriodicPoint:
-    """The point equal to `past` on i <= m and to `future` on i > m.
+def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
+    """The point equal to `past` on i <= m, to `word` on (m, m + len(word)]
+    and to `future` beyond.
 
-    Caller guarantees the junction is allowed (the uses below always splice
-    points that agree at m or m+1).
+    Caller guarantees the junctions are allowed.
     """
+    end = m + len(word)
     lo = min(past.core_start, m)
-    hi = max(future.core_end, m + 1)
+    hi = max(future.core_end, end + 1)
     left = _anchor(past.left_cycle, past.core_start, lo)
     right = _anchor(future.right_cycle, future.core_end, hi)
-    core = past.window(lo, m + 1) + future.window(m + 1, hi)
+    core = past.window(lo, m + 1) + tuple(word) + future.window(end + 1, hi)
     return build_point(left, core, right, lo)
 
 
@@ -521,15 +529,6 @@ def is_homoclinic(x, p: PeriodicOrbit, q: PeriodicOrbit) -> bool:
     return is_left_asymptotic(x, q) and is_right_asymptotic(x, p)
 
 
-def _allowed_words(m: TransitionMatrix, length: int):
-    if length == 0:
-        yield ()
-        return
-    for w in product(range(m.n), repeat=length):
-        if all(m.allowed(w[i], w[i + 1]) for i in range(length - 1)):
-            yield w
-
-
 def enumerate_homoclinic(
     m: TransitionMatrix, p: PeriodicOrbit, q: PeriodicOrbit, core_bound: int
 ):
@@ -548,22 +547,18 @@ def enumerate_homoclinic(
     seen = {}
     big_l = core_bound
     for length in range(0, core_bound + 1):
+        # walks from the past's last symbol; the rest of a walk is a core word
+        walks = {a: m.paths(a, length) for a in range(m.n)}
         for s in range(-big_l, big_l + 2 - length):
             e = s + length
             for q_rot in q.pattern_rotations():
                 left = _anchor(q_rot, 0, s)
                 for p_rot in p.pattern_rotations():
                     right = _anchor(p_rot, 0, e)
-                    for w in _allowed_words(m, length):
-                        if length > 0:
-                            if not m.allowed(left[-1], w[0]):
-                                continue
-                            if not m.allowed(w[-1], right[0]):
-                                continue
-                        else:
-                            if not m.allowed(left[-1], right[0]):
-                                continue
-                        x = build_point(left, w, right, s)
+                    for w in walks[left[-1]]:
+                        if not m.allowed(w[-1], right[0]):
+                            continue
+                        x = build_point(left, w[1:], right, s)
                         if len(x.core) > core_bound:
                             continue
                         if not (-big_l <= x.core_start and x.core_end <= big_l + 1):

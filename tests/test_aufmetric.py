@@ -497,6 +497,13 @@ class TestCsv:
         text = auf.table_to_csv(t)
         assert "2^-3" in text and "0" in text
 
+    def test_empty_table_round_trip(self):
+        t = auf.QuasimetricTable([], np.zeros((0, 0), dtype=int))
+        text = auf.table_to_csv(t)
+        assert text == "\n"
+        back = auf.table_from_csv(text)
+        assert back.point_ids == [] and back.exponents.shape == (0, 0)
+
     def test_matches_cell_loop_oracle(self):
         deep = [-1, 0, 1, 2, 9, 40, 1000, 10**6]
         rng = np.random.default_rng(41)
@@ -504,5 +511,6 @@ class TestCsv:
             t = random_table(rng, m, deep)
             text = auf.table_to_csv(t)
             assert text == csv_oracle(t)
-            if m:
-                assert np.array_equal(auf.table_from_csv(text).exponents, t.exponents)
+            back = auf.table_from_csv(text)
+            assert np.array_equal(back.exponents, t.exponents)
+            assert back.point_ids == t.point_ids

@@ -224,6 +224,30 @@ def test_audit_pins_match_benchmark_digests():
         assert recorded[f"{scenario} {command} --samples 20000"] == by_samples[20000]
 
 
+# the benchmark's other seed-0 reports, keyed by command line as in
+# perfbench/digests.json: spectrum at the benchmark windows, validate and
+# fredholm
+REPORT_PINS = {
+    "full-2-shift spectrum --window=-8..15": "spectrum",
+    "golden-mean spectrum --window=-8..19": "spectrum",
+    "full-2-shift validate": "audit-mix",
+    "golden-mean validate": "audit-mix",
+    "full-2-shift fredholm": "audit-mix",
+    "golden-mean fredholm": "audit-mix",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_PINS))
+def test_reports_match_benchmark_digests(tmp_path, key):
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    scenario, command, *flags = key.split()
+    assert run([command, "--scenario", scenario, "--out", str(tmp_path), *flags]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == recorded[REPORT_PINS[key]][key]
+
+
 def audit_draw_bounds(name):
     """Every bound the audits draw indices from on a reference scenario."""
     s = sn.REFERENCE_SCENARIOS[name]()

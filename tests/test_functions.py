@@ -168,6 +168,50 @@ class TestConvolve:
             fn.convolve(A, B, FULL)
 
 
+GOLDEN = sft.TransitionMatrix.from_rows([[1, 1], [1, 0]])
+PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+SHIFTS = {
+    "full-2-shift": (FULL, P, Q),
+    "golden-mean": (GOLDEN, sft.PeriodicOrbit((0, 1)), Q),
+    "period-2": (PERIOD2, sft.PeriodicOrbit((0, 1)), sft.PeriodicOrbit((0, 2))),
+}
+
+
+def sweep_base_sets(m, p, q, side, pool_size=4):
+    """Base sets over every equivalent pair of a few homoclinic points, at the
+    lowest coherent time (down to -3) and one above c_first_time, each at
+    two radii."""
+    pts = sft.enumerate_homoclinic(m, p, q, 2)
+    pool = pts[:: len(pts) // pool_size][:pool_size]
+    out = []
+    for x in pool:
+        for y in pool:
+            if side == gd.STABLE and sft.agreement_floor(x, y) == math.inf:
+                continue
+            if side == gd.UNSTABLE and sft.agreement_depth(x, y) == -math.inf:
+                continue
+            a = gd.GroupoidElement(x, y, side)
+            for t in sorted({int(max(gd.min_splice_time(a), -3)), gd.c_first_time(a) + 1}):
+                out.extend(gd.BaseSet(a, r, t) for r in (t, t + 2))
+    return out
+
+
+@pytest.mark.parametrize("side", [gd.STABLE, gd.UNSTABLE])
+@pytest.mark.parametrize("name", sorted(SHIFTS))
+def test_composed_time_is_the_larger_time(name, side):
+    # the composed anchor agrees with its source from max(N_v, N_w) - 1 on,
+    # so one base set at time max(N_v, N_w) covers the product bisection
+    m, p, q = SHIFTS[name]
+    sets = sweep_base_sets(m, p, q, side)
+    composed = 0
+    for v in sets:
+        for w in sets:
+            for bs in fn.compose_base_sets(v, w, m):
+                assert bs.time == max(v.time, w.time), (v, w, bs)
+                composed += 1
+    assert composed >= 300
+
+
 class TestRepresent:
     def test_unit_space_diagonal(self):
         reg = seeded_registry()
@@ -222,6 +266,25 @@ class TestUnitary:
         assert max((abs(v) for v in d.entries.values()), default=0.0) == 0.0
 
 
+def _overwrite(z, lo, word):
+    """z with `word` on [lo, lo + len(word)), built from a symbol-by-symbol read."""
+    a = min(z.core_start, lo)
+    b = max(z.core_end, lo + len(word))
+    core = tuple(word[i - lo] if lo <= i < lo + len(word) else z.at(i) for i in range(a, b))
+    left = z.window(a - len(z.left_cycle), a)
+    right = z.window(b, b + len(z.right_cycle))
+    return sft.build_point(left, core, right, a)
+
+
+def _word_sources(bs, m, length):
+    """The anchor's source with each allowed word of `length` symbols beyond
+    the threshold (forward on the stable side, backward on the unstable)."""
+    z, t = bs.anchor.second, bs.threshold
+    if bs.side == gd.STABLE:
+        return [_overwrite(z, t + 1, w[1:]) for w in m.paths(z.at(t), length)]
+    return [_overwrite(z, -t - length, w[:0:-1]) for w in m.transpose().paths(z.at(-t), length)]
+
+
 class TestProfileFunctions:
     def test_profile_matches_materialization(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=5, seed="t")
@@ -231,6 +294,21 @@ class TestProfileFunctions:
         els = smp.nested_family(FULL, CA, range(1, 9), P) + [CA]
         for g in els:
             assert abs(prof.evaluate(g) - mat.evaluate(g)) < 1e-12
+        # both sides on both reference matrices, on sources carrying every
+        # allowed word over the 7 coordinates beyond the threshold
+        checked = 0
+        for name in ("full-2-shift", "golden-mean"):
+            s = REFERENCE[name]
+            for f in (s.functions["a"], s.functions["b"]):
+                bs = f.supports()[0]
+                prof = fn.profile(bs, depth=6, seed="t")
+                mat = fn.materialize_profile(prof, s.matrix)
+                for z in _word_sources(bs, s.matrix, 7):
+                    # holonomy_apply raises unless z is in the domain disk
+                    g = gd.GroupoidElement(gd.holonomy_apply(bs, z), z, bs.side)
+                    assert abs(prof.evaluate(g) - mat.evaluate(g)) < 1e-12, (name, g)
+                    checked += 1
+        assert checked == 2 * 2**7 + 2 * 34
 
     def test_profile_value_matches_word_bits(self):
         # the incremental hash against one _word_bit per prefix, at the
@@ -385,7 +463,7 @@ def _perturbations(support, m, lo, hi):
                 if s == x.at(pos):
                     continue
                 if m.allowed(x.at(pos - 1), s) and m.allowed(s, x.at(pos + 1)):
-                    out.add(fn._set_symbol(x, pos, s))
+                    out.add(sft.splice_at(x, x, pos - 1, (s,)))
     return out
 
 

@@ -257,6 +257,38 @@ def brute_force_homoclinic(m, p, q, bound):
     return out
 
 
+PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+
+
+def allowed_words(m, length):
+    """Product-filter oracle: every allowed word of `length` symbols, in
+    lexicographic order."""
+    if length == 0:
+        return [()]
+    return [
+        w
+        for w in product(range(m.n), repeat=length)
+        if all(m.allowed(w[i], w[i + 1]) for i in range(length - 1))
+    ]
+
+
+class TestPaths:
+    @pytest.mark.parametrize("m", [FULL, GOLDEN, PERIOD2], ids=["full", "golden", "period-2"])
+    def test_matches_product_filter(self, m):
+        for length in range(0, 8):
+            words = allowed_words(m, length)
+            for first in range(m.n):
+                if length:
+                    assert m.paths(first, length - 1) == [w for w in words if w[0] == first]
+                    # read backward, as on the unstable side
+                    back = sorted(w[::-1] for w in words if w[-1] == first)
+                    assert m.transpose().paths(first, length - 1) == back
+                # the words that can follow `first`, as enumerate_homoclinic reads them
+                assert [w[1:] for w in m.paths(first, length)] == [
+                    w for w in words if not w or m.allowed(first, w[0])
+                ]
+
+
 class TestEnumeration:
     def test_l0_count_matches_bruteforce(self):
         p, q = sft.PeriodicOrbit((1,)), sft.PeriodicOrbit((0,))
@@ -320,6 +352,37 @@ class TestHypothesis:
             for lo in span:
                 for hi in span:
                     assert y.window(lo, hi) == tuple(seq[i] for i in range(lo, hi))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        words,
+        st.lists(st.integers(0, 1), max_size=4),
+        words,
+        st.integers(-4, 4),
+        words,
+        st.lists(st.integers(0, 1), max_size=4),
+        words,
+        st.integers(-4, 4),
+        st.integers(-6, 6),
+        st.lists(st.integers(0, 1), max_size=5),
+    )
+    def test_splice_matches_raw_reader(self, pl, pc, pr, ps, fl, fc, fr, fs, m, word):
+        raw_past = (tuple(pl), tuple(pc), tuple(pr), ps)
+        raw_future = (tuple(fl), tuple(fc), tuple(fr), fs)
+        past, future = sft.build_point(*raw_past), sft.build_point(*raw_future)
+        reach = 3 * max(map(len, (pl, pr, fl, fr))) + 1
+        span = range(min(ps, fs, m) - reach, max(ps + len(pc), fs + len(fc), m + len(word)) + reach)
+        for w in (tuple(word), ()):
+            x = sft.splice_at(past, future, m, w)
+            for i in span:
+                if i <= m:
+                    want = sft._raw_at(*raw_past, i)
+                elif i <= m + len(w):
+                    want = w[i - m - 1]
+                else:
+                    want = sft._raw_at(*raw_future, i)
+                assert x.at(i) == want, (w, i)
+            assert sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start) == x
 
     @settings(max_examples=100, deadline=None)
     @given(words, st.lists(st.integers(0, 1), max_size=4), words, st.integers(-4, 4), st.integers(-6, 6))
