@@ -265,9 +265,12 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def _norm_slope(ns, norms):
-    """Log-linear fit over the deepest two thirds of the nonzero blocks."""
+    """Log-linear fit over the deepest two thirds of the nonzero blocks;
+    None when fewer than two of them fall in that window."""
     lo = ns[-1] - (2 * (ns[-1] - ns[0])) // 3
     pos = [(n, v) for n, v in zip(ns, norms) if n >= lo and v > 0]
+    if len(pos) < 2:
+        return None
     xs = np.array([n for n, _ in pos], dtype=float)
     ys = np.log([v for _, v in pos])
     return float(np.polyfit(xs, ys, 1)[0]), (int(pos[0][0]), int(pos[-1][0]))
@@ -314,29 +317,30 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
     out["spectrum_count"] = merged.total_count
     if ns:
         out["vanishing_n0"] = int(-min(0, ns[0]))
-        slope, fit_window = _norm_slope(ns, norms)
-        out["norm_fit"] = {
-            "slope": slope,
-            "target": -math.log(scenario.kappa),
-            "relative_error": abs(slope + math.log(scenario.kappa)) / math.log(scenario.kappa),
-            "block_window": list(fit_window),
-        }
-        rank_certs = {}
-        for eps in (0.01, 0.05, 0.1):
-            c_fit = max(r / math.exp((h + eps) * n) for n, r in zip(ns, ranks) if n >= 1)
-            rank_certs[str(eps)] = {
-                "C": c_fit,
-                "holds": all(
-                    r <= c_fit * math.exp((h + eps) * n) * (1 + 1e-9)
-                    for n, r in zip(ns, ranks)
-                    if n >= 1
-                ),
+        fit = _norm_slope(ns, norms)
+        if fit is not None:
+            slope, fit_window = fit
+            out["norm_fit"] = {
+                "slope": slope,
+                "target": -math.log(scenario.kappa),
+                "relative_error": abs(slope + math.log(scenario.kappa)) / math.log(scenario.kappa),
+                "block_window": list(fit_window),
             }
-        out["rank_certificates"] = rank_certs
-        # certified blockwise schedule from the fitted constants, checked
-        # against the merged spectrum of the positive blocks
+        # rank certificates and the certified blockwise schedule from the
+        # fitted constants, checked against the merged spectrum of the
+        # positive blocks; both need a nonzero block n >= 1
         deep = [(n, v, r) for n, v, r in zip(ns, norms, ranks) if n >= 1]
         if deep:
+            rank_certs = {}
+            for eps in (0.01, 0.05, 0.1):
+                c_fit = max(r / math.exp((h + eps) * n) for n, _, r in deep)
+                rank_certs[str(eps)] = {
+                    "C": c_fit,
+                    "holds": all(
+                        r <= c_fit * math.exp((h + eps) * n) * (1 + 1e-9) for n, _, r in deep
+                    ),
+                }
+            out["rank_certificates"] = rank_certs
             alpha_c = math.exp(h + 0.05)
             c1_fit = max(r / alpha_c**n for n, _, r in deep)
             c2_fit = max(v * scenario.kappa**n for n, v, _ in deep)
@@ -541,6 +545,9 @@ def _parse_grid(text: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.samples < 0:
+        print(f"invalid option: --samples must be >= 0, got {args.samples}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         if args.scenario in REFERENCE_SCENARIOS:
             scenario = REFERENCE_SCENARIOS[args.scenario]()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
     GroupoidElement,
+    _holonomy_encoding,
     _holonomy_splice,
     base_set_membership,
     holonomy_apply,
@@ -54,6 +56,15 @@ from .sft import (
 # combination of indicator terms (one per word up to the depth), stored so
 # that evaluation is O(depth) instead of O(2**depth); materialize_profile
 # recovers the explicit terms.
+#
+# The bit of word_m is the low bit of the first byte of
+# SHA-256(f"{seed}:{','.join(word_m)}"), and the hash of word_m extends the
+# hash of word_{m-1}.  A value is read off the seed's prefix path: the hash
+# states and running sums along the last word hashed under that seed, so a
+# word hashes only the symbols past its longest common prefix with the one
+# before.  Consecutive words mostly share long prefixes: a column and its
+# holonomy image agree up to the splice, and sorted columns share their
+# pasts.  The paths are bounded, PREFIX_PATHS seeds of depth + 1 states each.
 
 
 class Term(NamedTuple):
@@ -120,19 +131,12 @@ class LocallyConstantFunction:
     def profile_value(self, z: EventuallyPeriodicPoint, term: Optional[Term] = None) -> complex:
         """Value of a term (by default the first) on the graph element with source z."""
         bs, coeff, depth, seed = term or self.terms[0]
-        # the hash of word_m extends the hash of word_{m-1}: the same bytes
-        # as _word_bit(seed, word_m), fed once
         t = bs.threshold
         if self.side == STABLE:
             word = z.window(t + 1, t + depth + 1)
         else:
             word = z.window(-t - depth, -t)[::-1]
-        h = hashlib.sha256(f"{seed}:".encode())
-        total = 1.0
-        for mm, symbol in enumerate(word, 1):
-            h.update(f"{',' if mm > 1 else ''}{symbol}".encode())
-            total += 2.0**-mm * (h.copy().digest()[0] & 1)
-        return coeff * total
+        return coeff * _prefix_path(seed).total(word)
 
     def _term_value(self, z: EventuallyPeriodicPoint, term: Term) -> complex:
         return term.coeff if term.depth == 0 else self.profile_value(z, term)
@@ -191,31 +195,102 @@ def _word_bit(seed: str, word) -> int:
     return h[0] & 1
 
 
+class _SymbolBytes(dict):
+    """symbol -> b",<symbol>", the bytes one more symbol adds to a word's hash."""
+
+    def __missing__(self, symbol):
+        self[symbol] = chunk = f",{symbol}".encode()
+        return chunk
+
+
+_SYMBOL_BYTES = _SymbolBytes()
+PREFIX_PATHS = 16
+
+
+class _PrefixPath:
+    """The hash states and running profile sums along the last word hashed
+    under one seed: states[k] has hashed f"{seed}:" and word[:k], and
+    totals[k] = 1 + sum_{m <= k} 2**-m * bit(word[:m]), summed in order of m."""
+
+    def __init__(self, seed: str):
+        self.word = ()
+        self.states = [hashlib.sha256(f"{seed}:".encode())]
+        self.totals = [1.0]
+
+    def total(self, word) -> float:
+        """totals[len(word)] for `word`, hashing only past the common prefix."""
+        k = 0
+        for a, b in zip(word, self.word):
+            if a != b:
+                break
+            k += 1
+        states, totals = self.states, self.totals
+        del states[k + 1 :], totals[k + 1 :]
+        h, total = states[k], totals[k]
+        weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
+        for i in range(k, len(word)):
+            chunk = _SYMBOL_BYTES[word[i]]
+            h = h.copy()
+            h.update(chunk if i else chunk[1:])
+            weight *= 0.5
+            # digest() does not finalise h, so it needs no copy of its own
+            if h.digest()[0] & 1:
+                total += weight
+            states.append(h)
+            totals.append(total)
+        self.word = word
+        return total
+
+
+@lru_cache(maxsize=PREFIX_PATHS)
+def _prefix_path(seed: str) -> _PrefixPath:
+    return _PrefixPath(seed)
+
+
 def materialize_profile(f: LocallyConstantFunction, m: TransitionMatrix) -> LocallyConstantFunction:
-    """Explicit indicator terms of a one-term profile function (small depths only)."""
+    """Explicit indicator terms of a one-term profile function (small depths only).
+
+    The term of a word is anchored at the source with the word written
+    beyond the threshold.  Where the source's next symbol cannot follow the
+    word, the shortest allowed bridge back to the source's own symbols comes
+    after it, so that every anchor is a point of the shift space; the
+    bridge lies beyond the term's threshold and leaves its domain as it is.
+    """
     ((bs, coeff, depth, seed),) = f.terms
     if depth > 12:
         raise ValueError("refusing to materialize a deep profile")
     terms = [(bs, coeff)]
     t = bs.threshold
     z0 = bs.anchor.second
-    # the words are read forward from t + 1 (stable) or backward from -t - 1
+    # words and bridges are read forward from t + 1 (stable) or backward
+    # from -t - 1 (unstable, through the transposed matrix)
     if f.side == STABLE:
-        walks, first = m.paths, z0.at(t)
+        mt, ahead = m, lambda i: z0.at(t + i)
     else:
-        walks, first = m.transpose().paths, z0.at(-t)
+        mt, ahead = m.transpose(), lambda i: z0.at(-t - i)
     for mm in range(1, depth + 1):
-        for walk in walks(first, mm):
+        for walk in mt.paths(ahead(0), mm):
             word = walk[1:]
             if not _word_bit(seed, word):
                 continue
+            read = word + _bridge(mt, word[-1], lambda j: ahead(mm + j + 1))
             if f.side == STABLE:
-                z = splice_at(z0, z0, t, word)
+                z = splice_at(z0, z0, t, read)
             else:
-                z = splice_at(z0, z0, -t - mm - 1, word[::-1])
+                z = splice_at(z0, z0, -t - len(read) - 1, read[::-1])
             sub = GroupoidElement(holonomy_apply(bs, z), z, f.side)
             terms.append((BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm))
     return LocallyConstantFunction(f.side, tuple(terms))
+
+
+def _bridge(m: TransitionMatrix, last: int, target) -> tuple:
+    """The first of the shortest words w with last, *w, target(len(w))
+    allowed; empty when target(0) may follow last."""
+    for j in range(m.n * m.n + 1):
+        for walk in m.paths(last, j):
+            if m.allowed(walk[-1], target(j)):
+                return walk[1:]
+    raise ValueError("no allowed bridge back to the anchor source")
 
 
 def reverse_base_set(bs: BaseSet) -> BaseSet:
@@ -341,15 +416,16 @@ class BasisRegistry:
 
     def add(self, x) -> Optional[int]:
         """Index of x, growing the registry if allowed; None on truncation."""
-        i = self.index.get(x)
-        if i is not None:
+        n = len(self.points)
+        i = self.index.setdefault(x, n)  # one hash for a new point
+        if i < n:
             return i
-        if self.frozen or len(self.points) >= self.cap:
+        if self.frozen or n >= self.cap:
+            del self.index[x]
             self.truncation_events += 1
             return None
         self.points.append(x)
-        self.index[x] = len(self.points) - 1
-        return len(self.points) - 1
+        return n
 
 
 def _accumulate(acc: dict, key, v: complex) -> None:
@@ -427,15 +503,44 @@ def apply_to_point(
     A term supported on a bisection sends delta_x to value * delta_{h(x)}
     when x lies in the domain disk, else to zero.
     """
+    return _images(f, x, [t for t in f.terms if in_domain(t.support, x)])
+
+
+def _images(f: LocallyConstantFunction, x, acting) -> Dict[EventuallyPeriodicPoint, complex]:
+    """apply_to_point over the terms `acting`, those whose domain holds x."""
     out: Dict[EventuallyPeriodicPoint, complex] = {}
-    for term in f.terms:
-        if not in_domain(term.support, x):
-            continue
+    for term in acting:
         y = _holonomy_splice(term.support, x)
         value = f._term_value(x, term)
         if f._lone_profile():
             return {y: value}
         _accumulate(out, y, value)
+    return out
+
+
+def _apply_twice(
+    f: LocallyConstantFunction, g: LocallyConstantFunction, x: EventuallyPeriodicPoint
+) -> Dict[EventuallyPeriodicPoint, complex]:
+    """apply_to_column(f, apply_to_point(g, x)), with the same values.
+
+    When one term of g acts at x, its image y is only read (f's domain
+    tests, f's profile words, f's splices), so y stays an uncanonical
+    encoding; with several acting terms the images are merged by point, so
+    they are built canonical.
+    """
+    acting = [t for t in g.terms if in_domain(t.support, x)]
+    if len(acting) != 1:
+        return apply_to_column(f, _images(g, x, acting))
+    (term,) = acting
+    weight = g._term_value(x, term)
+    if not g._lone_profile():
+        # what _accumulate makes of the one value: 0j + value, dropped at 0
+        weight = 0.0 + 0.0j + weight
+        if weight == 0:
+            return {}
+    out: Dict[EventuallyPeriodicPoint, complex] = {}
+    for z, v in apply_to_point(f, _holonomy_encoding(term.support, x)).items():
+        _accumulate(out, z, weight * v)
     return out
 
 
@@ -624,10 +729,8 @@ def commutator_blocks(
         op = SparseOperator(reg.cap)
         truncated = False
         for x in cols:
-            fwd = apply_to_column(a_n, apply_to_point(b_n, x))
-            bwd = apply_to_column(b_n, apply_to_point(a_n, x))
-            col: Dict[EventuallyPeriodicPoint, complex] = dict(fwd)
-            for y, v in bwd.items():
+            col = _apply_twice(a_n, b_n, x)
+            for y, v in _apply_twice(b_n, a_n, x).items():
                 _accumulate(col, y, -v)
             if not col:
                 continue

@@ -96,20 +96,31 @@ def _connected_components(entries: Dict[Tuple[int, int], complex]):
 
 
 def singular_values(a, source: str = "") -> SingularSpectrum:
-    """Dense SVD, applied per support component for sparse operators."""
+    """Dense SVD, applied per support component for sparse operators.
+
+    The components of one shape go through one stacked np.linalg.svd,
+    which factors each matrix of the stack as a call on it alone would.
+    """
     if hasattr(a, "entries"):
         if not a.entries:
             return SingularSpectrum(np.array([]), source=source)
-        out = []
+        by_shape: Dict[Tuple[int, int], list] = {}
         for comp in _connected_components(a.entries):
             rows = sorted({i for i, _, _ in comp})
             cols = sorted({j for _, j, _ in comp})
-            ri = {r: k for k, r in enumerate(rows)}
-            ci = {c: k for k, c in enumerate(cols)}
-            dense = np.zeros((len(rows), len(cols)), dtype=complex)
-            for i, j, v in comp:
-                dense[ri[i], ci[j]] = v
-            out.append(np.linalg.svd(dense, compute_uv=False))
+            by_shape.setdefault((len(rows), len(cols)), []).append((rows, cols, comp))
+        out = []
+        for (r, c), group in by_shape.items():
+            flat, entries = [], []
+            for k, (rows, cols, comp) in enumerate(group):
+                ri = {x: n for n, x in enumerate(rows)}
+                ci = {x: n for n, x in enumerate(cols)}
+                for i, j, v in comp:
+                    flat.append((k * r + ri[i]) * c + ci[j])
+                    entries.append(v)
+            stack = np.zeros(len(group) * r * c, dtype=complex)
+            stack[flat] = entries
+            out.append(np.linalg.svd(stack.reshape(len(group), r, c), compute_uv=False).ravel())
         vals = np.concatenate(out)
     else:
         arr = np.asarray(a)

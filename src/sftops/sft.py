@@ -207,7 +207,9 @@ class EventuallyPeriodicPoint:
     inside the core it is core[i - core_start], and for i >= core_end it is
     right_cycle[(i - core_end) % len].  Construction goes through
     :func:`build_point`, which produces the unique canonical form, so
-    dataclass equality and hashing decide point equality.
+    dataclass equality and hashing decide point equality.  An instance made
+    without it from a raw encoding (:func:`splice_encoding`) is only to be
+    read.
     """
 
     left_cycle: Word
@@ -248,6 +250,10 @@ class EventuallyPeriodicPoint:
         if e < hi:
             out += _tile(self.right_cycle, 0, hi - e)
         return out
+
+    def __hash__(self):
+        # 2 * core_start + 1, not core_start: CPython's hash(-1) == hash(-2)
+        return hash((self.left_cycle, self.core, self.right_cycle, 2 * self.core_start + 1))
 
     def sort_key(self):
         return (self.left_cycle, self.core_start, self.core, self.right_cycle)
@@ -427,11 +433,16 @@ def metric(x, y, p: MetricParams) -> float:
     return p.value(agreement_radius(x, y))
 
 
-def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
-    """The point equal to `past` on i <= m, to `word` on (m, m + len(word)]
-    and to `future` beyond.
+def splice_encoding(past, future, m: int, word: Word = ()):
+    """A raw encoding (left, core, right, start), not canonical, of the
+    point equal to `past` on i <= m, to `word` on (m, m + len(word)] and to
+    `future` beyond.
 
-    Caller guarantees the junctions are allowed.
+    :func:`splice_at` hands it to :func:`build_point`.  Wrapped without
+    canonicalising, ``EventuallyPeriodicPoint(*encoding)`` reads like that
+    point (`at`, `window`, the agreement tests, a further splice), but its
+    equality and hash are not point equality.  Caller guarantees the
+    junctions are allowed.
     """
     end = m + len(word)
     lo = min(past.core_start, m)
@@ -439,7 +450,12 @@ def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
     left = _anchor(past.left_cycle, past.core_start, lo)
     right = _anchor(future.right_cycle, future.core_end, hi)
     core = past.window(lo, m + 1) + tuple(word) + future.window(end + 1, hi)
-    return build_point(left, core, right, lo)
+    return left, core, right, lo
+
+
+def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
+    """The canonical point of :func:`splice_encoding`."""
+    return build_point(*splice_encoding(past, future, m, word))
 
 
 def bracket(x, y) -> EventuallyPeriodicPoint:

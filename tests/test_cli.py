@@ -121,6 +121,16 @@ class TestMetricAudit:
         ]
 
 
+@pytest.mark.parametrize("command", ["metric-audit", "auf-audit"])
+def test_negative_samples_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run([command, "--scenario", "full-2-shift", "--out", str(out), "--samples", "-3"]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+    # zero draws nothing and still reports
+    assert run([command, "--scenario", "full-2-shift", "--out", str(out), "--samples", "0"]) == 0
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -366,6 +376,22 @@ class TestSpectrum:
         assert code == 0
         rep = json.loads((out / "spectrum.json").read_text())
         assert rep["window"] == [-2, 6]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # block 0 is the only nonzero block of the multi-term pair
+            ("--stable-function=a_terms", "--unstable-function=b_terms", "--window=-2..6"),
+            # blocks 0 and 1 are nonzero, and the fit window is block 1 alone
+            ("--window=0..1",),
+        ],
+    )
+    def test_one_nonzero_block_in_fit_window(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert run(["spectrum", "--scenario", "full-2-shift", "--out", str(out), *flags]) == 0
+        rep = json.loads((out / "spectrum.json").read_text())
+        assert "norm_fit" not in rep
+        assert rep["verdicts"] and rep["spectrum_count"] >= 1
 
 
 class TestFredholmCommand:

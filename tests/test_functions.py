@@ -212,6 +212,22 @@ def test_composed_time_is_the_larger_time(name, side):
     assert composed >= 300
 
 
+@pytest.mark.parametrize("side", [gd.STABLE, gd.UNSTABLE])
+@pytest.mark.parametrize("name", ["golden-mean", "period-2"])
+def test_materialized_anchors_are_points_of_the_shift(name, side):
+    # a word whose junction with the anchor source beyond it is forbidden
+    # would give a term whose domain holds no point of the shift space
+    m, p, q = SHIFTS[name]
+    checked = 0
+    for bs in sweep_base_sets(m, p, q, side):
+        mat = fn.materialize_profile(fn.profile(bs, depth=6, seed="t"), m)
+        for sub in mat.supports()[1:]:
+            sft.validate_point(sub.anchor.first, m)
+            sft.validate_point(sub.anchor.second, m)
+            checked += 1
+    assert checked >= 100
+
+
 class TestRepresent:
     def test_unit_space_diagonal(self):
         reg = seeded_registry()
@@ -330,6 +346,35 @@ class TestProfileFunctions:
                     )
                     assert prof.profile_value(z) == term.coeff * ref
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=12, max_size=12), min_size=3, max_size=3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 19),
+                st.integers(0, 2),
+                st.integers(0, 12),
+                st.lists(st.integers(0, 2), max_size=3),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_prefix_path_matches_one_pass_sums(self, pool, calls):
+        # interleaved seeds (more than the cache holds), repeated words,
+        # shared prefixes and mixed lengths: each word is a cut of a pool
+        # word plus a short tail
+        for seed_no, base, cut, tail in calls:
+            seed = f"p{seed_no}"
+            word = tuple(pool[base][:cut] + tail)
+            want = 1.0
+            for mm in range(1, len(word) + 1):
+                want += 2.0**-mm * fn._word_bit(seed, word[:mm])
+            path = fn._prefix_path(seed)
+            assert path.total(word) == want
+            assert len(path.states) == len(path.totals) == len(word) + 1
+            assert fn._prefix_path.cache_info().currsize <= fn.PREFIX_PATHS
+
     def test_profile_involution_round_trip(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
         assert prof.involution().involution() == prof
@@ -443,6 +488,51 @@ class TestCommutatorBlocks:
         blocks = fn.commutator_blocks(a, b, (-2, 14), reg, FULL)
         assert blocks.untrusted
         assert set(blocks.trusted_blocks()).isdisjoint(blocks.untrusted)
+
+
+def _pairs(s):
+    stable = sorted(k for k, f in s.functions.items() if f.side == gd.STABLE)
+    unstable = sorted(k for k, f in s.functions.items() if f.side == gd.UNSTABLE)
+    return [(s, a, b) for a in stable for b in unstable]
+
+
+ALL_PAIRS = [p for name in sorted(REFERENCE) for p in _pairs(REFERENCE[name])]
+
+
+def _entries(op):
+    return sorted((k, v.real.hex(), v.imag.hex()) for k, v in op.entries.items())
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize(
+    "s, a_name, b_name", ALL_PAIRS, ids=[f"{s.name}-{a}-{b}" for s, a, b in ALL_PAIRS]
+)
+def test_blocks_match_point_level_assembly(monkeypatch, s, a_name, b_name, mixed):
+    # the point-level path builds every holonomy image canonical; the
+    # blocks, their untrusted flags and the registry must come out the same,
+    # bit for bit and in the same order
+    a, b = s.functions[a_name], s.functions[b_name]
+    seeds = sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
+
+    def assemble():
+        reg = fn.BasisRegistry.seeded(seeds, cap=s.basis_cap)
+        return fn.commutator_blocks(a, b, (-2, 6), reg, s.matrix, mixed=mixed)
+
+    fast = assemble()
+    with monkeypatch.context() as mp:
+        mp.setattr(fn, "_apply_twice", lambda f, g, x: fn.apply_to_column(f, fn.apply_to_point(g, x)))
+        oracle = assemble()
+    assert fast.untrusted == oracle.untrusted
+    assert fast.basis.points == oracle.basis.points
+    assert fast.basis.truncation_events == oracle.basis.truncation_events
+    assert {n: _entries(op) for n, op in fast.blocks.items()} == {
+        n: _entries(op) for n, op in oracle.blocks.items()
+    }
+    assert any(not op.is_zero() for op in fast.blocks.values())
+    # every registered point is canonical
+    for i, x in enumerate(fast.basis.points):
+        again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
+        assert again == x and fast.basis.index[x] == i
 
 
 def _column_is_nonzero(a_n, b_n, x):

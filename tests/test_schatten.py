@@ -52,6 +52,39 @@ class TestSingularValues:
         assert len(a) == len(b)
         assert np.allclose(np.sort(a), np.sort(b))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_svd_matches_per_component_calls(self, seed):
+        # a block-diagonal operator with scattered indices and components of
+        # shapes 1x1, 1x2, 2x2 and 3x2, against one np.linalg.svd per
+        # component on its sorted rows and columns (the unstacked path)
+        rng = np.random.default_rng(seed)
+        shapes = [(1, 1)] * 9 + [(1, 2)] * 4 + [(2, 2)] * 4 + [(3, 2)] * 3
+        shapes = [shapes[k] for k in rng.permutation(len(shapes))]
+        rows = rng.permutation(sum(r for r, _ in shapes)).tolist()
+        cols = rng.permutation(sum(c for _, c in shapes)).tolist()
+        op = SparseOperator(len(rows) + len(cols))
+        want = []
+        for r, c in shapes:
+            ri, rows = sorted(rows[:r]), rows[r:]
+            ci, cols = sorted(cols[:c]), cols[c:]
+            dense = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+            for a, i in enumerate(ri):
+                for b, j in enumerate(ci):
+                    op.add(i, j, complex(dense[a, b]))
+            want.append(np.linalg.svd(dense, compute_uv=False))
+        want = np.concatenate(want)
+        want = np.sort(want[want > 0.0])[::-1]
+        got = sc.singular_values(op).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (3, 2)])
+    def test_stacked_svd_is_the_svd_of_each_matrix(self, shape):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((200, *shape)) + 1j * rng.standard_normal((200, *shape))
+        stacked = np.linalg.svd(stack, compute_uv=False)
+        for k in range(len(stack)):
+            assert stacked[k].tobytes() == np.linalg.svd(stack[k], compute_uv=False).tobytes()
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((7, 7))

@@ -101,6 +101,12 @@ class TestPoints:
         b = pt([0], [1], [0], 3)
         assert a == b and hash(a) == hash(b)
 
+    def test_hash_separates_core_starts(self):
+        # CPython's hash(-1) == hash(-2), so a hash that takes core_start as
+        # it is gives these points (equal but for core_start) 12 hashes
+        xs = [pt([0], [1], [0], s) for s in range(-6, 7)]
+        assert len({hash(x) for x in xs}) == len(xs)
+
     def test_reverse(self):
         x = pt([0], [1], [0], 3)
         assert sft.reverse_point(x) == pt([0], [1], [0], -3)
