@@ -442,11 +442,11 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     dim = len(reg) * width
 
     e_infl = fd.inflate_stable(proj_fn, 0, lab_window, reg)
-    e_dense = e_infl.to_sparse().to_dense(limit=40000)[:dim, :dim]
+    e_dense = fd.densify(e_infl, lab_window, len(reg))
     b_name = "b_terms" if "b_terms" in scenario.functions else "b"
     b_fn = scenario.functions[b_name]
     b_infl = fd.inflate_unstable(b_fn, 0, lab_window, reg)
-    b_dense = b_infl.to_sparse().to_dense(limit=40000)[:dim, :dim]
+    b_dense = fd.densify(b_infl, lab_window, len(reg))
 
     module = fd.make_odd_module(e_dense, lambda x: x)
     f_op = module.f_op

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,134 +38,65 @@ from .schatten import (
 
 # ---------------------------------------------------------------------------
 # inflated operators on basis x window
+#
+# An inflated operator is a SparseOperator whose row and column keys are
+# (window slot, registry index) pairs; block (r, c) is the part with row
+# slot r and column slot c.
 
 
-@dataclass
-class InflatedOperator:
-    """Block matrix over (basis index, window slot) with sparse blocks."""
-
-    window: Tuple[int, int]
-    basis_dim: int
-    blocks: Dict[Tuple[int, int], SparseOperator] = field(default_factory=dict)
-
-    def slots(self):
-        return range(self.window[0], self.window[1] + 1)
-
-    def block(self, r: int, c: int) -> Optional[SparseOperator]:
-        return self.blocks.get((r, c))
-
-    def add_block(self, r: int, c: int, op: SparseOperator) -> None:
-        if op.is_zero():
-            return
-        if (r, c) in self.blocks:
-            self.blocks[(r, c)] = self.blocks[(r, c)] + op
-        else:
-            self.blocks[(r, c)] = op
-
-    def matmul(self, other: "InflatedOperator") -> "InflatedOperator":
-        out = InflatedOperator(self.window, max(self.basis_dim, other.basis_dim))
-        by_row: Dict[int, list] = {}
-        for (r, c), op in other.blocks.items():
-            by_row.setdefault(r, []).append((c, op))
-        for (r, k), left in self.blocks.items():
-            for c, right in by_row.get(k, ()):
-                out.add_block(r, c, left.matmul(right))
-        return out
-
-    def __sub__(self, other: "InflatedOperator") -> "InflatedOperator":
-        out = InflatedOperator(self.window, max(self.basis_dim, other.basis_dim))
-        for key, op in self.blocks.items():
-            out.blocks[key] = op
-        for (r, c), op in other.blocks.items():
-            cur = out.blocks.get((r, c))
-            res = (cur - op) if cur is not None else (op * (-1.0))
-            if res.is_zero():
-                out.blocks.pop((r, c), None)
-            else:
-                out.blocks[(r, c)] = res
-        return out
-
-    def interior(self, margin: int) -> "InflatedOperator":
-        lo, hi = self.window[0] + margin, self.window[1] - margin
-        out = InflatedOperator((lo, hi), self.basis_dim)
-        for (r, c), op in self.blocks.items():
-            if lo <= r <= hi and lo <= c <= hi:
-                out.blocks[(r, c)] = op
-        return out
-
-    def to_sparse(self) -> SparseOperator:
-        """One flat sparse matrix on basis_dim * window_width indices.
-
-        The stride is re-derived from the entries so that registry growth
-        after construction cannot alias flat indices across blocks.
-        """
-        lo, hi = self.window
-        width = hi - lo + 1
-        dim = self.basis_dim
-        for op in self.blocks.values():
-            for i, j in op.entries:
-                dim = max(dim, i + 1, j + 1)
-        flat = SparseOperator(dim * width)
-        for (r, c), op in self.blocks.items():
-            ro, co = (r - lo) * dim, (c - lo) * dim
-            for (i, j), v in op.entries.items():
-                flat.add(ro + i, co + j, v)
-        return flat
-
-    def spectrum(self) -> SingularSpectrum:
-        return singular_values(self.to_sparse(), source="inflated")
-
-
-def _identity(dim: int, size: int) -> SparseOperator:
-    op = SparseOperator(dim)
-    for i in range(size):
-        op.add(i, i, 1.0)
-    return op
-
-
-def inflate_stable(
-    f, j: int, window: Tuple[int, int], reg: BasisRegistry
-) -> InflatedOperator:
+def inflate_stable(f, j: int, window: Tuple[int, int], reg: BasisRegistry) -> SparseOperator:
     """rho_s-bar of f u**j: block (n, n+j) carries alpha**n(f), or the
     identity when f is None (a bare shift power)."""
     lo, hi = window
-    out = InflatedOperator(window, len(reg))
-    size = len(reg)
-    for n in range(lo, hi + 1):
-        if not lo <= n + j <= hi:
-            continue
-        if f is None:
-            out.blocks[(n, n + j)] = _identity(reg.cap, size)
-        else:
-            out.blocks[(n, n + j)] = represent(f.alpha(n), reg)
+    ones = {(i, i): 1.0 + 0.0j for i in range(len(reg))} if f is None else None
+    out = SparseOperator()
+    for n in range(max(lo, lo - j), min(hi, hi - j) + 1):
+        block = ones if f is None else represent(f.alpha(n), reg).entries
+        out.entries.update({((n, i), (n + j, k)): v for (i, k), v in block.items()})
     return out
 
 
 def inflate_unstable(
     g, jp: int, window: Tuple[int, int], reg: BasisRegistry, u_mat: Optional[SparseOperator] = None
-) -> InflatedOperator:
+) -> SparseOperator:
     """rho_u-bar of g u**j': block (m + j', m) carries g u**j' on the basis."""
     lo, hi = window
-    out = InflatedOperator(window, len(reg))
-    if u_mat is None:
-        u_mat = unitary_u(reg)
-    u_pow = _identity(reg.cap, len(reg))
-    for _ in range(abs(jp)):
-        u_pow = u_pow.matmul(u_mat if jp > 0 else u_mat.dagger())
-    if g is None:
-        base = u_pow
-    else:
-        base = represent(g, reg).matmul(u_pow)
-    for m_slot in range(lo, hi + 1):
-        if not lo <= m_slot + jp <= hi:
-            continue
-        out.blocks[(m_slot + jp, m_slot)] = base
-    return out
+    base = None if g is None else represent(g, reg)
+    if jp:
+        step = u_mat or unitary_u(reg)
+        if jp < 0:
+            step = step.dagger()
+        for _ in range(abs(jp)):
+            base = step if base is None else base.matmul(step)
+    block = base.entries if base is not None else {(i, i): 1.0 + 0.0j for i in range(len(reg))}
+    slots = range(max(lo, lo - jp), min(hi, hi - jp) + 1)
+    return SparseOperator(
+        {((m + jp, i), (m, k)): v for m in slots for (i, k), v in block.items()}
+    )
+
+
+def interior(op: SparseOperator, lo: int, hi: int) -> SparseOperator:
+    """The blocks of an inflated operator with both slots in [lo, hi]."""
+    return SparseOperator(
+        {(r, c): v for (r, c), v in op.entries.items() if lo <= r[0] <= hi and lo <= c[0] <= hi}
+    )
+
+
+def densify(op: SparseOperator, window: Tuple[int, int], stride: int) -> np.ndarray:
+    """Dense matrix of an inflated operator: key (slot, i) at the slot-major
+    flat index (slot - lo) * stride + i, for i below the stride."""
+    lo, hi = window
+    flat = SparseOperator()
+    for ((r, i), (c, k)), v in op.entries.items():
+        if i >= stride or k >= stride:
+            raise IndexError(f"registry index past the stride {stride}")
+        flat.entries[(r - lo) * stride + i, (c - lo) * stride + k] = v
+    return flat.to_dense((hi - lo + 1) * stride)
 
 
 @dataclass
 class KpwCommutator:
-    matrix: InflatedOperator
+    matrix: SparseOperator
     interior_window: Tuple[int, int]
     spectrum: SingularSpectrum
     factorization_residual: float
@@ -177,19 +108,24 @@ def kpw_commutator(
 ) -> KpwCommutator:
     """Interior part of [rho_s(a u^j), rho_u(b u^j')], with its spectrum.
 
-    Checks the factorization against [rho_s(a), rho_u(b)] carried by the
-    shift unitaries: the two spectra must agree within 1e-10 blockwise.
+    The commutator carries [rho_s(a), rho_u(b)] u^j' from block (n, n) to
+    block (n, n + j - j'), so a base block n is certified exactly when its
+    image block is: n and n + j - j' both lie in the interior.  The two
+    certified spectra must agree within 1e-10.
     """
     margin = max(abs(j), abs(jp)) + 1
+    lo, hi = window[0] + margin, window[1] - margin
     u_mat = unitary_u(reg)
     big_a = inflate_stable(a, j, window, reg)
     big_b = inflate_unstable(b, jp, window, reg, u_mat=u_mat)
-    comm = (big_a.matmul(big_b) - big_b.matmul(big_a)).interior(margin)
+    comm = interior(big_a.matmul(big_b) - big_b.matmul(big_a), lo, hi)
     base_a = inflate_stable(a, 0, window, reg)
-    base_b = inflate_unstable(b, 0, window, reg, u_mat=u_mat)
-    base = (base_a.matmul(base_b) - base_b.matmul(base_a)).interior(margin)
-    spec = comm.spectrum()
-    base_spec = base.spectrum()
+    base_b = inflate_unstable(b, 0, window, reg)
+    d = j - jp
+    base = base_a.matmul(base_b) - base_b.matmul(base_a)
+    base = interior(base, max(lo, lo - d), min(hi, hi - d))
+    spec = singular_values(comm, source="inflated")
+    base_spec = singular_values(base, source="inflated")
     k = min(len(spec.values), len(base_spec.values))
     if k:
         resid = float(np.max(np.abs(spec.values[:k] - base_spec.values[:k])))
@@ -200,9 +136,9 @@ def kpw_commutator(
         float(base_spec.values[k:].max()) if len(base_spec.values) > k else 0.0,
     )
     resid = max(resid, tail)
-    lo, hi = window
-    excluded = [n for n in range(lo, hi + 1) if not lo + margin <= n <= hi - margin]
-    return KpwCommutator(comm, (lo + margin, hi - margin), spec, resid, excluded)
+    slots = range(window[0], window[1] + 1)
+    excluded = [n for n in slots if not (lo <= n <= hi and lo <= n + d <= hi)]
+    return KpwCommutator(comm, (lo, hi), spec, resid, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +198,28 @@ def make_even_module(
     return FredholmModule("even", 2 * dim, rep2, big_f, grading)
 
 
-def module_summability_row(module: FredholmModule, x, p: float) -> dict:
-    """The three summability quantities of the module at one algebra element."""
+def module_spectra(module: FredholmModule, x) -> Dict[str, SingularSpectrum]:
+    """Singular values of the three summability quantities at one algebra element."""
     rho_x = module.rep(x)
     f_op = module.f_op
     q1 = rho_x @ (f_op.conj().T - f_op)
     q2 = rho_x @ (f_op @ f_op - np.eye(f_op.shape[0]))
     q3 = rho_x @ f_op - f_op @ rho_x
-    rows = {}
-    for name, mat in (("rho(F*-F)", q1), ("rho(F^2-1)", q2), ("[rho,F]", q3)):
-        spec = singular_values(mat)
-        rows[name] = {
+    return {
+        name: singular_values(mat)
+        for name, mat in (("rho(F*-F)", q1), ("rho(F^2-1)", q2), ("[rho,F]", q3))
+    }
+
+
+def module_summability_row(spectra: Dict[str, SingularSpectrum], p: float) -> dict:
+    """p-norms and verdicts of the three quantities, from module_spectra."""
+    return {
+        name: {
             "p_norm": schatten_norm(spec, p) if len(spec.values) else 0.0,
             "verdict": summability_verdict(spec, p).verdict,
         }
-    return rows
+        for name, spec in spectra.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +350,9 @@ def summability_report(
 ) -> SummabilityReport:
     rows = []
     for name, x in funcs.items():
+        spectra = module_spectra(module, x)
         for p in p_grid:
-            cells = module_summability_row(module, x, p)
+            cells = module_summability_row(spectra, p)
             rows.append(
                 {
                     "func_id": name,

@@ -439,59 +439,50 @@ def _accumulate(acc: dict, key, v: complex) -> None:
 
 @dataclass
 class SparseOperator:
-    """Complex matrix with finitely many entries, indexed by the registry."""
+    """Complex matrix with finitely many entries, keyed by (row, column).
 
-    dim: int
-    entries: Dict[Tuple[int, int], complex] = field(default_factory=dict)
+    A key is a registry index, or a (window slot, registry index) pair on
+    an inflated operator; registry indices never move, so keys stay valid
+    while the registry grows.
+    """
 
-    def add(self, i: int, j: int, v: complex) -> None:
-        if i >= self.dim or j >= self.dim:
-            raise IndexError("entry outside the declared dimension")
+    entries: Dict[tuple, complex] = field(default_factory=dict)
+
+    def add(self, i, j, v: complex) -> None:
         _accumulate(self.entries, (i, j), v)
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def dagger(self) -> "SparseOperator":
-        out = SparseOperator(self.dim)
-        for (i, j), v in self.entries.items():
-            out.entries[(j, i)] = v.conjugate()
-        return out
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        out = SparseOperator(max(self.dim, other.dim), dict(self.entries))
-        for (i, j), v in other.entries.items():
-            out.add(i, j, v)
-        return out
+        return SparseOperator({(j, i): v.conjugate() for (i, j), v in self.entries.items()})
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        out = SparseOperator(max(self.dim, other.dim), dict(self.entries))
+        out = SparseOperator(dict(self.entries))
         for (i, j), v in other.entries.items():
             out.add(i, j, -v)
-        return out
-
-    def __mul__(self, scalar: complex) -> "SparseOperator":
-        out = SparseOperator(self.dim)
-        for k, v in self.entries.items():
-            out.entries[k] = scalar * v
         return out
 
     def matmul(self, other: "SparseOperator") -> "SparseOperator":
         by_row = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        out = SparseOperator(max(self.dim, other.dim))
+        out = SparseOperator()
         for (i, k), u in self.entries.items():
             for j, v in by_row.get(k, ()):
                 out.add(i, j, u * v)
         return out
 
-    def to_dense(self, limit: int = 6000) -> np.ndarray:
-        if self.dim > limit:
-            raise MemoryError(f"refusing to densify dim {self.dim}")
-        a = np.zeros((self.dim, self.dim), dtype=complex)
+    def to_dense(self, size: int) -> np.ndarray:
+        """The leading size x size corner of an operator keyed by registry
+        indices; an index at or past size raises, and so does a pair key,
+        which numpy would read as a fancy index (fredholm.densify lays out
+        an inflated operator)."""
+        if size > 40000:
+            raise MemoryError(f"refusing to densify size {size}")
+        a = np.zeros((size, size), dtype=complex)
         for (i, j), v in self.entries.items():
-            a[i, j] = v
+            a[int(i), int(j)] = v
         return a
 
 
@@ -562,26 +553,24 @@ def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
     registry is frozen or full).
     """
     snapshot = list(reg.points)
-    op = SparseOperator(reg.cap)
+    op = SparseOperator()
     for j, x in enumerate(snapshot):
         for y, v in apply_to_point(f, x).items():
             i = reg.add(y)
             if i is None:
                 continue
             op.add(i, j, v)
-    op.dim = max(op.dim, len(reg))
     return op
 
 
 def unitary_u(reg: BasisRegistry) -> SparseOperator:
     """Permutation matrix of u delta_x = delta_{shift(x, 1)} on the registry."""
     snapshot = list(reg.points)
-    op = SparseOperator(reg.cap)
+    op = SparseOperator()
     for j, x in enumerate(snapshot):
         i = reg.add(shift(x, 1))
         if i is not None:
             op.add(i, j, 1.0)
-    op.dim = max(op.dim, len(reg))
     return op
 
 
@@ -723,10 +712,10 @@ def commutator_blocks(
         room = reg.cap - len(reg)
         if est > room:
             untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
-            blocks[n] = SparseOperator(reg.cap)
+            blocks[n] = SparseOperator()
             continue
         cols = commutator_column_support(a_n, b_n, m)
-        op = SparseOperator(reg.cap)
+        op = SparseOperator()
         truncated = False
         for x in cols:
             col = _apply_twice(a_n, b_n, x)
@@ -744,12 +733,9 @@ def commutator_blocks(
                     truncated = True
                     continue
                 op.add(i, j, v)
-        op.dim = max(op.dim, len(reg))
         blocks[n] = op
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
-    for op in blocks.values():
-        op.dim = max(op.dim, len(reg))
     return BlockOperator((n_min, n_max), blocks, untrusted, reg)
 
 

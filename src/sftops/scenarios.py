@@ -149,6 +149,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    if not isinstance(d, dict) or not isinstance(d.get("functions", {}), dict):
+        raise InvalidScenario("a scenario and its functions must be JSON objects")
     try:
         s = Scenario(
             name=str(d.get("name", "scenario")),
@@ -163,8 +165,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             p_grid=[float(p) for p in d.get("p_grid", [0.7, 1.0, 1.3])],
             seed=int(d.get("seed", 0)),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidScenario(str(exc)) from exc
+    if len(s.window) != 2:
+        raise InvalidScenario("window must be two integers")
     s.validate()
     return s
 

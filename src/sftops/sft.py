@@ -55,9 +55,6 @@ class TransitionMatrix:
     def successors(self, i: int):
         return [j for j in range(self.n) if self.entries[i][j] == 1]
 
-    def predecessors(self, j: int):
-        return [i for i in range(self.n) if self.entries[i][j] == 1]
-
     def paths(self, first: int, steps: int):
         """The allowed words of steps + 1 symbols starting at `first`, in
         lexicographic order."""
@@ -422,11 +419,6 @@ def agreement_radius(x, y) -> Optional[int]:
         if x.at(n) != y.at(n) or x.at(-n) != y.at(-n):
             return n
     raise AssertionError("distinct canonical points agree on the deciding window")
-
-
-def metric_exponent(x, y) -> Optional[int]:
-    """d(x, y) = kappa**-e for the returned e; None encodes distance 0."""
-    return agreement_radius(x, y)
 
 
 def metric(x, y, p: MetricParams) -> float:

@@ -433,8 +433,8 @@ def test_criterion_9_fredholm_constructors():
     fn.represent(scenario.functions["b_terms"], reg)
     reg.freeze()
     dim = len(reg)
-    e_dense = fn.represent(scenario.functions["e_proj"], reg).to_dense(limit=5000)[:dim, :dim]
-    b_dense = fn.represent(scenario.functions["b_terms"], reg).to_dense(limit=5000)[:dim, :dim]
+    e_dense = fn.represent(scenario.functions["e_proj"], reg).to_dense(dim)
+    b_dense = fn.represent(scenario.functions["b_terms"], reg).to_dense(dim)
     module = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
     f_op = module.f_op
     exact_f = np.linalg.norm(f_op @ f_op - np.eye(dim)) == 0.0 and np.linalg.norm(

@@ -520,6 +520,23 @@ class TestBadInput:
         path = small_scenario(tmp_path)
         assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--cap=0"]) == 2
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda data: [data],
+            lambda data: dict(data, functions=[]),
+            lambda data: dict(data, window=[3]),
+            lambda data: dict(data, core_bound=1e400),
+        ],
+        ids=["top-level-list", "functions-list", "one-ended-window", "overflowing-core-bound"],
+    )
+    def test_malformed_json_exit_2(self, tmp_path, capsys, malform):
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(malform(data)))
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
+
     def test_swapped_sides_exit_2(self, tmp_path, capsys):
         path = small_scenario(tmp_path)
         argv = ["spectrum", "--scenario", path, "--out", str(tmp_path)]

@@ -45,58 +45,89 @@ def reg():
     return lab_registry()
 
 
+def _block(op, r, c):
+    """Block (r, c) of an inflated operator, keyed by registry indices."""
+    return fn.SparseOperator(
+        {(i, k): v for ((rs, i), (cs, k)), v in op.entries.items() if (rs, cs) == (r, c)}
+    )
+
+
+def _slot_pairs(op):
+    return sorted({(rs, cs) for (rs, _), (cs, _) in op.entries})
+
+
+def _max_abs(op):
+    return max((abs(v) for v in op.entries.values()), default=0.0)
+
+
 class TestInflation:
     def test_unit_space_diagonal(self, reg):
         infl = fd.inflate_stable(E_FN, 0, WINDOW, reg)
-        for (r, c), op in infl.blocks.items():
-            assert r == c
-            assert all(i == j for (i, j) in op.entries)
+        assert infl.entries
+        for (r, i), (c, k) in infl.entries:
+            assert r == c and i == k
 
     def test_block_is_alpha_representation(self, reg):
         infl = fd.inflate_stable(A_FN, 0, WINDOW, reg)
-        for n in infl.slots():
+        for n in range(WINDOW[0], WINDOW[1] + 1):
             expect = fn.represent(A_FN.alpha(n), reg)
-            got = infl.block(n, n)
-            diff = (got - expect) if got is not None else expect
-            assert max((abs(v) for v in diff.entries.values()), default=0.0) == 0.0
+            assert _max_abs(_block(infl, n, n) - expect) == 0.0
 
     def test_unstable_constant_blocks(self, reg):
         infl = fd.inflate_unstable(B_FN, 0, WINDOW, reg)
-        mats = [infl.block(n, n) for n in infl.slots()]
-        base = mats[0].entries
-        assert all(m.entries == base for m in mats)
+        mats = [_block(infl, n, n).entries for n in range(WINDOW[0], WINDOW[1] + 1)]
+        assert mats[0] and all(m == mats[0] for m in mats)
 
     def test_shift_powers_drop_edge_columns(self, reg):
         infl = fd.inflate_stable(None, 1, WINDOW, reg)
-        cols = sorted(c for (_, c) in infl.blocks)
-        assert cols == list(range(WINDOW[0] + 1, WINDOW[1] + 1))
+        assert _slot_pairs(infl) == [(n, n + 1) for n in range(WINDOW[0], WINDOW[1])]
 
     def test_stable_unstable_shift_commutators_vanish_interior(self, reg):
         a_infl = fd.inflate_stable(A_FN, 0, WINDOW, reg)
         u_unst = fd.inflate_unstable(None, 1, WINDOW, reg)
-        comm = (a_infl.matmul(u_unst) - u_unst.matmul(a_infl)).interior(2)
-        total = sum(abs(v) for op in comm.blocks.values() for v in op.entries.values())
-        assert total == 0.0
+        comm = a_infl.matmul(u_unst) - u_unst.matmul(a_infl)
+        assert _max_abs(fd.interior(comm, WINDOW[0] + 2, WINDOW[1] - 2)) == 0.0
 
     def test_tau_delta_product_formula(self, reg):
         # rho_s(a u^j) rho_u(b u^j') carries alpha^n(a) b u^j' at block
         # (n, n + j - j') on interior slots
         j, jp = 1, -1
-        lhs = fd.inflate_stable(A_FN, j, WINDOW, reg).matmul(
+        lhs = fd.inflate_stable(E_FN, j, WINDOW, reg).matmul(
             fd.inflate_unstable(B_FN, jp, WINDOW, reg)
         )
         u_mat = fn.unitary_u(reg)
+        nonzero = 0
         for n in range(WINDOW[0] + 2, WINDOW[1] - 2):
-            block = lhs.block(n, n + j - jp) or fn.SparseOperator(reg.cap)
-            expect = fn.represent(A_FN.alpha(n), reg).matmul(
+            expect = fn.represent(E_FN.alpha(n), reg).matmul(
                 fn.represent(B_FN, reg).matmul(_u_power(u_mat, jp, reg))
             )
-            diff = block - expect
-            assert max((abs(v) for v in diff.entries.values()), default=0.0) < 1e-12
+            assert _max_abs(_block(lhs, n, n + j - jp) - expect) < 1e-12
+            nonzero += not expect.is_zero()
+        assert nonzero
+
+    def test_densify_is_slot_major(self, reg):
+        infl = fd.inflate_stable(E_FN, 0, WINDOW, reg)
+        stride = len(reg)
+        dense = fd.densify(infl, WINDOW, stride)
+        assert dense.shape == (7 * stride, 7 * stride)
+        for ((r, i), (c, k)), v in infl.entries.items():
+            assert dense[(r - WINDOW[0]) * stride + i, (c - WINDOW[0]) * stride + k] == v
+        assert np.count_nonzero(dense) == len(infl.entries)
+
+    def test_to_dense_refuses_pair_keys(self, reg):
+        with pytest.raises(TypeError):
+            fd.inflate_stable(E_FN, 0, WINDOW, reg).to_dense(len(reg))
+
+    def test_densify_refuses_indices_past_the_stride(self, reg):
+        # (slot 0, index stride) must not alias (slot 1, index 0)
+        stride = len(reg)
+        op = fn.SparseOperator({((0, stride), (0, 0)): 1.0 + 0j})
+        with pytest.raises(IndexError):
+            fd.densify(op, WINDOW, stride)
 
 
 def _u_power(u_mat, j, reg):
-    out = fn.SparseOperator(reg.cap)
+    out = fn.SparseOperator()
     for i in range(len(reg)):
         out.add(i, i, 1.0)
     for _ in range(abs(j)):
@@ -104,38 +135,60 @@ def _u_power(u_mat, j, reg):
     return out
 
 
+# the commutator of E_FN and B_FN is one nonzero block, at slot 0; on this
+# window every pair below certifies block 0 and its image block
+KPW_WINDOW = (-4, 4)
+SHIFT_PAIRS = ((1, 0), (0, 1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
 class TestKpwCommutator:
     def test_reduces_to_plain_commutator(self, reg):
-        out = fd.kpw_commutator(A_FN, 0, B_FN, 0, WINDOW, reg)
+        out = fd.kpw_commutator(E_FN, 0, B_FN, 0, KPW_WINDOW, reg)
+        assert len(out.spectrum.values) > 0
         assert out.factorization_residual < 1e-10
 
     def test_factorization_identity_exact_on_interior(self, reg):
         # [rho_s(a u^j), rho_u(b u^j')] = [rho_s(a), rho_u(b)] rho_s(u^j) rho_u(u^j')
         j, jp = 1, -1
-        margin = max(abs(j), abs(jp)) + 1
+        lo, hi = KPW_WINDOW[0] + 2, KPW_WINDOW[1] - 2
         u_mat = fn.unitary_u(reg)
-        big_a = fd.inflate_stable(A_FN, j, WINDOW, reg)
-        big_b = fd.inflate_unstable(B_FN, jp, WINDOW, reg, u_mat=u_mat)
-        lhs = (big_a.matmul(big_b) - big_b.matmul(big_a)).interior(margin)
-        base_a = fd.inflate_stable(A_FN, 0, WINDOW, reg)
-        base_b = fd.inflate_unstable(B_FN, 0, WINDOW, reg, u_mat=u_mat)
+        big_a = fd.inflate_stable(E_FN, j, KPW_WINDOW, reg)
+        big_b = fd.inflate_unstable(B_FN, jp, KPW_WINDOW, reg, u_mat=u_mat)
+        lhs = fd.interior(big_a.matmul(big_b) - big_b.matmul(big_a), lo, hi)
+        base_a = fd.inflate_stable(E_FN, 0, KPW_WINDOW, reg)
+        base_b = fd.inflate_unstable(B_FN, 0, KPW_WINDOW, reg, u_mat=u_mat)
         base = base_a.matmul(base_b) - base_b.matmul(base_a)
-        shifts = fd.inflate_stable(None, j, WINDOW, reg).matmul(
-            fd.inflate_unstable(None, jp, WINDOW, reg, u_mat=u_mat)
+        shifts = fd.inflate_stable(None, j, KPW_WINDOW, reg).matmul(
+            fd.inflate_unstable(None, jp, KPW_WINDOW, reg, u_mat=u_mat)
         )
-        rhs = base.matmul(shifts).interior(margin)
-        diff = lhs - rhs
-        worst = max(
-            (abs(v) for op in diff.blocks.values() for v in op.entries.values()),
-            default=0.0,
-        )
-        assert worst == 0.0
+        rhs = fd.interior(base.matmul(shifts), lo, hi)
+        assert _max_abs(lhs) > 0.0
+        assert _max_abs(lhs - rhs) == 0.0
 
     def test_spectrum_invariant_under_shift_powers(self, reg):
-        base = fd.kpw_commutator(A_FN, 0, B_FN, 0, WINDOW, reg)
-        for j, jp in ((1, 0), (0, 1), (1, -1)):
-            out = fd.kpw_commutator(A_FN, j, B_FN, jp, WINDOW, reg)
-            assert out.factorization_residual < 1e-10
+        base = fd.kpw_commutator(E_FN, 0, B_FN, 0, KPW_WINDOW, reg)
+        for j, jp in SHIFT_PAIRS:
+            out = fd.kpw_commutator(E_FN, j, B_FN, jp, KPW_WINDOW, reg)
+            assert len(out.spectrum.values) > 0, (j, jp)
+            assert out.factorization_residual < 1e-10, (j, jp)
+            assert np.allclose(out.spectrum.values, base.spectrum.values, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("j, jp", SHIFT_PAIRS)
+    def test_excluded_blocks_are_the_uncertified_ones(self, reg, j, jp):
+        out = fd.kpw_commutator(E_FN, j, B_FN, jp, KPW_WINDOW, reg)
+        lo, hi = out.interior_window
+        slots = range(KPW_WINDOW[0], KPW_WINDOW[1] + 1)
+        certified = [n for n in slots if n not in out.excluded_blocks]
+        assert certified == [n for n in slots if lo <= n <= hi and lo <= n + j - jp <= hi]
+        assert _slot_pairs(out.matrix) == [(0, j - jp)]
+
+    def test_base_block_follows_its_image_out_of_the_interior(self, reg):
+        # on (-3, 3) at (1, -1) the interior is [-1, 1]: base block 0 lies
+        # in it, its image block (0, 2) does not, so neither is certified
+        out = fd.kpw_commutator(E_FN, 1, B_FN, -1, WINDOW, reg)
+        assert out.interior_window == (-1, 1)
+        assert 0 in out.excluded_blocks
+        assert out.factorization_residual < 1e-10
 
     def test_disjoint_supports_commute(self, reg):
         far = sft.build_point((0,), (1,), (0,), 7)
@@ -161,7 +214,7 @@ class TestOddModule:
     def test_identities_exact(self, reg):
         e_mat = fn.represent(E_FN, reg)
         dim = len(reg)
-        e_dense = e_mat.to_dense(limit=4000)[:dim, :dim]
+        e_dense = e_mat.to_dense(dim)
         mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
         f_op = mod.f_op
         assert np.linalg.norm(f_op @ f_op - np.eye(dim)) == 0.0
@@ -171,8 +224,8 @@ class TestOddModule:
         e_mat = fn.represent(E_FN, reg)
         fn.represent(B_FN, reg)
         dim = len(reg)
-        e_dense = e_mat.to_dense(limit=4000)[:dim, :dim]
-        b_dense = fn.represent(B_FN, reg).to_dense(limit=4000)[:dim, :dim]
+        e_dense = e_mat.to_dense(dim)
+        b_dense = fn.represent(B_FN, reg).to_dense(dim)
         mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
         comm_f = b_dense @ mod.f_op - mod.f_op @ b_dense
         comm_e = b_dense @ e_dense - e_dense @ b_dense
@@ -184,9 +237,9 @@ class TestOddModule:
     def test_first_two_quantities_vanish(self, reg):
         e_mat = fn.represent(E_FN, reg)
         dim = len(reg)
-        e_dense = e_mat.to_dense(limit=4000)[:dim, :dim]
+        e_dense = e_mat.to_dense(dim)
         mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
-        rows = fd.module_summability_row(mod, np.eye(dim), 1.0)
+        rows = fd.module_summability_row(fd.module_spectra(mod, np.eye(dim)), 1.0)
         assert rows["rho(F*-F)"]["p_norm"] == 0.0
         assert rows["rho(F^2-1)"]["p_norm"] == 0.0
 
@@ -218,7 +271,7 @@ class TestEvenModule:
         v[0, 1], v[1, 0] = 1.0, 1.0
         mod = fd.make_even_module(v, p, lambda x: np.asarray(x))
         b = np.diag([1.0, 2.0, 3.0, 4.0])
-        rows = fd.module_summability_row(mod, b, 1.0)
+        rows = fd.module_summability_row(fd.module_spectra(mod, b), 1.0)
         assert rows["rho(F^2-1)"]["p_norm"] < 1e-10
         assert rows["rho(F*-F)"]["p_norm"] >= 0.0
 
@@ -318,8 +371,8 @@ class TestSummabilityReport:
         e_mat = fn.represent(E_FN, reg)
         fn.represent(B_FN, reg)
         dim = len(reg)
-        e_dense = e_mat.to_dense(limit=4000)[:dim, :dim]
-        b_dense = fn.represent(B_FN, reg).to_dense(limit=4000)[:dim, :dim]
+        e_dense = e_mat.to_dense(dim)
+        b_dense = fn.represent(B_FN, reg).to_dense(dim)
         mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
         report = fd.summability_report(mod, {"b": b_dense}, [1.0])
         row = report.rows[0]

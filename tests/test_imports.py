@@ -35,3 +35,72 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = SRC.parent.parent
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield sub
+
+
+def name_uses(tree):
+    """(name, line) of every name read, attribute and identifier-like string
+    (perfbench wraps functions by their names as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def unreferenced_definitions(defined: dict, searched: dict) -> list:
+    """Definitions in `defined` (path -> source) whose name is used nowhere in
+    `searched` (path -> source) outside their own definition."""
+    uses = {}
+    for path, source in searched.items():
+        for name, line in name_uses(ast.parse(source)):
+            uses.setdefault(name, []).append((path, line))
+    out = []
+    for path, source in defined.items():
+        for node in definitions(ast.parse(source)):
+            outside = [
+                (p, line)
+                for p, line in uses.get(node.name, ())
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                out.append(f"{pathlib.Path(path).name}:{node.lineno} {node.name}")
+    return out
+
+
+def test_checker_finds_unreferenced_definitions():
+    source = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Box:\n    def read(self):\n        return used()\n"
+        "    def __len__(self):\n        return 0\n"
+        "Box\n"
+    )
+    searched = {"m.py": source, "t.py": "wrap(m, 'read')\n"}
+    assert unreferenced_definitions({"m.py": source}, searched) == ["m.py:4 recursive"]
+
+
+def test_every_definition_is_referenced():
+    paths = [path for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))]
+    searched = {str(path): path.read_text() for path in paths}
+    defined = {str(path): path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(defined, searched) == []
