@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -111,8 +111,10 @@ def kpw_commutator(
     The commutator carries [rho_s(a), rho_u(b)] u^j' from block (n, n) to
     block (n, n + j - j'), so a base block n is certified exactly when its
     image block is: n and n + j - j' both lie in the interior.  The two
-    certified spectra must agree within 1e-10.
+    certified spectra must agree within 1e-10.  The images it registers go
+    into a copy of reg, so reg and its indices stay as they were.
     """
+    reg = replace(reg, points=list(reg.points), index=dict(reg.index))
     margin = max(abs(j), abs(jp)) + 1
     lo, hi = window[0] + margin, window[1] - margin
     u_mat = unitary_u(reg)

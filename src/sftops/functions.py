@@ -13,6 +13,7 @@ finitely many basis points their columns can touch, and a block is
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -23,7 +24,6 @@ from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
     GroupoidElement,
-    _holonomy_encoding,
     _holonomy_splice,
     base_set_membership,
     holonomy_apply,
@@ -39,6 +39,7 @@ from .sft import (
     MetricParams,
     TransitionMatrix,
     agreement_depth,
+    build_point,
     shift,
     splice_at,
 )
@@ -62,9 +63,9 @@ from .sft import (
 # hash of word_{m-1}.  A value is read off the seed's prefix path: the hash
 # states and running sums along the last word hashed under that seed, so a
 # word hashes only the symbols past its longest common prefix with the one
-# before.  Consecutive words mostly share long prefixes: a column and its
-# holonomy image agree up to the splice, and sorted columns share their
-# pasts.  The paths are bounded, PREFIX_PATHS seeds of depth + 1 states each.
+# before.  Fed a block's distinct words in sorted order (_word_totals), a
+# path hashes each edge of their trie once.  The paths are bounded,
+# PREFIX_PATHS seeds of depth + 1 states each.
 
 
 class Term(NamedTuple):
@@ -492,56 +493,17 @@ def apply_to_point(
     """The column of the fundamental representation at delta_x, as points.
 
     A term supported on a bisection sends delta_x to value * delta_{h(x)}
-    when x lies in the domain disk, else to zero.
+    when x lies in the domain disk, else to zero; the values of several
+    acting terms are summed by image point, in term order.
     """
-    return _images(f, x, [t for t in f.terms if in_domain(t.support, x)])
-
-
-def _images(f: LocallyConstantFunction, x, acting) -> Dict[EventuallyPeriodicPoint, complex]:
-    """apply_to_point over the terms `acting`, those whose domain holds x."""
     out: Dict[EventuallyPeriodicPoint, complex] = {}
-    for term in acting:
-        y = _holonomy_splice(term.support, x)
-        value = f._term_value(x, term)
-        if f._lone_profile():
-            return {y: value}
-        _accumulate(out, y, value)
-    return out
-
-
-def _apply_twice(
-    f: LocallyConstantFunction, g: LocallyConstantFunction, x: EventuallyPeriodicPoint
-) -> Dict[EventuallyPeriodicPoint, complex]:
-    """apply_to_column(f, apply_to_point(g, x)), with the same values.
-
-    When one term of g acts at x, its image y is only read (f's domain
-    tests, f's profile words, f's splices), so y stays an uncanonical
-    encoding; with several acting terms the images are merged by point, so
-    they are built canonical.
-    """
-    acting = [t for t in g.terms if in_domain(t.support, x)]
-    if len(acting) != 1:
-        return apply_to_column(f, _images(g, x, acting))
-    (term,) = acting
-    weight = g._term_value(x, term)
-    if not g._lone_profile():
-        # what _accumulate makes of the one value: 0j + value, dropped at 0
-        weight = 0.0 + 0.0j + weight
-        if weight == 0:
-            return {}
-    out: Dict[EventuallyPeriodicPoint, complex] = {}
-    for z, v in apply_to_point(f, _holonomy_encoding(term.support, x)).items():
-        _accumulate(out, z, weight * v)
-    return out
-
-
-def apply_to_column(
-    f: LocallyConstantFunction, col: Dict[EventuallyPeriodicPoint, complex]
-) -> Dict[EventuallyPeriodicPoint, complex]:
-    out: Dict[EventuallyPeriodicPoint, complex] = {}
-    for x, weight in col.items():
-        for y, v in apply_to_point(f, x).items():
-            _accumulate(out, y, weight * v)
+    for term in f.terms:
+        if in_domain(term.support, x):
+            y = _holonomy_splice(term.support, x)
+            value = f._term_value(x, term)
+            if f._lone_profile():
+                return {y: value}
+            _accumulate(out, y, value)
     return out
 
 
@@ -601,29 +563,44 @@ def _anchor_groups(f: LocallyConstantFunction):
     return groups
 
 
-def _bridge_points(
-    m: TransitionMatrix,
-    past: EventuallyPeriodicPoint,
-    past_hi: int,
-    future: EventuallyPeriodicPoint,
-    future_lo: int,
-) -> List[EventuallyPeriodicPoint]:
-    """Points matching `past` through past_hi and `future` from future_lo on.
+def _block_span(fs, cols=()) -> Tuple[int, int, int]:
+    """(lo, hi, L): the cores of the columns and term anchors, and the
+    coordinates where a term's domain test, splice or profile word starts
+    or ends, lie in [lo + L, hi - L], L the lcm of their cycle lengths, so a
+    point spliced from them is its window over [lo, hi) (see _point)."""
+    pts, cuts = list(cols), []
+    for f in fs:
+        for bs, _, depth, _ in f.terms:
+            pts += (bs.anchor.first, bs.anchor.second)
+            t = bs.threshold
+            stable = (t + 1, bs.time + 1, t + depth + 1)
+            cuts += stable if f.side == STABLE else (-t, -bs.time, -t - depth)
+    period = math.lcm(*{len(c) for p in pts for c in (p.left_cycle, p.right_cycle)})
+    lo = min([p.core_start for p in pts] + cuts, default=0) - period
+    hi = max([p.core_end for p in pts] + cuts, default=0) + period
+    return lo, hi, period
 
-    When the pinned regions overlap, the splice is unique (or impossible);
-    otherwise every allowed bridging word over the free window contributes.
-    """
+
+def _point(z: bytes, lo: int, period: int) -> EventuallyPeriodicPoint:
+    """The canonical point whose window over the _block_span from lo is z."""
+    return build_point(z[:period], z, z[-period:], lo)
+
+
+def _bridge_windows(m: TransitionMatrix, past: bytes, past_hi: int, future: bytes, future_lo: int):
+    """Windows matching the window `past` through index past_hi and `future`
+    from index future_lo on.  When the pinned regions overlap, the splice is
+    unique (or impossible); otherwise every allowed bridging word over the
+    free window contributes."""
     if past_hi >= future_lo:
-        if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
-            return []
-        cand = splice_at(past, future, future_lo - 1)
-        if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
-            return []
-        return [cand]
+        overlap = slice(future_lo, past_hi + 1)
+        if m.allowed(past[future_lo - 1], future[future_lo]) and past[overlap] == future[overlap]:
+            return [past[:future_lo] + future[future_lo:]]
+        return []
+    head, tail = past[: past_hi + 1], future[future_lo:]
     return [
-        splice_at(past, future, past_hi, w[1:])
-        for w in m.paths(past.at(past_hi), future_lo - past_hi - 1)
-        if m.allowed(w[-1], future.at(future_lo))
+        head + bytes(w[1:]) + tail
+        for w in m.paths(past[past_hi], future_lo - past_hi - 1)
+        if m.allowed(w[-1], tail[0])
     ]
 
 
@@ -637,15 +614,17 @@ def commutator_column_support(
     a_n is the already-shifted stable function, b the unstable one.  Both
     orders pin a column's past to a stable-term source pattern and its
     future to an unstable-term source pattern, up to anchor-consistency
-    conditions; the free window in between is enumerated exactly.
+    conditions; the free window in between is enumerated exactly, as words
+    over the block span, and each distinct window is canonicalised once.
     """
     if a_n.side != STABLE or b.side != UNSTABLE:
         raise SideMismatch("need a stable and an unstable factor")
-    cands: Dict[EventuallyPeriodicPoint, bool] = {}
+    lo, hi, period = _block_span((a_n, b))
+    cands: Dict[bytes, None] = {}
     for s_pat, u_pat, past_hi, future_lo in _support_windows(a_n, b):
-        for x in _bridge_points(m, s_pat, past_hi, u_pat, future_lo):
-            cands[x] = True
-    return sorted(cands, key=EventuallyPeriodicPoint.sort_key)
+        s_win, u_win = bytes(s_pat.window(lo, hi)), bytes(u_pat.window(lo, hi))
+        cands.update(dict.fromkeys(_bridge_windows(m, s_win, past_hi - lo, u_win, future_lo - lo)))
+    return sorted((_point(z, lo, period) for z in cands), key=EventuallyPeriodicPoint.sort_key)
 
 
 def _support_windows(a_n: LocallyConstantFunction, b: LocallyConstantFunction):
@@ -685,6 +664,110 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
     return int(power[start, end])
 
 
+# The block kernel works on words: every point a block meets (column,
+# anchor, holonomy image, row) is its window over the _block_span.  The
+# anchor windows are read once per block and each column's window once: a
+# domain test is a slice compare, a holonomy image a slice of the column
+# window joined to a slice of an anchor window, a profile word a slice
+# (reversed on the unstable side).  A first pass over the windows collects
+# the block's profile words for _word_totals; a second sums the entries with
+# apply_to_point's arithmetic, applied twice, and makes a row a canonical
+# point only to register it.
+
+
+def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
+    """Each term on windows over [lo, hi): (term, domain slice, the anchor
+    source over it, splice cut, the anchor range before the cut (stable) or
+    from it (unstable), profile word slice, stable)."""
+    out = []
+    for term in f.terms:
+        bs = term.support
+        rng, src = bytes(bs.anchor.first.window(lo, hi)), bytes(bs.anchor.second.window(lo, hi))
+        if f.side == STABLE:
+            t, cut = bs.threshold + 1 - lo, bs.time + 1 - lo
+            domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + term.depth)
+        else:
+            t, cut = -bs.threshold - lo, -bs.time - lo
+            domain, keep, word = slice(t, None), slice(cut, None), slice(t - 1, t - 1 - term.depth, -1)
+        out.append((term, domain, src[domain], cut, rng[keep], word, f.side == STABLE))
+    return out
+
+
+def _act(actions: list, z: bytes) -> list:
+    """(image, term, profile word) for each action whose domain holds z."""
+    return [
+        (piece + z[cut:] if stable else z[:cut] + piece, term, z[at])
+        for term, domain, pattern, cut, piece, at, stable in actions
+        if z[domain] == pattern
+    ]
+
+
+def _apply(f: LocallyConstantFunction, actions: list, z: bytes, totals: dict) -> dict:
+    """apply_to_point(f, .) on the window z, keyed by image window."""
+    out = {}
+    lone = f._lone_profile()
+    for y, term, word in _act(actions, z):
+        value = term.coeff * totals[term.seed][word] if term.depth else term.coeff
+        if lone:
+            return {y: value}
+        _accumulate(out, y, value)
+    return out
+
+
+def _twice(f, acts_f: list, g, acts_g: list, z: bytes, totals: dict) -> dict:
+    """apply_to_point(f, .) summed over the images of apply_to_point(g, z)."""
+    out = {}
+    for y, w in _apply(g, acts_g, z, totals).items():
+        for row, v in _apply(f, acts_f, y, totals).items():
+            _accumulate(out, row, w * v)
+    return out
+
+
+def _word_totals(seed: str, words: dict) -> dict:
+    """Sets each words[w] to w's prefix-path total, hashing the words in
+    sorted order (a walk of their trie), and returns words."""
+    path = _prefix_path(seed)
+    for w in sorted(words):
+        words[w] = path.total(w)
+    return words
+
+
+def _assemble(a_n, b_n, cols, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
+    """A block's operator on its support columns, and whether the cap cut it."""
+    op = SparseOperator()
+    if not cols:
+        return op, False
+    lo, hi, period = _block_span((a_n, b_n), cols)
+    acts_a, acts_b = _actions(a_n, lo, hi), _actions(b_n, lo, hi)
+    windows = [bytes(x.window(lo, hi)) for x in cols]
+    words: Dict[str, dict] = {}  # seed -> its profile words in the block
+    for z in windows:
+        for outer, inner in ((acts_b, acts_a), (acts_a, acts_b)):
+            images = _act(outer, z)
+            for _, t, w in images + [a for y, _, _ in images for a in _act(inner, y)]:
+                if t.depth:
+                    words.setdefault(t.seed, {})[w] = None
+    totals = {seed: _word_totals(seed, seen) for seed, seen in words.items()}
+    truncated = False
+    for x, z in zip(cols, windows):
+        col = _twice(a_n, acts_a, b_n, acts_b, z, totals)
+        for row, v in _twice(b_n, acts_b, a_n, acts_a, z, totals).items():
+            _accumulate(col, row, -v)
+        if not col:
+            continue
+        j = reg.add(x)
+        if j is None:
+            truncated = True
+            continue
+        for row, v in col.items():
+            i = reg.add(_point(row, lo, period))
+            if i is None:
+                truncated = True
+                continue
+            op.add(i, j, v)
+    return op, truncated
+
+
 def commutator_blocks(
     a: LocallyConstantFunction,
     b: LocallyConstantFunction,
@@ -715,25 +798,7 @@ def commutator_blocks(
             blocks[n] = SparseOperator()
             continue
         cols = commutator_column_support(a_n, b_n, m)
-        op = SparseOperator()
-        truncated = False
-        for x in cols:
-            col = _apply_twice(a_n, b_n, x)
-            for y, v in _apply_twice(b_n, a_n, x).items():
-                _accumulate(col, y, -v)
-            if not col:
-                continue
-            j = reg.add(x)
-            if j is None:
-                truncated = True
-                continue
-            for y, v in col.items():
-                i = reg.add(y)
-                if i is None:
-                    truncated = True
-                    continue
-                op.add(i, j, v)
-        blocks[n] = op
+        blocks[n], truncated = _assemble(a_n, b_n, cols, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
     return BlockOperator((n_min, n_max), blocks, untrusted, reg)
@@ -769,15 +834,3 @@ def intersection_count(
         return 1 if agree else 0
     return _path_count(m, shifted.at(past_hi), stable_center.at(future_lo), future_lo - past_hi)
 
-
-def intersection_points(
-    m: TransitionMatrix,
-    unstable_center: EventuallyPeriodicPoint,
-    unstable_depth: int,
-    stable_center: EventuallyPeriodicPoint,
-    stable_depth: int,
-    k: int,
-) -> List[EventuallyPeriodicPoint]:
-    """Enumeration oracle for :func:`intersection_count`."""
-    shifted = shift(unstable_center, k)
-    return _bridge_points(m, shifted, unstable_depth - k, stable_center, -stable_depth)

@@ -38,7 +38,6 @@ from .sft import (
     reverse_point,
     shift,
     splice_at,
-    splice_encoding,
 )
 
 
@@ -228,14 +227,6 @@ def _holonomy_splice(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriod
     if v.side == STABLE:
         return splice_at(v.anchor.first, z, v.time)
     return splice_at(z, v.anchor.first, -v.time - 1)
-
-
-def _holonomy_encoding(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    """_holonomy_splice left uncanonical: a point encoding only to be read
-    (see :func:`splice_encoding`), never hashed, compared or stored."""
-    if v.side == STABLE:
-        return EventuallyPeriodicPoint(*splice_encoding(v.anchor.first, z, v.time))
-    return EventuallyPeriodicPoint(*splice_encoding(z, v.anchor.first, -v.time - 1))
 
 
 def base_set_membership(v: BaseSet, b: GroupoidElement) -> bool:

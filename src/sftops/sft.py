@@ -76,8 +76,9 @@ class TransitionMatrix:
 def validate_matrix(m: TransitionMatrix) -> None:
     """Raise unless m is square 0/1, has no zero row/column and is irreducible."""
     n = m.n
-    if n == 0:
-        raise ZeroRowOrColumn("empty matrix")
+    if n == 0 or n > 256:
+        # the commutator kernel reads points as bytes, one symbol a byte
+        raise ZeroRowOrColumn("empty matrix" if n == 0 else f"{n} symbols, more than 256")
     for row in m.entries:
         if len(row) != n:
             raise ZeroRowOrColumn("matrix is not square")
@@ -205,8 +206,7 @@ class EventuallyPeriodicPoint:
     right_cycle[(i - core_end) % len].  Construction goes through
     :func:`build_point`, which produces the unique canonical form, so
     dataclass equality and hashing decide point equality.  An instance made
-    without it from a raw encoding (:func:`splice_encoding`) is only to be
-    read.
+    without it from a raw encoding is only to be read.
     """
 
     left_cycle: Word
@@ -425,29 +425,16 @@ def metric(x, y, p: MetricParams) -> float:
     return p.value(agreement_radius(x, y))
 
 
-def splice_encoding(past, future, m: int, word: Word = ()):
-    """A raw encoding (left, core, right, start), not canonical, of the
-    point equal to `past` on i <= m, to `word` on (m, m + len(word)] and to
-    `future` beyond.
-
-    :func:`splice_at` hands it to :func:`build_point`.  Wrapped without
-    canonicalising, ``EventuallyPeriodicPoint(*encoding)`` reads like that
-    point (`at`, `window`, the agreement tests, a further splice), but its
-    equality and hash are not point equality.  Caller guarantees the
-    junctions are allowed.
-    """
+def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
+    """The point equal to `past` on i <= m, to `word` on (m, m + len(word)]
+    and to `future` beyond.  Caller guarantees the junctions are allowed."""
     end = m + len(word)
     lo = min(past.core_start, m)
     hi = max(future.core_end, end + 1)
     left = _anchor(past.left_cycle, past.core_start, lo)
     right = _anchor(future.right_cycle, future.core_end, hi)
     core = past.window(lo, m + 1) + tuple(word) + future.window(end + 1, hi)
-    return left, core, right, lo
-
-
-def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
-    """The canonical point of :func:`splice_encoding`."""
-    return build_point(*splice_encoding(past, future, m, word))
+    return build_point(left, core, right, lo)
 
 
 def bracket(x, y) -> EventuallyPeriodicPoint:

@@ -190,6 +190,19 @@ class TestKpwCommutator:
         assert 0 in out.excluded_blocks
         assert out.factorization_residual < 1e-10
 
+    def test_repeated_calls_leave_the_registry_alone(self):
+        # identical calls return identical operators and spectra, and the
+        # caller's registry keeps its points and indices
+        reg = lab_registry()
+        points = list(reg.points)
+        first = fd.kpw_commutator(E_FN, 0, B_FN, 0, WINDOW, reg)
+        assert first.matrix.entries
+        for _ in range(4):
+            again = fd.kpw_commutator(E_FN, 0, B_FN, 0, WINDOW, reg)
+            assert reg.points == points and len(reg.index) == len(points)
+            assert again.matrix.entries == first.matrix.entries
+            assert np.array_equal(again.spectrum.values, first.spectrum.values)
+
     def test_disjoint_supports_commute(self, reg):
         far = sft.build_point((0,), (1,), (0,), 7)
         e_far = fn.LocallyConstantFunction(

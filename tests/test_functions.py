@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -375,6 +377,52 @@ class TestProfileFunctions:
             assert len(path.states) == len(path.totals) == len(word) + 1
             assert fn._prefix_path.cache_info().currsize <= fn.PREFIX_PATHS
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2), min_size=12, max_size=40),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 19),
+                st.integers(0, 39),
+                st.integers(0, 12),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_sorted_block_words_match_one_pass_sums(self, seq, cuts):
+        # blocks of words cut out of one sequence, read forward (stable
+        # profiles) and backward (unstable ones), under more seeds than the
+        # path cache holds; each block hashes every seed's words in sorted
+        # order, as the block kernel does
+        real_total = fn._PrefixPath.total
+        blocks = {}
+        for block, seed_no, start, length, backward in cuts:
+            word = tuple(seq[start : start + length])
+            seeds = blocks.setdefault(block, {})
+            seeds.setdefault(f"w{seed_no}", set()).add(word[::-1] if backward else word)
+        for _, seeds in sorted(blocks.items()):
+            for seed, words in seeds.items():
+                fed = []
+
+                def spy(path, word):
+                    fed.append(word)
+                    return real_total(path, word)
+
+                with mock.patch.object(fn._PrefixPath, "total", spy):
+                    totals = fn._word_totals(seed, dict.fromkeys(words))
+                assert fed == sorted(words)
+                for word, total in totals.items():
+                    want = 1.0
+                    for mm in range(1, len(word) + 1):
+                        want += 2.0**-mm * fn._word_bit(seed, word[:mm])
+                    assert total == want
+                path = fn._prefix_path(seed)
+                assert len(path.states) == len(path.totals) <= 12 + 1
+                assert fn._prefix_path.cache_info().currsize <= fn.PREFIX_PATHS
+
     def test_profile_involution_round_trip(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
         assert prof.involution().involution() == prof
@@ -482,6 +530,12 @@ class TestCommutatorBlocks:
         deep = [norms[n] for n in sorted(norms) if n >= 6]
         assert all(b < a for a, b in zip(deep, deep[1:]))
 
+    def test_zero_factor_gives_zero_blocks(self):
+        zero_s, zero_u = fn.zero_function(gd.STABLE), fn.zero_function(gd.UNSTABLE)
+        for a, b in ((zero_s, B), (A, zero_u), (zero_s, zero_u)):
+            out = fn.commutator_blocks(a, b, (-2, 3), seeded_registry(bound=2), FULL)
+            assert not out.untrusted and all(op.is_zero() for op in out.blocks.values())
+
     def test_untrusted_flagging(self):
         a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
         b = fn.profile(gd.BaseSet(CB, 1, 0), depth=20, seed="ref-b")
@@ -497,48 +551,245 @@ def _pairs(s):
     return [(s, a, b) for a in stable for b in unstable]
 
 
-ALL_PAIRS = [p for name in sorted(REFERENCE) for p in _pairs(REFERENCE[name])]
+def period_two_scenario():
+    """A scenario on the period-2 irreducible matrix, P = (0, 1), Q = (0, 2).
+
+    Its anchors are the first pairs of enumerate_homoclinic(..., 5) that
+    agree from 0 on (stable) or up to 0 (unstable), each base set at the
+    anchor's c_first_time.
+    """
+    m, p, q = SHIFTS["period-2"]
+    pts = sft.enumerate_homoclinic(m, p, q, 5)
+
+    def first(agree, side):
+        x, y = next((x, y) for x in pts for y in pts if x != y and agree(x, y, 0))
+        anchor = gd.GroupoidElement(x, y, side)
+        return anchor, gd.c_first_time(anchor)
+
+    (ca, ta), (cb, tb) = first(sft.agree_from, gd.STABLE), first(sft.agree_upto, gd.UNSTABLE)
+
+    def terms(anchor, time, side, coeff=lambda k: 2.0**-k):
+        return fn.LocallyConstantFunction(
+            side, tuple((gd.BaseSet(anchor, time + k, time), coeff(k)) for k in range(4))
+        )
+
+    functions = {
+        "a": fn.profile(gd.BaseSet(ca, ta + 1, ta), depth=12, seed="p2-a"),
+        "b": fn.profile(gd.BaseSet(cb, tb + 1, tb), depth=12, seed="p2-b"),
+        "a_terms": terms(ca, ta, gd.STABLE),
+        "b_terms": terms(cb, tb, gd.UNSTABLE),
+        # every term maps a point to itself, so the images merge; in tenths,
+        # the merged weight times a value rounds unlike the sum of products
+        "e_unit": terms(gd.unit(ca.first), 0, gd.STABLE, lambda k: (k + 1) / 10),
+    }
+    s = sn.Scenario(
+        name="period-2", matrix=m, kappa=2.0, orbit_p=p, orbit_q=q, core_bound=5,
+        window=(-4, 10), basis_cap=60000, functions=functions, p_grid=[0.5, 1.0], seed=1,
+    )
+    s.validate()
+    return s
+
+
+def _two_ranges():
+    """full-2-shift with a stable function of two terms on one source anchor
+    and two range anchors: a column can have two rows, while the estimate
+    counts one slot per support window."""
+    s = REFERENCE["full-2-shift"]
+    (term,) = s.functions["a"].terms
+    other = gd.GroupoidElement(sft.shift(STEP, 5), term.support.anchor.second, gd.STABLE)
+    two = fn.LocallyConstantFunction(
+        gd.STABLE, ((term.support, 1.0), (gd.BaseSet(other, 1, gd.c_first_time(other)), 0.5))
+    )
+    return dataclasses.replace(s, name="two-ranges", functions={"a": two, "b": s.functions["b"]})
+
+
+KAPPA_THREE = [dataclasses.replace(s, name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE.values()]
+ORACLE_CASES = (
+    [p for name in sorted(REFERENCE) for p in _pairs(REFERENCE[name])]
+    + [(s, "a", "b") for s in KAPPA_THREE]
+    + _pairs(period_two_scenario())
+    + [(_two_ranges(), "a", "b")]
+)
+
+
+def _bridge_points(m, past, past_hi, future, future_lo):
+    """Points matching `past` through past_hi and `future` from future_lo
+    on, each spliced and canonicalised on its own."""
+    if past_hi >= future_lo:
+        if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
+            return []
+        cand = sft.splice_at(past, future, future_lo - 1)
+        if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
+            return []
+        return [cand]
+    return [
+        sft.splice_at(past, future, past_hi, w[1:])
+        for w in m.paths(past.at(past_hi), future_lo - past_hi - 1)
+        if m.allowed(w[-1], future.at(future_lo))
+    ]
+
+
+def intersection_points(m, unstable_center, unstable_depth, stable_center, stable_depth, k):
+    """Enumeration oracle for fn.intersection_count."""
+    shifted = sft.shift(unstable_center, k)
+    return _bridge_points(m, shifted, unstable_depth - k, stable_center, -stable_depth)
+
+
+def apply_to_column(f, col):
+    """f applied to a column of points: apply_to_point at each point,
+    summed by image point."""
+    out = {}
+    for x, weight in col.items():
+        for y, v in fn.apply_to_point(f, x).items():
+            fn._accumulate(out, y, weight * v)
+    return out
+
+
+def point_level_blocks(a, b, window, reg, m, mixed=False):
+    """commutator_blocks on points: the support spliced point by point, each
+    column through apply_to_column(f, apply_to_point(g, x)), every image a
+    canonical point."""
+    blocks, untrusted = {}, {}
+    for n in range(window[0], window[1] + 1):
+        a_n = a.alpha(n)
+        b_n = b.alpha(-n) if mixed else b
+        est = fn.estimate_column_count(a_n, b_n, m)
+        room = reg.cap - len(reg)
+        blocks[n] = op = fn.SparseOperator()
+        if est > room:
+            untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
+            continue
+        cols = {}
+        for s_pat, u_pat, past_hi, future_lo in fn._support_windows(a_n, b_n):
+            cols.update(dict.fromkeys(_bridge_points(m, s_pat, past_hi, u_pat, future_lo)))
+        for x in sorted(cols, key=sft.EventuallyPeriodicPoint.sort_key):
+            col = apply_to_column(a_n, fn.apply_to_point(b_n, x))
+            for y, v in apply_to_column(b_n, fn.apply_to_point(a_n, x)).items():
+                fn._accumulate(col, y, -v)
+            if not col:
+                continue
+            j = reg.add(x)
+            if j is None:
+                untrusted[n] = "registry cap hit during assembly"
+                continue
+            for y, v in col.items():
+                i = reg.add(y)
+                if i is None:
+                    untrusted[n] = "registry cap hit during assembly"
+                    continue
+                op.add(i, j, v)
+    return fn.BlockOperator(tuple(window), blocks, untrusted, reg)
 
 
 def _entries(op):
     return sorted((k, v.real.hex(), v.imag.hex()) for k, v in op.entries.items())
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-@pytest.mark.parametrize(
-    "s, a_name, b_name", ALL_PAIRS, ids=[f"{s.name}-{a}-{b}" for s, a, b in ALL_PAIRS]
-)
-def test_blocks_match_point_level_assembly(monkeypatch, s, a_name, b_name, mixed):
-    # the point-level path builds every holonomy image canonical; the
-    # blocks, their untrusted flags and the registry must come out the same,
-    # bit for bit and in the same order
-    a, b = s.functions[a_name], s.functions[b_name]
-    seeds = sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
-
-    def assemble():
-        reg = fn.BasisRegistry.seeded(seeds, cap=s.basis_cap)
-        return fn.commutator_blocks(a, b, (-2, 6), reg, s.matrix, mixed=mixed)
-
-    fast = assemble()
-    with monkeypatch.context() as mp:
-        mp.setattr(fn, "_apply_twice", lambda f, g, x: fn.apply_to_column(f, fn.apply_to_point(g, x)))
-        oracle = assemble()
+def _assert_same_assembly(fast, oracle):
     assert fast.untrusted == oracle.untrusted
     assert fast.basis.points == oracle.basis.points
     assert fast.basis.truncation_events == oracle.basis.truncation_events
     assert {n: _entries(op) for n, op in fast.blocks.items()} == {
         n: _entries(op) for n, op in oracle.blocks.items()
     }
-    assert any(not op.is_zero() for op in fast.blocks.values())
     # every registered point is canonical
     for i, x in enumerate(fast.basis.points):
         again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
         assert again == x and fast.basis.index[x] == i
 
 
+def _seeds(s):
+    return sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize(
+    "s, a_name, b_name",
+    ORACLE_CASES,
+    ids=[f"{s.name}-{a}-{b}" for s, a, b in ORACLE_CASES],
+)
+def test_blocks_match_point_level_assembly(s, a_name, b_name, mixed):
+    # the word-level kernel against the point-level assembly: blocks,
+    # untrusted flags and the registry, bit for bit and in the same order
+    a, b = s.functions[a_name], s.functions[b_name]
+
+    def assemble(blocks):
+        reg = fn.BasisRegistry.seeded(_seeds(s), cap=s.basis_cap)
+        return blocks(a, b, (-2, 6), reg, s.matrix, mixed=mixed)
+
+    fast = assemble(fn.commutator_blocks)
+    _assert_same_assembly(fast, assemble(point_level_blocks))
+    # a mixed block n of the period-2 scenario is alpha^-n of the unmixed
+    # block 2n, and every even unmixed block there is zero
+    assert (mixed and s.matrix == PERIOD2) or any(op.entries for op in fast.blocks.values())
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_cap_hit_during_assembly_matches_point_level(mixed):
+    # caps just above the seeds: some block passes the estimate check and
+    # then runs out of registry slots while it registers its columns and rows
+    s = _two_ranges()
+    a, b = s.functions["a"], s.functions["b"]
+    seeds = _seeds(s)
+    reasons = set()
+    for cap in range(len(seeds), len(seeds) + 12):
+        runs = [
+            blocks(a, b, (-2, 8), fn.BasisRegistry.seeded(seeds, cap=cap), s.matrix, mixed=mixed)
+            for blocks in (fn.commutator_blocks, point_level_blocks)
+        ]
+        _assert_same_assembly(*runs)
+        reasons |= set(runs[0].untrusted.values())
+    assert "registry cap hit during assembly" in reasons
+
+
+@pytest.mark.parametrize("name, rows", [("full-2-shift", {0: 12}), ("golden-mean", {0: 9, 4: 2})])
+def test_rows_can_be_seed_points(name, rows):
+    # a row need not be new to the registry, so registry indices do not
+    # follow "the seeds, then a (column, row) pair per nonzero entry"
+    s = REFERENCE[name]
+    seeds = _seeds(s)
+    reg = fn.BasisRegistry.seeded(seeds, cap=s.basis_cap)
+    out = fn.commutator_blocks(s.functions["a"], s.functions["b"], (-2, 6), reg, s.matrix)
+    for n, row in rows.items():
+        assert {i for i, _ in out.blocks[n].entries} == {row}
+        assert row < len(seeds) and reg.points[row] == seeds[row]
+
+
+def test_assembly_calls_the_benchmark_hooks_through_the_module(monkeypatch):
+    # the traced benchmark run wraps these two module attributes: the
+    # estimate runs once per block, the support once per block that passes
+    # the estimate, on (a_n, b_n, m), and returns canonical points
+    s = REFERENCE["full-2-shift"]
+    a, b, m = s.functions["a"], s.functions["b"], s.matrix
+    estimates, supports = [], []
+    real_estimate, real_support = fn.estimate_column_count, fn.commutator_column_support
+
+    def estimate(*args):
+        estimates.append(args[0])
+        return real_estimate(*args)
+
+    def support(*args):
+        out = real_support(*args)
+        supports.append((args, out))
+        return out
+
+    monkeypatch.setattr(fn, "estimate_column_count", estimate)
+    monkeypatch.setattr(fn, "commutator_column_support", support)
+    seeds = _seeds(s)
+    out = fn.commutator_blocks(a, b, (-2, 10), fn.BasisRegistry.seeded(seeds, cap=len(seeds) + 30), m)
+    turned_away = [n for n, why in out.untrusted.items() if why.startswith("support estimate")]
+    assert turned_away and len(estimates) == 13
+    assert len(supports) == 13 - len(turned_away)
+    for (a_n, b_n, m_arg), pts in supports:
+        assert a_n.side == gd.STABLE and b_n is b and m_arg is m
+        for x in pts:
+            assert sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start) == x
+    assert any(pts for _, pts in supports)
+
+
 def _column_is_nonzero(a_n, b_n, x):
-    fwd = fn.apply_to_column(a_n, fn.apply_to_point(b_n, x))
-    bwd = fn.apply_to_column(b_n, fn.apply_to_point(a_n, x))
+    fwd = apply_to_column(a_n, fn.apply_to_point(b_n, x))
+    bwd = apply_to_column(b_n, fn.apply_to_point(a_n, x))
     col = dict(fwd)
     for y, v in bwd.items():
         col[y] = col.get(y, 0j) - v
@@ -611,7 +862,7 @@ class TestIntersectionCounts:
     def test_matches_enumeration(self):
         for k in range(0, 10):
             cnt = fn.intersection_count(FULL, STEP, 2, STEP, 2, k)
-            pts = fn.intersection_points(FULL, STEP, 2, STEP, 2, k)
+            pts = intersection_points(FULL, STEP, 2, STEP, 2, k)
             assert cnt == len(pts)
             assert len(set(pts)) == len(pts)
 

@@ -42,6 +42,17 @@ class TestMatrix:
         with pytest.raises(ZeroRowOrColumn):
             sft.validate_matrix(sft.TransitionMatrix.from_rows([[1, 0], [1, 0]]))
 
+    def test_alphabet_fits_a_byte(self):
+        # a cyclic permutation is irreducible at every size; the commutator
+        # kernel reads each symbol as one byte
+        def cycle(n):
+            rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+            return sft.TransitionMatrix.from_rows(rows)
+
+        sft.validate_matrix(cycle(256))
+        with pytest.raises(ZeroRowOrColumn, match="more than 256"):
+            sft.validate_matrix(cycle(257))
+
 
 class TestEntropy:
     def test_full_shift(self):
