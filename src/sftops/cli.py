@@ -29,7 +29,7 @@ from . import groupoid as gd
 from . import sampling as smp
 from . import schatten as sc
 from . import sft
-from .errors import InvalidScenario, SftopsError
+from .errors import InvalidScenario, NotAProjection, SftopsError
 from .scenarios import (
     REFERENCE_SCENARIOS,
     Scenario,
@@ -369,15 +369,30 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
     return out
 
 
-def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
-    a_name, b_name = args.stable_function, args.unstable_function
-    if a_name not in scenario.functions or b_name not in scenario.functions:
-        print(f"unknown function name: {a_name!r} or {b_name!r}", file=sys.stderr)
-        return EXIT_INVALID
-    sides = (scenario.functions[a_name].side, scenario.functions[b_name].side)
+def _function_pair(scenario: Scenario, command: str, stable_names, unstable_names):
+    """The first of stable_names and the first of unstable_names that the
+    scenario defines, or None after saying on stderr which is missing or
+    on the wrong side."""
+    names = []
+    for wanted in (stable_names, unstable_names):
+        found = [name for name in wanted if name in scenario.functions]
+        if not found:
+            listed = " or ".join(map(repr, wanted))
+            print(f"{command}: unknown function name: {listed}", file=sys.stderr)
+            return None
+        names.append(found[0])
+    sides = tuple(scenario.functions[name].side for name in names)
     if sides != (sft.STABLE, sft.UNSTABLE):
-        print(f"spectrum needs a stable and an unstable function, got {sides}", file=sys.stderr)
+        print(f"{command} needs a stable and an unstable function, got {sides}", file=sys.stderr)
+        return None
+    return names
+
+
+def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
+    names = _function_pair(scenario, "spectrum", [args.stable_function], [args.unstable_function])
+    if names is None:
         return EXIT_INVALID
+    a_name, b_name = names
     window = args.window or scenario.window
     analysis = spectrum_analysis(scenario, a_name, b_name, window)
     rep = _report_skeleton(scenario, "spectrum")
@@ -414,6 +429,11 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
+    names = _function_pair(scenario, "fredholm", ["e_proj", "e_unit"], ["b_terms", "b"])
+    if names is None:
+        return EXIT_INVALID
+    proj_name, b_name = names
+    proj_fn, b_fn = scenario.functions[proj_name], scenario.functions[b_name]
     m = scenario.matrix
     rep = _report_skeleton(scenario, "fredholm")
     seeds = list(sft.enumerate_homoclinic(m, scenario.orbit_p, scenario.orbit_q, 2))
@@ -428,14 +448,6 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     for x in list(reg.points):
         for k in range(lab_window[0] - 1, lab_window[1] + 2):
             reg.add(sft.shift(x, k))
-    proj_fn = None
-    for name in ("e_proj", "e_unit"):
-        if name in scenario.functions:
-            proj_fn = scenario.functions[name]
-            break
-    if proj_fn is None:
-        print("scenario has no projection function", file=sys.stderr)
-        return EXIT_INVALID
     e_mat = fn.represent(proj_fn, reg)
     reg.freeze()
     width = lab_window[1] - lab_window[0] + 1
@@ -443,12 +455,14 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
 
     e_infl = fd.inflate_stable(proj_fn, 0, lab_window, reg)
     e_dense = fd.densify(e_infl, lab_window, len(reg))
-    b_name = "b_terms" if "b_terms" in scenario.functions else "b"
-    b_fn = scenario.functions[b_name]
     b_infl = fd.inflate_unstable(b_fn, 0, lab_window, reg)
     b_dense = fd.densify(b_infl, lab_window, len(reg))
 
-    module = fd.make_odd_module(e_dense, lambda x: x)
+    try:
+        module = fd.make_odd_module(e_dense, lambda x: x)
+    except NotAProjection as exc:
+        print(f"fredholm: {proj_name} is not a projection: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     f_op = module.f_op
     rep["window"] = list(lab_window)
     rep["interior_margin"] = 1

@@ -214,7 +214,7 @@ class _PrefixPath:
     totals[k] = 1 + sum_{m <= k} 2**-m * bit(word[:m]), summed in order of m."""
 
     def __init__(self, seed: str):
-        self.word = ()
+        self.word = b""
         self.states = [hashlib.sha256(f"{seed}:".encode())]
         self.totals = [1.0]
 
@@ -284,7 +284,7 @@ def materialize_profile(f: LocallyConstantFunction, m: TransitionMatrix) -> Loca
     return LocallyConstantFunction(f.side, tuple(terms))
 
 
-def _bridge(m: TransitionMatrix, last: int, target) -> tuple:
+def _bridge(m: TransitionMatrix, last: int, target) -> bytes:
     """The first of the shortest words w with last, *w, target(len(w))
     allowed; empty when target(0) may follow last."""
     for j in range(m.n * m.n + 1):
@@ -372,12 +372,12 @@ def convolve_bruteforce(
     """Oracle for the convolution value at gamma: sum over factorizations
     gamma = alpha . beta with alpha in supp(f), beta in supp(g)."""
     total = 0.0 + 0.0j
-    mids = set()
+    mids = {}  # insertion-ordered, so the summation order is the term order
     for bs in f.supports():
         # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
         inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
         if in_domain(inv, gamma.first):
-            mids.add(holonomy_apply(inv, gamma.first))
+            mids[holonomy_apply(inv, gamma.first)] = None
     for z in mids:
         a = GroupoidElement(gamma.first, z, gamma.side)
         b = GroupoidElement(z, gamma.second, gamma.side)
@@ -598,7 +598,7 @@ def _bridge_windows(m: TransitionMatrix, past: bytes, past_hi: int, future: byte
         return []
     head, tail = past[: past_hi + 1], future[future_lo:]
     return [
-        head + bytes(w[1:]) + tail
+        head + w[1:] + tail
         for w in m.paths(past[past_hi], future_lo - past_hi - 1)
         if m.allowed(w[-1], tail[0])
     ]
@@ -621,8 +621,9 @@ def commutator_column_support(
         raise SideMismatch("need a stable and an unstable factor")
     lo, hi, period = _block_span((a_n, b))
     cands: Dict[bytes, None] = {}
-    for s_pat, u_pat, past_hi, future_lo in _support_windows(a_n, b):
-        s_win, u_win = bytes(s_pat.window(lo, hi)), bytes(u_pat.window(lo, hi))
+    # the two orders often pin the same window; each spec is enumerated once
+    for s_pat, u_pat, past_hi, future_lo in dict.fromkeys(_support_windows(a_n, b)):
+        s_win, u_win = s_pat.window(lo, hi), u_pat.window(lo, hi)
         cands.update(dict.fromkeys(_bridge_windows(m, s_win, past_hi - lo, u_win, future_lo - lo)))
     return sorted((_point(z, lo, period) for z in cands), key=EventuallyPeriodicPoint.sort_key)
 
@@ -682,7 +683,7 @@ def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
     out = []
     for term in f.terms:
         bs = term.support
-        rng, src = bytes(bs.anchor.first.window(lo, hi)), bytes(bs.anchor.second.window(lo, hi))
+        rng, src = bs.anchor.first.window(lo, hi), bs.anchor.second.window(lo, hi)
         if f.side == STABLE:
             t, cut = bs.threshold + 1 - lo, bs.time + 1 - lo
             domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + term.depth)
@@ -739,7 +740,7 @@ def _assemble(a_n, b_n, cols, reg: BasisRegistry) -> Tuple[SparseOperator, bool]
         return op, False
     lo, hi, period = _block_span((a_n, b_n), cols)
     acts_a, acts_b = _actions(a_n, lo, hi), _actions(b_n, lo, hi)
-    windows = [bytes(x.window(lo, hi)) for x in cols]
+    windows = [x.window(lo, hi) for x in cols]
     words: Dict[str, dict] = {}  # seed -> its profile words in the block
     for z in windows:
         for outer, inner in ((acts_b, acts_a), (acts_a, acts_b)):

@@ -42,10 +42,10 @@ def homoclinic_pool(
     return sorted(seen, key=EventuallyPeriodicPoint.sort_key)
 
 
-def path_to_cycle(m: TransitionMatrix, start: int, cycle) -> tuple:
+def path_to_cycle(m: TransitionMatrix, start: int, cycle) -> bytes:
     """Shortest allowed word start..first-symbol-of-cycle (inclusive ends)."""
     targets = set(cycle)
-    seen = {start: (start,)}
+    seen = {start: bytes((start,))}
     queue = deque([start])
     while queue:
         s = queue.popleft()
@@ -53,7 +53,7 @@ def path_to_cycle(m: TransitionMatrix, start: int, cycle) -> tuple:
             return seen[s]
         for t in m.successors(s):
             if t not in seen:
-                seen[t] = seen[s] + (t,)
+                seen[t] = seen[s] + bytes((t,))
                 queue.append(t)
     raise ValueError("cycle unreachable; matrix not irreducible?")
 

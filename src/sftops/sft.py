@@ -2,9 +2,9 @@
 
 Points of the shift space are bi-infinite allowed sequences with eventually
 periodic tails, stored in a canonical finite encoding.  Every operation
-(shift, splice, metric, enumeration) is exact tuple/integer arithmetic; the
-metric kappa**-n is manipulated through its integer exponent and converted
-to a float only for reporting.
+(shift, splice, metric, enumeration) is exact arithmetic on byte strings
+and integers; the metric kappa**-n is manipulated through its integer
+exponent and converted to a float only for reporting.
 
 Coordinate convention: a point ``x`` assigns a symbol ``x.at(i)`` to every
 integer ``i``.  ``shift(x, k).at(i) == x.at(i + k)``.
@@ -25,7 +25,7 @@ from .errors import (
     ZeroRowOrColumn,
 )
 
-Word = tuple  # tuple of small nonnegative ints
+Word = bytes  # one symbol per byte; bytes compare like tuples of ints
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -58,9 +58,9 @@ class TransitionMatrix:
     def paths(self, first: int, steps: int):
         """The allowed words of steps + 1 symbols starting at `first`, in
         lexicographic order."""
-        words = [(first,)]
+        words = [bytes((first,))]
         for _ in range(steps):
-            words = [w + (s,) for w in words for s in self.successors(w[-1])]
+            words = [w + bytes((s,)) for w in words for s in self.successors(w[-1])]
         return words
 
     def as_array(self) -> np.ndarray:
@@ -77,7 +77,7 @@ def validate_matrix(m: TransitionMatrix) -> None:
     """Raise unless m is square 0/1, has no zero row/column and is irreducible."""
     n = m.n
     if n == 0 or n > 256:
-        # the commutator kernel reads points as bytes, one symbol a byte
+        # a word holds one symbol per byte
         raise ZeroRowOrColumn("empty matrix" if n == 0 else f"{n} symbols, more than 256")
     for row in m.entries:
         if len(row) != n:
@@ -173,13 +173,6 @@ def primitive_root(w: Word) -> Word:
     return w
 
 
-def _anchor(cycle: Word, old: int, new: int) -> Word:
-    """Re-anchor a cyclic pattern: result[t] matches cycle at offset new-old."""
-    m = len(cycle)
-    shift_by = (new - old) % m
-    return cycle[shift_by:] + cycle[:shift_by]
-
-
 def _tile(cycle: Word, offset: int, n: int) -> Word:
     """The n symbols of the periodic word cycle**inf read from index offset."""
     m = len(cycle)
@@ -232,9 +225,9 @@ class EventuallyPeriodicPoint:
         return self.right_cycle[(j - n) % len(self.right_cycle)]
 
     def window(self, lo: int, hi: int) -> Word:
-        """The symbols on [lo, hi) as one tuple (empty when hi <= lo)."""
+        """The symbols on [lo, hi) as one word (empty when hi <= lo)."""
         if hi <= lo:
-            return ()
+            return b""
         s = self.core_start
         e = s + len(self.core)
         if e <= lo:
@@ -260,10 +253,11 @@ class EventuallyPeriodicPoint:
 
 
 def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPeriodicPoint:
-    """Canonicalize a raw encoding: primitive cycles, minimal core, pinned phases."""
-    left = primitive_root(tuple(left))
-    right = primitive_root(tuple(right))
-    core = tuple(core)
+    """Canonicalize a raw encoding (words or iterables of ints): primitive
+    cycles, minimal core, pinned phases."""
+    left = primitive_root(bytes(left))
+    right = primitive_root(bytes(right))
+    core = bytes(core)
     ml, mr = len(left), len(right)
     if ml == 0 or mr == 0:
         raise ValueError("cycles must be nonempty")
@@ -285,7 +279,7 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
         r -= 1
     if r <= floor:
         w = primitive_root(raw.window(0, mr))
-        return EventuallyPeriodicPoint(w, (), w, 0)
+        return EventuallyPeriodicPoint(w, b"", w, 0)
     big_r = r
 
     lft = start - 1
@@ -293,7 +287,7 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
         lft += 1
     if lft >= ceil:
         raise ValueError(
-            f"no canonical form for left={left} core={core} right={right} "
+            f"no canonical form for left={list(left)} core={list(core)} right={list(right)} "
             f"start={start}: the left tail extends past the periodicity bound"
         )
     big_l = lft
@@ -312,11 +306,18 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
 
 def periodic_point(cycle: Word) -> EventuallyPeriodicPoint:
     """The point x with x.at(i) = cycle[i % len(cycle)]."""
-    return build_point(tuple(cycle), (), tuple(cycle), 0)
+    return build_point(cycle, b"", cycle, 0)
+
+
+def _check_symbols(w: Word, m: TransitionMatrix) -> None:
+    if w and max(w) >= m.n:
+        raise ValueError(f"symbol {max(w)} outside the alphabet 0..{m.n - 1}")
 
 
 def validate_point(x: EventuallyPeriodicPoint, m: TransitionMatrix) -> None:
-    """Check every adjacent pair against the transition matrix."""
+    """Check every symbol against the alphabet and every adjacent pair
+    against the transition matrix."""
+    _check_symbols(x.left_cycle + x.core + x.right_cycle, m)
     lo = x.core_start - len(x.left_cycle) - 1
     hi = x.core_end + len(x.right_cycle) + 1
     for i in range(lo, hi):
@@ -331,7 +332,7 @@ def shift(x: EventuallyPeriodicPoint, k: int) -> EventuallyPeriodicPoint:
     if x.is_periodic:
         m = len(x.left_cycle)
         w = x.left_cycle[k % m :] + x.left_cycle[: k % m]  # w[t] = cycle[(t + k) % m]
-        return EventuallyPeriodicPoint(w, (), w, 0)
+        return EventuallyPeriodicPoint(w, b"", w, 0)
     return EventuallyPeriodicPoint(
         x.left_cycle, x.core, x.right_cycle, x.core_start - k
     )
@@ -339,12 +340,7 @@ def shift(x: EventuallyPeriodicPoint, k: int) -> EventuallyPeriodicPoint:
 
 def reverse_point(x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     """Time reversal: the point y with y.at(i) = x.at(-i)."""
-    return build_point(
-        tuple(reversed(x.right_cycle)),
-        tuple(reversed(x.core)),
-        tuple(reversed(x.left_cycle)),
-        1 - x.core_end,
-    )
+    return build_point(x.right_cycle[::-1], x.core[::-1], x.left_cycle[::-1], 1 - x.core_end)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +421,15 @@ def metric(x, y, p: MetricParams) -> float:
     return p.value(agreement_radius(x, y))
 
 
-def splice_at(past, future, m: int, word: Word = ()) -> EventuallyPeriodicPoint:
+def splice_at(past, future, m: int, word: Word = b"") -> EventuallyPeriodicPoint:
     """The point equal to `past` on i <= m, to `word` on (m, m + len(word)]
     and to `future` beyond.  Caller guarantees the junctions are allowed."""
     end = m + len(word)
     lo = min(past.core_start, m)
     hi = max(future.core_end, end + 1)
-    left = _anchor(past.left_cycle, past.core_start, lo)
-    right = _anchor(future.right_cycle, future.core_end, hi)
-    core = past.window(lo, m + 1) + tuple(word) + future.window(end + 1, hi)
+    left = _tile(past.left_cycle, lo - past.core_start, len(past.left_cycle))
+    right = _tile(future.right_cycle, hi - future.core_end, len(future.right_cycle))
+    core = past.window(lo, m + 1) + bytes(word) + future.window(end + 1, hi)
     return build_point(left, core, right, lo)
 
 
@@ -483,17 +479,21 @@ class PeriodicOrbit:
 
     cycle: Word
 
+    def __post_init__(self):
+        object.__setattr__(self, "cycle", bytes(self.cycle))
+
     @classmethod
     def from_word(cls, w, m: TransitionMatrix = None) -> "PeriodicOrbit":
-        w = tuple(int(s) for s in w)
+        w = bytes(int(s) for s in w)
         if not w:
             raise ValueError("empty cycle")
         if primitive_root(w) != w:
-            raise ValueError(f"cycle {w} is a proper power")
+            raise ValueError(f"cycle {list(w)} is a proper power")
         if m is not None:
+            _check_symbols(w, m)
             for i in range(len(w)):
                 if not m.allowed(w[i], w[(i + 1) % len(w)]):
-                    raise ValueError(f"cycle {w} not allowed at step {i}")
+                    raise ValueError(f"cycle {list(w)} not allowed at step {i}")
         return cls(w)
 
     def points(self):
@@ -536,7 +536,7 @@ def enumerate_homoclinic(
     any homoclinic point would make the result infinite.
     """
     if not orbits_disjoint(p, q):
-        raise OrbitsNotDisjoint(f"orbits {p.cycle} and {q.cycle} share a point")
+        raise OrbitsNotDisjoint(f"orbits {list(p.cycle)} and {list(q.cycle)} share a point")
     if core_bound < 0:
         raise ValueError("core bound must be >= 0")
     seen = {}
@@ -547,9 +547,9 @@ def enumerate_homoclinic(
         for s in range(-big_l, big_l + 2 - length):
             e = s + length
             for q_rot in q.pattern_rotations():
-                left = _anchor(q_rot, 0, s)
+                left = _tile(q_rot, s, len(q_rot))
                 for p_rot in p.pattern_rotations():
-                    right = _anchor(p_rot, 0, e)
+                    right = _tile(p_rot, e, len(p_rot))
                     for w in walks[left[-1]]:
                         if not m.allowed(w[-1], right[0]):
                             continue
@@ -574,9 +574,8 @@ def _word_str(w: Word) -> str:
 
 
 def _word_parse(text: str) -> Word:
-    if "," in text:
-        return tuple(int(t) for t in text.split(","))
-    return tuple(int(c) for c in text)
+    # a symbol outside 0..255 raises ValueError here
+    return bytes(map(int, text.split(",") if "," in text else text))
 
 
 def encode_point(x: EventuallyPeriodicPoint) -> str:

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -543,6 +546,78 @@ class TestBadInput:
         argv += ["--stable-function=b", "--unstable-function=a"]
         assert run(argv) == 2
         assert "stable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("anchor", "0*|5,1,0@-3|1*"),
+            ("anchor", "0*|-1,1,0@-3|1*"),
+            ("orbit_P", [5]),
+            ("orbit_P", [-1]),
+        ],
+        ids=["anchor-above", "anchor-negative", "orbit-above", "orbit-negative"],
+    )
+    def test_symbol_outside_alphabet_exit_2(self, tmp_path, capsys, field, value):
+        # above the alphabet used to raise IndexError (exit 1); a negative
+        # symbol used to wrap around to n - 1 and pass (exit 0)
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        if field == "anchor":
+            data["functions"]["a"]["profile"]["support"]["anchor"][1] = value
+        else:
+            data[field] = value
+        path = tmp_path / "symbols.json"
+        path.write_text(json.dumps(data))
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "drop,copy",
+        [
+            (["b_terms", "b"], {}),
+            (["b_terms"], {"b": "a"}),
+            ([], {"e_proj": "b"}),
+            ([], {"e_proj": "a_terms"}),
+        ],
+        ids=["no-b", "stable-b", "unstable-projection", "not-a-projection"],
+    )
+    def test_bad_fredholm_functions_exit_2(self, tmp_path, capsys, drop, copy):
+        # these used to raise KeyError or NotAProjection (exit 4) or, for a
+        # stable b, to run and exit 0
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        functions = data["functions"]
+        for name in drop:
+            del functions[name]
+        for name, source in copy.items():
+            functions[name] = functions[source]
+        path = tmp_path / "functions.json"
+        path.write_text(json.dumps(data))
+        assert run(["fredholm", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "fredholm" in err and "Traceback" not in err
+
+    def test_report_all_exits_2_on_bad_fredholm_functions(self, tmp_path, capsys):
+        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data["functions"]["e_proj"] = data["functions"]["b"]
+        path = tmp_path / "functions.json"
+        path.write_text(json.dumps(data))
+        argv = ["report-all", "--scenario", str(path), "--out", str(tmp_path)]
+        assert run(argv + ["--window=-2..2", "--samples", "200"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # points and elements hash differently in each process (bytes and str
+    # hashes are salted); no report may follow a set's or a hash's order
+    for name in sorted(sn.REFERENCE_SCENARIOS):
+        outs = []
+        for hash_seed in ("1", "12345"):
+            out = tmp_path / f"{name}-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+            argv = [sys.executable, "-m", "sftops.cli", "report-all", "--scenario", name]
+            argv += ["--out", str(out), "--window=-6..8", "--samples", "1000"]
+            assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1] and len(outs[0]) > 10, name
 
 
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):

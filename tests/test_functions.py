@@ -787,6 +787,29 @@ def test_assembly_calls_the_benchmark_hooks_through_the_module(monkeypatch):
     assert any(pts for _, pts in supports)
 
 
+@pytest.mark.parametrize("name,window,repeats", [("full-2-shift", (-8, 15), 13), ("golden-mean", (-8, 19), 17)])
+def test_support_enumerates_each_window_spec_once(monkeypatch, name, window, repeats):
+    # the two composition orders often pin the same free window; the
+    # support enumerates it once (the estimate still counts both)
+    s = REFERENCE[name]
+    a, b, m = s.functions["a"], s.functions["b"], s.matrix
+    calls, real = [], fn._bridge_windows
+
+    def bridge(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(fn, "_bridge_windows", bridge)
+    seen = 0
+    for n in range(window[0], window[1] + 1):
+        specs = fn._support_windows(a.alpha(n), b)
+        calls.clear()
+        fn.commutator_column_support(a.alpha(n), b, m)
+        assert len(calls) == len(set(calls)) == len(set(specs))
+        seen += len(specs) - len(set(specs))
+    assert seen == repeats
+
+
 def _column_is_nonzero(a_n, b_n, x):
     fwd = apply_to_column(a_n, fn.apply_to_point(b_n, x))
     bwd = apply_to_column(b_n, fn.apply_to_point(a_n, x))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftops import sampling as smp
 from sftops import sft
 from sftops.errors import BracketUndefined, NotIrreducible, OrbitsNotDisjoint, ZeroRowOrColumn
 
@@ -127,7 +128,7 @@ class TestPoints:
         # ...100100|000...: the right tail reaches back to -2, so the new
         # left cycle is read on [-5, -2), below build_point's floor of -4
         x = sft.build_point((1, 0, 0), (), (0,), 0)
-        assert x == sft.EventuallyPeriodicPoint((0, 0, 1), (), (0,), -2)
+        assert x == sft.EventuallyPeriodicPoint(bytes([0, 0, 1]), b"", bytes([0]), -2)
         for i in range(-12, 6):
             assert x.at(i) == sft._raw_at((1, 0, 0), (), (0,), 0, i)
 
@@ -256,8 +257,8 @@ def brute_force_homoclinic(m, p, q, bound):
             e = s + length
             for qrot in q.pattern_rotations():
                 for prot in p.pattern_rotations():
-                    left = sft._anchor(qrot, 0, s)
-                    right = sft._anchor(prot, 0, e)
+                    left = sft._tile(qrot, s, len(qrot))
+                    right = sft._tile(prot, e, len(prot))
                     for w in product(range(m.n), repeat=length):
                         word = tuple(w)
                         seq_ok = all(
@@ -281,9 +282,9 @@ def allowed_words(m, length):
     """Product-filter oracle: every allowed word of `length` symbols, in
     lexicographic order."""
     if length == 0:
-        return [()]
+        return [b""]
     return [
-        w
+        bytes(w)
         for w in product(range(m.n), repeat=length)
         if all(m.allowed(w[i], w[i + 1]) for i in range(length - 1))
     ]
@@ -360,7 +361,7 @@ class TestHypothesis:
         # every [lo, hi) from empty and reversed ranges through ranges inside
         # the core to ranges three cycle lengths past both ends, on the
         # canonical point and on the raw encoding build_point reads
-        raw = (tuple(left), tuple(core), tuple(right), start)
+        raw = (bytes(left), bytes(core), bytes(right), start)
         x = sft.build_point(*raw)
         reach = 3 * max(len(left), len(right)) + 1
         span = range(min(start, x.core_start) - reach, max(start + len(core), x.core_end) + reach + 1)
@@ -368,7 +369,7 @@ class TestHypothesis:
         for y in (x, sft.EventuallyPeriodicPoint(*raw)):
             for lo in span:
                 for hi in span:
-                    assert y.window(lo, hi) == tuple(seq[i] for i in range(lo, hi))
+                    assert y.window(lo, hi) == bytes(seq[i] for i in range(lo, hi))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -409,3 +410,74 @@ class TestHypothesis:
         for i in range(-6, 7):
             assert y.at(i) == x.at(i + k)
         assert sft.shift(y, -k) == x
+
+
+# raw encodings over a 3-symbol alphabet with cycles of length <= 4: the
+# symbol at i is a tail symbol for |i| > 10, and a pair of tails repeats
+# within lcm(1, ..., 4) = 12 coordinates, so a scan of [-REACH, REACH]
+# decides every agreement question
+cycles3 = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+raw3 = st.tuples(cycles3, st.lists(st.integers(0, 2), max_size=5), cycles3, st.integers(-5, 5))
+REACH = 40
+
+
+class TestWordOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(raw3, raw3, st.booleans(), st.booleans(), st.integers(-14, 14))
+    def test_agreement_matches_a_scan(self, rx, ry, same_left, same_right, k):
+        # sharing a tail cycle (at any phase) makes agreement likely
+        if same_left:
+            ry = (rx[0],) + ry[1:]
+        if same_right:
+            ry = ry[:2] + (rx[2], ry[3])
+        x, y = sft.build_point(*rx), sft.build_point(*ry)
+        diff = [i for i in range(-REACH, REACH + 1) if sft._raw_at(*rx, i) != sft._raw_at(*ry, i)]
+        if not diff:
+            assert x == y
+            assert sft.agreement_depth(x, y) == math.inf
+            assert sft.agreement_floor(x, y) == -math.inf
+            assert sft.agreement_radius(x, y) is None
+        else:
+            assert x != y
+            left_tails_differ = diff[0] < -REACH + 12
+            right_tails_differ = diff[-1] > REACH - 12
+            assert sft.agreement_depth(x, y) == (-math.inf if left_tails_differ else diff[0] - 1)
+            assert sft.agreement_floor(x, y) == (math.inf if right_tails_differ else diff[-1] + 1)
+            assert sft.agreement_radius(x, y) == min(abs(i) for i in diff)
+        assert sft.agree_from(x, y, k) == all(i < k for i in diff)
+        assert sft.agree_upto(x, y, k) == all(i > k for i in diff)
+
+    def test_every_word_is_bytes(self):
+        p, q = sft.PeriodicOrbit.from_word([0, 1], PERIOD2), sft.PeriodicOrbit((0, 2))
+        x = sft.build_point([0, 2], [1, 0], [0, 1], -2)
+        pts = [x, sft.splice_at(x, x, 1, bytes([2])), sft.splice_at(x, STEP, -1), sft.reverse_point(x)]
+        pts += [sft.periodic_point((0, 1)), sft.shift(x, 3), sft.decode_point("0*|1,0@-2|1*")]
+        pts += p.points() + sft.enumerate_homoclinic(PERIOD2, p, q, 3)
+        words = [p.cycle, q.cycle, *p.pattern_rotations(), smp.path_to_cycle(PERIOD2, 1, q.cycle)]
+        words += PERIOD2.paths(0, 3) + PERIOD2.paths(1, 0)
+        for y in pts:
+            words += [y.left_cycle, y.core, y.right_cycle, y.window(-6, 6), y.window(3, 1)]
+        assert {type(w) for w in words} == {bytes}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([0, 1, 2, 10, 255]), min_size=1, max_size=3),
+                st.lists(st.sampled_from([0, 1, 2, 10, 255]), max_size=3),
+                st.lists(st.sampled_from([0, 1, 2, 10, 255]), min_size=1, max_size=3),
+                st.integers(-3, 3),
+            ),
+            max_size=12,
+        )
+    )
+    def test_sort_key_orders_like_int_tuples(self, raws):
+        # the registry order: sorting by sort_key is sorting by the fields
+        # read as tuples of ints
+        pts = [sft.build_point(*r) for r in raws]
+        pts += sft.enumerate_homoclinic(PERIOD2, sft.PeriodicOrbit((0, 1)), sft.PeriodicOrbit((0, 2)), 3)
+
+        def as_ints(x):
+            return (tuple(x.left_cycle), x.core_start, tuple(x.core), tuple(x.right_cycle))
+
+        assert sorted(pts, key=sft.EventuallyPeriodicPoint.sort_key) == sorted(pts, key=as_ints)
