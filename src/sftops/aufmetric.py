@@ -25,7 +25,6 @@ from .groupoid import (
     BaseSet,
     GroupoidElement,
     _holonomy_splice,
-    base_set_membership,
     c_first_time,
     in_domain,
 )
@@ -65,15 +64,6 @@ def j_index(n_a: int, n: int, cp: CoverIndexParams) -> int:
     return max(n_a, n) + cp.ceil_log3
 
 
-def k_index(n_a1: int, n: int, cp: CoverIndexParams) -> int:
-    """k(a, 1) = 1 and k(a, n+1) = N_{a,1} + n * ceil(log_lambda 3)."""
-    if n < 1:
-        raise ValueError("cover levels start at 1")
-    if n == 1:
-        return 1
-    return n_a1 + (n - 1) * cp.ceil_log3
-
-
 def v_set_threshold(n_a: int, v: int, cp: CoverIndexParams) -> int:
     """One-sided agreement threshold of the disk of V_v(a)."""
     return max(n_a, v) + cp.disk_margin
@@ -86,41 +76,6 @@ def v_set(a: GroupoidElement, v: int, cp: CoverIndexParams) -> BaseSet:
     return BaseSet(a, v_set_threshold(n_a, v, cp) - 1, time)
 
 
-def v_set_membership(b: GroupoidElement, a: GroupoidElement, v: int, cp: CoverIndexParams) -> bool:
-    return base_set_membership(v_set(a, v, cp), b)
-
-
-def u_cover_member(a: GroupoidElement, c: GroupoidElement, n: int, cp: CoverIndexParams) -> bool:
-    """Membership of a in U_n(c) = V_{k(c, n)}(c); level 0 is the whole space."""
-    if n == 0:
-        return True
-    n_c1 = max(c_first_time(c), 1)
-    return v_set_membership(a, c, k_index(n_c1, n, cp), cp)
-
-
-def v_index_cap(a: GroupoidElement, c: GroupoidElement, cp: CoverIndexParams) -> int:
-    """Largest v with a in V_v(c), -1 if a is in none.
-
-    Membership at V-index v needs one-sided agreement depth of the source
-    points >= max(N_c, v) + disk_margin plus the holonomy equation, so the
-    cap is depth - disk_margin once the base requirements hold.
-    """
-    n_c = c_first_time(c)
-    d = _source_depth(a.side, a.second, c.second)
-    if d == -math.inf:
-        return -1
-    margin = cp.disk_margin
-    cap = _DEEP if d == math.inf else int(d) - margin
-    if cap < 0 or (d != math.inf and d < n_c + margin):
-        return -1
-    bs = v_set(c, min(cap, n_c), cp)
-    if not in_domain(bs, a.second):
-        return -1
-    if _holonomy_splice(bs, a.second) != a.first:
-        return -1
-    return cap
-
-
 def _source_depth(side: str, z, anchor_source):
     """One-sided agreement depth of z with the anchor source, on `side`."""
     if side == STABLE:
@@ -128,18 +83,10 @@ def _source_depth(side: str, z, anchor_source):
     return -agreement_floor(z, anchor_source)
 
 
-def cover_level_from_cap(cap: int, n_c1: int, cp: CoverIndexParams) -> int:
-    """Largest n >= 1 with k(c, n) <= cap, 0 if none."""
-    if cap < 1:
-        return 0
-    if cap >= _DEEP:
-        return _DEEP
-    extra = (cap - n_c1) // cp.ceil_log3
-    return max(1, 1 + extra) if cap >= n_c1 + cp.ceil_log3 else 1
-
-
 def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
-    """cover_level_from_cap over a whole table; column j has center N_{c,1} = n_c1[j]."""
+    """Largest n >= 1 with k(c, n) <= vcap[i, j], 0 if none, where column j
+    has center c with N_{c,1} = n_c1[j]; k(c, 1) = 1 and k(c, n + 1) =
+    N_{c,1} + n * ceil(log_lambda 3)."""
     n_c1 = n_c1[None, :]
     deeper = 1 + (vcap - n_c1) // cp.ceil_log3
     return np.select(
@@ -147,45 +94,21 @@ def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np
     )
 
 
-def max_cover_level(a: GroupoidElement, c: GroupoidElement, cp: CoverIndexParams) -> int:
-    """Largest n >= 1 with a in U_n(c), 0 if none."""
-    return cover_level_from_cap(v_index_cap(a, c, cp), max(c_first_time(c), 1), cp)
-
-
-def quasimetric_rho(
-    a: GroupoidElement,
-    b: GroupoidElement,
-    candidates: Sequence[GroupoidElement],
-    n_max: int,
-    cp: CoverIndexParams,
-) -> float:
-    """inf{2**-n : some U_n-cover member around a candidate holds a and b}.
-
-    Centers range over candidates plus a and b themselves, a documented
-    over-approximation of the infimum over the whole groupoid; the level-0
-    cover is the full space, so the value never exceeds 1.
-    """
-    if a == b:
-        return 0.0
-    best = 0
-    for c in list(candidates) + [a, b]:
-        lvl = min(max_cover_level(a, c, cp), max_cover_level(b, c, cp))
-        best = max(best, lvl)
-    return 2.0 ** -min(best, n_max)
-
-
 def build_vcap_table(elements: Sequence[GroupoidElement], cp: CoverIndexParams) -> np.ndarray:
-    """vcap[i, j] = largest V-index v with elements[i] in V_v(elements[j]).
+    """vcap[i, j] = largest V-index v with elements[i] in V_v(elements[j]),
+    -1 if none.
 
-    Entry for entry this is v_index_cap(elements[i], elements[j], cp), but
-    the work is shared.  v_index_cap reads the row element a through its
-    side and source point (the depth, the domain test and the splice) and
-    through its range point only in the final equality, and the audit
-    families put hundreds of elements on a few dozen sources.  So rows are
-    grouped by (side, source): the depth is computed once per group and
-    distinct center source, the domain test and the holonomy splice once per
-    (center, group) that passes the depth test, and the cap is written into
-    the rows of the group whose range point is the splice.
+    a = elements[i] lies in V_v(c) when the one-sided agreement depth d of
+    the source points is at least max(N_c, v) + disk_margin and the
+    holonomy equation holds, so the entry is d - disk_margin once a lies in
+    V_{N_c}(c).  That reads a through its side and source point (the depth,
+    the domain test and the splice) and through its range point only in the
+    final equality, and the audit families put hundreds of elements on a
+    few dozen sources.  So rows are grouped by (side, source): the depth is
+    computed once per group and distinct center source, the domain test and
+    the holonomy splice once per (center, group) that passes the depth test,
+    and the cap is written into the rows of the group whose range point is
+    the splice.
     """
     m = len(elements)
     vm = np.full((m, m), -1, dtype=np.int64)
@@ -253,23 +176,19 @@ class QuasimetricTable:
 def build_quasimetric_table(
     elements: Sequence[GroupoidElement],
     cp: CoverIndexParams,
+    vcap: np.ndarray,
     n_max: int = 40,
-    ids=None,
-    vcap: np.ndarray = None,
 ) -> QuasimetricTable:
-    """rho over the finite candidate family, centers restricted to it."""
+    """rho over the finite candidate family, centers restricted to it, from
+    the family's build_vcap_table."""
     m = len(elements)
-    if vcap is None:
-        vcap = build_vcap_table(elements, cp)
     n_c1 = np.array([max(c_first_time(c), 1) for c in elements], dtype=np.int64)
     levels = cover_levels(vcap, n_c1, cp)
     exps = np.full((m, m), -1, dtype=int)
     for i in range(m - 1):
         best = np.minimum(levels[i], levels[i + 1 :]).max(axis=1)  # over shared centers
         exps[i, i + 1 :] = exps[i + 1 :, i] = np.clip(best, 0, n_max)
-    if ids is None:
-        ids = [str(i) for i in range(m)]
-    return QuasimetricTable(list(ids), exps, candidate_count=m)
+    return QuasimetricTable([str(i) for i in range(m)], exps, candidate_count=m)
 
 
 def chain_metric(t: QuasimetricTable) -> np.ndarray:
@@ -318,6 +237,9 @@ def sandwich_check(t: QuasimetricTable, d: np.ndarray) -> SandwichReport:
     return rep
 
 
+STAR_LEVELS = (0, 1, 2, 3)  # the cover levels n the star check samples
+
+
 @dataclass
 class StarReport:
     triples_checked: int = 0
@@ -334,24 +256,22 @@ def star_refinement_check(
     cp: CoverIndexParams,
     rng,
     trials: int,
-    n_levels: Sequence[int] = (0, 1, 2, 3),
-    vcap: np.ndarray = None,
+    vcap: np.ndarray,
 ) -> StarReport:
     """Sampled star lemma: whenever V_{j(a,n)}(a) meets V_{j(a,n)}(b) inside
     the sample, every sampled member of V_{j(a,n)}(b) lies in V_n(a).
 
     Each trial draws the center index and then the level index, the level
-    as n_levels[rng.integers(len(n_levels))], which is rng.choice's draw.
+    as STAR_LEVELS[rng.integers(len(STAR_LEVELS))], which is rng.choice's
+    draw.
     Violations are listed by witness b, then member e, both ascending.
     """
-    if vcap is None:
-        vcap = build_vcap_table(elements, cp)
     m = len(elements)
     n_first = [c_first_time(e) for e in elements]
     rep = StarReport()
     for _ in range(trials):
         ai = int(rng.integers(m))
-        n = int(n_levels[int(rng.integers(len(n_levels)))])
+        n = STAR_LEVELS[int(rng.integers(len(STAR_LEVELS)))]
         j = j_index(n_first[ai], n, cp)
         in_a = vcap[:, ai] >= j
         if not in_a.any():
@@ -372,7 +292,6 @@ class DiameterFit:
     ks: list
     log2_diameters: list
     slope: float
-    intercept: float
     predicted_slope: float
     gamma_prime: float  # smallest constant with diam <= 2**(-k/ceil_log3) * gamma'
 
@@ -387,7 +306,7 @@ def diameter_bound_check(
     anchors: Sequence[int],
     cp: CoverIndexParams,
     k_range: Sequence[int],
-    vcap: np.ndarray = None,
+    vcap: np.ndarray,
 ) -> DiameterFit:
     """Fit the decay of the chain-metric diameter of base sets of radius
     lambda**-(N + k) * gamma against k.
@@ -395,8 +314,6 @@ def diameter_bound_check(
     Predicted exponential base is 2**(-1 / ceil(log_lambda 3)), i.e. a
     log2-slope of -1/ceil_log3.
     """
-    if vcap is None:
-        vcap = build_vcap_table(elements, cp)
     n_first = [c_first_time(e) for e in elements]
     diams = {}
     for k in k_range:
@@ -414,13 +331,13 @@ def diameter_bound_check(
         raise InsufficientData(f"only {len(diams)} usable radius levels")
     ks = sorted(diams)
     ys = [diams[k] for k in ks]
-    slope, intercept = np.polyfit(ks, ys, 1)
+    slope = np.polyfit(ks, ys, 1)[0]
     gamma = max(2.0 ** (y + k / cp.ceil_log3) for k, y in zip(ks, ys))
-    return DiameterFit(ks, ys, float(slope), float(intercept), -1.0 / cp.ceil_log3, gamma)
+    return DiameterFit(ks, ys, float(slope), -1.0 / cp.ceil_log3, gamma)
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: entries "0", "1", "2^-n"
+# CSV export: entries "0", "1", "2^-n"
 
 
 def table_to_csv(t: QuasimetricTable) -> str:
@@ -431,23 +348,3 @@ def table_to_csv(t: QuasimetricTable) -> str:
     for pid, row in zip(t.point_ids, rows):
         lines.append(",".join([pid] + [cell[e] for e in row]))
     return "\n".join(lines) + "\n"
-
-
-def table_from_csv(text: str) -> QuasimetricTable:
-    # the table of no points is one empty header line
-    lines = [ln for ln in text.strip().splitlines() if ln] or [""]
-    ids = lines[0].split(",")[1:]
-    m = len(ids)
-    exps = np.full((m, m), -1, dtype=int)
-    for i, ln in enumerate(lines[1:]):
-        cells = ln.split(",")[1:]
-        for j, cell in enumerate(cells):
-            if cell == "0":
-                exps[i, j] = -1
-            elif cell == "1":
-                exps[i, j] = 0
-            else:
-                if not cell.startswith("2^-"):
-                    raise ValueError(f"bad table entry {cell!r}")
-                exps[i, j] = int(cell[3:])
-    return QuasimetricTable(ids, exps)

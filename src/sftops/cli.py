@@ -470,8 +470,7 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
         "f_squared_residual": float(np.linalg.norm(f_op @ f_op - np.eye(dim))),
         "f_adjoint_residual": float(np.linalg.norm(f_op - f_op.conj().T)),
     }
-    table = fd.summability_report(module, {b_name: b_dense}, scenario.p_grid)
-    rep["summability_table"] = table.rows
+    rep["summability_table"] = fd.summability_report(module, {b_name: b_dense}, scenario.p_grid)
 
     rng = _seeded_rng(scenario, 3)
     s_mat = rng.standard_normal((6, 6))

@@ -33,12 +33,6 @@ class OutsideDomain(SftopsError):
     pass
 
 
-class UntrustedBlocks(SftopsError):
-    def __init__(self, blocks):
-        self.blocks = sorted(blocks)
-        super().__init__(f"untrusted blocks: {self.blocks}")
-
-
 class QuasiNormViolation(SftopsError):
     pass
 

@@ -149,11 +149,9 @@ def kpw_commutator(
 
 @dataclass
 class FredholmModule:
-    parity: str
-    dim: int
     rep: Callable[[object], np.ndarray]
     f_op: np.ndarray
-    grading: Optional[np.ndarray] = None
+    grading: Optional[np.ndarray] = None  # the Z/2 grading of an even module
 
 
 def make_odd_module(e: np.ndarray, rep_b: Callable[[object], np.ndarray]) -> FredholmModule:
@@ -164,24 +162,21 @@ def make_odd_module(e: np.ndarray, rep_b: Callable[[object], np.ndarray]) -> Fre
     if np.linalg.norm(e.conj().T - e) > 1e-12 * max(1.0, np.linalg.norm(e)):
         raise NotAProjection("e not self-adjoint")
     f_op = 2.0 * e - np.eye(e.shape[0])
-    return FredholmModule("odd", e.shape[0], rep_b, f_op)
+    return FredholmModule(rep_b, f_op)
 
 
 def make_even_module(
-    v: np.ndarray, p_proj: np.ndarray, rep_b: Callable[[object], np.ndarray], trivial: bool = False
+    v: np.ndarray, p_proj: np.ndarray, rep_b: Callable[[object], np.ndarray]
 ) -> FredholmModule:
     """Balanced even module with off-diagonal F = v + 1 - p on the corner."""
     v = np.asarray(v, dtype=complex)
     p_proj = np.asarray(p_proj, dtype=complex)
-    if trivial:
-        f_op = np.eye(v.shape[0], dtype=complex)
-    else:
-        scale = max(1.0, np.linalg.norm(p_proj))
-        if np.linalg.norm(v.conj().T @ v - p_proj) > 1e-12 * scale:
-            raise NotCornerUnitary("v*v != p")
-        if np.linalg.norm(v @ v.conj().T - p_proj) > 1e-12 * scale:
-            raise NotCornerUnitary("vv* != p")
-        f_op = v + np.eye(v.shape[0]) - p_proj
+    scale = max(1.0, np.linalg.norm(p_proj))
+    if np.linalg.norm(v.conj().T @ v - p_proj) > 1e-12 * scale:
+        raise NotCornerUnitary("v*v != p")
+    if np.linalg.norm(v @ v.conj().T - p_proj) > 1e-12 * scale:
+        raise NotCornerUnitary("vv* != p")
+    f_op = v + np.eye(v.shape[0]) - p_proj
     dim = v.shape[0]
 
     def rep2(x):
@@ -197,7 +192,7 @@ def make_even_module(
     big_f = np.zeros((2 * dim, 2 * dim), dtype=complex)
     big_f[:dim, dim:] = f_op.conj().T
     big_f[dim:, :dim] = f_op
-    return FredholmModule("even", 2 * dim, rep2, big_f, grading)
+    return FredholmModule(rep2, big_f, grading)
 
 
 def module_spectra(module: FredholmModule, x) -> Dict[str, SingularSpectrum]:
@@ -288,7 +283,6 @@ def corner_calculus_check(
     p_proj: np.ndarray,
     f: Callable[[complex], complex],
     exclude_zero: bool = False,
-    nodes: int = 256,
 ) -> float:
     """Residual of f_p(b) = p f(b) p for b = p.ambient.p inside the corner.
 
@@ -310,14 +304,14 @@ def corner_calculus_check(
         radius = max(0.3, abs(center) - 0.3)
         if radius <= spread:
             raise ContourHitsSpectrum("cannot separate 0 from the corner spectrum")
-    corner_val = contour_calculus(corner, f, center, radius, nodes)
+    corner_val = contour_calculus(corner, f, center, radius)
     if exclude_zero:
         # two-contour ambient calculus of the extension that vanishes near
         # zero: the zero contour contributes nothing, so only the corner
         # contour remains
-        amb_val = contour_calculus_on(b, f, center, radius, nodes)
+        amb_val = contour_calculus_on(b, f, center, radius, 256)
     else:
-        amb_val = contour_calculus(b, f, nodes=nodes)
+        amb_val = contour_calculus(b, f)
     projected = (p_proj @ amb_val @ p_proj)[np.ix_(idx, idx)]
     return float(np.linalg.norm(corner_val - projected))
 
@@ -339,17 +333,11 @@ def contour_calculus_on(
 # summability reports
 
 
-@dataclass
-class SummabilityReport:
-    rows: List[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"table": self.rows}
-
-
 def summability_report(
     module: FredholmModule, funcs: Dict[str, object], p_grid: List[float]
-) -> SummabilityReport:
+) -> List[dict]:
+    """One row per function and p: the p-norms of the three summability
+    quantities and the verdict on the commutator's."""
     rows = []
     for name, x in funcs.items():
         spectra = module_spectra(module, x)
@@ -365,4 +353,4 @@ def summability_report(
                     "verdict": cells["[rho,F]"]["verdict"],
                 }
             )
-    return SummabilityReport(rows)
+    return rows

@@ -55,8 +55,8 @@ from .sft import (
 # beyond the domain threshold (forward on the stable side, backward on the
 # unstable side) and bit is a seeded hash bit.  That is exactly a finite
 # combination of indicator terms (one per word up to the depth), stored so
-# that evaluation is O(depth) instead of O(2**depth); materialize_profile
-# recovers the explicit terms.
+# that evaluation is O(depth) instead of O(2**depth); the tests expand a
+# profile into those explicit terms and compare the two.
 #
 # The bit of word_m is the low bit of the first byte of
 # SHA-256(f"{seed}:{','.join(word_m)}"), and the hash of word_m extends the
@@ -86,10 +86,6 @@ class LocallyConstantFunction:
             if t.support.side != self.side:
                 raise SideMismatch("term base set on the wrong side")
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(t.coeff == 0 for t in self.terms)
 
     def supports(self) -> Tuple[BaseSet, ...]:
         return tuple(t.support for t in self.terms)
@@ -176,24 +172,12 @@ class LocallyConstantFunction:
         return total
 
 
-def indicator(bs: BaseSet, coeff: complex = 1.0) -> LocallyConstantFunction:
-    return LocallyConstantFunction(bs.side, ((bs, complex(coeff)),))
+def indicator(bs: BaseSet) -> LocallyConstantFunction:
+    return LocallyConstantFunction(bs.side, ((bs, 1.0 + 0.0j),))
 
 
-def profile(
-    bs: BaseSet, depth: int, seed: str, coeff: complex = 1.0 + 0.0j
-) -> LocallyConstantFunction:
-    return LocallyConstantFunction(bs.side, (Term(bs, coeff, depth, seed),))
-
-
-def zero_function(side: str = STABLE) -> LocallyConstantFunction:
-    return LocallyConstantFunction(side, ())
-
-
-def _word_bit(seed: str, word) -> int:
-    """Reference bit of one word; profile_value hashes the prefixes incrementally."""
-    h = hashlib.sha256(f"{seed}:{','.join(map(str, word))}".encode()).digest()
-    return h[0] & 1
+def profile(bs: BaseSet, depth: int, seed: str) -> LocallyConstantFunction:
+    return LocallyConstantFunction(bs.side, (Term(bs, 1.0 + 0.0j, depth, seed),))
 
 
 class _SymbolBytes(dict):
@@ -246,52 +230,6 @@ class _PrefixPath:
 @lru_cache(maxsize=PREFIX_PATHS)
 def _prefix_path(seed: str) -> _PrefixPath:
     return _PrefixPath(seed)
-
-
-def materialize_profile(f: LocallyConstantFunction, m: TransitionMatrix) -> LocallyConstantFunction:
-    """Explicit indicator terms of a one-term profile function (small depths only).
-
-    The term of a word is anchored at the source with the word written
-    beyond the threshold.  Where the source's next symbol cannot follow the
-    word, the shortest allowed bridge back to the source's own symbols comes
-    after it, so that every anchor is a point of the shift space; the
-    bridge lies beyond the term's threshold and leaves its domain as it is.
-    """
-    ((bs, coeff, depth, seed),) = f.terms
-    if depth > 12:
-        raise ValueError("refusing to materialize a deep profile")
-    terms = [(bs, coeff)]
-    t = bs.threshold
-    z0 = bs.anchor.second
-    # words and bridges are read forward from t + 1 (stable) or backward
-    # from -t - 1 (unstable, through the transposed matrix)
-    if f.side == STABLE:
-        mt, ahead = m, lambda i: z0.at(t + i)
-    else:
-        mt, ahead = m.transpose(), lambda i: z0.at(-t - i)
-    for mm in range(1, depth + 1):
-        for walk in mt.paths(ahead(0), mm):
-            word = walk[1:]
-            if not _word_bit(seed, word):
-                continue
-            read = word + _bridge(mt, word[-1], lambda j: ahead(mm + j + 1))
-            if f.side == STABLE:
-                z = splice_at(z0, z0, t, read)
-            else:
-                z = splice_at(z0, z0, -t - len(read) - 1, read[::-1])
-            sub = GroupoidElement(holonomy_apply(bs, z), z, f.side)
-            terms.append((BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm))
-    return LocallyConstantFunction(f.side, tuple(terms))
-
-
-def _bridge(m: TransitionMatrix, last: int, target) -> bytes:
-    """The first of the shortest words w with last, *w, target(len(w))
-    allowed; empty when target(0) may follow last."""
-    for j in range(m.n * m.n + 1):
-        for walk in m.paths(last, j):
-            if m.allowed(walk[-1], target(j)):
-                return walk[1:]
-    raise ValueError("no allowed bridge back to the anchor source")
 
 
 def reverse_base_set(bs: BaseSet) -> BaseSet:
@@ -353,7 +291,7 @@ def convolve(
     f: LocallyConstantFunction, g: LocallyConstantFunction, m: TransitionMatrix
 ) -> LocallyConstantFunction:
     """Convolution product of indicator combinations, computed termwise
-    through bisection composition (materialize_profile expands a profile)."""
+    through bisection composition."""
     if f.side != g.side:
         raise SideMismatch("cannot convolve across sides")
     if any(t.depth for t in f.terms + g.terms):
@@ -364,25 +302,6 @@ def convolve(
             for composed in compose_base_sets(bf, bg, m):
                 terms.append((composed, cf * cg))
     return LocallyConstantFunction(f.side, tuple(terms))
-
-
-def convolve_bruteforce(
-    f: LocallyConstantFunction, g: LocallyConstantFunction, gamma: GroupoidElement
-) -> complex:
-    """Oracle for the convolution value at gamma: sum over factorizations
-    gamma = alpha . beta with alpha in supp(f), beta in supp(g)."""
-    total = 0.0 + 0.0j
-    mids = {}  # insertion-ordered, so the summation order is the term order
-    for bs in f.supports():
-        # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
-        inv = BaseSet(inverse(bs.anchor), bs.radius_exp, bs.time)
-        if in_domain(inv, gamma.first):
-            mids[holonomy_apply(inv, gamma.first)] = None
-    for z in mids:
-        a = GroupoidElement(gamma.first, z, gamma.side)
-        b = GroupoidElement(z, gamma.second, gamma.side)
-        total += f.evaluate(a) * g.evaluate(b)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +330,6 @@ class BasisRegistry:
 
     def freeze(self) -> None:
         self.frozen = True
-
-    def lookup(self, x) -> Optional[int]:
-        return self.index.get(x)
 
     def add(self, x) -> Optional[int]:
         """Index of x, growing the registry if allowed; None on truncation."""
@@ -451,9 +367,6 @@ class SparseOperator:
 
     def add(self, i, j, v: complex) -> None:
         _accumulate(self.entries, (i, j), v)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def dagger(self) -> "SparseOperator":
         return SparseOperator({(j, i): v.conjugate() for (i, j), v in self.entries.items()})
@@ -775,11 +688,9 @@ def commutator_blocks(
     window: Tuple[int, int],
     reg: BasisRegistry,
     m: TransitionMatrix,
-    mixed: bool = False,
 ) -> BlockOperator:
     """Exact blocks R_n = alpha^n(a) b - b alpha^n(a) for n in the window.
 
-    With mixed=True the unstable factor is alpha_u^{-n}(b) instead of b.
     Each block's support columns are enumerated from the term patterns; a
     block whose enumeration would blow the registry cap is flagged
     untrusted and left empty.
@@ -791,15 +702,14 @@ def commutator_blocks(
     untrusted: Dict[int, str] = {}
     for n in range(n_min, n_max + 1):
         a_n = a.alpha(n)
-        b_n = b.alpha(-n) if mixed else b
-        est = estimate_column_count(a_n, b_n, m)
+        est = estimate_column_count(a_n, b, m)
         room = reg.cap - len(reg)
         if est > room:
             untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
             blocks[n] = SparseOperator()
             continue
-        cols = commutator_column_support(a_n, b_n, m)
-        blocks[n], truncated = _assemble(a_n, b_n, cols, reg)
+        cols = commutator_column_support(a_n, b, m)
+        blocks[n], truncated = _assemble(a_n, b, cols, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
     return BlockOperator((n_min, n_max), blocks, untrusted, reg)

@@ -23,8 +23,6 @@ from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
-    MetricParams,
-    PeriodicOrbit,
     agree_from,
     agree_upto,
     agreement_floor,
@@ -32,9 +30,6 @@ from .sft import (
     agreement_radius,
     in_stable_set,
     in_unstable_set,
-    is_left_asymptotic,
-    is_right_asymptotic,
-    local_set_membership,
     reverse_point,
     shift,
     splice_at,
@@ -86,25 +81,6 @@ def reverse_element(a: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(reverse_point(a.first), reverse_point(a.second), other)
 
 
-def element_is_valid(a: GroupoidElement, p: PeriodicOrbit, q: PeriodicOrbit) -> bool:
-    """Invariant check: asymptotic pair on the correct transversal."""
-    if a.side == STABLE:
-        if agreement_floor(a.first, a.second) == math.inf:
-            return False
-        return is_left_asymptotic(a.first, q) and is_left_asymptotic(a.second, q)
-    if agreement_depth(a.first, a.second) == -math.inf:
-        return False
-    return is_right_asymptotic(a.first, p) and is_right_asymptotic(a.second, p)
-
-
-def range_of(a: GroupoidElement) -> EventuallyPeriodicPoint:
-    return a.first
-
-
-def source_of(a: GroupoidElement) -> EventuallyPeriodicPoint:
-    return a.second
-
-
 def inverse(a: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(a.second, a.first, a.side)
 
@@ -151,22 +127,11 @@ def c_first_time(a: GroupoidElement) -> int:
     unstably) close at scale kappa**-1.
 
     Stable closed form: the pair agrees on i >= N - 1, so N is two above
-    the last disagreement index.  Mirrored on the unstable side.  The
-    definitional brute force lives in :func:`c_first_time_bruteforce`.
+    the last disagreement index.  Mirrored on the unstable side.  The tests
+    check it against the definition: the first N at which the shifted pair
+    lies in one local stable (unstable) set.
     """
     return max(int(max(min_splice_time(a), -(10**9))), 0)
-
-
-def c_first_time_bruteforce(a: GroupoidElement, n_cap: int = 400) -> int:
-    """Definitional oracle: scan N and test local-set membership."""
-    sgn = 1 if a.side == STABLE else -1
-    side = STABLE if a.side == STABLE else UNSTABLE
-    for n in range(n_cap):
-        x = shift(a.first, sgn * n)
-        y = shift(a.second, sgn * n)
-        if x == y or local_set_membership(x, y, 1, side):
-            return n
-    raise AssertionError("first time exceeded the scan cap")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +230,12 @@ def _locally_close(x, y, side: str) -> bool:
     return agree_from(y, x, 0)
 
 
-def units_metric_exponent(x, y, side: str = STABLE) -> Optional[int]:
-    """Pull-back metric on the units space: d(x, y) when locally close, else 1."""
+def units_metric_exponent(x, y) -> Optional[int]:
+    """Pull-back metric on the stable units space: d(x, y) when locally
+    close, else 1."""
     if x == y:
         return None
-    if not _locally_close(x, y, side):
+    if not _locally_close(x, y, STABLE):
         return 0
     return agreement_radius(x, y)
 
@@ -296,7 +262,3 @@ def groupoid_metric_exponent(a: GroupoidElement, b: GroupoidElement) -> Optional
     r2 = agreement_radius(a.second, b.second)
     exps = [r for r in (r1, r2) if r is not None]
     return min(exps)
-
-
-def groupoid_metric(a: GroupoidElement, b: GroupoidElement, p: MetricParams) -> float:
-    return p.value(groupoid_metric_exponent(a, b))

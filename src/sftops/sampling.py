@@ -117,19 +117,17 @@ def audit_elements(
     q: PeriodicOrbit,
     rng,
     count: int,
-    core_bound: int = 2,
-    max_depth: int = 16,
 ) -> list:
     """Stable-side element family: nested families around a few anchors plus
     units and random stably equivalent pairs."""
-    pool = homoclinic_pool(m, p, q, core_bound, range(0, 6))
+    pool = homoclinic_pool(m, p, q, 2, range(0, 6))
     units = [unit(x) for x in pool]
     anchor_units = [units[int(rng.integers(len(units)))] for _ in range(4)]
     anchor_pairs = stable_pairs(pool, 4, rng)
     seen = {}
     for a in anchor_units + anchor_pairs:
         seen[a] = True
-        for e in nested_family(m, a, range(c_first_time(a) + 2, max_depth), p):
+        for e in nested_family(m, a, range(c_first_time(a) + 2, 16), p):
             seen[e] = True
     for e in stable_pairs(pool, count, rng):
         if len(seen) >= count:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -45,18 +46,20 @@ class Scenario:
 
     def validate(self) -> None:
         validate_matrix(self.matrix)
-        if not self.kappa > 1:
-            raise InvalidScenario("kappa must be > 1")
+        if not (math.isfinite(self.kappa) and self.kappa > 1):
+            raise InvalidScenario("kappa must be finite and > 1")
         PeriodicOrbit.from_word(self.orbit_p.cycle, self.matrix)
         PeriodicOrbit.from_word(self.orbit_q.cycle, self.matrix)
         if not orbits_disjoint(self.orbit_p, self.orbit_q):
             raise OrbitsNotDisjoint("orbit_P and orbit_Q share a point")
         if self.window[0] > self.window[1]:
             raise InvalidScenario("empty window")
-        if any(p <= 0 for p in self.p_grid):
-            raise InvalidScenario("p grid must be positive")
+        if not all(math.isfinite(p) and p > 0 for p in self.p_grid):
+            raise InvalidScenario("p grid must be finite and positive")
         if self.core_bound < 0 or self.basis_cap < 1:
             raise InvalidScenario("bad core bound or basis cap")
+        if self.seed < 0:
+            raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         for f in self.functions.values():
             for bs, _, depth, _ in f.terms:
                 if depth < 0:
@@ -73,9 +76,16 @@ def _base_set_to_dict(bs: BaseSet) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; int() would truncate a float and convert a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidScenario(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _base_set_from_dict(d: dict, side: str) -> BaseSet:
     anchor = GroupoidElement(decode_point(d["anchor"][0]), decode_point(d["anchor"][1]), side)
-    return BaseSet(anchor, int(d["radius_exp"]), int(d["time"]))
+    return BaseSet(anchor, _integer(d["radius_exp"], "radius_exp"), _integer(d["time"], "time"))
 
 
 def function_to_dict(f: LocallyConstantFunction) -> dict:
@@ -120,7 +130,7 @@ def function_from_dict(d: dict) -> LocallyConstantFunction:
             Term(
                 _base_set_from_dict(p["support"], side),
                 complex(p["coeff"][0], p["coeff"][1]),
-                int(p["depth"]),
+                _integer(p["depth"], "depth"),
                 str(p["seed"]),
             ),
         )
@@ -154,16 +164,18 @@ def scenario_from_dict(d: dict) -> Scenario:
     try:
         s = Scenario(
             name=str(d.get("name", "scenario")),
-            matrix=TransitionMatrix.from_rows(d["matrix"]),
+            matrix=TransitionMatrix.from_rows(
+                [[_integer(v, "matrix entry") for v in row] for row in d["matrix"]]
+            ),
             kappa=float(d["kappa"]),
-            orbit_p=PeriodicOrbit.from_word(d["orbit_P"]),
-            orbit_q=PeriodicOrbit.from_word(d["orbit_Q"]),
-            core_bound=int(d.get("core_bound", 4)),
-            window=tuple(d.get("window", (-8, 24))),
-            basis_cap=int(d.get("basis_cap", 20000)),
+            orbit_p=PeriodicOrbit.from_word([_integer(v, "orbit_P symbol") for v in d["orbit_P"]]),
+            orbit_q=PeriodicOrbit.from_word([_integer(v, "orbit_Q symbol") for v in d["orbit_Q"]]),
+            core_bound=_integer(d.get("core_bound", 4), "core_bound"),
+            window=tuple(_integer(v, "window bound") for v in d.get("window", (-8, 24))),
+            basis_cap=_integer(d.get("basis_cap", 20000), "basis_cap"),
             functions={k: function_from_dict(v) for k, v in d.get("functions", {}).items()},
             p_grid=[float(p) for p in d.get("p_grid", [0.7, 1.0, 1.3])],
-            seed=int(d.get("seed", 0)),
+            seed=_integer(d.get("seed", 0), "seed"),
         )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidScenario(str(exc)) from exc
@@ -171,10 +183,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise InvalidScenario("window must be two integers")
     s.validate()
     return s
-
-
-def scenario_json(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True)
 
 
 def load_scenario(path: str) -> Scenario:

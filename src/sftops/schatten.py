@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientData, QuasiNormViolation, UntrustedBlocks
+from .errors import InsufficientData, QuasiNormViolation
 
 RANK_FLOOR = 1e-14
 TRIM_FLOOR = 1e-13
@@ -131,23 +131,12 @@ def singular_values(a, source: str = "") -> SingularSpectrum:
     return SingularSpectrum(vals, source=source)
 
 
-def numerical_rank(spec: SingularSpectrum, floor: float = RANK_FLOOR) -> int:
+def numerical_rank(spec: SingularSpectrum) -> int:
     if len(spec.values) == 0:
         return 0
     top = spec.values[0]
-    keep = spec.values > floor * top
+    keep = spec.values > RANK_FLOOR * top
     return int(spec.counts[keep].sum())
-
-
-def block_singular_values(block_operator, trusted_only: bool = True) -> SingularSpectrum:
-    """Merged spectrum of a Z-indexed block family (exact by diagonality)."""
-    if trusted_only and block_operator.untrusted:
-        raise UntrustedBlocks(list(block_operator.untrusted))
-    spectra = [
-        singular_values(op, source=f"block {n}")
-        for n, op in sorted(block_operator.blocks.items())
-    ]
-    return merge_spectra(spectra, source="merged blocks")
 
 
 def schatten_norm(spec: SingularSpectrum, p: float) -> float:
@@ -166,16 +155,14 @@ def power_masses(spec: SingularSpectrum, p: float) -> np.ndarray:
 
 @dataclass
 class QuasiNormReport:
-    p: float
-    trials: int
     max_power_ratio: float
     max_constant_ratio: float
     power_subadditivity_failures: int
 
 
-def quasinorm_properties_check(p: float, trials: int, seed: int = 0, dim: int = 8) -> QuasiNormReport:
-    """Randomized test of |S+T|_p^p <= |S|_p^p + |T|_p^p and the quasinorm
-    constant K = 2**(1/p).
+def quasinorm_properties_check(p: float, trials: int, seed: int = 0) -> QuasiNormReport:
+    """Randomized test, on 8 x 8 complex Gaussian pairs, of
+    |S+T|_p^p <= |S|_p^p + |T|_p^p and the quasinorm constant K = 2**(1/p).
 
     A failure of the p-power inequality is recorded as a finding; a
     violation of the quasinorm constant beyond 1e-9 raises.
@@ -187,6 +174,7 @@ def quasinorm_properties_check(p: float, trials: int, seed: int = 0, dim: int = 
     max_const = 0.0
     failures = 0
     k_const = 2.0 ** (1.0 / p)
+    dim = 8
     for _ in range(trials):
         s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -206,7 +194,7 @@ def quasinorm_properties_check(p: float, trials: int, seed: int = 0, dim: int = 
             raise QuasiNormViolation(
                 f"quasinorm constant 2**(1/p) violated: ratio {const_ratio}"
             )
-    return QuasiNormReport(p, trials, max_power, max_const, failures)
+    return QuasiNormReport(max_power, max_const, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +274,7 @@ def staircase_spectrum(alpha: int, beta: float, n_blocks: int) -> SingularSpectr
 @dataclass
 class DecayFit:
     slope: float
-    intercept: float
     r_squared: float
-    window: Tuple[int, int]
 
 
 def fit_decay_exponent(spec: SingularSpectrum, window: Optional[Tuple[int, int]] = None) -> DecayFit:
@@ -312,7 +298,7 @@ def fit_decay_exponent(spec: SingularSpectrum, window: Optional[Tuple[int, int]]
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(float(slope), float(intercept), r2, (lo, hi))
+    return DecayFit(float(slope), r2)
 
 
 CONVERGENT = "CONVERGENT"

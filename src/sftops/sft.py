@@ -180,16 +180,6 @@ def _tile(cycle: Word, offset: int, n: int) -> Word:
     return (cycle * ((k + n) // m + 1))[k : k + n]
 
 
-def _raw_at(left: Word, core: Word, right: Word, start: int, i: int):
-    """Reference reader of a raw encoding, one symbol at a time."""
-    end = start + len(core)
-    if i < start:
-        return left[(i - start) % len(left)]
-    if i < end:
-        return core[i - start]
-    return right[(i - end) % len(right)]
-
-
 @dataclass(frozen=True)
 class EventuallyPeriodicPoint:
     """Canonical encoding of an allowed bi-infinite eventually periodic sequence.
@@ -439,24 +429,6 @@ def bracket(x, y) -> EventuallyPeriodicPoint:
     if r is not None and r < 1:
         raise BracketUndefined("bracket needs agreement at coordinate 0")
     return splice_at(y, x, 0)
-
-
-def local_set_membership(x, y, eps_exp: int, side: str) -> bool:
-    """Definitional test for y in X^s(x, kappa**-eps_exp) (resp. X^u).
-
-    This is the oracle: strict metric inequality plus the bracket
-    fixed-point equation.  eps_exp >= 1 so the bracket is defined.
-    """
-    if eps_exp < 1:
-        raise ValueError("eps must be <= kappa**-1")
-    r = agreement_radius(x, y)
-    if r is not None and r <= eps_exp:
-        return False
-    if side == STABLE:
-        return bracket(x, y) == y
-    if side == UNSTABLE:
-        return bracket(y, x) == y
-    raise ValueError(f"unknown side {side!r}")
 
 
 def in_stable_set(x, y, eps_exp: int) -> bool:

@@ -283,12 +283,15 @@ def test_criterion_4_rank_norm_certificates(full_shift_analysis):
     scenario = rep["_scenario"]
     seeds = sft.enumerate_homoclinic(scenario.matrix, scenario.orbit_p, scenario.orbit_q, 3)
     reg = fn.BasisRegistry.seeded(seeds, cap=scenario.basis_cap)
-    mixed = fn.commutator_blocks(
-        scenario.functions["a"], scenario.functions["b"], (-4, 12), reg, scenario.matrix, mixed=True
-    )
+    a, b = scenario.functions["a"], scenario.functions["b"]
+    # the mixed block n is [alpha^n(a), alpha^-n(b)]: one single-block call per n
+    mixed = {}
+    for n_blk in range(-4, 13):
+        out = fn.commutator_blocks(a, b.alpha(-n_blk), (n_blk, n_blk), reg, scenario.matrix)
+        mixed.update(out.trusted_blocks())
     ns, norms = [], []
-    for n_blk in sorted(mixed.trusted_blocks()):
-        spec = sc.singular_values(mixed.blocks[n_blk])
+    for n_blk in sorted(mixed):
+        spec = sc.singular_values(mixed[n_blk])
         if len(spec.values) and n_blk >= 0:
             ns.append(n_blk)
             norms.append(spec.values[0])

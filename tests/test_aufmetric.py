@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,113 @@ def reference_elements(name, count, seed=5):
     return smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, np.random.default_rng(seed), count)
 
 
+# ---------------------------------------------------------------------------
+# the pointwise cover definitions the table kernels are checked against
+
+
+def k_index(n_a1, n, cp):
+    """k(a, 1) = 1 and k(a, n+1) = N_{a,1} + n * ceil(log_lambda 3)."""
+    if n < 1:
+        raise ValueError("cover levels start at 1")
+    if n == 1:
+        return 1
+    return n_a1 + (n - 1) * cp.ceil_log3
+
+
+def v_set_membership(b, a, v, cp):
+    return gd.base_set_membership(auf.v_set(a, v, cp), b)
+
+
+def u_cover_member(a, c, n, cp):
+    """Membership of a in U_n(c) = V_{k(c, n)}(c); level 0 is the whole space."""
+    if n == 0:
+        return True
+    n_c1 = max(gd.c_first_time(c), 1)
+    return v_set_membership(a, c, k_index(n_c1, n, cp), cp)
+
+
+def v_index_cap(a, c, cp):
+    """Largest v with a in V_v(c), -1 if a is in none.
+
+    Membership at V-index v needs one-sided agreement depth of the source
+    points >= max(N_c, v) + disk_margin plus the holonomy equation, so the
+    cap is depth - disk_margin once the base requirements hold.
+    """
+    n_c = gd.c_first_time(c)
+    d = auf._source_depth(a.side, a.second, c.second)
+    if d == -math.inf:
+        return -1
+    margin = cp.disk_margin
+    cap = auf._DEEP if d == math.inf else int(d) - margin
+    if cap < 0 or (d != math.inf and d < n_c + margin):
+        return -1
+    bs = auf.v_set(c, min(cap, n_c), cp)
+    if not gd.in_domain(bs, a.second):
+        return -1
+    if gd._holonomy_splice(bs, a.second) != a.first:
+        return -1
+    return cap
+
+
+def cover_level_from_cap(cap, n_c1, cp):
+    """Largest n >= 1 with k(c, n) <= cap, 0 if none."""
+    if cap < 1:
+        return 0
+    if cap >= auf._DEEP:
+        return auf._DEEP
+    extra = (cap - n_c1) // cp.ceil_log3
+    return max(1, 1 + extra) if cap >= n_c1 + cp.ceil_log3 else 1
+
+
+def max_cover_level(a, c, cp):
+    """Largest n >= 1 with a in U_n(c), 0 if none."""
+    return cover_level_from_cap(v_index_cap(a, c, cp), max(gd.c_first_time(c), 1), cp)
+
+
+def quasimetric_rho(a, b, candidates, n_max, cp):
+    """inf{2**-n : some U_n-cover member around a candidate holds a and b}.
+
+    Centers range over candidates plus a and b themselves, a documented
+    over-approximation of the infimum over the whole groupoid; the level-0
+    cover is the full space, so the value never exceeds 1.
+    """
+    if a == b:
+        return 0.0
+    best = 0
+    for c in list(candidates) + [a, b]:
+        lvl = min(max_cover_level(a, c, cp), max_cover_level(b, c, cp))
+        best = max(best, lvl)
+    return 2.0 ** -min(best, n_max)
+
+
+def table_from_csv(text):
+    """The table that table_to_csv wrote out."""
+    # the table of no points is one empty header line
+    lines = [ln for ln in text.strip().splitlines() if ln] or [""]
+    ids = lines[0].split(",")[1:]
+    m = len(ids)
+    exps = np.full((m, m), -1, dtype=int)
+    for i, ln in enumerate(lines[1:]):
+        cells = ln.split(",")[1:]
+        for j, cell in enumerate(cells):
+            if cell == "0":
+                exps[i, j] = -1
+            elif cell == "1":
+                exps[i, j] = 0
+            else:
+                if not cell.startswith("2^-"):
+                    raise ValueError(f"bad table entry {cell!r}")
+                exps[i, j] = int(cell[3:])
+    return auf.QuasimetricTable(ids, exps)
+
+
+def quasimetric_table(els, cp, n_max=40):
+    return auf.build_quasimetric_table(els, cp, auf.build_vcap_table(els, cp), n_max)
+
+
 def pair_vcap(els, cp):
     """The per-pair oracle: one v_index_cap call per table entry."""
-    return np.array([[auf.v_index_cap(a, c, cp) for c in els] for a in els], dtype=np.int64)
+    return np.array([[v_index_cap(a, c, cp) for c in els] for a in els], dtype=np.int64)
 
 
 def chain_metric_oracle(t):
@@ -160,20 +266,20 @@ class TestIndices:
                 assert auf.j_index(n_a, n, CP) >= max(n_a, n) + 1
 
     def test_k_examples(self):
-        assert auf.k_index(5, 1, CP) == 1
-        assert auf.k_index(1, 3, CP) == 5  # 1 + 2 * ceil(log2 3)
+        assert k_index(5, 1, CP) == 1
+        assert k_index(1, 3, CP) == 5  # 1 + 2 * ceil(log2 3)
 
     def test_k_step(self):
         for n_a1 in (1, 2, 5):
             for n in range(2, 8):
-                assert auf.k_index(n_a1, n + 1, CP) - auf.k_index(n_a1, n, CP) == CP.ceil_log3
+                assert k_index(n_a1, n + 1, CP) - k_index(n_a1, n, CP) == CP.ceil_log3
 
     def test_jk_induction(self):
         # j(a, k(a, n)) = k(a, n + 1)
         for n_a in (0, 1, 3, 7):
             n_a1 = max(n_a, 1)
             for n in range(1, 7):
-                assert auf.j_index(n_a, auf.k_index(n_a1, n, CP), CP) == auf.k_index(
+                assert auf.j_index(n_a, k_index(n_a1, n, CP), CP) == k_index(
                     n_a1, n + 1, CP
                 )
 
@@ -182,7 +288,7 @@ class TestCovers:
     def test_self_membership_all_levels(self):
         for a in elements(40)[::5]:
             for n in range(0, 7):
-                assert auf.u_cover_member(a, a, n, CP)
+                assert u_cover_member(a, a, n, CP)
 
     def test_nesting(self):
         els = elements(80)
@@ -190,7 +296,7 @@ class TestCovers:
         for c in els[::7]:
             prev = True
             for n in range(1, 8):
-                cur = auf.u_cover_member(a, c, n, CP)
+                cur = u_cover_member(a, c, n, CP)
                 assert prev or not cur  # membership at n+1 implies membership at n
                 prev = cur
 
@@ -199,9 +305,9 @@ class TestCovers:
         vcap = auf.build_vcap_table(els, CP)
         for i, a in enumerate(els[::9]):
             for j, c in enumerate(els[::9]):
-                lvl = auf.max_cover_level(a, c, CP)
+                lvl = max_cover_level(a, c, CP)
                 for n in (1, 2, 3):
-                    assert auf.u_cover_member(a, c, n, CP) == (n <= lvl)
+                    assert u_cover_member(a, c, n, CP) == (n <= lvl)
 
 
 class TestVcapTable:
@@ -253,7 +359,7 @@ class TestCoverLevels:
         got = auf.cover_levels(vcap, n_c1, cp)
         for i, cap in enumerate(caps):
             for j, n in enumerate(n_c1):
-                assert got[i, j] == auf.cover_level_from_cap(cap, int(n), cp)
+                assert got[i, j] == cover_level_from_cap(cap, int(n), cp)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_table_matches_scalar_levels(self, kappa):
@@ -263,7 +369,7 @@ class TestCoverLevels:
         n_c1 = [max(gd.c_first_time(c), 1) for c in els]
         m = len(els)
         levels = [
-            [auf.cover_level_from_cap(int(vcap[i, j]), n_c1[j], cp) for j in range(m)]
+            [cover_level_from_cap(int(vcap[i, j]), n_c1[j], cp) for j in range(m)]
             for i in range(m)
         ]
         want = np.full((m, m), -1)
@@ -279,43 +385,43 @@ class TestCoverLevels:
 class TestQuasimetric:
     def test_diagonal_zero(self):
         els = elements(50)
-        t = auf.build_quasimetric_table(els, CP)
+        t = quasimetric_table(els, CP)
         assert all(t.exponents[i, i] == -1 for i in range(t.size))
         assert t.values()[0, 0] == 0.0
 
     def test_rho_op_matches_table(self):
         els = elements(40)
-        t = auf.build_quasimetric_table(els, CP, n_max=40)
+        t = quasimetric_table(els, CP, n_max=40)
         v = t.values()
         for i in range(0, len(els), 7):
             for j in range(0, len(els), 5):
-                got = auf.quasimetric_rho(els[i], els[j], els, 40, CP)
+                got = quasimetric_rho(els[i], els[j], els, 40, CP)
                 assert got == v[i, j]
 
     def test_rho_self_zero_and_cap(self):
         els = elements(20)
-        assert auf.quasimetric_rho(els[3], els[3], els, 40, CP) == 0.0
-        assert auf.quasimetric_rho(els[0], els[-1], [], 40, CP) <= 1.0
+        assert quasimetric_rho(els[3], els[3], els, 40, CP) == 0.0
+        assert quasimetric_rho(els[0], els[-1], [], 40, CP) <= 1.0
 
     def test_rho_candidate_monotone(self):
         els = elements(60)
         a, b = els[4], els[17]
-        full = auf.quasimetric_rho(a, b, els, 40, CP)
-        sub = auf.quasimetric_rho(a, b, els[:10], 40, CP)
+        full = quasimetric_rho(a, b, els, 40, CP)
+        sub = quasimetric_rho(a, b, els[:10], 40, CP)
         assert sub >= full
 
     def test_value_one_without_shared_cover(self):
         els = elements(50)
-        t = auf.build_quasimetric_table(els, CP)
+        t = quasimetric_table(els, CP)
         v = t.values()
         assert (v[~np.eye(t.size, dtype=bool)] > 0).all()
         assert v.max() == 1.0
 
     def test_candidate_restriction_monotone(self):
         els = elements(80)
-        t_full = auf.build_quasimetric_table(els, CP)
+        t_full = quasimetric_table(els, CP)
         sub = els[:40]
-        t_sub = auf.build_quasimetric_table(sub, CP)
+        t_sub = quasimetric_table(sub, CP)
         assert (t_sub.values() >= t_full.values()[:40, :40] - 1e-15).all()
 
 
@@ -355,7 +461,7 @@ class TestChainMetric:
 
     def test_symmetry_and_diagonal(self):
         els = elements(60)
-        t = auf.build_quasimetric_table(els, CP)
+        t = quasimetric_table(els, CP)
         d = auf.chain_metric(t)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
@@ -377,7 +483,7 @@ class TestChainMetric:
 class TestSandwich:
     def test_cover_derived_table_clean(self):
         els = elements(140)
-        t = auf.build_quasimetric_table(els, CP)
+        t = quasimetric_table(els, CP)
         rep = auf.sandwich_check(t, auf.chain_metric(t))
         assert rep.ok and rep.checked == t.size * (t.size - 1) // 2
 
@@ -396,7 +502,7 @@ class TestSandwich:
 
     def test_chain_below_rho(self):
         els = elements(100)
-        t = auf.build_quasimetric_table(els, CP)
+        t = quasimetric_table(els, CP)
         d = auf.chain_metric(t)
         assert (d <= t.values() + 1e-15).all()
 
@@ -428,7 +534,7 @@ class TestStar:
     def test_star_holds_with_witnesses(self):
         els = elements(200, seed=9)
         rng = np.random.default_rng(4)
-        rep = auf.star_refinement_check(els, CP, rng, 200)
+        rep = auf.star_refinement_check(els, CP, rng, 200, vcap=auf.build_vcap_table(els, CP))
         assert rep.ok
         assert rep.witnesses >= 100
 
@@ -441,7 +547,7 @@ class TestStar:
         tampered = np.where(knock, -1, vcap)
         levels = (0, 1, 2, 3)
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-        rep = auf.star_refinement_check(els, CP, rng, 300, levels, vcap=tampered)
+        rep = auf.star_refinement_check(els, CP, rng, 300, vcap=tampered)
         ref = star_oracle(els, CP, ref_rng, 300, levels, tampered)
         assert len(ref.violations) > 20
         assert rep.violations == ref.violations
@@ -487,8 +593,8 @@ class TestDiameter:
 class TestCsv:
     def test_roundtrip(self):
         els = elements(40)
-        t = auf.build_quasimetric_table(els, CP)
-        t2 = auf.table_from_csv(auf.table_to_csv(t))
+        t = quasimetric_table(els, CP)
+        t2 = table_from_csv(auf.table_to_csv(t))
         assert np.array_equal(t.exponents, t2.exponents)
         assert t.point_ids == t2.point_ids
 
@@ -501,7 +607,7 @@ class TestCsv:
         t = auf.QuasimetricTable([], np.zeros((0, 0), dtype=int))
         text = auf.table_to_csv(t)
         assert text == "\n"
-        back = auf.table_from_csv(text)
+        back = table_from_csv(text)
         assert back.point_ids == [] and back.exponents.shape == (0, 0)
 
     def test_matches_cell_loop_oracle(self):
@@ -511,6 +617,6 @@ class TestCsv:
             t = random_table(rng, m, deep)
             text = auf.table_to_csv(t)
             assert text == csv_oracle(t)
-            back = auf.table_from_csv(text)
+            back = table_from_csv(text)
             assert np.array_equal(back.exponents, t.exponents)
             assert back.point_ids == t.point_ids

@@ -10,12 +10,19 @@ import sys
 import numpy as np
 import pytest
 
+from sftops import aufmetric as auf
 from sftops import cli
 from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
 
+from oracles import period_two_scenario
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def scenario_text(s):
+    return json.dumps(sn.scenario_to_dict(s), indent=2, sort_keys=True)
 
 
 def small_scenario(tmp_path, name="small"):
@@ -24,7 +31,7 @@ def small_scenario(tmp_path, name="small"):
     s.basis_cap = 3000
     s.window = (-4, 10)
     path = tmp_path / f"{name}.json"
-    path.write_text(sn.scenario_json(s))
+    path.write_text(scenario_text(s))
     return str(path)
 
 
@@ -290,7 +297,7 @@ def test_numpy_draw_contract(name):
                 chunk = batch_rng.integers(bound, size=count).tolist()
                 assert chunk == [int(scalar_rng.integers(bound)) for _ in range(count)]
                 assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
-    levels = (0, 1, 2, 3)  # star_refinement_check's levels
+    levels = auf.STAR_LEVELS
     for seed in (0, 1, 2):
         choice_rng, index_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for bound in bounds:
@@ -367,7 +374,7 @@ class TestSpectrum:
         s = sn.full_shift_scenario()
         s.basis_cap = 500
         s.window = (-2, 4)
-        s.functions["zero"] = fnmod.zero_function("stable")
+        s.functions["zero"] = fnmod.LocallyConstantFunction("stable", ())
         analysis = climod.spectrum_analysis(s, "zero", "b")
         assert analysis["spectrum_count"] == 0
         assert all(v["verdict"] == "CONVERGENT" for v in analysis["verdicts"].values())
@@ -422,7 +429,7 @@ class TestScenarioRoundTrip:
         for name, mk in sn.REFERENCE_SCENARIOS.items():
             s = mk()
             path = tmp_path / f"{name}.json"
-            path.write_text(sn.scenario_json(s))
+            path.write_text(scenario_text(s))
             s2 = sn.load_scenario(str(path))
             assert sn.scenario_hash(s) == sn.scenario_hash(s2)
 
@@ -493,22 +500,76 @@ class TestFunctionJson:
         assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
+def edited_reference(tmp_path, keys, value):
+    """The shipped full-2-shift scenario with the entry at `keys` set to value."""
+    data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestBadInput:
     """Bad input exits 2 with a message, not with a traceback, 1 or 3."""
 
+    @pytest.mark.parametrize(
+        "keys,value",
+        [
+            (["orbit_P"], [1.7]),
+            (["matrix", 0, 0], 1.5),
+            (["core_bound"], True),
+            (["window"], [-8.5, 3]),
+            (["window"], ["-8", "3"]),
+            (["basis_cap"], 2000.9),
+            (["seed"], 3.5),
+            (["seed"], -5),
+            (["functions", "a", "profile", "support", "radius_exp"], 1.0),
+            (["functions", "a", "profile", "support", "time"], 0.0),
+            (["functions", "a", "profile", "depth"], 30.5),
+        ],
+        ids=[
+            "orbit-float", "matrix-float", "core-bound-bool", "window-float", "window-strings",
+            "cap-float", "seed-float", "seed-negative", "radius-float", "time-float", "depth-float",
+        ],
+    )
+    def test_non_integer_exit_2(self, tmp_path, capsys, keys, value):
+        # int() used to truncate these (exit 0, reporting the truncated
+        # value); a float or string window crashed spectrum (exit 4)
+        path = edited_reference(tmp_path, keys, value)
+        for command in ("validate", "spectrum"):
+            assert run([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "metric-audit"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        # the seed is a u64; metric-audit used to crash on it (exit 4)
+        argv = [command, "--scenario", "full-2-shift", "--out", str(tmp_path), "--seed", "-5"]
+        assert run(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_nan_p_grid_exit_2(self, tmp_path):
+        # used to exit 0 and write "p": NaN, which is not JSON
+        path = small_scenario(tmp_path)
+        out = tmp_path / "o"
+        assert run(["spectrum", "--scenario", path, "--out", str(out), "--p-grid", "nan,1"]) == 2
+        assert not out.exists()
+
+    def test_infinite_kappa_exit_2(self, tmp_path):
+        # json reads the Infinity that json.dumps writes
+        path = edited_reference(tmp_path, ["kappa"], math.inf)
+        assert run(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
+
     def test_kappa_one_exit_2(self, tmp_path):
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
-        data["kappa"] = 1.0
-        path = tmp_path / "flat.json"
-        path.write_text(json.dumps(data))
-        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        path = edited_reference(tmp_path, ["kappa"], 1.0)
+        assert run(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
 
     def test_negative_depth_exit_2(self, tmp_path):
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
-        data["functions"]["a"]["profile"]["depth"] = -1
-        path = tmp_path / "neg.json"
-        path.write_text(json.dumps(data))
-        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        path = edited_reference(tmp_path, ["functions", "a", "profile", "depth"], -1)
+        assert run(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
 
     def test_bad_p_grid_and_window_exit_2(self, tmp_path):
         path = small_scenario(tmp_path)
@@ -618,6 +679,27 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
             assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outs[0] == outs[1] and len(outs[0]) > 10, name
+
+
+def test_period_two_scenario_runs_every_command(tmp_path):
+    # a third matrix, of period 2, through every command but report-all:
+    # no crash, and the same bytes on a second run
+    path = tmp_path / "period-2.json"
+    path.write_text(scenario_text(period_two_scenario()))
+    commands = [
+        ["validate"],
+        ["metric-audit", "--samples", "2000"],
+        ["auf-audit", "--samples", "2000"],
+        ["spectrum"],
+        ["fredholm"],
+    ]
+    outs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        for command, *flags in commands:
+            assert run([command, "--scenario", str(path), "--out", str(out), *flags]) in (0, 1)
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+    assert {"validate.json", "metric_audit.json", "auf_audit.json", "spectrum.json", "fredholm.json"} <= set(outs[0])
 
 
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):

@@ -102,7 +102,7 @@ class TestInflation:
                 fn.represent(B_FN, reg).matmul(_u_power(u_mat, jp, reg))
             )
             assert _max_abs(_block(lhs, n, n + j - jp) - expect) < 1e-12
-            nonzero += not expect.is_zero()
+            nonzero += bool(expect.entries)
         assert nonzero
 
     def test_densify_is_slot_major(self, reg):
@@ -258,10 +258,19 @@ class TestOddModule:
 
 
 class TestEvenModule:
-    def test_trivial_class_branch(self):
-        p = np.diag([1.0, 1.0, 0.0])
-        mod = fd.make_even_module(p, p, lambda x: np.asarray(x), trivial=True)
-        assert np.array_equal(mod.f_op[3:, :3], np.eye(3))
+    def test_grading(self):
+        # gamma is a Z/2 grading: an involution that F anticommutes with and
+        # the represented algebra commutes with
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        v = np.zeros((4, 4), dtype=complex)
+        v[0, 1] = v[1, 0] = 1.0
+        mod = fd.make_even_module(v, p, lambda x: np.asarray(x))
+        g = mod.grading
+        assert np.array_equal(g @ g, np.eye(8))
+        assert np.array_equal(g @ mod.f_op, -mod.f_op @ g)
+        assert np.any(mod.f_op)
+        rho = mod.rep(np.random.default_rng(3).standard_normal((4, 4)))
+        assert np.array_equal(g @ rho, rho @ g)
 
     def test_corner_unitary_residual(self):
         p = np.diag([1.0, 1.0, 0.0, 0.0])
@@ -387,8 +396,7 @@ class TestSummabilityReport:
         e_dense = e_mat.to_dense(dim)
         b_dense = fn.represent(B_FN, reg).to_dense(dim)
         mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
-        report = fd.summability_report(mod, {"b": b_dense}, [1.0])
-        row = report.rows[0]
+        (row,) = fd.summability_report(mod, {"b": b_dense}, [1.0])
         comm = b_dense @ mod.f_op - mod.f_op @ b_dense
         expect = sc.schatten_norm(sc.singular_values(comm), 1.0)
         assert abs(row["q3"] - expect) < 1e-10

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -13,6 +14,8 @@ from sftops import scenarios as sn
 from sftops import schatten as sc
 from sftops import sft
 from sftops.errors import SideMismatch
+
+from oracles import PERIOD2, period_two_scenario
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
@@ -41,6 +44,75 @@ def seeded_registry(bound=5, cap=9000):
     return fn.BasisRegistry.seeded(sft.enumerate_homoclinic(FULL, P, Q, bound), cap=cap)
 
 
+def _word_bit(seed: str, word) -> int:
+    """Reference bit of one word; profile_value hashes the prefixes incrementally."""
+    h = hashlib.sha256(f"{seed}:{','.join(map(str, word))}".encode()).digest()
+    return h[0] & 1
+
+
+def materialize_profile(f, m):
+    """Explicit indicator terms of a one-term profile function (small depths only).
+
+    The term of a word is anchored at the source with the word written
+    beyond the threshold.  Where the source's next symbol cannot follow the
+    word, the shortest allowed bridge back to the source's own symbols comes
+    after it, so that every anchor is a point of the shift space; the
+    bridge lies beyond the term's threshold and leaves its domain as it is.
+    """
+    ((bs, coeff, depth, seed),) = f.terms
+    if depth > 12:
+        raise ValueError("refusing to materialize a deep profile")
+    terms = [(bs, coeff)]
+    t = bs.threshold
+    z0 = bs.anchor.second
+    # words and bridges are read forward from t + 1 (stable) or backward
+    # from -t - 1 (unstable, through the transposed matrix)
+    if f.side == gd.STABLE:
+        mt, ahead = m, lambda i: z0.at(t + i)
+    else:
+        mt, ahead = m.transpose(), lambda i: z0.at(-t - i)
+    for mm in range(1, depth + 1):
+        for walk in mt.paths(ahead(0), mm):
+            word = walk[1:]
+            if not _word_bit(seed, word):
+                continue
+            read = word + _bridge(mt, word[-1], lambda j: ahead(mm + j + 1))
+            if f.side == gd.STABLE:
+                z = sft.splice_at(z0, z0, t, read)
+            else:
+                z = sft.splice_at(z0, z0, -t - len(read) - 1, read[::-1])
+            sub = gd.GroupoidElement(gd.holonomy_apply(bs, z), z, f.side)
+            terms.append((gd.BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm))
+    return fn.LocallyConstantFunction(f.side, tuple(terms))
+
+
+def _bridge(m, last: int, target) -> bytes:
+    """The first of the shortest words w with last, *w, target(len(w))
+    allowed; empty when target(0) may follow last."""
+    for j in range(m.n * m.n + 1):
+        for walk in m.paths(last, j):
+            if m.allowed(walk[-1], target(j)):
+                return walk[1:]
+    raise ValueError("no allowed bridge back to the anchor source")
+
+
+def convolve_bruteforce(f, g, gamma) -> complex:
+    """Oracle for the convolution value at gamma: sum over factorizations
+    gamma = alpha . beta with alpha in supp(f), beta in supp(g)."""
+    total = 0.0 + 0.0j
+    mids = {}  # insertion-ordered, so the summation order is the term order
+    for bs in f.supports():
+        # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
+        inv = gd.BaseSet(gd.inverse(bs.anchor), bs.radius_exp, bs.time)
+        if gd.in_domain(inv, gamma.first):
+            mids[gd.holonomy_apply(inv, gamma.first)] = None
+    for z in mids:
+        a = gd.GroupoidElement(gamma.first, z, gamma.side)
+        b = gd.GroupoidElement(z, gamma.second, gamma.side)
+        total += f.evaluate(a) * g.evaluate(b)
+    return total
+
+
 class TestEvaluate:
     def test_anchor_value(self):
         assert A.evaluate(CA) == sum(2.0**-k for k in range(8))
@@ -62,7 +134,7 @@ class TestEvaluate:
 
 class TestLipschitz:
     def test_zero_function(self):
-        assert fn.zero_function().lipschitz_constant(P2) == 0.0
+        assert fn.LocallyConstantFunction(gd.STABLE, ()).lipschitz_constant(P2) == 0.0
 
     def test_scaling(self):
         assert A.scaled(3.0).lipschitz_constant(P2) == 3.0 * A.lipschitz_constant(P2)
@@ -127,7 +199,7 @@ class TestAlpha:
 
 class TestConvolve:
     def test_zero(self):
-        assert fn.convolve(A, fn.zero_function(gd.STABLE), FULL).is_zero
+        assert not fn.convolve(A, fn.LocallyConstantFunction(gd.STABLE, ()), FULL).terms
 
     def test_pointwise_oracle(self):
         astar = A.involution()
@@ -135,7 +207,7 @@ class TestConvolve:
         gammas = [bs.anchor for bs in prod.supports()][:10]
         gammas += [CA, gd.unit(STEP)]
         for gam in gammas:
-            assert abs(prod.evaluate(gam) - fn.convolve_bruteforce(A, astar, gam)) < 1e-12
+            assert abs(prod.evaluate(gam) - convolve_bruteforce(A, astar, gam)) < 1e-12
 
     def test_unit_absorbs(self):
         # a unit-space disk containing the range of A acts as identity there
@@ -171,7 +243,6 @@ class TestConvolve:
 
 
 GOLDEN = sft.TransitionMatrix.from_rows([[1, 1], [1, 0]])
-PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 SHIFTS = {
     "full-2-shift": (FULL, P, Q),
     "golden-mean": (GOLDEN, sft.PeriodicOrbit((0, 1)), Q),
@@ -222,7 +293,7 @@ def test_materialized_anchors_are_points_of_the_shift(name, side):
     m, p, q = SHIFTS[name]
     checked = 0
     for bs in sweep_base_sets(m, p, q, side):
-        mat = fn.materialize_profile(fn.profile(bs, depth=6, seed="t"), m)
+        mat = materialize_profile(fn.profile(bs, depth=6, seed="t"), m)
         for sub in mat.supports()[1:]:
             sft.validate_point(sub.anchor.first, m)
             sft.validate_point(sub.anchor.second, m)
@@ -238,7 +309,7 @@ class TestRepresent:
 
     def test_zero(self):
         reg = seeded_registry()
-        assert fn.represent(fn.zero_function(), reg).is_zero()
+        assert not fn.represent(fn.LocallyConstantFunction(gd.STABLE, ()), reg).entries
 
     def test_bisection_pair_rank_at_most_one(self):
         reg = seeded_registry()
@@ -270,8 +341,8 @@ class TestUnitary:
     def test_moves_step_point(self):
         reg = seeded_registry()
         u = fn.unitary_u(reg)
-        j = reg.lookup(STEP)
-        i = reg.lookup(sft.shift(STEP, 1))
+        j = reg.index.get(STEP)
+        i = reg.index.get(sft.shift(STEP, 1))
         assert u.entries.get((i, j)) == 1.0
 
     def test_commutes_with_shift_invariant_diagonal(self):
@@ -306,7 +377,7 @@ def _word_sources(bs, m, length):
 class TestProfileFunctions:
     def test_profile_matches_materialization(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=5, seed="t")
-        mat = fn.materialize_profile(prof, FULL)
+        mat = materialize_profile(prof, FULL)
         from sftops import sampling as smp
 
         els = smp.nested_family(FULL, CA, range(1, 9), P) + [CA]
@@ -320,7 +391,7 @@ class TestProfileFunctions:
             for f in (s.functions["a"], s.functions["b"]):
                 bs = f.supports()[0]
                 prof = fn.profile(bs, depth=6, seed="t")
-                mat = fn.materialize_profile(prof, s.matrix)
+                mat = materialize_profile(prof, s.matrix)
                 for z in _word_sources(bs, s.matrix, 7):
                     # holonomy_apply raises unless z is in the domain disk
                     g = gd.GroupoidElement(gd.holonomy_apply(bs, z), z, bs.side)
@@ -344,7 +415,7 @@ class TestProfileFunctions:
                 for z in pts:
                     word = [z.at(sgn * (t + mm)) for mm in range(1, 31)]
                     ref = 1.0 + sum(
-                        2.0**-mm * fn._word_bit("ref-a", word[:mm]) for mm in range(1, 31)
+                        2.0**-mm * _word_bit("ref-a", word[:mm]) for mm in range(1, 31)
                     )
                     assert prof.profile_value(z) == term.coeff * ref
 
@@ -371,7 +442,7 @@ class TestProfileFunctions:
             word = tuple(pool[base][:cut] + tail)
             want = 1.0
             for mm in range(1, len(word) + 1):
-                want += 2.0**-mm * fn._word_bit(seed, word[:mm])
+                want += 2.0**-mm * _word_bit(seed, word[:mm])
             path = fn._prefix_path(seed)
             assert path.total(word) == want
             assert len(path.states) == len(path.totals) == len(word) + 1
@@ -417,7 +488,7 @@ class TestProfileFunctions:
                 for word, total in totals.items():
                     want = 1.0
                     for mm in range(1, len(word) + 1):
-                        want += 2.0**-mm * fn._word_bit(seed, word[:mm])
+                        want += 2.0**-mm * _word_bit(seed, word[:mm])
                     assert total == want
                 path = fn._prefix_path(seed)
                 assert len(path.states) == len(path.totals) <= 12 + 1
@@ -513,9 +584,9 @@ def blocks():
 class TestCommutatorBlocks:
 
     def test_vanishes_below_n0(self, blocks):
-        nonzero = [n for n, op in blocks.blocks.items() if not op.is_zero()]
+        nonzero = [n for n, op in blocks.blocks.items() if op.entries]
         assert min(nonzero) >= -0  # finite witnessed n0
-        assert all(blocks.blocks[n].is_zero() for n in range(-8, min(nonzero)))
+        assert all(not blocks.blocks[n].entries for n in range(-8, min(nonzero)))
 
     def test_finite_ranks(self, blocks):
         for n, op in blocks.trusted_blocks().items():
@@ -531,10 +602,11 @@ class TestCommutatorBlocks:
         assert all(b < a for a, b in zip(deep, deep[1:]))
 
     def test_zero_factor_gives_zero_blocks(self):
-        zero_s, zero_u = fn.zero_function(gd.STABLE), fn.zero_function(gd.UNSTABLE)
+        zero_s = fn.LocallyConstantFunction(gd.STABLE, ())
+        zero_u = fn.LocallyConstantFunction(gd.UNSTABLE, ())
         for a, b in ((zero_s, B), (A, zero_u), (zero_s, zero_u)):
             out = fn.commutator_blocks(a, b, (-2, 3), seeded_registry(bound=2), FULL)
-            assert not out.untrusted and all(op.is_zero() for op in out.blocks.values())
+            assert not out.untrusted and not any(op.entries for op in out.blocks.values())
 
     def test_untrusted_flagging(self):
         a = fn.profile(gd.BaseSet(CA, 1, 0), depth=20, seed="ref-a")
@@ -549,45 +621,6 @@ def _pairs(s):
     stable = sorted(k for k, f in s.functions.items() if f.side == gd.STABLE)
     unstable = sorted(k for k, f in s.functions.items() if f.side == gd.UNSTABLE)
     return [(s, a, b) for a in stable for b in unstable]
-
-
-def period_two_scenario():
-    """A scenario on the period-2 irreducible matrix, P = (0, 1), Q = (0, 2).
-
-    Its anchors are the first pairs of enumerate_homoclinic(..., 5) that
-    agree from 0 on (stable) or up to 0 (unstable), each base set at the
-    anchor's c_first_time.
-    """
-    m, p, q = SHIFTS["period-2"]
-    pts = sft.enumerate_homoclinic(m, p, q, 5)
-
-    def first(agree, side):
-        x, y = next((x, y) for x in pts for y in pts if x != y and agree(x, y, 0))
-        anchor = gd.GroupoidElement(x, y, side)
-        return anchor, gd.c_first_time(anchor)
-
-    (ca, ta), (cb, tb) = first(sft.agree_from, gd.STABLE), first(sft.agree_upto, gd.UNSTABLE)
-
-    def terms(anchor, time, side, coeff=lambda k: 2.0**-k):
-        return fn.LocallyConstantFunction(
-            side, tuple((gd.BaseSet(anchor, time + k, time), coeff(k)) for k in range(4))
-        )
-
-    functions = {
-        "a": fn.profile(gd.BaseSet(ca, ta + 1, ta), depth=12, seed="p2-a"),
-        "b": fn.profile(gd.BaseSet(cb, tb + 1, tb), depth=12, seed="p2-b"),
-        "a_terms": terms(ca, ta, gd.STABLE),
-        "b_terms": terms(cb, tb, gd.UNSTABLE),
-        # every term maps a point to itself, so the images merge; in tenths,
-        # the merged weight times a value rounds unlike the sum of products
-        "e_unit": terms(gd.unit(ca.first), 0, gd.STABLE, lambda k: (k + 1) / 10),
-    }
-    s = sn.Scenario(
-        name="period-2", matrix=m, kappa=2.0, orbit_p=p, orbit_q=q, core_bound=5,
-        window=(-4, 10), basis_cap=60000, functions=functions, p_grid=[0.5, 1.0], seed=1,
-    )
-    s.validate()
-    return s
 
 
 def _two_ranges():
@@ -645,14 +678,13 @@ def apply_to_column(f, col):
     return out
 
 
-def point_level_blocks(a, b, window, reg, m, mixed=False):
+def point_level_blocks(a, b, window, reg, m):
     """commutator_blocks on points: the support spliced point by point, each
     column through apply_to_column(f, apply_to_point(g, x)), every image a
     canonical point."""
     blocks, untrusted = {}, {}
     for n in range(window[0], window[1] + 1):
-        a_n = a.alpha(n)
-        b_n = b.alpha(-n) if mixed else b
+        a_n, b_n = a.alpha(n), b
         est = fn.estimate_column_count(a_n, b_n, m)
         room = reg.cap - len(reg)
         blocks[n] = op = fn.SparseOperator()
@@ -679,6 +711,15 @@ def point_level_blocks(a, b, window, reg, m, mixed=False):
                     continue
                 op.add(i, j, v)
     return fn.BlockOperator(tuple(window), blocks, untrusted, reg)
+
+
+def mixed_blocks(blocks, a, b, window, reg, m):
+    """blocks(...) with the unstable factor moving along: block n is
+    [alpha^n(a), alpha^-n(b)], from one single-block call per n."""
+    ns = range(window[0], window[1] + 1)
+    runs = [blocks(a, b.alpha(-n), (n, n), reg, m) for n in ns]
+    untrusted = {n: why for run in runs for n, why in run.untrusted.items()}
+    return fn.BlockOperator(tuple(window), {n: run.blocks[n] for n, run in zip(ns, runs)}, untrusted, reg)
 
 
 def _entries(op):
@@ -715,7 +756,9 @@ def test_blocks_match_point_level_assembly(s, a_name, b_name, mixed):
 
     def assemble(blocks):
         reg = fn.BasisRegistry.seeded(_seeds(s), cap=s.basis_cap)
-        return blocks(a, b, (-2, 6), reg, s.matrix, mixed=mixed)
+        if mixed:
+            return mixed_blocks(blocks, a, b, (-2, 6), reg, s.matrix)
+        return blocks(a, b, (-2, 6), reg, s.matrix)
 
     fast = assemble(fn.commutator_blocks)
     _assert_same_assembly(fast, assemble(point_level_blocks))
@@ -733,10 +776,13 @@ def test_cap_hit_during_assembly_matches_point_level(mixed):
     seeds = _seeds(s)
     reasons = set()
     for cap in range(len(seeds), len(seeds) + 12):
-        runs = [
-            blocks(a, b, (-2, 8), fn.BasisRegistry.seeded(seeds, cap=cap), s.matrix, mixed=mixed)
-            for blocks in (fn.commutator_blocks, point_level_blocks)
-        ]
+        runs = []
+        for blocks in (fn.commutator_blocks, point_level_blocks):
+            reg = fn.BasisRegistry.seeded(seeds, cap=cap)
+            if mixed:
+                runs.append(mixed_blocks(blocks, a, b, (-2, 8), reg, s.matrix))
+            else:
+                runs.append(blocks(a, b, (-2, 8), reg, s.matrix))
         _assert_same_assembly(*runs)
         reasons |= set(runs[0].untrusted.values())
     assert "registry cap hit during assembly" in reasons

@@ -8,6 +8,8 @@ from sftops import groupoid as gd
 from sftops import scenarios as sn
 from sftops.errors import NotComposable, OutsideDomain, SideMismatch
 
+from oracles import local_set_membership
+
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
 P = sft.PeriodicOrbit((1,))
@@ -29,6 +31,29 @@ def unstable(x, y):
     return gd.GroupoidElement(x, y, gd.UNSTABLE)
 
 
+def c_first_time_bruteforce(a: gd.GroupoidElement, n_cap: int = 400) -> int:
+    """Definitional oracle: scan N and test local-set membership."""
+    sgn = 1 if a.side == gd.STABLE else -1
+    side = gd.STABLE if a.side == gd.STABLE else gd.UNSTABLE
+    for n in range(n_cap):
+        x = sft.shift(a.first, sgn * n)
+        y = sft.shift(a.second, sgn * n)
+        if x == y or local_set_membership(x, y, 1, side):
+            return n
+    raise AssertionError("first time exceeded the scan cap")
+
+
+def element_is_valid(a: gd.GroupoidElement, p: sft.PeriodicOrbit, q: sft.PeriodicOrbit) -> bool:
+    """Invariant check: asymptotic pair on the correct transversal."""
+    if a.side == gd.STABLE:
+        if sft.agreement_floor(a.first, a.second) == math.inf:
+            return False
+        return sft.is_left_asymptotic(a.first, q) and sft.is_left_asymptotic(a.second, q)
+    if sft.agreement_depth(a.first, a.second) == -math.inf:
+        return False
+    return sft.is_right_asymptotic(a.first, p) and sft.is_right_asymptotic(a.second, p)
+
+
 class TestFirstTime:
     def test_identity_pair(self):
         assert gd.c_first_time(gd.unit(ZERO)) == 0
@@ -37,7 +62,7 @@ class TestFirstTime:
         y = sft.build_point((0,), (1,), (0,), 3)
         a = stable(ZERO, y)
         assert gd.c_first_time(a) == 5
-        assert gd.c_first_time_bruteforce(a) == 5
+        assert c_first_time_bruteforce(a) == 5
 
     def test_shift_property(self):
         y = sft.build_point((0,), (1,), (0,), 3)
@@ -56,7 +81,7 @@ class TestFirstTime:
                 if sft.agreement_floor(x, y) == math.inf:
                     continue
                 a = stable(x, y)
-                assert gd.c_first_time(a) == gd.c_first_time_bruteforce(a)
+                assert gd.c_first_time(a) == c_first_time_bruteforce(a)
                 pairs += 1
         assert pairs >= 30
 
@@ -64,7 +89,7 @@ class TestFirstTime:
         y = sft.build_point((0,), (1,), (0,), -5)
         a = unstable(ZERO, y)
         assert gd.c_first_time(a) == 7
-        assert gd.c_first_time_bruteforce(a) == 7
+        assert c_first_time_bruteforce(a) == 7
         # time reversal carries the unstable first time to the stable one
         assert gd.c_first_time(gd.reverse_element(a)) == 7
 
@@ -169,25 +194,25 @@ class TestHolonomy:
     def test_graph_element_invariants(self):
         z = sft.build_point((0,), (1, 0, 1, 1, 1, 1, 1, 0), (1,), -2)
         h = gd.holonomy_apply(self.v, z)
-        assert gd.element_is_valid(stable(h, z), P, Q)
+        assert element_is_valid(stable(h, z), P, Q)
 
 
 class TestMetric:
     def test_zero_on_diagonal(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
         assert gd.groupoid_metric_exponent(a, a) is None
-        assert gd.groupoid_metric(a, a, P2) == 0.0
+        assert P2.value(gd.groupoid_metric_exponent(a, a)) == 0.0
 
     def test_first_time_mismatch_gives_one(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
         b = stable(ZERO, sft.build_point((0,), (1,), (0,), 4))
         assert gd.c_first_time(a) != gd.c_first_time(b)
-        assert gd.groupoid_metric(a, b, P2) == 1.0
+        assert P2.value(gd.groupoid_metric_exponent(a, b)) == 1.0
 
     def test_unit_pair_example(self):
         y = sft.build_point((0,), (1,), (0,), 3)
         assert gd.groupoid_metric_exponent(gd.unit(ZERO), gd.unit(y)) == 3
-        assert gd.groupoid_metric(gd.unit(ZERO), gd.unit(y), P2) == 0.125
+        assert P2.value(gd.groupoid_metric_exponent(gd.unit(ZERO), gd.unit(y))) == 0.125
 
     def test_side_mismatch(self):
         with pytest.raises(SideMismatch):
@@ -264,7 +289,7 @@ class TestPairAlgebra:
         y = sft.build_point((0,), (1, 0), (1,), -2)
         a = stable(STEP, y)
         assert gd.compose(a, gd.inverse(a)) == gd.unit(STEP)
-        assert gd.range_of(a) == STEP and gd.source_of(a) == y
+        assert a.first == STEP and a.second == y
 
     def test_not_composable(self):
         y = sft.build_point((0,), (1, 0), (1,), -2)
@@ -287,7 +312,7 @@ class TestPairAlgebra:
         for a in els:
             for b in els:
                 e = gd.groupoid_metric_exponent(a, b)
-                eu = gd.units_metric_exponent(gd.source_of(a), gd.source_of(b))
+                eu = gd.units_metric_exponent(a.second, b.second)
                 assert e == eu
 
 
@@ -341,5 +366,5 @@ class TestUnstableMirror:
             assert h.at(i) == z.at(i)
         # the future is pinned to the anchor's range point
         assert sft.agree_from(h, STEP, -v.time)
-        assert gd.element_is_valid(unstable(h, z), P, Q)
+        assert element_is_valid(unstable(h, z), P, Q)
         assert gd.base_set_membership(v, unstable(h, z))

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 
 import pytest
@@ -99,8 +100,82 @@ def test_checker_finds_unreferenced_definitions():
     assert unreferenced_definitions({"m.py": source}, searched) == ["m.py:4 recursive"]
 
 
-def test_every_definition_is_referenced():
+def _searched_and_defined():
     paths = [path for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))]
     searched = {str(path): path.read_text() for path in paths}
     defined = {str(path): path.read_text() for path in sorted(SRC.glob("*.py"))}
+    return defined, searched
+
+
+def test_every_definition_is_referenced():
+    defined, searched = _searched_and_defined()
     assert unreferenced_definitions(defined, searched) == []
+
+
+def call_settings(searched: dict):
+    """Per called name: the most positional arguments any call passes, and
+    the keywords the calls pass.  A starred argument reaches every position
+    and a ** mapping (keyword None) every keyword."""
+    reach, keywords = {}, {}
+    for source in searched.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            reach[name] = max(reach.get(name, 0), math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return reach, keywords
+
+
+def unset_parameters(defined: dict, searched: dict) -> list:
+    """Defaulted parameters of the functions and methods in `defined` that no
+    call in `searched`, matched by name, sets by keyword or by position
+    (a method's positions start after self or cls)."""
+    reach, keywords = call_settings(searched)
+    out = []
+    for path, source in defined.items():
+        tree = ast.parse(source)
+        methods = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for sub in node.body
+            if isinstance(sub, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+        }
+        for node in definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            offset = 1 if id(node) in methods else 0
+            defaulted = [
+                (arg.arg, i + 1 - offset)
+                for i, arg in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ] + [
+                (arg.arg, math.inf)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            kws = keywords.get(node.name, set())
+            for name, needed in defaulted:
+                if name not in kws and None not in kws and reach.get(node.name, 0) < needed:
+                    out.append(f"{pathlib.Path(path).name}:{node.lineno} {node.name}({name})")
+    return out
+
+
+def test_checker_finds_unset_parameters():
+    source = (
+        "def draw(n, seed=0, dim=8):\n    return n\n\n"
+        "class Box:\n    def read(self, at, floor=0):\n        return at\n\n"
+        "draw(1, dim=4)\nBox().read(1, 2)\n"
+    )
+    assert unset_parameters({"m.py": source}, {"m.py": source}) == ["m.py:1 draw(seed)"]
+
+
+def test_every_option_is_set():
+    defined, searched = _searched_and_defined()
+    assert unset_parameters(defined, searched) == []

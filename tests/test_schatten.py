@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sftops import schatten as sc
-from sftops.errors import InsufficientData, UntrustedBlocks
+from sftops.errors import InsufficientData
 from sftops.functions import SparseOperator
 
 
@@ -96,36 +96,22 @@ class TestSingularValues:
         assert float(np.max(np.abs(s1 - s2))) < 1e-10
 
 
+def merged_blocks(blocks):
+    """The spectrum of a block family as the spectrum command merges it."""
+    return sc.merge_spectra([sc.singular_values(op) for _, op in sorted(blocks.items())])
+
+
 class TestBlockMerge:
     def test_two_diagonal_blocks(self):
-        class Fake:
-            untrusted = {}
-            blocks = {
-                0: SparseOperator({(0, 0): 1.0}),
-                1: SparseOperator({(0, 0): 2.0}),
-            }
-
-        spec = sc.block_singular_values(Fake())
-        assert np.allclose(spec.values, [2.0, 1.0])
+        blocks = {0: SparseOperator({(0, 0): 1.0}), 1: SparseOperator({(0, 0): 2.0})}
+        assert np.allclose(merged_blocks(blocks).values, [2.0, 1.0])
 
     def test_order_invariance(self):
-        class Fake:
-            untrusted = {}
-            blocks = {
-                1: SparseOperator({(0, 0): 2.0}),
-                0: SparseOperator({(0, 0): 1.0}),
-            }
-
-        spec = sc.block_singular_values(Fake())
+        blocks = {1: SparseOperator({(0, 0): 2.0}), 0: SparseOperator({(0, 0): 1.0})}
+        spec = merged_blocks(blocks)
         assert np.allclose(spec.values, [2.0, 1.0])
-
-    def test_untrusted_raises(self):
-        class Fake:
-            untrusted = {3: "cap"}
-            blocks = {}
-
-        with pytest.raises(UntrustedBlocks):
-            sc.block_singular_values(Fake())
+        reverse = sc.merge_spectra([sc.singular_values(op) for op in blocks.values()])
+        assert np.array_equal(reverse.values, spec.values)
 
     def test_merge_equals_direct_sum_svd(self):
         rng = np.random.default_rng(5)

@@ -9,6 +9,8 @@ from sftops import sampling as smp
 from sftops import sft
 from sftops.errors import BracketUndefined, NotIrreducible, OrbitsNotDisjoint, ZeroRowOrColumn
 
+from oracles import PERIOD2, local_set_membership
+
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = sft.TransitionMatrix.from_rows([[1, 1], [1, 0]])
 P2 = sft.MetricParams(2.0)
@@ -20,6 +22,16 @@ STEP = sft.build_point((0,), (), (1,), 0)
 
 def pt(left, core, right, start):
     return sft.build_point(tuple(left), tuple(core), tuple(right), start)
+
+
+def _raw_at(left, core, right, start: int, i: int):
+    """Reference reader of a raw encoding, one symbol at a time."""
+    end = start + len(core)
+    if i < start:
+        return left[(i - start) % len(left)]
+    if i < end:
+        return core[i - start]
+    return right[(i - end) % len(right)]
 
 
 class TestMatrix:
@@ -130,7 +142,7 @@ class TestPoints:
         x = sft.build_point((1, 0, 0), (), (0,), 0)
         assert x == sft.EventuallyPeriodicPoint(bytes([0, 0, 1]), b"", bytes([0]), -2)
         for i in range(-12, 6):
-            assert x.at(i) == sft._raw_at((1, 0, 0), (), (0,), 0, i)
+            assert x.at(i) == _raw_at((1, 0, 0), (), (0,), 0, i)
 
     def test_encode_decode_roundtrip(self):
         for x in (ZERO, STEP, pt([0], [1, 0], [1], -2), sft.periodic_point((0, 1))):
@@ -215,21 +227,21 @@ class TestBracket:
 
 class TestLocalSets:
     def test_reflexive(self):
-        assert sft.local_set_membership(STEP, STEP, 1, sft.STABLE)
-        assert sft.local_set_membership(STEP, STEP, 1, sft.UNSTABLE)
+        assert local_set_membership(STEP, STEP, 1, sft.STABLE)
+        assert local_set_membership(STEP, STEP, 1, sft.UNSTABLE)
 
     def test_stable_example(self):
         y = pt([0], [1], [0], -2)
-        assert sft.local_set_membership(ZERO, y, 1, sft.STABLE)
-        assert not sft.local_set_membership(ZERO, y, 1, sft.UNSTABLE)
+        assert local_set_membership(ZERO, y, 1, sft.STABLE)
+        assert not local_set_membership(ZERO, y, 1, sft.UNSTABLE)
 
     def test_closed_forms_match_oracle(self):
         pts = sft.enumerate_homoclinic(FULL, sft.PeriodicOrbit((1,)), sft.PeriodicOrbit((0,)), 3)
         for eps in range(1, 9):
             for x in pts[::5]:
                 for y in pts[::3]:
-                    oracle_s = sft.local_set_membership(x, y, eps, sft.STABLE)
-                    oracle_u = sft.local_set_membership(x, y, eps, sft.UNSTABLE)
+                    oracle_s = local_set_membership(x, y, eps, sft.STABLE)
+                    oracle_u = local_set_membership(x, y, eps, sft.UNSTABLE)
                     assert oracle_s == sft.in_stable_set(x, y, eps)
                     assert oracle_u == sft.in_unstable_set(x, y, eps)
 
@@ -273,9 +285,6 @@ def brute_force_homoclinic(m, p, q, bound):
                         if len(x.core) <= bound and -bound <= x.core_start and x.core_end <= bound + 1:
                             out.add(x)
     return out
-
-
-PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 
 
 def allowed_words(m, length):
@@ -353,7 +362,7 @@ class TestHypothesis:
         again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
         assert again == x
         for i in range(start - 8, start + len(core) + 8):
-            assert x.at(i) == sft._raw_at(tuple(left), tuple(core), tuple(right), start, i)
+            assert x.at(i) == _raw_at(tuple(left), tuple(core), tuple(right), start, i)
 
     @settings(max_examples=100, deadline=None)
     @given(words, st.lists(st.integers(0, 1), max_size=5), words, st.integers(-5, 5))
@@ -365,7 +374,7 @@ class TestHypothesis:
         x = sft.build_point(*raw)
         reach = 3 * max(len(left), len(right)) + 1
         span = range(min(start, x.core_start) - reach, max(start + len(core), x.core_end) + reach + 1)
-        seq = {i: sft._raw_at(*raw, i) for i in span}
+        seq = {i: _raw_at(*raw, i) for i in span}
         for y in (x, sft.EventuallyPeriodicPoint(*raw)):
             for lo in span:
                 for hi in span:
@@ -394,11 +403,11 @@ class TestHypothesis:
             x = sft.splice_at(past, future, m, w)
             for i in span:
                 if i <= m:
-                    want = sft._raw_at(*raw_past, i)
+                    want = _raw_at(*raw_past, i)
                 elif i <= m + len(w):
                     want = w[i - m - 1]
                 else:
-                    want = sft._raw_at(*raw_future, i)
+                    want = _raw_at(*raw_future, i)
                 assert x.at(i) == want, (w, i)
             assert sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start) == x
 
@@ -431,7 +440,7 @@ class TestWordOracles:
         if same_right:
             ry = ry[:2] + (rx[2], ry[3])
         x, y = sft.build_point(*rx), sft.build_point(*ry)
-        diff = [i for i in range(-REACH, REACH + 1) if sft._raw_at(*rx, i) != sft._raw_at(*ry, i)]
+        diff = [i for i in range(-REACH, REACH + 1) if _raw_at(*rx, i) != _raw_at(*ry, i)]
         if not diff:
             assert x == y
             assert sft.agreement_depth(x, y) == math.inf
