@@ -45,6 +45,10 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+# largest side of the dense basis x window matrices fredholm builds (about
+# 64 MB each at complex128); a larger basis exits EXIT_RESOURCE
+FREDHOLM_DENSE_CAP = 2048
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
@@ -448,10 +452,18 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     for x in list(reg.points):
         for k in range(lab_window[0] - 1, lab_window[1] + 2):
             reg.add(sft.shift(x, k))
-    e_mat = fn.represent(proj_fn, reg)
+    # registers e's images before the freeze
+    fn.represent(proj_fn, reg)
     reg.freeze()
     width = lab_window[1] - lab_window[0] + 1
     dim = len(reg) * width
+    if dim > FREDHOLM_DENSE_CAP:
+        print(
+            f"fredholm: dense side {dim} ({len(reg)} basis points x {width} window slots)"
+            f" exceeds the cap {FREDHOLM_DENSE_CAP}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
 
     e_infl = fd.inflate_stable(proj_fn, 0, lab_window, reg)
     e_dense = fd.densify(e_infl, lab_window, len(reg))

@@ -25,8 +25,6 @@ from .groupoid import (
     BaseSet,
     GroupoidElement,
     _holonomy_splice,
-    base_set_membership,
-    holonomy_apply,
     in_domain,
     inverse,
     phi_auto,
@@ -125,9 +123,9 @@ class LocallyConstantFunction:
 
         return self._map(move)
 
-    def profile_value(self, z: EventuallyPeriodicPoint, term: Optional[Term] = None) -> complex:
-        """Value of a term (by default the first) on the graph element with source z."""
-        bs, coeff, depth, seed = term or self.terms[0]
+    def profile_value(self, z: EventuallyPeriodicPoint) -> complex:
+        """Value of the first term, a profile, on the graph element with source z."""
+        bs, coeff, depth, seed = self.terms[0]
         t = bs.threshold
         if self.side == STABLE:
             word = z.window(t + 1, t + depth + 1)
@@ -135,26 +133,12 @@ class LocallyConstantFunction:
             word = z.window(-t - depth, -t)[::-1]
         return coeff * _prefix_path(seed).total(word)
 
-    def _term_value(self, z: EventuallyPeriodicPoint, term: Term) -> complex:
-        return term.coeff if term.depth == 0 else self.profile_value(z, term)
-
-    def _lone_profile(self) -> bool:
-        # a lone profile term's value is kept as computed, not added to 0j
-        # (which would turn an imaginary -0.0 into 0.0)
-        return len(self.terms) == 1 and self.terms[0].depth > 0
-
     def evaluate(self, gamma: GroupoidElement) -> complex:
-        """Sum of the term values over the base sets containing gamma."""
+        """Sum of the term values over the base sets containing gamma: the
+        entry of apply_to_point at the source, in the row of the range."""
         if gamma.side != self.side:
             raise SideMismatch("element on the wrong side")
-        total = 0.0 + 0.0j
-        for term in self.terms:
-            if base_set_membership(term.support, gamma):
-                value = self._term_value(gamma.second, term)
-                if self._lone_profile():
-                    return value
-                total += value
-        return total
+        return apply_to_point(self, gamma.second).get(gamma.first, 0j)
 
     def lipschitz_constant(self, p: MetricParams) -> float:
         """Certified upper bound: an indicator at radius exponent n separates
@@ -180,15 +164,8 @@ def profile(bs: BaseSet, depth: int, seed: str) -> LocallyConstantFunction:
     return LocallyConstantFunction(bs.side, (Term(bs, 1.0 + 0.0j, depth, seed),))
 
 
-class _SymbolBytes(dict):
-    """symbol -> b",<symbol>", the bytes one more symbol adds to a word's hash."""
-
-    def __missing__(self, symbol):
-        self[symbol] = chunk = f",{symbol}".encode()
-        return chunk
-
-
-_SYMBOL_BYTES = _SymbolBytes()
+# symbol -> b",<symbol>", the bytes one more symbol adds to a word's hash
+_SYMBOL_BYTES = tuple(f",{s}".encode() for s in range(256))
 PREFIX_PATHS = 16
 
 
@@ -271,10 +248,10 @@ def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet
         depth = tw
     if not in_domain(w, center):
         return []
-    mid = holonomy_apply(w, center)
+    mid = _holonomy_splice(w, center)
     if not in_domain(v, mid):
         return []
-    anchor = GroupoidElement(holonomy_apply(v, mid), center, STABLE)
+    anchor = GroupoidElement(_holonomy_splice(v, mid), center, STABLE)
     return [BaseSet(anchor, depth - 1, max(nv, nw))]
 
 
@@ -409,15 +386,8 @@ def apply_to_point(
     when x lies in the domain disk, else to zero; the values of several
     acting terms are summed by image point, in term order.
     """
-    out: Dict[EventuallyPeriodicPoint, complex] = {}
-    for term in f.terms:
-        if in_domain(term.support, x):
-            y = _holonomy_splice(term.support, x)
-            value = f._term_value(x, term)
-            if f._lone_profile():
-                return {y: value}
-            _accumulate(out, y, value)
-    return out
+    ((_, col),) = _columns((f,), _single, [x])
+    return col
 
 
 def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
@@ -427,14 +397,7 @@ def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
     yet registered are added (or counted as truncation events when the
     registry is frozen or full).
     """
-    snapshot = list(reg.points)
-    op = SparseOperator()
-    for j, x in enumerate(snapshot):
-        for y, v in apply_to_point(f, x).items():
-            i = reg.add(y)
-            if i is None:
-                continue
-            op.add(i, j, v)
+    op, _ = _assemble((f,), _single, list(reg.points), reg)
     return op
 
 
@@ -578,15 +541,18 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
     return int(power[start, end])
 
 
-# The block kernel works on words: every point a block meets (column,
-# anchor, holonomy image, row) is its window over the _block_span.  The
-# anchor windows are read once per block and each column's window once: a
-# domain test is a slice compare, a holonomy image a slice of the column
-# window joined to a slice of an anchor window, a profile word a slice
-# (reversed on the unstable side).  A first pass over the windows collects
-# the block's profile words for _word_totals; a second sums the entries with
-# apply_to_point's arithmetic, applied twice, and makes a row a canonical
-# point only to register it.
+# The kernel works on words: every point that some functions meet on a set
+# of columns (column, anchor, holonomy image, row) is its window over the
+# _block_span.  The anchor windows are read once and each column's window
+# once: a domain test is a slice compare, a holonomy image a slice of the
+# column window joined to a slice of an anchor window, a profile word a
+# slice (reversed on the unstable side).  A column rule says how the
+# functions' actions make a column: _single for represent and
+# apply_to_point, _commutator for a block.  A first pass runs the rule on
+# every column with each action noted, not valued: its _act images are kept
+# and its profile words collected.  _word_totals hashes each seed's words,
+# a second pass runs the rule on the kept images' values, and a row
+# becomes a canonical point only at the end.
 
 
 def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
@@ -616,11 +582,12 @@ def _act(actions: list, z: bytes) -> list:
     ]
 
 
-def _apply(f: LocallyConstantFunction, actions: list, z: bytes, totals: dict) -> dict:
-    """apply_to_point(f, .) on the window z, keyed by image window."""
+def _apply(images: list, totals: dict, lone: bool) -> dict:
+    """The values of the terms acting on a window (its _act images), summed
+    by image window in term order.  A lone profile term's value is kept as
+    computed: 0j + value would turn an imaginary -0.0 into 0.0."""
     out = {}
-    lone = f._lone_profile()
-    for y, term, word in _act(actions, z):
+    for y, term, word in images:
         value = term.coeff * totals[term.seed][word] if term.depth else term.coeff
         if lone:
             return {y: value}
@@ -628,11 +595,24 @@ def _apply(f: LocallyConstantFunction, actions: list, z: bytes, totals: dict) ->
     return out
 
 
-def _twice(f, acts_f: list, g, acts_g: list, z: bytes, totals: dict) -> dict:
-    """apply_to_point(f, .) summed over the images of apply_to_point(g, z)."""
+def _single(apply, z: bytes) -> dict:
+    """Column rule of one function: its action on the window z."""
+    return apply(0, z)
+
+
+def _commutator(apply, z: bytes) -> dict:
+    """Column rule of the commutator f_0 f_1 - f_1 f_0 on the window z."""
+    col = _twice(apply, 0, 1, z)
+    for row, v in _twice(apply, 1, 0, z).items():
+        _accumulate(col, row, -v)
+    return col
+
+
+def _twice(apply, f: int, g: int, z: bytes) -> dict:
+    """The action of function f summed over the images of g's action on z."""
     out = {}
-    for y, w in _apply(g, acts_g, z, totals).items():
-        for row, v in _apply(f, acts_f, y, totals).items():
+    for y, w in apply(g, z).items():
+        for row, v in apply(f, y).items():
             _accumulate(out, row, w * v)
     return out
 
@@ -646,35 +626,50 @@ def _word_totals(seed: str, words: dict) -> dict:
     return words
 
 
-def _assemble(a_n, b_n, cols, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
-    """A block's operator on its support columns, and whether the cap cut it."""
-    op = SparseOperator()
-    if not cols:
-        return op, False
-    lo, hi, period = _block_span((a_n, b_n), cols)
-    acts_a, acts_b = _actions(a_n, lo, hi), _actions(b_n, lo, hi)
+def _columns(fs: tuple, rule, cols: list):
+    """(x, column) for each point x of cols, in order: rule(apply, window of
+    x) with its rows made canonical points, apply(k, y) being the action of
+    fs[k] on the window y."""
+    lo, hi, period = _block_span(fs, cols)
+    actions = [_actions(f, lo, hi) for f in fs]
+    lone = [len(f.terms) == 1 and f.terms[0].depth > 0 for f in fs]
     windows = [x.window(lo, hi) for x in cols]
-    words: Dict[str, dict] = {}  # seed -> its profile words in the block
+    acted = [{} for _ in fs]  # per function: window -> its _act images
+    words: Dict[str, dict] = {}  # seed -> its profile words
+
+    def note(k: int, z: bytes) -> dict:
+        # every image, weight 1: a superset of the images whose values survive
+        acted[k][z] = images = _act(actions[k], z)
+        for _, t, w in images:
+            if t.depth:
+                words.setdefault(t.seed, {})[w] = None
+        return dict.fromkeys([y for y, _, _ in images], 1.0)
+
     for z in windows:
-        for outer, inner in ((acts_b, acts_a), (acts_a, acts_b)):
-            images = _act(outer, z)
-            for _, t, w in images + [a for y, _, _ in images for a in _act(inner, y)]:
-                if t.depth:
-                    words.setdefault(t.seed, {})[w] = None
+        rule(note, z)
     totals = {seed: _word_totals(seed, seen) for seed, seen in words.items()}
-    truncated = False
+
+    def apply(k: int, z: bytes) -> dict:
+        return _apply(acted[k][z], totals, lone[k])
+
     for x, z in zip(cols, windows):
-        col = _twice(a_n, acts_a, b_n, acts_b, z, totals)
-        for row, v in _twice(b_n, acts_b, a_n, acts_a, z, totals).items():
-            _accumulate(col, row, -v)
+        yield x, {_point(row, lo, period): v for row, v in rule(apply, z).items()}
+
+
+def _assemble(fs: tuple, rule, cols: list, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
+    """The operator of a column rule on the columns cols, every nonzero
+    column and then its rows registered in order, and whether the cap cut it."""
+    op = SparseOperator()
+    truncated = False
+    for x, col in _columns(fs, rule, cols):
         if not col:
             continue
         j = reg.add(x)
         if j is None:
             truncated = True
             continue
-        for row, v in col.items():
-            i = reg.add(_point(row, lo, period))
+        for y, v in col.items():
+            i = reg.add(y)
             if i is None:
                 truncated = True
                 continue
@@ -709,7 +704,7 @@ def commutator_blocks(
             blocks[n] = SparseOperator()
             continue
         cols = commutator_column_support(a_n, b, m)
-        blocks[n], truncated = _assemble(a_n, b, cols, reg)
+        blocks[n], truncated = _assemble((a_n, b), _commutator, cols, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
     return BlockOperator((n_min, n_max), blocks, untrusted, reg)

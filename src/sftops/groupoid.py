@@ -194,14 +194,6 @@ def _holonomy_splice(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriod
     return splice_at(z, v.anchor.first, -v.time - 1)
 
 
-def base_set_membership(v: BaseSet, b: GroupoidElement) -> bool:
-    if b.side != v.side:
-        return False
-    if not in_domain(v, b.second):
-        return False
-    return _holonomy_splice(v, b.second) == b.first
-
-
 def elements_of(v: BaseSet, sources) -> list:
     """Graph elements (h(z), z) of the bisection over the given source points."""
     out = []

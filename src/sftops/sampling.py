@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .groupoid import GroupoidElement, _holonomy_splice, base_set, c_first_time, in_domain, unit
+from .groupoid import GroupoidElement, base_set, c_first_time, elements_of, unit
 from .sft import (
     STABLE,
     EventuallyPeriodicPoint,
@@ -90,9 +90,7 @@ def nested_family(
             bs = base_set(anchor, r)
         except ValueError:
             continue
-        for z in variations_at_depth(m, anchor.second, t, p):
-            if in_domain(bs, z):
-                out.append(GroupoidElement(_holonomy_splice(bs, z), z, anchor.side))
+        out += elements_of(bs, variations_at_depth(m, anchor.second, t, p))
     return out
 
 

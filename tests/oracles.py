@@ -30,6 +30,67 @@ def local_set_membership(x, y, eps_exp: int, side: str) -> bool:
     raise ValueError(f"unknown side {side!r}")
 
 
+def base_set_membership(v, b) -> bool:
+    """b lies on the bisection v: its source in the domain disk, its range
+    the holonomy image of the source."""
+    if b.side != v.side:
+        return False
+    if not gd.in_domain(v, b.second):
+        return False
+    return gd._holonomy_splice(v, b.second) == b.first
+
+
+def _term_value(f, x, term) -> complex:
+    if term.depth == 0:
+        return term.coeff
+    return fn.LocallyConstantFunction(f.side, (term,)).profile_value(x)
+
+
+def _lone_profile(f) -> bool:
+    # a lone profile term's value is kept as computed, not added to 0j
+    # (which would turn an imaginary -0.0 into 0.0)
+    return len(f.terms) == 1 and f.terms[0].depth > 0
+
+
+def apply_to_point(f, x) -> dict:
+    """The point-level action that fn.apply_to_point computes on words: a
+    term whose domain disk holds x sends delta_x to its value times
+    delta_{h(x)}, one domain test and one splice per term, and the values
+    are summed by image point in term order."""
+    out = {}
+    for term in f.terms:
+        if gd.in_domain(term.support, x):
+            y = gd._holonomy_splice(term.support, x)
+            value = _term_value(f, x, term)
+            if _lone_profile(f):
+                return {y: value}
+            fn._accumulate(out, y, value)
+    return out
+
+
+def represent(f, reg):
+    """fn.represent column by column through apply_to_point above."""
+    op = fn.SparseOperator()
+    for j, x in enumerate(list(reg.points)):
+        for y, v in apply_to_point(f, x).items():
+            i = reg.add(y)
+            if i is not None:
+                op.add(i, j, v)
+    return op
+
+
+def evaluate(f, gamma) -> complex:
+    """Sum of the term values over the base sets containing gamma."""
+    total = 0.0 + 0.0j
+    for term in f.terms:
+        if base_set_membership(term.support, gamma):
+            value = _term_value(f, gamma.second, term)
+            if _lone_profile(f):
+                return value
+            total += value
+    return total
+
+
 def period_two_scenario():
     """A scenario on the period-2 irreducible matrix, P = (0, 1), Q = (0, 2).
 

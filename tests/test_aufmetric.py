@@ -9,6 +9,8 @@ from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import sft
 
+from oracles import base_set_membership
+
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P = sft.PeriodicOrbit((1,))
 Q = sft.PeriodicOrbit((0,))
@@ -44,7 +46,7 @@ def k_index(n_a1, n, cp):
 
 
 def v_set_membership(b, a, v, cp):
-    return gd.base_set_membership(auf.v_set(a, v, cp), b)
+    return base_set_membership(auf.v_set(a, v, cp), b)
 
 
 def u_cover_member(a, c, n, cp):
@@ -225,8 +227,9 @@ class TestNestedFamily:
             applied.append(z)
             return real_apply(v, z)
 
+        # nested_family takes its elements from gd.elements_of
+        monkeypatch.setattr(gd, "in_domain", counted_in_domain)
         for mod in (gd, smp):
-            monkeypatch.setattr(mod, "in_domain", counted_in_domain)
             monkeypatch.setattr(mod, "holonomy_apply", counted_apply, raising=False)
         anchor = gd.GroupoidElement(STEP, sft.build_point((0,), (1, 0), (1,), -2))
         depths = range(gd.c_first_time(anchor) + 2, 12)

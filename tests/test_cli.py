@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -422,6 +423,18 @@ class TestFredholmCommand:
         run(["fredholm", "--scenario", "full-2-shift", "--out", str(out)])
         rep = json.loads((out / "fredholm.json").read_text())
         assert all("verdict" in row for row in rep["summability_table"])
+
+
+    def test_oversized_basis_exit_3(self, tmp_path, capsys):
+        # the reference functions on the full 16-shift: 2423 basis points
+        # with e's images, so dense matrices of side 12115 (2.3 GB each)
+        path = edited_reference(tmp_path, ["matrix"], [[1] * 16 for _ in range(16)])
+        start = time.perf_counter()
+        assert run(["fredholm", "--scenario", path, "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "dense side 12115 (2423 basis points x 5 window slots)" in err
+        assert "Traceback" not in err
 
 
 class TestScenarioRoundTrip:

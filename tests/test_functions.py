@@ -15,6 +15,7 @@ from sftops import schatten as sc
 from sftops import sft
 from sftops.errors import SideMismatch
 
+import oracles
 from oracles import PERIOD2, period_two_scenario
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -510,19 +511,22 @@ class TestProfileFunctions:
 
 
 REFERENCE = {name: mk() for name, mk in sn.REFERENCE_SCENARIOS.items()}
+KAPPA_THREE = [dataclasses.replace(s, name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE.values()]
+LINEARITY_SCENARIOS = {s.name: s for s in [*REFERENCE.values(), *KAPPA_THREE, period_two_scenario()]}
 LINEARITY_REGISTRY = {
     name: sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
-    for name, s in REFERENCE.items()
+    for name, s in LINEARITY_SCENARIOS.items()
 }
 
 
 class TestLinearity:
     # a function is the sum of its terms: represent of a mix of indicator
     # and profile terms is the entrywise sum of represent of each one-term
-    # piece, on both reference matrices
-    @settings(max_examples=25, deadline=None)
+    # piece, on both reference matrices, their kappa = 3 copies and the
+    # period-2 matrix
+    @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(sorted(REFERENCE)),
+        st.sampled_from(sorted(LINEARITY_SCENARIOS)),
         st.lists(
             st.tuples(
                 st.booleans(),
@@ -536,8 +540,9 @@ class TestLinearity:
         st.integers(-2, 3),
     )
     def test_represent_is_the_sum_over_terms(self, name, specs, k):
-        s = REFERENCE[name]
-        off_diag, unit = (s.functions[k].terms[0].support.anchor for k in ("a", "e_proj"))
+        s = LINEARITY_SCENARIOS[name]
+        on_units = next(s.functions[k] for k in ("e_proj", "e_unit") if k in s.functions)
+        off_diag, unit = (f.terms[0].support.anchor for f in (s.functions["a"], on_units))
         terms = tuple(
             fn.Term(gd.BaseSet(unit if on_unit else off_diag, radius, 0), coeff, depth, "lin")
             for on_unit, radius, depth, coeff in specs
@@ -557,20 +562,26 @@ class TestLinearity:
 
 class TestApplyToPoint:
     def test_one_domain_test_per_term_per_column(self, monkeypatch):
+        # one _act call, which tests every term's domain once, per column
+        # and function: the values pass reuses the images of the words pass
         calls = []
-        real = gd.in_domain
+        real = fn._act
 
-        def counted(v, z):
-            calls.append(z)
-            return real(v, z)
+        def counted(actions, z):
+            calls.append(len(actions))
+            return real(actions, z)
 
-        monkeypatch.setattr(fn, "in_domain", counted)
-        monkeypatch.setattr(gd, "in_domain", counted)
+        monkeypatch.setattr(fn, "_act", counted)
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=8, seed="t")
         pts = seeded_registry(bound=3).points
         hits = sum(bool(fn.apply_to_point(f, x)) for f in (prof, A) for x in pts)
         assert hits > 0
-        assert len(calls) == len(pts) * (1 + len(A.terms))
+        assert calls == [1] * len(pts) + [len(A.terms)] * len(pts)
+        calls.clear()
+        reg = seeded_registry(bound=3)
+        for f in (prof, A):
+            fn.represent(f, reg)
+        assert calls == [1] * len(pts) + [len(A.terms)] * len(pts)
 
 
 @pytest.fixture(scope="module")
@@ -636,7 +647,6 @@ def _two_ranges():
     return dataclasses.replace(s, name="two-ranges", functions={"a": two, "b": s.functions["b"]})
 
 
-KAPPA_THREE = [dataclasses.replace(s, name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE.values()]
 ORACLE_CASES = (
     [p for name in sorted(REFERENCE) for p in _pairs(REFERENCE[name])]
     + [(s, "a", "b") for s in KAPPA_THREE]
@@ -669,11 +679,11 @@ def intersection_points(m, unstable_center, unstable_depth, stable_center, stabl
 
 
 def apply_to_column(f, col):
-    """f applied to a column of points: apply_to_point at each point,
-    summed by image point."""
+    """f applied to a column of points: the point-level apply_to_point at
+    each point, summed by image point."""
     out = {}
     for x, weight in col.items():
-        for y, v in fn.apply_to_point(f, x).items():
+        for y, v in oracles.apply_to_point(f, x).items():
             fn._accumulate(out, y, weight * v)
     return out
 
@@ -695,8 +705,8 @@ def point_level_blocks(a, b, window, reg, m):
         for s_pat, u_pat, past_hi, future_lo in fn._support_windows(a_n, b_n):
             cols.update(dict.fromkeys(_bridge_points(m, s_pat, past_hi, u_pat, future_lo)))
         for x in sorted(cols, key=sft.EventuallyPeriodicPoint.sort_key):
-            col = apply_to_column(a_n, fn.apply_to_point(b_n, x))
-            for y, v in apply_to_column(b_n, fn.apply_to_point(a_n, x)).items():
+            col = apply_to_column(a_n, oracles.apply_to_point(b_n, x))
+            for y, v in apply_to_column(b_n, oracles.apply_to_point(a_n, x)).items():
                 fn._accumulate(col, y, -v)
             if not col:
                 continue
@@ -788,6 +798,64 @@ def test_cap_hit_during_assembly_matches_point_level(mixed):
     assert "registry cap hit during assembly" in reasons
 
 
+REPRESENT_CASES = [
+    (s, name)
+    for s in [*REFERENCE.values(), *KAPPA_THREE, period_two_scenario(), _two_ranges()]
+    for name in sorted(s.functions)
+]
+
+
+def _disk_points(f, m):
+    """Points around the domain disk of each term of f: the term's source
+    with the four symbols around its threshold set every allowed way, so
+    some lie in the disk and some do not."""
+    pts = {}
+    for bs in f.supports():
+        src, t = bs.anchor.second, bs.threshold
+        if f.side == gd.STABLE:
+            pts.update(dict.fromkeys(_bridge_points(m, src, t - 2, src, t + 3)))
+        else:
+            pts.update(dict.fromkeys(_bridge_points(m, src, -t - 3, src, -t + 2)))
+    return list(pts)
+
+
+def _hex(v):
+    return v.real.hex(), v.imag.hex()
+
+
+@pytest.mark.parametrize("s, name", REPRESENT_CASES, ids=[f"{s.name}-{name}" for s, name in REPRESENT_CASES])
+def test_represent_and_evaluate_match_point_level(s, name):
+    # the word-level kernel against the point-level action at alpha^n, n in
+    # -3..3, and at (-f)*, with the seeds and points around the domain
+    # disks as columns: represent's entries, registry order and truncation
+    # events on an open registry, a frozen one and one whose cap runs out
+    # during the call, and evaluate's values, bit for bit (the coefficients
+    # of (-f)* are -1 - 0j, so a lone profile's values have an imaginary
+    # -0.0, which a sum started from 0j would turn into 0.0)
+    g = s.functions[name]
+    truncations = 0
+    for n, f in [*((n, g.alpha(n)) for n in range(-3, 4)), ("(-f)*", g.scaled(-1).involution())]:
+        cols = list(dict.fromkeys(_seeds(s) + _disk_points(f, s.matrix)))
+        for cap, frozen in ((s.basis_cap, False), (s.basis_cap, True), (len(cols) + 3, False)):
+            runs = []
+            for represent in (fn.represent, oracles.represent):
+                reg = fn.BasisRegistry.seeded(cols, cap=cap)
+                if frozen:
+                    reg.freeze()
+                # the second call also has the rows of the first as columns
+                ops = [_entries(represent(f, reg)) for _ in range(2)]
+                runs.append((ops, reg.points, reg.truncation_events))
+            assert runs[0] == runs[1], (n, cap, frozen)
+            assert frozen or any(runs[0][0])
+            truncations += runs[0][2]
+        for x in cols:
+            for y in [*oracles.apply_to_point(f, x), x, cols[0]]:
+                gamma = gd.GroupoidElement(y, x, f.side)
+                assert _hex(f.evaluate(gamma)) == _hex(oracles.evaluate(f, gamma)), (n, gamma)
+    # a function on units maps every point to itself and registers nothing
+    assert truncations or all(t.support.anchor.first == t.support.anchor.second for t in g.terms)
+
+
 @pytest.mark.parametrize("name, rows", [("full-2-shift", {0: 12}), ("golden-mean", {0: 9, 4: 2})])
 def test_rows_can_be_seed_points(name, rows):
     # a row need not be new to the registry, so registry indices do not
@@ -857,8 +925,8 @@ def test_support_enumerates_each_window_spec_once(monkeypatch, name, window, rep
 
 
 def _column_is_nonzero(a_n, b_n, x):
-    fwd = apply_to_column(a_n, fn.apply_to_point(b_n, x))
-    bwd = apply_to_column(b_n, fn.apply_to_point(a_n, x))
+    fwd = apply_to_column(a_n, oracles.apply_to_point(b_n, x))
+    bwd = apply_to_column(b_n, oracles.apply_to_point(a_n, x))
     col = dict(fwd)
     for y, v in bwd.items():
         col[y] = col.get(y, 0j) - v

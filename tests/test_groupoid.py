@@ -8,7 +8,7 @@ from sftops import groupoid as gd
 from sftops import scenarios as sn
 from sftops.errors import NotComposable, OutsideDomain, SideMismatch
 
-from oracles import local_set_membership
+from oracles import base_set_membership, local_set_membership
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
@@ -160,7 +160,7 @@ class TestHolonomy:
 
     def test_anchor_maps_home(self):
         assert gd.holonomy_apply(self.v, self.y) == STEP
-        assert gd.base_set_membership(self.v, self.anchor)
+        assert base_set_membership(self.v, self.anchor)
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
@@ -182,14 +182,14 @@ class TestHolonomy:
     def test_membership_implies_equal_first_time(self):
         z = sft.build_point((0,), (1, 0, 1, 1, 1, 1, 1, 0), (1,), -2)
         b = stable(gd.holonomy_apply(self.v, z), z)
-        assert gd.base_set_membership(self.v, b)
+        assert base_set_membership(self.v, b)
         assert gd.c_first_time(b) == gd.c_first_time(self.anchor)
 
     def test_first_time_mismatch_excludes(self):
         w = sft.build_point((0,), (1,), (0,), 9)
         b = stable(ZERO, w)  # deep disagreement, different first time
         assert gd.c_first_time(b) != gd.c_first_time(self.anchor)
-        assert not gd.base_set_membership(self.v, b)
+        assert not base_set_membership(self.v, b)
 
     def test_graph_element_invariants(self):
         z = sft.build_point((0,), (1, 0, 1, 1, 1, 1, 1, 0), (1,), -2)
@@ -325,7 +325,7 @@ class TestTopology:
             for b in els:
                 e = gd.groupoid_metric_exponent(a, b)
                 if e is not None and e >= n + 2:  # open ball of radius 2^-(n+1)
-                    assert gd.base_set_membership(v, b)
+                    assert base_set_membership(v, b)
 
     def test_diameter_bound(self):
         y = sft.build_point((0,), (1, 0), (1,), -2)
@@ -367,4 +367,4 @@ class TestUnstableMirror:
         # the future is pinned to the anchor's range point
         assert sft.agree_from(h, STEP, -v.time)
         assert element_is_valid(unstable(h, z), P, Q)
-        assert gd.base_set_membership(v, unstable(h, z))
+        assert base_set_membership(v, unstable(h, z))
