@@ -45,11 +45,6 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# largest side of the dense basis x window matrices fredholm builds (about
-# 64 MB each at complex128); a larger basis exits EXIT_RESOURCE
-FREDHOLM_DENSE_CAP = 2048
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -457,10 +452,10 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     reg.freeze()
     width = lab_window[1] - lab_window[0] + 1
     dim = len(reg) * width
-    if dim > FREDHOLM_DENSE_CAP:
+    if dim > fn.DENSE_SIDE_CAP:
         print(
             f"fredholm: dense side {dim} ({len(reg)} basis points x {width} window slots)"
-            f" exceeds the cap {FREDHOLM_DENSE_CAP}",
+            f" exceeds the cap {fn.DENSE_SIDE_CAP}",
             file=sys.stderr,
         )
         return EXIT_RESOURCE
@@ -471,7 +466,7 @@ def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
     b_dense = fd.densify(b_infl, lab_window, len(reg))
 
     try:
-        module = fd.make_odd_module(e_dense, lambda x: x)
+        module = fd.make_odd_module(e_dense)
     except NotAProjection as exc:
         print(f"fredholm: {proj_name} is not a projection: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -29,10 +29,6 @@ class NotComposable(SftopsError):
     pass
 
 
-class OutsideDomain(SftopsError):
-    pass
-
-
 class QuasiNormViolation(SftopsError):
     pass
 

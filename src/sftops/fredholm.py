@@ -149,25 +149,31 @@ def kpw_commutator(
 
 @dataclass
 class FredholmModule:
-    rep: Callable[[object], np.ndarray]
     f_op: np.ndarray
     grading: Optional[np.ndarray] = None  # the Z/2 grading of an even module
 
+    def rep(self, x: np.ndarray) -> np.ndarray:
+        """The algebra acts by x on an odd module and by x (+) x on an even one."""
+        if self.grading is None:
+            return x
+        dim = x.shape[0]
+        out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        out[:dim, :dim] = x
+        out[dim:, dim:] = x
+        return out
 
-def make_odd_module(e: np.ndarray, rep_b: Callable[[object], np.ndarray]) -> FredholmModule:
+
+def make_odd_module(e: np.ndarray) -> FredholmModule:
     """Odd module (H, rho_B, 2e - 1) from a projection in the other image."""
     e = np.asarray(e, dtype=complex)
     if np.linalg.norm(e @ e - e) > 1e-12 * max(1.0, np.linalg.norm(e)):
         raise NotAProjection("e**2 != e")
     if np.linalg.norm(e.conj().T - e) > 1e-12 * max(1.0, np.linalg.norm(e)):
         raise NotAProjection("e not self-adjoint")
-    f_op = 2.0 * e - np.eye(e.shape[0])
-    return FredholmModule(rep_b, f_op)
+    return FredholmModule(2.0 * e - np.eye(e.shape[0]))
 
 
-def make_even_module(
-    v: np.ndarray, p_proj: np.ndarray, rep_b: Callable[[object], np.ndarray]
-) -> FredholmModule:
+def make_even_module(v: np.ndarray, p_proj: np.ndarray) -> FredholmModule:
     """Balanced even module with off-diagonal F = v + 1 - p on the corner."""
     v = np.asarray(v, dtype=complex)
     p_proj = np.asarray(p_proj, dtype=complex)
@@ -178,53 +184,17 @@ def make_even_module(
         raise NotCornerUnitary("vv* != p")
     f_op = v + np.eye(v.shape[0]) - p_proj
     dim = v.shape[0]
-
-    def rep2(x):
-        blk = rep_b(x)
-        out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        out[:dim, :dim] = blk
-        out[dim:, dim:] = blk
-        return out
-
     grading = np.block(
         [[np.eye(dim), np.zeros((dim, dim))], [np.zeros((dim, dim)), -np.eye(dim)]]
     )
     big_f = np.zeros((2 * dim, 2 * dim), dtype=complex)
     big_f[:dim, dim:] = f_op.conj().T
     big_f[dim:, :dim] = f_op
-    return FredholmModule(rep2, big_f, grading)
-
-
-def module_spectra(module: FredholmModule, x) -> Dict[str, SingularSpectrum]:
-    """Singular values of the three summability quantities at one algebra element."""
-    rho_x = module.rep(x)
-    f_op = module.f_op
-    q1 = rho_x @ (f_op.conj().T - f_op)
-    q2 = rho_x @ (f_op @ f_op - np.eye(f_op.shape[0]))
-    q3 = rho_x @ f_op - f_op @ rho_x
-    return {
-        name: singular_values(mat)
-        for name, mat in (("rho(F*-F)", q1), ("rho(F^2-1)", q2), ("[rho,F]", q3))
-    }
-
-
-def module_summability_row(spectra: Dict[str, SingularSpectrum], p: float) -> dict:
-    """p-norms and verdicts of the three quantities, from module_spectra."""
-    return {
-        name: {
-            "p_norm": schatten_norm(spec, p) if len(spec.values) else 0.0,
-            "verdict": summability_verdict(spec, p).verdict,
-        }
-        for name, spec in spectra.items()
-    }
+    return FredholmModule(big_f, grading)
 
 
 # ---------------------------------------------------------------------------
 # holomorphic functional calculus lab
-
-
-def _spectrum_of(s: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvals(np.asarray(s, dtype=complex))
 
 
 def contour_calculus(
@@ -240,7 +210,7 @@ def contour_calculus(
     1.5x the spectral spread; the contour must clear the spectrum by 1e-3.
     """
     s = np.asarray(s, dtype=complex)
-    eigs = _spectrum_of(s)
+    eigs = np.linalg.eigvals(s)
     if center is None:
         center = complex(np.mean(eigs))
     if radius is None:
@@ -269,7 +239,7 @@ def resolvent_commutator_check(s: np.ndarray, t: np.ndarray, z: complex) -> floa
     """Frobenius residual of [(z-S)^-1, T] = (z-S)^-1 [S,T] (z-S)^-1."""
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    eigs = _spectrum_of(s)
+    eigs = np.linalg.eigvals(s)
     if np.min(np.abs(eigs - z)) < 1e-9:
         raise SingularResolvent("z is numerically on the spectrum")
     res = np.linalg.inv(z * np.eye(s.shape[0]) - s)
@@ -309,24 +279,14 @@ def corner_calculus_check(
         # two-contour ambient calculus of the extension that vanishes near
         # zero: the zero contour contributes nothing, so only the corner
         # contour remains
-        amb_val = contour_calculus_on(b, f, center, radius, 256)
+        dist = np.abs(np.abs(np.linalg.eigvals(b) - center) - radius)
+        if np.min(dist) < 1e-3:
+            raise ContourHitsSpectrum("explicit contour passes too near the spectrum")
+        amb_val = _trapezoid(b, f, center, radius, 256)
     else:
         amb_val = contour_calculus(b, f)
     projected = (p_proj @ amb_val @ p_proj)[np.ix_(idx, idx)]
     return float(np.linalg.norm(corner_val - projected))
-
-
-def contour_calculus_on(
-    s: np.ndarray, f: Callable[[complex], complex], center: complex, radius: float, nodes: int
-) -> np.ndarray:
-    """Contour calculus over an explicit circle that need not enclose all of
-    the spectrum (used for the two-contour corner case)."""
-    s = np.asarray(s, dtype=complex)
-    eigs = _spectrum_of(s)
-    dist = np.abs(np.abs(eigs - center) - radius)
-    if np.min(dist) < 1e-3:
-        raise ContourHitsSpectrum("explicit contour passes too near the spectrum")
-    return _trapezoid(s, f, center, radius, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +296,22 @@ def contour_calculus_on(
 def summability_report(
     module: FredholmModule, funcs: Dict[str, object], p_grid: List[float]
 ) -> List[dict]:
-    """One row per function and p: the p-norms of the three summability
-    quantities and the verdict on the commutator's."""
+    """One row per function and p: the p-norms q1, q2, q3 of rho(F* - F),
+    rho(F**2 - 1) and [rho, F], and the verdict on the commutator's spectrum."""
+    f_op = module.f_op
     rows = []
     for name, x in funcs.items():
-        spectra = module_spectra(module, x)
-        for p in p_grid:
-            cells = module_summability_row(spectra, p)
-            rows.append(
-                {
-                    "func_id": name,
-                    "p": p,
-                    "q1": cells["rho(F*-F)"]["p_norm"],
-                    "q2": cells["rho(F^2-1)"]["p_norm"],
-                    "q3": cells["[rho,F]"]["p_norm"],
-                    "verdict": cells["[rho,F]"]["verdict"],
-                }
+        rho_x = module.rep(x)
+        spectra = [
+            singular_values(q)
+            for q in (
+                rho_x @ (f_op.conj().T - f_op),
+                rho_x @ (f_op @ f_op - np.eye(f_op.shape[0])),
+                rho_x @ f_op - f_op @ rho_x,
             )
+        ]
+        for p in p_grid:
+            q1, q2, q3 = (schatten_norm(spec, p) for spec in spectra)
+            verdict = summability_verdict(spectra[2], p).verdict
+            rows.append({"func_id": name, "p": p, "q1": q1, "q2": q2, "q3": q3, "verdict": verdict})
     return rows

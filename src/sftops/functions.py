@@ -331,6 +331,11 @@ def _accumulate(acc: dict, key, v: complex) -> None:
         acc[key] = cur
 
 
+# Largest side of a dense matrix (64 MB at complex128): to_dense refuses a
+# larger one, and the fredholm command exits before building one.
+DENSE_SIDE_CAP = 2048
+
+
 @dataclass
 class SparseOperator:
     """Complex matrix with finitely many entries, keyed by (row, column).
@@ -368,9 +373,10 @@ class SparseOperator:
         """The leading size x size corner of an operator keyed by registry
         indices; an index at or past size raises, and so does a pair key,
         which numpy would read as a fancy index (fredholm.densify lays out
-        an inflated operator)."""
-        if size > 40000:
-            raise MemoryError(f"refusing to densify size {size}")
+        an inflated operator).  A size above DENSE_SIDE_CAP raises
+        MemoryError before anything is allocated."""
+        if size > DENSE_SIDE_CAP:
+            raise MemoryError(f"refusing to densify size {size} above {DENSE_SIDE_CAP}")
         a = np.zeros((size, size), dtype=complex)
         for (i, j), v in self.entries.items():
             a[int(i), int(j)] = v

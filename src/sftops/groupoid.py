@@ -18,16 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import NotComposable, OutsideDomain, SideMismatch
+from .errors import NotComposable, SideMismatch
 from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
-    agree_from,
-    agree_upto,
     agreement_floor,
     agreement_depth,
-    agreement_radius,
     in_stable_set,
     in_unstable_set,
     reverse_point,
@@ -179,16 +176,9 @@ def in_domain(v: BaseSet, z: EventuallyPeriodicPoint) -> bool:
     return in_stable_set(v.anchor.second, z, v.threshold)
 
 
-def holonomy_apply(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    """Follow the holonomy of the bisection: splice the anchor's range past
-    (stable) or future (unstable) onto z."""
-    if not in_domain(v, z):
-        raise OutsideDomain("point outside the base-set domain disk")
-    return _holonomy_splice(v, z)
-
-
 def _holonomy_splice(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    """holonomy_apply for a z whose domain test the caller has already made."""
+    """Follow the holonomy of the bisection from a z in its domain disk:
+    splice the anchor's range past (stable) or future (unstable) onto z."""
     if v.side == STABLE:
         return splice_at(v.anchor.first, z, v.time)
     return splice_at(z, v.anchor.first, -v.time - 1)
@@ -207,29 +197,31 @@ def elements_of(v: BaseSet, sources) -> list:
 # the two-branch groupoid ultrametric
 
 
-def _locally_close(x, y, side: str) -> bool:
-    """Closed-disk branch condition of the two-branch metric: distance at
-    most kappa**-1 together with the bracket fixed point, i.e. one-sided
-    agreement through coordinate 0.
+def _close_exponent(x, y, side: str) -> Optional[int]:
+    """Metric exponent of the point pair on the close branch, or 0 off it.
+
+    The close branch is the closed disk: distance at most kappa**-1
+    together with the bracket fixed point, i.e. one-sided agreement through
+    coordinate 0 (on i <= 0 for the stable side, i >= 0 for the unstable).
+    Such a stable pair first differs at depth + 1, so the exponent is
+    agreement_depth + 1; the unstable side mirrors it as 1 - agreement_floor.
+    None when x == y.
 
     The closed reading (not the open local sets) is what makes the shift
     sandwich kappa**-1 D <= D o Phi**-1 <= D hold globally: with open
     disks, a pair at distance exactly kappa**-1 enters the close branch
     only after shifting and undershoots the lower bound.
     """
-    if side == STABLE:
-        return agree_upto(y, x, 0)
-    return agree_from(y, x, 0)
+    reach = agreement_depth(x, y) if side == STABLE else -agreement_floor(x, y)
+    if reach == math.inf:
+        return None
+    return int(reach) + 1 if reach >= 0 else 0
 
 
 def units_metric_exponent(x, y) -> Optional[int]:
     """Pull-back metric on the stable units space: d(x, y) when locally
     close, else 1."""
-    if x == y:
-        return None
-    if not _locally_close(x, y, STABLE):
-        return 0
-    return agreement_radius(x, y)
+    return _close_exponent(x, y, STABLE)
 
 
 def groupoid_metric_exponent(a: GroupoidElement, b: GroupoidElement) -> Optional[int]:
@@ -245,12 +237,5 @@ def groupoid_metric_exponent(a: GroupoidElement, b: GroupoidElement) -> Optional
         return None
     if c_first_time(a) != c_first_time(b):
         return 0
-    if not (
-        _locally_close(a.second, b.second, a.side)
-        and _locally_close(a.first, b.first, a.side)
-    ):
-        return 0
-    r1 = agreement_radius(a.first, b.first)
-    r2 = agreement_radius(a.second, b.second)
-    exps = [r for r in (r1, r2) if r is not None]
-    return min(exps)
+    exps = (_close_exponent(a.second, b.second, a.side), _close_exponent(a.first, b.first, a.side))
+    return min(e for e in exps if e is not None)

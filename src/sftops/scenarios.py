@@ -83,6 +83,17 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A JSON number; float() and complex() would convert a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidScenario(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _coeff(pair) -> complex:
+    return complex(_number(pair[0], "coeff"), _number(pair[1], "coeff"))
+
+
 def _base_set_from_dict(d: dict, side: str) -> BaseSet:
     anchor = GroupoidElement(decode_point(d["anchor"][0]), decode_point(d["anchor"][1]), side)
     return BaseSet(anchor, _integer(d["radius_exp"], "radius_exp"), _integer(d["time"], "time"))
@@ -129,14 +140,14 @@ def function_from_dict(d: dict) -> LocallyConstantFunction:
         terms = (
             Term(
                 _base_set_from_dict(p["support"], side),
-                complex(p["coeff"][0], p["coeff"][1]),
+                _coeff(p["coeff"]),
                 _integer(p["depth"], "depth"),
                 str(p["seed"]),
             ),
         )
     else:
         terms = tuple(
-            (_base_set_from_dict(t, side), complex(t["coeff"][0], t["coeff"][1]))
+            (_base_set_from_dict(t, side), _coeff(t["coeff"]))
             for t in d["terms"]
         )
     return LocallyConstantFunction(side, terms)
@@ -167,14 +178,14 @@ def scenario_from_dict(d: dict) -> Scenario:
             matrix=TransitionMatrix.from_rows(
                 [[_integer(v, "matrix entry") for v in row] for row in d["matrix"]]
             ),
-            kappa=float(d["kappa"]),
+            kappa=_number(d["kappa"], "kappa"),
             orbit_p=PeriodicOrbit.from_word([_integer(v, "orbit_P symbol") for v in d["orbit_P"]]),
             orbit_q=PeriodicOrbit.from_word([_integer(v, "orbit_Q symbol") for v in d["orbit_Q"]]),
             core_bound=_integer(d.get("core_bound", 4), "core_bound"),
             window=tuple(_integer(v, "window bound") for v in d.get("window", (-8, 24))),
             basis_cap=_integer(d.get("basis_cap", 20000), "basis_cap"),
             functions={k: function_from_dict(v) for k, v in d.get("functions", {}).items()},
-            p_grid=[float(p) for p in d.get("p_grid", [0.7, 1.0, 1.3])],
+            p_grid=[_number(p, "p_grid entry") for p in d.get("p_grid", [0.7, 1.0, 1.3])],
             seed=_integer(d.get("seed", 0), "seed"),
         )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -8,6 +8,7 @@ from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import scenarios as sn
 from sftops import sft
+from sftops.errors import SftopsError
 
 PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 
@@ -38,6 +39,48 @@ def base_set_membership(v, b) -> bool:
     if not gd.in_domain(v, b.second):
         return False
     return gd._holonomy_splice(v, b.second) == b.first
+
+
+class OutsideDomain(SftopsError):
+    """A point outside a base set's domain disk."""
+
+
+def holonomy_apply(v, z):
+    """The holonomy image of z, after testing that z lies in v's domain disk."""
+    if not gd.in_domain(v, z):
+        raise OutsideDomain("point outside the base-set domain disk")
+    return gd._holonomy_splice(v, z)
+
+
+def _locally_close(x, y, side: str) -> bool:
+    """Closed-disk branch condition of the two-branch metric: one-sided
+    agreement through coordinate 0, compared as one window."""
+    if side == sft.STABLE:
+        return sft.agree_upto(y, x, 0)
+    return sft.agree_from(y, x, 0)
+
+
+def units_metric_exponent(x, y):
+    """The two-step reading of gd.units_metric_exponent: the close-branch
+    test, then the agreement radius scanned outward from 0."""
+    if x == y:
+        return None
+    if not _locally_close(x, y, sft.STABLE):
+        return 0
+    return sft.agreement_radius(x, y)
+
+
+def groupoid_metric_exponent(a, b):
+    """The two-step reading of gd.groupoid_metric_exponent."""
+    if a == b:
+        return None
+    if gd.c_first_time(a) != gd.c_first_time(b):
+        return 0
+    for x, y in ((a.second, b.second), (a.first, b.first)):
+        if not _locally_close(x, y, a.side):
+            return 0
+    radii = (sft.agreement_radius(a.first, b.first), sft.agreement_radius(a.second, b.second))
+    return min(r for r in radii if r is not None)
 
 
 def _term_value(f, x, term) -> complex:

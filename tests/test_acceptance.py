@@ -20,6 +20,8 @@ from sftops import scenarios as sn
 from sftops import sft
 from sftops.cli import spectrum_analysis
 
+from oracles import holonomy_apply
+
 KAPPA = sft.MetricParams(2.0)
 
 
@@ -155,7 +157,7 @@ def _structure_suite(m, p, q, core_bound=6):
     for c in anchors:
         v = gd.base_set(c, gd.c_first_time(c) + 2)
         members = [z for z in pts if gd.in_domain(v, z)]
-        graph = [gd.GroupoidElement(gd.holonomy_apply(v, z), z, gd.STABLE) for z in members]
+        graph = [gd.GroupoidElement(holonomy_apply(v, z), z, gd.STABLE) for z in members]
         for a in graph:
             for b in graph:
                 r_src = sft.agreement_radius(a.second, b.second)
@@ -438,7 +440,7 @@ def test_criterion_9_fredholm_constructors():
     dim = len(reg)
     e_dense = fn.represent(scenario.functions["e_proj"], reg).to_dense(dim)
     b_dense = fn.represent(scenario.functions["b_terms"], reg).to_dense(dim)
-    module = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
+    module = fd.make_odd_module(e_dense)
     f_op = module.f_op
     exact_f = np.linalg.norm(f_op @ f_op - np.eye(dim)) == 0.0 and np.linalg.norm(
         f_op - f_op.conj().T

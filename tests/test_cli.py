@@ -529,32 +529,41 @@ class TestBadInput:
     """Bad input exits 2 with a message, not with a traceback, 1 or 3."""
 
     @pytest.mark.parametrize(
-        "keys,value",
+        "keys,value,message",
         [
-            (["orbit_P"], [1.7]),
-            (["matrix", 0, 0], 1.5),
-            (["core_bound"], True),
-            (["window"], [-8.5, 3]),
-            (["window"], ["-8", "3"]),
-            (["basis_cap"], 2000.9),
-            (["seed"], 3.5),
-            (["seed"], -5),
-            (["functions", "a", "profile", "support", "radius_exp"], 1.0),
-            (["functions", "a", "profile", "support", "time"], 0.0),
-            (["functions", "a", "profile", "depth"], 30.5),
+            (["orbit_P"], [1.7], "orbit_P symbol must be an integer"),
+            (["matrix", 0, 0], 1.5, "matrix entry must be an integer"),
+            (["core_bound"], True, "core_bound must be an integer"),
+            (["window"], [-8.5, 3], "window bound must be an integer"),
+            (["window"], ["-8", "3"], "window bound must be an integer"),
+            (["basis_cap"], 2000.9, "basis_cap must be an integer"),
+            (["seed"], 3.5, "seed must be an integer"),
+            (["seed"], -5, "seed must be >= 0"),
+            (["functions", "a", "profile", "support", "radius_exp"], 1.0, "radius_exp must be an integer"),
+            (["functions", "a", "profile", "support", "time"], 0.0, "time must be an integer"),
+            (["functions", "a", "profile", "depth"], 30.5, "depth must be an integer"),
+            (["kappa"], "2", "kappa must be a number"),
+            (["kappa"], True, "kappa must be a number"),
+            (["p_grid"], ["1.0"], "p_grid entry must be a number"),
+            (["p_grid"], [0.7, False], "p_grid entry must be a number"),
+            (["functions", "e_proj", "terms", 0, "coeff"], [True, False], "coeff must be a number"),
+            (["functions", "a", "profile", "coeff"], [1.0, "0"], "coeff must be a number"),
         ],
         ids=[
             "orbit-float", "matrix-float", "core-bound-bool", "window-float", "window-strings",
             "cap-float", "seed-float", "seed-negative", "radius-float", "time-float", "depth-float",
+            "kappa-string", "kappa-bool", "p-string", "p-bool", "coeff-bool", "profile-coeff-string",
         ],
     )
-    def test_non_integer_exit_2(self, tmp_path, capsys, keys, value):
+    def test_non_integer_exit_2(self, tmp_path, capsys, keys, value, message):
         # int() used to truncate these (exit 0, reporting the truncated
-        # value); a float or string window crashed spectrum (exit 4)
+        # value), and float() and complex() read a string or a bool as a
+        # number; a float or string window crashed spectrum (exit 4)
         path = edited_reference(tmp_path, keys, value)
         for command in ("validate", "spectrum"):
             assert run([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
-        assert "invalid scenario" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"invalid scenario: {message}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "metric-audit"])

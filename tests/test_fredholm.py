@@ -118,6 +118,12 @@ class TestInflation:
         with pytest.raises(TypeError):
             fd.inflate_stable(E_FN, 0, WINDOW, reg).to_dense(len(reg))
 
+    def test_to_dense_refuses_sides_above_the_cap(self):
+        # refused before the 2049 x 2049 complex matrix is allocated
+        assert fn.DENSE_SIDE_CAP == 2048
+        with pytest.raises(MemoryError):
+            fn.SparseOperator().to_dense(2049)
+
     def test_densify_refuses_indices_past_the_stride(self, reg):
         # (slot 0, index stride) must not alias (slot 1, index 0)
         stride = len(reg)
@@ -217,18 +223,18 @@ class TestKpwCommutator:
 
 class TestOddModule:
     def test_zero_projection(self):
-        mod = fd.make_odd_module(np.zeros((4, 4)), lambda x: np.asarray(x))
+        mod = fd.make_odd_module(np.zeros((4, 4)))
         assert np.array_equal(mod.f_op, -np.eye(4))
 
     def test_not_a_projection(self):
         with pytest.raises(NotAProjection):
-            fd.make_odd_module(np.diag([0.5, 1.0]), lambda x: x)
+            fd.make_odd_module(np.diag([0.5, 1.0]))
 
     def test_identities_exact(self, reg):
         e_mat = fn.represent(E_FN, reg)
         dim = len(reg)
         e_dense = e_mat.to_dense(dim)
-        mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
+        mod = fd.make_odd_module(e_dense)
         f_op = mod.f_op
         assert np.linalg.norm(f_op @ f_op - np.eye(dim)) == 0.0
         assert np.linalg.norm(f_op - f_op.conj().T) == 0.0
@@ -239,7 +245,7 @@ class TestOddModule:
         dim = len(reg)
         e_dense = e_mat.to_dense(dim)
         b_dense = fn.represent(B_FN, reg).to_dense(dim)
-        mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
+        mod = fd.make_odd_module(e_dense)
         comm_f = b_dense @ mod.f_op - mod.f_op @ b_dense
         comm_e = b_dense @ e_dense - e_dense @ b_dense
         for p in (0.7, 1.0, 1.3):
@@ -251,10 +257,10 @@ class TestOddModule:
         e_mat = fn.represent(E_FN, reg)
         dim = len(reg)
         e_dense = e_mat.to_dense(dim)
-        mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
-        rows = fd.module_summability_row(fd.module_spectra(mod, np.eye(dim)), 1.0)
-        assert rows["rho(F*-F)"]["p_norm"] == 0.0
-        assert rows["rho(F^2-1)"]["p_norm"] == 0.0
+        mod = fd.make_odd_module(e_dense)
+        (row,) = fd.summability_report(mod, {"1": np.eye(dim)}, [1.0])
+        assert row["q1"] == 0.0
+        assert row["q2"] == 0.0
 
 
 class TestEvenModule:
@@ -264,7 +270,7 @@ class TestEvenModule:
         p = np.diag([1.0, 1.0, 0.0, 0.0])
         v = np.zeros((4, 4), dtype=complex)
         v[0, 1] = v[1, 0] = 1.0
-        mod = fd.make_even_module(v, p, lambda x: np.asarray(x))
+        mod = fd.make_even_module(v, p)
         g = mod.grading
         assert np.array_equal(g @ g, np.eye(8))
         assert np.array_equal(g @ mod.f_op, -mod.f_op @ g)
@@ -277,7 +283,7 @@ class TestEvenModule:
         v = np.zeros((4, 4), dtype=complex)
         v[0, 1] = 1.0
         v[1, 0] = 1.0
-        mod = fd.make_even_module(v, p, lambda x: np.asarray(x))
+        mod = fd.make_even_module(v, p)
         f_op = mod.f_op[4:, :4]
         assert np.linalg.norm(f_op.conj().T @ f_op - np.eye(4)) < 1e-10
 
@@ -285,17 +291,17 @@ class TestEvenModule:
         p = np.diag([1.0, 1.0, 0.0])
         v = np.diag([0.5, 1.0, 0.0])
         with pytest.raises(NotCornerUnitary):
-            fd.make_even_module(v, p, lambda x: x)
+            fd.make_even_module(v, p)
 
     def test_module_conditions_measured(self):
         p = np.diag([1.0, 1.0, 0.0, 0.0])
         v = np.zeros((4, 4), dtype=complex)
         v[0, 1], v[1, 0] = 1.0, 1.0
-        mod = fd.make_even_module(v, p, lambda x: np.asarray(x))
+        mod = fd.make_even_module(v, p)
         b = np.diag([1.0, 2.0, 3.0, 4.0])
-        rows = fd.module_summability_row(fd.module_spectra(mod, b), 1.0)
-        assert rows["rho(F^2-1)"]["p_norm"] < 1e-10
-        assert rows["rho(F*-F)"]["p_norm"] >= 0.0
+        (row,) = fd.summability_report(mod, {"b": b}, [1.0])
+        assert row["q2"] < 1e-10
+        assert row["q1"] >= 0.0
 
 
 class TestContour:
@@ -395,7 +401,7 @@ class TestSummabilityReport:
         dim = len(reg)
         e_dense = e_mat.to_dense(dim)
         b_dense = fn.represent(B_FN, reg).to_dense(dim)
-        mod = fd.make_odd_module(e_dense, lambda x: np.asarray(x))
+        mod = fd.make_odd_module(e_dense)
         (row,) = fd.summability_report(mod, {"b": b_dense}, [1.0])
         comm = b_dense @ mod.f_op - mod.f_op @ b_dense
         expect = sc.schatten_norm(sc.singular_values(comm), 1.0)

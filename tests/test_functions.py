@@ -82,7 +82,7 @@ def materialize_profile(f, m):
                 z = sft.splice_at(z0, z0, t, read)
             else:
                 z = sft.splice_at(z0, z0, -t - len(read) - 1, read[::-1])
-            sub = gd.GroupoidElement(gd.holonomy_apply(bs, z), z, f.side)
+            sub = gd.GroupoidElement(oracles.holonomy_apply(bs, z), z, f.side)
             terms.append((gd.BaseSet(sub, bs.radius_exp + mm, bs.time), coeff * 2.0**-mm))
     return fn.LocallyConstantFunction(f.side, tuple(terms))
 
@@ -106,7 +106,7 @@ def convolve_bruteforce(f, g, gamma) -> complex:
         # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
         inv = gd.BaseSet(gd.inverse(bs.anchor), bs.radius_exp, bs.time)
         if gd.in_domain(inv, gamma.first):
-            mids[gd.holonomy_apply(inv, gamma.first)] = None
+            mids[oracles.holonomy_apply(inv, gamma.first)] = None
     for z in mids:
         a = gd.GroupoidElement(gamma.first, z, gamma.side)
         b = gd.GroupoidElement(z, gamma.second, gamma.side)
@@ -395,7 +395,7 @@ class TestProfileFunctions:
                 mat = materialize_profile(prof, s.matrix)
                 for z in _word_sources(bs, s.matrix, 7):
                     # holonomy_apply raises unless z is in the domain disk
-                    g = gd.GroupoidElement(gd.holonomy_apply(bs, z), z, bs.side)
+                    g = gd.GroupoidElement(oracles.holonomy_apply(bs, z), z, bs.side)
                     assert abs(prof.evaluate(g) - mat.evaluate(g)) < 1e-12, (name, g)
                     checked += 1
         assert checked == 2 * 2**7 + 2 * 34

@@ -1,14 +1,19 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftops import sft
 from sftops import groupoid as gd
+from sftops import sampling as smp
 from sftops import scenarios as sn
-from sftops.errors import NotComposable, OutsideDomain, SideMismatch
+from sftops.errors import NotComposable, SideMismatch
 
-from oracles import base_set_membership, local_set_membership
+import oracles
+from oracles import OutsideDomain, base_set_membership, holonomy_apply, local_set_membership
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
@@ -159,12 +164,12 @@ class TestHolonomy:
         self.v = gd.base_set(self.anchor, 3)
 
     def test_anchor_maps_home(self):
-        assert gd.holonomy_apply(self.v, self.y) == STEP
+        assert holonomy_apply(self.v, self.y) == STEP
         assert base_set_membership(self.v, self.anchor)
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
-            gd.holonomy_apply(self.v, sft.periodic_point((1,)))
+            holonomy_apply(self.v, sft.periodic_point((1,)))
 
     def test_isometry_on_domain(self):
         zs = [
@@ -176,12 +181,12 @@ class TestHolonomy:
             for z2 in zs:
                 if not (gd.in_domain(self.v, z1) and gd.in_domain(self.v, z2)):
                     continue
-                h1, h2 = gd.holonomy_apply(self.v, z1), gd.holonomy_apply(self.v, z2)
+                h1, h2 = holonomy_apply(self.v, z1), holonomy_apply(self.v, z2)
                 assert sft.agreement_radius(h1, h2) == sft.agreement_radius(z1, z2)
 
     def test_membership_implies_equal_first_time(self):
         z = sft.build_point((0,), (1, 0, 1, 1, 1, 1, 1, 0), (1,), -2)
-        b = stable(gd.holonomy_apply(self.v, z), z)
+        b = stable(holonomy_apply(self.v, z), z)
         assert base_set_membership(self.v, b)
         assert gd.c_first_time(b) == gd.c_first_time(self.anchor)
 
@@ -193,7 +198,7 @@ class TestHolonomy:
 
     def test_graph_element_invariants(self):
         z = sft.build_point((0,), (1, 0, 1, 1, 1, 1, 1, 0), (1,), -2)
-        h = gd.holonomy_apply(self.v, z)
+        h = holonomy_apply(self.v, z)
         assert element_is_valid(stable(h, z), P, Q)
 
 
@@ -255,6 +260,45 @@ def _element_family():
     return els
 
 
+REFERENCE = [mk() for mk in sn.REFERENCE_SCENARIOS.values()]
+METRIC_SCENARIOS = {
+    s.name: s
+    for s in [
+        *REFERENCE,
+        *(dataclasses.replace(s, name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE),
+        oracles.period_two_scenario(),
+    ]
+}
+# the metric-audit family of each scenario on the stable side, and its time
+# reversal on the unstable side
+METRIC_FAMILIES = {}
+for _name, _s in METRIC_SCENARIOS.items():
+    _els = smp.audit_elements(_s.matrix, _s.orbit_p, _s.orbit_q, np.random.default_rng(0), 150)
+    METRIC_FAMILIES[_name] = {gd.STABLE: _els, gd.UNSTABLE: [gd.reverse_element(e) for e in _els]}
+
+
+class TestMetricOracle:
+    # the close branch read from one agreement scan against the two-step
+    # reading (a window compare through coordinate 0, then the radius scan),
+    # on both reference matrices, their kappa = 3 copies and the period-2
+    # matrix
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(METRIC_SCENARIOS)),
+        st.sampled_from([gd.STABLE, gd.UNSTABLE]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(-2, 2),
+    )
+    def test_metric_matches_two_step_oracle(self, name, side, i, j, k):
+        family = METRIC_FAMILIES[name][side]
+        a = gd.phi_auto(family[i % len(family)], k)
+        b = gd.phi_auto(family[j % len(family)], k)
+        assert gd.groupoid_metric_exponent(a, b) == oracles.groupoid_metric_exponent(a, b)
+        for x, y in ((a.first, b.first), (a.second, b.first), (a.first, a.second)):
+            assert gd.units_metric_exponent(x, y) == oracles.units_metric_exponent(x, y)
+
+
 class TestDynamics:
     def test_phi_identity(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
@@ -308,7 +352,7 @@ class TestPairAlgebra:
         y = sft.build_point((0,), (1, 0), (1,), -2)
         v = gd.base_set(stable(STEP, y), 4)
         zs = [z for z in sft.enumerate_homoclinic(FULL, P, Q, 4) if gd.in_domain(v, z)]
-        els = [stable(gd.holonomy_apply(v, z), z) for z in zs]
+        els = [stable(holonomy_apply(v, z), z) for z in zs]
         for a in els:
             for b in els:
                 e = gd.groupoid_metric_exponent(a, b)
@@ -333,7 +377,7 @@ class TestTopology:
         for n in range(2, 6):
             v = gd.base_set(c, n)
             members = [
-                stable(gd.holonomy_apply(v, z), z)
+                stable(holonomy_apply(v, z), z)
                 for z in sft.enumerate_homoclinic(FULL, P, Q, 5)
                 if gd.in_domain(v, z)
             ]
@@ -354,14 +398,14 @@ class TestUnstableMirror:
     def test_holonomy_by_reversal(self):
         w, v, z = self._data()
         assert gd.in_domain(v, z)
-        direct = gd.holonomy_apply(v, z)
+        direct = holonomy_apply(v, z)
         rv = gd.BaseSet(gd.reverse_element(v.anchor), v.radius_exp, v.time)
-        mirrored = sft.reverse_point(gd.holonomy_apply(rv, sft.reverse_point(z)))
+        mirrored = sft.reverse_point(holonomy_apply(rv, sft.reverse_point(z)))
         assert direct == mirrored
 
     def test_unstable_holonomy_keeps_past(self):
         w, v, z = self._data()
-        h = gd.holonomy_apply(v, z)
+        h = holonomy_apply(v, z)
         for i in range(-10, -v.time):
             assert h.at(i) == z.at(i)
         # the future is pinned to the anchor's range point
