@@ -26,9 +26,9 @@ from .groupoid import (
     GroupoidElement,
     _holonomy_splice,
     c_first_time,
+    disk_depth,
     in_domain,
 )
-from .sft import STABLE, agreement_depth, agreement_floor
 
 _FUZZ = 1e-9
 _DEEP = 10**6  # stands for "member at every finite index"
@@ -76,13 +76,6 @@ def v_set(a: GroupoidElement, v: int, cp: CoverIndexParams) -> BaseSet:
     return BaseSet(a, v_set_threshold(n_a, v, cp) - 1, time)
 
 
-def _source_depth(side: str, z, anchor_source):
-    """One-sided agreement depth of z with the anchor source, on `side`."""
-    if side == STABLE:
-        return agreement_depth(z, anchor_source)
-    return -agreement_floor(z, anchor_source)
-
-
 def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
     """Largest n >= 1 with k(c, n) <= vcap[i, j], 0 if none, where column j
     has center c with N_{c,1} = n_c1[j]; k(c, 1) = 1 and k(c, n + 1) =
@@ -121,7 +114,7 @@ def build_vcap_table(elements: Sequence[GroupoidElement], cp: CoverIndexParams) 
         centers.setdefault(c.second, []).append(j)
     margin = cp.disk_margin
     for source, columns in centers.items():
-        depths = np.array([_source_depth(side, z, source) for side, z in keys])
+        depths = np.array([disk_depth(side, z, source) for side, z in keys])
         for j in columns:
             c = elements[j]
             n_c = c_first_time(c)

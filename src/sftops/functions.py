@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -58,12 +57,8 @@ from .sft import (
 #
 # The bit of word_m is the low bit of the first byte of
 # SHA-256(f"{seed}:{','.join(word_m)}"), and the hash of word_m extends the
-# hash of word_{m-1}.  A value is read off the seed's prefix path: the hash
-# states and running sums along the last word hashed under that seed, so a
-# word hashes only the symbols past its longest common prefix with the one
-# before.  Fed a block's distinct words in sorted order (_word_totals), a
-# path hashes each edge of their trie once.  The paths are bounded,
-# PREFIX_PATHS seeds of depth + 1 states each.
+# hash of word_{m-1}.  _word_totals hashes a set of words under one seed in
+# sorted order, so each edge of their trie is hashed once.
 
 
 class Term(NamedTuple):
@@ -131,7 +126,7 @@ class LocallyConstantFunction:
             word = z.window(t + 1, t + depth + 1)
         else:
             word = z.window(-t - depth, -t)[::-1]
-        return coeff * _prefix_path(seed).total(word)
+        return coeff * _word_totals(seed, {word: None})[word]
 
     def evaluate(self, gamma: GroupoidElement) -> complex:
         """Sum of the term values over the base sets containing gamma: the
@@ -166,47 +161,6 @@ def profile(bs: BaseSet, depth: int, seed: str) -> LocallyConstantFunction:
 
 # symbol -> b",<symbol>", the bytes one more symbol adds to a word's hash
 _SYMBOL_BYTES = tuple(f",{s}".encode() for s in range(256))
-PREFIX_PATHS = 16
-
-
-class _PrefixPath:
-    """The hash states and running profile sums along the last word hashed
-    under one seed: states[k] has hashed f"{seed}:" and word[:k], and
-    totals[k] = 1 + sum_{m <= k} 2**-m * bit(word[:m]), summed in order of m."""
-
-    def __init__(self, seed: str):
-        self.word = b""
-        self.states = [hashlib.sha256(f"{seed}:".encode())]
-        self.totals = [1.0]
-
-    def total(self, word) -> float:
-        """totals[len(word)] for `word`, hashing only past the common prefix."""
-        k = 0
-        for a, b in zip(word, self.word):
-            if a != b:
-                break
-            k += 1
-        states, totals = self.states, self.totals
-        del states[k + 1 :], totals[k + 1 :]
-        h, total = states[k], totals[k]
-        weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
-        for i in range(k, len(word)):
-            chunk = _SYMBOL_BYTES[word[i]]
-            h = h.copy()
-            h.update(chunk if i else chunk[1:])
-            weight *= 0.5
-            # digest() does not finalise h, so it needs no copy of its own
-            if h.digest()[0] & 1:
-                total += weight
-            states.append(h)
-            totals.append(total)
-        self.word = word
-        return total
-
-
-@lru_cache(maxsize=PREFIX_PATHS)
-def _prefix_path(seed: str) -> _PrefixPath:
-    return _PrefixPath(seed)
 
 
 def reverse_base_set(bs: BaseSet) -> BaseSet:
@@ -624,11 +578,35 @@ def _twice(apply, f: int, g: int, z: bytes) -> dict:
 
 
 def _word_totals(seed: str, words: dict) -> dict:
-    """Sets each words[w] to w's prefix-path total, hashing the words in
-    sorted order (a walk of their trie), and returns words."""
-    path = _prefix_path(seed)
-    for w in sorted(words):
-        words[w] = path.total(w)
+    """Sets each words[w] to 1 + sum_{m <= len(w)} 2**-m * bit(w[:m]) and
+    returns words.  The words are hashed in sorted order, a walk of their
+    trie: states[k] and totals[k] hold the hash and the sum through the
+    last word's first k symbols, so a word hashes only the symbols past its
+    common prefix with the one before."""
+    states = [hashlib.sha256(f"{seed}:".encode())]
+    totals = [1.0]
+    last = b""
+    for word in sorted(words):
+        k = 0
+        for a, b in zip(word, last):
+            if a != b:
+                break
+            k += 1
+        del states[k + 1 :], totals[k + 1 :]
+        h, total = states[k], totals[k]
+        weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
+        for i in range(k, len(word)):
+            chunk = _SYMBOL_BYTES[word[i]]
+            h = h.copy()
+            h.update(chunk if i else chunk[1:])
+            weight *= 0.5
+            # digest() does not finalise h, so it needs no copy of its own
+            if h.digest()[0] & 1:
+                total += weight
+            states.append(h)
+            totals.append(total)
+        words[word] = total
+        last = word
     return words
 
 

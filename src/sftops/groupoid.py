@@ -100,22 +100,23 @@ def phi_auto(a: GroupoidElement, k: int) -> GroupoidElement:
 CACHE_MAXSIZE = 4096
 
 
+def disk_depth(side: str, x, y):
+    """Agreement depth d of x and y on the side's disk: they agree on i <= d
+    (stable side) or on i >= -d (unstable side); inf when x == y."""
+    return agreement_depth(x, y) if side == STABLE else -agreement_floor(x, y)
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def min_splice_time(a: GroupoidElement) -> float:
     """Smallest integer N (of any sign) at which the holonomy splice around
-    the pair is coherent: the coordinates agree on i >= N - 1 (stable side)
-    or i <= 1 - N (unstable side).  -inf for a unit pair."""
+    the pair is coherent: the other side's disk_depth is 1 - N, agreement on
+    i >= N - 1 (stable side) or i <= 1 - N (unstable side).  -inf for a unit pair."""
     if a.first == a.second:
         return -math.inf
-    if a.side == STABLE:
-        floor = agreement_floor(a.first, a.second)
-        if floor == math.inf:
-            raise ValueError("pair is not stably equivalent")
-        return int(floor) + 1  # floor = D_max + 1
-    depth = agreement_depth(a.first, a.second)
+    depth = disk_depth(UNSTABLE if a.side == STABLE else STABLE, a.first, a.second)
     if depth == -math.inf:
-        raise ValueError("pair is not unstably equivalent")
-    return 1 - int(depth)  # depth = D_min - 1
+        raise ValueError(f"pair is not {'stably' if a.side == STABLE else 'unstably'} equivalent")
+    return 1 - int(depth)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -203,16 +204,15 @@ def _close_exponent(x, y, side: str) -> Optional[int]:
     The close branch is the closed disk: distance at most kappa**-1
     together with the bracket fixed point, i.e. one-sided agreement through
     coordinate 0 (on i <= 0 for the stable side, i >= 0 for the unstable).
-    Such a stable pair first differs at depth + 1, so the exponent is
-    agreement_depth + 1; the unstable side mirrors it as 1 - agreement_floor.
-    None when x == y.
+    Such a pair first differs just past its disk_depth, so the exponent is
+    disk_depth + 1; None when x == y.
 
     The closed reading (not the open local sets) is what makes the shift
     sandwich kappa**-1 D <= D o Phi**-1 <= D hold globally: with open
     disks, a pair at distance exactly kappa**-1 enters the close branch
     only after shifting and undershoots the lower bound.
     """
-    reach = agreement_depth(x, y) if side == STABLE else -agreement_floor(x, y)
+    reach = disk_depth(side, x, y)
     if reach == math.inf:
         return None
     return int(reach) + 1 if reach >= 0 else 0

@@ -1,23 +1,24 @@
-"""Scenario schema, reference scenarios, JSON (de)serialization."""
+"""Scenario schema, JSON (de)serialization, the shipped reference scenarios."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Tuple
 
 from .errors import InvalidScenario, OrbitsNotDisjoint
 from .groupoid import BaseSet, GroupoidElement
-from .functions import LocallyConstantFunction, Term, profile
+from .functions import LocallyConstantFunction, Term
 from .sft import (
     STABLE,
     UNSTABLE,
     MetricParams,
     PeriodicOrbit,
     TransitionMatrix,
-    build_point,
     decode_point,
     encode_point,
     orbits_disjoint,
@@ -90,12 +91,28 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _coeff(pair) -> complex:
-    return complex(_number(pair[0], "coeff"), _number(pair[1], "coeff"))
+def _string(value, what: str) -> str:
+    """A JSON string; str() would turn a number or a list into text."""
+    if not isinstance(value, str):
+        raise InvalidScenario(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _pair(value, what: str) -> list:
+    """A JSON array of exactly two entries."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidScenario(f"{what} must be an array of two entries, got {value!r}")
+    return value
+
+
+def _coeff(value) -> complex:
+    real, imag = _pair(value, "coeff")
+    return complex(_number(real, "coeff"), _number(imag, "coeff"))
 
 
 def _base_set_from_dict(d: dict, side: str) -> BaseSet:
-    anchor = GroupoidElement(decode_point(d["anchor"][0]), decode_point(d["anchor"][1]), side)
+    first, second = (decode_point(_string(p, "anchor point")) for p in _pair(d["anchor"], "anchor"))
+    anchor = GroupoidElement(first, second, side)
     return BaseSet(anchor, _integer(d["radius_exp"], "radius_exp"), _integer(d["time"], "time"))
 
 
@@ -142,7 +159,7 @@ def function_from_dict(d: dict) -> LocallyConstantFunction:
                 _base_set_from_dict(p["support"], side),
                 _coeff(p["coeff"]),
                 _integer(p["depth"], "depth"),
-                str(p["seed"]),
+                _string(p["seed"], "profile seed"),
             ),
         )
     else:
@@ -174,7 +191,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise InvalidScenario("a scenario and its functions must be JSON objects")
     try:
         s = Scenario(
-            name=str(d.get("name", "scenario")),
+            name=_string(d.get("name", "scenario"), "name"),
             matrix=TransitionMatrix.from_rows(
                 [[_integer(v, "matrix entry") for v in row] for row in d["matrix"]]
             ),
@@ -211,80 +228,11 @@ def scenario_hash(s: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reference scenarios
+# reference scenarios: the JSON files shipped in the package's reference/
 
 
-def full_shift_scenario() -> Scenario:
-    m = TransitionMatrix.from_rows([[1, 1], [1, 1]])
-    step = build_point((0,), (), (1,), 0)
-    past_dist = build_point((0,), (1, 0), (1,), -2)
-    future_dist = build_point((0,), (1, 1, 1, 0), (1,), 0)
-    ca = GroupoidElement(step, past_dist, STABLE)
-    cb = GroupoidElement(step, future_dist, UNSTABLE)
-    a = profile(BaseSet(ca, 1, 0), depth=30, seed="ref-a")
-    b = profile(BaseSet(cb, 1, 0), depth=30, seed="ref-b")
-    e_unit = LocallyConstantFunction(
-        STABLE, tuple((BaseSet(GroupoidElement(step, step, STABLE), k, 0), 2.0**-k) for k in range(6))
-    )
-    e_proj = LocallyConstantFunction(
-        STABLE, ((BaseSet(GroupoidElement(step, step, STABLE), 2, 0), 1.0 + 0.0j),)
-    )
-    off_diag = LocallyConstantFunction(
-        STABLE, tuple((BaseSet(ca, k, 0), 2.0**-k) for k in range(6))
-    )
-    b_terms = LocallyConstantFunction(
-        UNSTABLE, tuple((BaseSet(cb, k, 0), 2.0**-k) for k in range(6))
-    )
-    return Scenario(
-        name="full-2-shift",
-        matrix=m,
-        kappa=2.0,
-        orbit_p=PeriodicOrbit((1,)),
-        orbit_q=PeriodicOrbit((0,)),
-        core_bound=6,
-        window=(-8, 24),
-        basis_cap=60000,
-        functions={
-            "a": a,
-            "b": b,
-            "e_unit": e_unit,
-            "e_proj": e_proj,
-            "a_terms": off_diag,
-            "b_terms": b_terms,
-        },
-        p_grid=[0.7, 1.0, 1.3],
-        seed=20260809,
-    )
-
-
-def golden_mean_scenario() -> Scenario:
-    m = TransitionMatrix.from_rows([[1, 1], [1, 0]])
-    spine = build_point((0,), (), (0, 1), 0)  # 0-past, (01)-future
-    past_dist = build_point((0,), (1, 0), (0, 1), -2)  # spine with a 1 at -2
-    future_dist = build_point((0,), (0, 1, 0, 0, 1), (0, 1), 0)  # 00 break at +3
-    ca = GroupoidElement(spine, past_dist, STABLE)
-    cb = GroupoidElement(spine, future_dist, UNSTABLE)
-    a = profile(BaseSet(ca, 1, 0), depth=30, seed="gm-a")
-    b = profile(BaseSet(cb, 1, 0), depth=30, seed="gm-b")
-    e_proj = LocallyConstantFunction(
-        STABLE, ((BaseSet(GroupoidElement(spine, spine, STABLE), 2, 0), 1.0 + 0.0j),)
-    )
-    return Scenario(
-        name="golden-mean",
-        matrix=m,
-        kappa=2.0,
-        orbit_p=PeriodicOrbit((0, 1)),
-        orbit_q=PeriodicOrbit((0,)),
-        core_bound=6,
-        window=(-8, 26),
-        basis_cap=150000,
-        functions={"a": a, "b": b, "e_proj": e_proj},
-        p_grid=[0.494, 0.694, 0.894],
-        seed=20260809,
-    )
-
-
+REFERENCE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference")
 REFERENCE_SCENARIOS = {
-    "full-2-shift": full_shift_scenario,
-    "golden-mean": golden_mean_scenario,
+    name: partial(load_scenario, os.path.join(REFERENCE_DIR, f"{name}.json"))
+    for name in ("full-2-shift", "golden-mean")
 }

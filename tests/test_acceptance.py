@@ -256,7 +256,7 @@ def test_criterion_3_auf_engine():
 @pytest.fixture(scope="module")
 def full_shift_analysis():
     t0 = time.time()
-    scenario = sn.full_shift_scenario()
+    scenario = sn.REFERENCE_SCENARIOS["full-2-shift"]()
     out = spectrum_analysis(scenario, "a", "b")
     out["_elapsed"] = time.time() - t0
     out["_scenario"] = scenario
@@ -266,7 +266,7 @@ def full_shift_analysis():
 @pytest.fixture(scope="module")
 def golden_analysis():
     t0 = time.time()
-    scenario = sn.golden_mean_scenario()
+    scenario = sn.REFERENCE_SCENARIOS["golden-mean"]()
     out = spectrum_analysis(scenario, "a", "b")
     out["_elapsed"] = time.time() - t0
     out["_scenario"] = scenario
@@ -426,7 +426,7 @@ def test_criterion_8_functional_calculus():
 
 def test_criterion_9_fredholm_constructors():
     t0 = time.time()
-    scenario = sn.full_shift_scenario()
+    scenario = sn.REFERENCE_SCENARIOS["full-2-shift"]()
     m = scenario.matrix
     seeds = list(sft.enumerate_homoclinic(m, scenario.orbit_p, scenario.orbit_q, 2))
     seeds += [sft.build_point((0,), (1, 1, 1, 0), (1,), 0)]

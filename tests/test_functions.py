@@ -46,7 +46,7 @@ def seeded_registry(bound=5, cap=9000):
 
 
 def _word_bit(seed: str, word) -> int:
-    """Reference bit of one word; profile_value hashes the prefixes incrementally."""
+    """Reference bit of one word; _word_totals hashes the prefixes incrementally."""
     h = hashlib.sha256(f"{seed}:{','.join(map(str, word))}".encode()).digest()
     return h[0] & 1
 
@@ -434,20 +434,17 @@ class TestProfileFunctions:
             max_size=40,
         ),
     )
-    def test_prefix_path_matches_one_pass_sums(self, pool, calls):
-        # interleaved seeds (more than the cache holds), repeated words,
-        # shared prefixes and mixed lengths: each word is a cut of a pool
-        # word plus a short tail
+    def test_word_totals_match_one_pass_sums(self, pool, calls):
+        # one word per call, as profile_value asks: interleaved seeds,
+        # repeated words, shared prefixes and mixed lengths; each word is a
+        # cut of a pool word plus a short tail
         for seed_no, base, cut, tail in calls:
             seed = f"p{seed_no}"
             word = tuple(pool[base][:cut] + tail)
             want = 1.0
             for mm in range(1, len(word) + 1):
                 want += 2.0**-mm * _word_bit(seed, word[:mm])
-            path = fn._prefix_path(seed)
-            assert path.total(word) == want
-            assert len(path.states) == len(path.totals) == len(word) + 1
-            assert fn._prefix_path.cache_info().currsize <= fn.PREFIX_PATHS
+            assert fn._word_totals(seed, {word: None}) == {word: want}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -466,10 +463,9 @@ class TestProfileFunctions:
     )
     def test_sorted_block_words_match_one_pass_sums(self, seq, cuts):
         # blocks of words cut out of one sequence, read forward (stable
-        # profiles) and backward (unstable ones), under more seeds than the
-        # path cache holds; each block hashes every seed's words in sorted
-        # order, as the block kernel does
-        real_total = fn._PrefixPath.total
+        # profiles) and backward (unstable ones), under several seeds, as
+        # the block kernel hands them over; one call hashes each distinct
+        # nonempty prefix of its words once, a walk of their trie
         blocks = {}
         for block, seed_no, start, length, backward in cuts:
             word = tuple(seq[start : start + length])
@@ -477,23 +473,31 @@ class TestProfileFunctions:
             seeds.setdefault(f"w{seed_no}", set()).add(word[::-1] if backward else word)
         for _, seeds in sorted(blocks.items()):
             for seed, words in seeds.items():
-                fed = []
+                steps = []
 
-                def spy(path, word):
-                    fed.append(word)
-                    return real_total(path, word)
+                class CountingHash:
+                    def __init__(self, h):
+                        self.h = h
 
-                with mock.patch.object(fn._PrefixPath, "total", spy):
+                    def copy(self):
+                        return CountingHash(self.h.copy())
+
+                    def update(self, data):
+                        steps.append(data)
+                        self.h.update(data)
+
+                    def digest(self):
+                        return self.h.digest()
+
+                real_sha256 = hashlib.sha256
+                with mock.patch.object(fn.hashlib, "sha256", lambda data: CountingHash(real_sha256(data))):
                     totals = fn._word_totals(seed, dict.fromkeys(words))
-                assert fed == sorted(words)
+                assert len(steps) == len({w[:mm] for w in words for mm in range(1, len(w) + 1)})
                 for word, total in totals.items():
                     want = 1.0
                     for mm in range(1, len(word) + 1):
                         want += 2.0**-mm * _word_bit(seed, word[:mm])
                     assert total == want
-                path = fn._prefix_path(seed)
-                assert len(path.states) == len(path.totals) <= 12 + 1
-                assert fn._prefix_path.cache_info().currsize <= fn.PREFIX_PATHS
 
     def test_profile_involution_round_trip(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")

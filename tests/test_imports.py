@@ -179,3 +179,17 @@ def test_checker_finds_unset_parameters():
 def test_every_option_is_set():
     defined, searched = _searched_and_defined()
     assert unset_parameters(defined, searched) == []
+
+
+def test_package_data_ships_reference_scenarios():
+    # setuptools leaves a package's non-Python files out of a build unless
+    # package-data names them; each pattern is a glob in the package folder
+    tomllib = pytest.importorskip("tomllib")
+    from sftops import scenarios as sn
+
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    patterns = config.get("tool", {}).get("setuptools", {}).get("package-data", {}).get("sftops", [])
+    shipped = {path for pattern in patterns for path in SRC.glob(pattern)}
+    files = {pathlib.Path(load.args[0]).resolve() for load in sn.REFERENCE_SCENARIOS.values()}
+    assert files and all(path.parent == SRC / "reference" and path.is_file() for path in files)
+    assert files <= shipped
