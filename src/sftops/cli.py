@@ -29,7 +29,7 @@ from . import groupoid as gd
 from . import sampling as smp
 from . import schatten as sc
 from . import sft
-from .errors import InvalidScenario, NotAProjection, SftopsError
+from .errors import InsufficientData, InvalidScenario, NotAProjection, SftopsError
 from .scenarios import (
     REFERENCE_SCENARIOS,
     Scenario,
@@ -230,7 +230,20 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
     sandwich = auf.sandwich_check(table, dist)
     star = auf.star_refinement_check(elements, cp, rng, max(1000, args.samples // 10), vcap=vcap)
     anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
-    fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
+    try:
+        fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
+    except InsufficientData as exc:
+        # near kappa = 1: no slope, so the 10 % check cannot pass
+        regression, fit_ok = {"insufficient_data": str(exc)}, False
+    else:
+        regression = {
+            "slope": fit.slope,
+            "predicted_slope": fit.predicted_slope,
+            "relative_error": fit.relative_error,
+            "gamma_prime": fit.gamma_prime,
+            "ks": list(fit.ks),
+        }
+        fit_ok = fit.relative_error <= 0.10
 
     rep = _report_skeleton(scenario, "auf-audit")
     rep["element_count"] = len(elements)
@@ -245,17 +258,11 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
         "witnesses": star.witnesses,
         "violations": len(star.violations),
     }
-    rep["diameter_regression"] = {
-        "slope": fit.slope,
-        "predicted_slope": fit.predicted_slope,
-        "relative_error": fit.relative_error,
-        "gamma_prime": fit.gamma_prime,
-        "ks": list(fit.ks),
-    }
+    rep["diameter_regression"] = regression
     with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
         handle.write(auf.table_to_csv(table))
     _write_json(os.path.join(out_dir, "auf_audit.json"), rep)
-    ok = sandwich.ok and star.ok and fit.relative_error <= 0.10
+    ok = sandwich.ok and star.ok and fit_ok
     return EXIT_OK if ok else EXIT_FINDINGS
 
 
@@ -342,17 +349,23 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
             out["rank_certificates"] = rank_certs
             alpha_c = math.exp(h + 0.05)
             c1_fit = max(r / alpha_c**n for n, _, r in deep)
-            c2_fit = max(v * scenario.kappa**n for n, v, _ in deep)
-            cert = sc.decay_bound_schedule(
-                c1_fit, alpha_c, c2_fit, scenario.kappa, 0, len(deep)
-            )
-            tail = sc.merge_spectra(
-                [spectra_by_n[n] for n in sorted(spectra_by_n) if n >= 1]
-            )
-            out["decay_certificate"] = cert.to_json_dict()
-            out["decay_certificate"]["violations"] = len(
-                sc.schedule_violations(cert, tail)
-            )
+            try:
+                c2_fit = max(v * scenario.kappa**n for n, v, _ in deep)
+            except OverflowError:
+                c2_fit = math.inf
+            if not math.isfinite(c2_fit):
+                out["decay_certificate_skipped"] = "C2 = max norm * kappa**n overflows a float"
+            else:
+                cert = sc.decay_bound_schedule(
+                    c1_fit, alpha_c, c2_fit, scenario.kappa, 0, len(deep)
+                )
+                tail = sc.merge_spectra(
+                    [spectra_by_n[n] for n in sorted(spectra_by_n) if n >= 1]
+                )
+                out["decay_certificate"] = cert.to_json_dict()
+                out["decay_certificate"]["violations"] = len(
+                    sc.schedule_violations(cert, tail)
+                )
     if merged.total_count >= 32:
         tot = merged.total_count
         fit = sc.fit_decay_exponent(merged, (max(8, tot // 500), int(tot * 0.7)))

@@ -190,7 +190,7 @@ def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet
     if agreement_depth(e1, c2) < min(nw, tv):
         return []
     # the two source constraints must agree on the overlap (N_w, min(T_w, T_v)]
-    if any(e2.at(i) != c2.at(i) for i in range(nw + 1, min(tw, tv) + 1)):
+    if e2.window(nw + 1, min(tw, tv) + 1) != c2.window(nw + 1, min(tw, tv) + 1):
         return []
     if tv > tw:
         if not m.allowed(e2.at(tw), c2.at(tw + 1)):
@@ -246,7 +246,6 @@ class BasisRegistry:
     cap: int = 20000
     points: List[EventuallyPeriodicPoint] = field(default_factory=list)
     index: Dict[EventuallyPeriodicPoint, int] = field(default_factory=dict)
-    frozen: bool = False
     truncation_events: int = 0
 
     @classmethod
@@ -260,7 +259,7 @@ class BasisRegistry:
         return len(self.points)
 
     def freeze(self) -> None:
-        self.frozen = True
+        self.cap = len(self.points)
 
     def add(self, x) -> Optional[int]:
         """Index of x, growing the registry if allowed; None on truncation."""
@@ -268,7 +267,7 @@ class BasisRegistry:
         i = self.index.setdefault(x, n)  # one hash for a new point
         if i < n:
             return i
-        if self.frozen or n >= self.cap:
+        if n >= self.cap:
             del self.index[x]
             self.truncation_events += 1
             return None
@@ -718,9 +717,7 @@ def intersection_count(
     shifted = shift(unstable_center, k)
     if past_hi >= future_lo:
         # overlap: the two patterns must agree there; count is 0 or 1
-        agree = all(
-            shifted.at(i) == stable_center.at(i) for i in range(future_lo, past_hi + 1)
-        )
-        return 1 if agree else 0
+        overlap = shifted.window(future_lo, past_hi + 1)
+        return int(overlap == stable_center.window(future_lo, past_hi + 1))
     return _path_count(m, shifted.at(past_hi), stable_center.at(future_lo), future_lo - past_hi)
 

@@ -244,7 +244,8 @@ class EventuallyPeriodicPoint:
 
 def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPeriodicPoint:
     """Canonicalize a raw encoding (words or iterables of ints): primitive
-    cycles, minimal core, pinned phases."""
+    cycles, minimal core, pinned phases.  The new cycles are rotations of
+    the primitive roots, so primitive too."""
     left = primitive_root(bytes(left))
     right = primitive_root(bytes(right))
     core = bytes(core)
@@ -252,46 +253,25 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
     if ml == 0 or mr == 0:
         raise ValueError("cycles must be nonempty")
     end = start + len(core)
-    period_lcm = math.lcm(ml, mr)
-    floor = start - period_lcm - mr
-    ceil = end + period_lcm + ml
-    # the raw encoding, not canonical, only read: every symbol used below
-    # lies in [lo, ceil], as the new left cycle can start ml below the floor
-    raw = EventuallyPeriodicPoint(left, core, right, start)
-    lo = floor - ml
-    win = raw.window(lo, ceil + 1)
+    # the raw sequence from lo on, read once; the floor is at index ml (the
+    # new left cycle can start ml below it)
+    lo = start - math.lcm(ml, mr) - mr - ml
+    win = _tile(left, lo - start, start - lo) + core + right
 
-    # Try to extend right-tail periodicity to the left; hitting the floor
-    # means the left-cyclic zone is itself mr-periodic over a full lcm
-    # window, i.e. the sequence is globally periodic.
-    r = end
-    while r > floor and win[r - 1 - lo] == win[r - 1 + mr - lo]:
-        r -= 1
-    if r <= floor:
-        w = primitive_root(raw.window(0, mr))
+    # Extend the right tail's periodicity down from the core's end; hitting
+    # the floor means the left-cyclic zone is itself mr-periodic over a full
+    # lcm window, i.e. the sequence is globally periodic.
+    e = end - lo
+    while e > ml and win[e - 1] == win[e - 1 + mr]:
+        e -= 1
+    if e <= ml:
+        w = _tile(right, -end, mr)
         return EventuallyPeriodicPoint(w, b"", w, 0)
-    big_r = r
-
-    lft = start - 1
-    while lft < ceil and win[lft + 1 - lo] == win[lft + 1 - ml - lo]:
-        lft += 1
-    if lft >= ceil:
-        raise ValueError(
-            f"no canonical form for left={list(left)} core={list(core)} right={list(right)} "
-            f"start={start}: the left tail extends past the periodicity bound"
-        )
-    big_l = lft
-
-    if big_l + 1 >= big_r:
-        s = e = big_r
-    else:
-        s, e = big_l + 1, big_r
-    return EventuallyPeriodicPoint(
-        primitive_root(win[s - ml - lo : s - lo]),
-        win[s - lo : e - lo],
-        primitive_root(win[e - lo : e + mr - lo]),
-        s,
-    )
+    # then the left tail's periodicity up, at most to e
+    s = min(start - lo, e)
+    while s < e and win[s] == win[s - ml]:
+        s += 1
+    return EventuallyPeriodicPoint(win[s - ml : s], win[s:e], win[e : e + mr], s + lo)
 
 
 def periodic_point(cycle: Word) -> EventuallyPeriodicPoint:
@@ -309,10 +289,10 @@ def validate_point(x: EventuallyPeriodicPoint, m: TransitionMatrix) -> None:
     against the transition matrix."""
     _check_symbols(x.left_cycle + x.core + x.right_cycle, m)
     lo = x.core_start - len(x.left_cycle) - 1
-    hi = x.core_end + len(x.right_cycle) + 1
-    for i in range(lo, hi):
-        if not m.allowed(x.at(i), x.at(i + 1)):
-            raise ValueError(f"forbidden transition {x.at(i)}->{x.at(i + 1)} at index {i}")
+    w = x.window(lo, x.core_end + len(x.right_cycle) + 2)
+    for i, (a, b) in enumerate(zip(w, w[1:]), lo):
+        if not m.allowed(a, b):
+            raise ValueError(f"forbidden transition {a}->{b} at index {i}")
 
 
 def shift(x: EventuallyPeriodicPoint, k: int) -> EventuallyPeriodicPoint:
@@ -320,8 +300,7 @@ def shift(x: EventuallyPeriodicPoint, k: int) -> EventuallyPeriodicPoint:
     if k == 0:
         return x
     if x.is_periodic:
-        m = len(x.left_cycle)
-        w = x.left_cycle[k % m :] + x.left_cycle[: k % m]  # w[t] = cycle[(t + k) % m]
+        w = _tile(x.left_cycle, k, len(x.left_cycle))
         return EventuallyPeriodicPoint(w, b"", w, 0)
     return EventuallyPeriodicPoint(
         x.left_cycle, x.core, x.right_cycle, x.core_start - k
@@ -335,76 +314,60 @@ def reverse_point(x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
 
 # ---------------------------------------------------------------------------
 # agreement windows and the ultrametric
-#
-# All comparisons reduce to scanning a bounded window: outside the cores
-# both points are cyclic, so agreement over one full lcm window beyond the
-# extents decides the whole tail.
 
 
-def _right_bound(x, y, lo: int) -> int:
-    l = math.lcm(len(x.right_cycle), len(y.right_cycle))
-    return max(x.core_end, y.core_end, lo) + l
-
-
-def _left_bound(x, y, hi: int) -> int:
+def _deciding_window(x, y):
+    """(lo, a, b, l, r): x and y over [lo, hi), for l, r the lcms of their
+    left and right cycle lengths, lo = min(core starts, 0) - l and
+    hi = max(core ends, 0) + r.  Both points are cyclic outside their cores,
+    so the pair of symbols repeats with period l below lo + l and with
+    period r from hi - r on: the first l (last r) symbols decide agreement
+    on the whole left (right) tail, and a == b exactly when x == y."""
     l = math.lcm(len(x.left_cycle), len(y.left_cycle))
-    return min(x.core_start, y.core_start, hi) - l
-
-
-def agree_from(x, y, lo: int) -> bool:
-    """True iff x.at(i) == y.at(i) for every i >= lo."""
-    hi = _right_bound(x, y, lo)
-    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
-
-
-def agree_upto(x, y, hi: int) -> bool:
-    """True iff x.at(i) == y.at(i) for every i <= hi."""
-    lo = _left_bound(x, y, hi)
-    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
+    r = math.lcm(len(x.right_cycle), len(y.right_cycle))
+    lo = min(x.core_start, y.core_start, 0) - l
+    hi = max(x.core_end, y.core_end, 0) + r
+    return lo, x.window(lo, hi), y.window(lo, hi), l, r
 
 
 def agreement_depth(x, y):
-    """Largest T with agreement on all i <= T.
-
-    Returns math.inf when x == y, -math.inf when the left tails already
-    disagree arbitrarily far down.
-    """
-    if x == y:
+    """Largest T with agreement on all i <= T (math.inf when x == y,
+    -math.inf when the left tails disagree arbitrarily far down)."""
+    lo, a, b, l, _ = _deciding_window(x, y)
+    if a == b:
         return math.inf
-    lo = _left_bound(x, y, 0)
-    if not agree_upto(x, y, lo):
+    if a[:l] != b[:l]:
         return -math.inf
-    hi = _right_bound(x, y, 0)
-    for i in range(lo + 1, hi + 1):
-        if x.at(i) != y.at(i):
-            return i - 1
-    return math.inf  # unreachable for canonical unequal points
+    k = l
+    while a[k] == b[k]:
+        k += 1
+    return lo + k - 1
 
 
 def agreement_floor(x, y):
-    """Smallest F with agreement on all i >= F (math.-inf when x == y)."""
-    if x == y:
+    """Smallest F with agreement on all i >= F (-math.inf when x == y,
+    math.inf when the right tails disagree arbitrarily far up)."""
+    lo, a, b, _, r = _deciding_window(x, y)
+    if a == b:
         return -math.inf
-    hi = _right_bound(x, y, 0)
-    if not agree_from(x, y, hi):
+    k = len(a) - r
+    if a[k:] != b[k:]:
         return math.inf
-    lo = _left_bound(x, y, 0)
-    for i in range(hi - 1, lo - 1, -1):
-        if x.at(i) != y.at(i):
-            return i + 1
-    return -math.inf
+    while a[k - 1] == b[k - 1]:
+        k -= 1
+    return lo + k
 
 
 def agreement_radius(x, y) -> Optional[int]:
-    """Largest n >= 0 with x.at(i) == y.at(i) for |i| < n; None when x == y."""
-    if x == y:
+    """Largest n >= 0 with x.at(i) == y.at(i) for |i| < n (None when x == y),
+    scanned out from index -lo; a tail mismatch repeats in the window, nearer 0."""
+    lo, a, b, _, _ = _deciding_window(x, y)
+    if a == b:
         return None
-    hi = _right_bound(x, y, 0)
-    lo = _left_bound(x, y, 0)
-    for n in range(0, max(hi, -lo) + 1):
-        if x.at(n) != y.at(n) or x.at(-n) != y.at(-n):
-            return n
-    raise AssertionError("distinct canonical points agree on the deciding window")
+    c, n = -lo, 0
+    while (c + n >= len(a) or a[c + n] == b[c + n]) and (n > c or a[c - n] == b[c - n]):
+        n += 1
+    return n
 
 
 def metric(x, y, p: MetricParams) -> float:
@@ -433,12 +396,12 @@ def bracket(x, y) -> EventuallyPeriodicPoint:
 
 def in_stable_set(x, y, eps_exp: int) -> bool:
     """Closed form: y in X^s(x, kappa**-eps_exp) iff agreement on i >= -eps_exp."""
-    return agree_from(y, x, -eps_exp)
+    return agreement_floor(y, x) <= -eps_exp
 
 
 def in_unstable_set(x, y, eps_exp: int) -> bool:
     """Closed form: y in X^u(x, kappa**-eps_exp) iff agreement on i <= eps_exp."""
-    return agree_upto(y, x, eps_exp)
+    return agreement_depth(y, x) >= eps_exp
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +432,7 @@ class PeriodicOrbit:
         return cls(w)
 
     def points(self):
-        m = len(self.cycle)
-        return [periodic_point(self.cycle[r:] + self.cycle[:r]) for r in range(m)]
+        return [periodic_point(w) for w in self.pattern_rotations()]
 
     def pattern_rotations(self):
         m = len(self.cycle)
@@ -479,7 +441,7 @@ class PeriodicOrbit:
 
 def orbits_disjoint(p: PeriodicOrbit, q: PeriodicOrbit) -> bool:
     # orbits of primitive cycles coincide iff the cycles are rotations
-    return q.cycle not in [p.cycle[r:] + p.cycle[:r] for r in range(len(p.cycle))]
+    return q.cycle not in p.pattern_rotations()
 
 
 def is_left_asymptotic(x: EventuallyPeriodicPoint, q: PeriodicOrbit) -> bool:
@@ -512,11 +474,10 @@ def enumerate_homoclinic(
     if core_bound < 0:
         raise ValueError("core bound must be >= 0")
     seen = {}
-    big_l = core_bound
     for length in range(0, core_bound + 1):
         # walks from the past's last symbol; the rest of a walk is a core word
         walks = {a: m.paths(a, length) for a in range(m.n)}
-        for s in range(-big_l, big_l + 2 - length):
+        for s in range(-core_bound, core_bound + 2 - length):
             e = s + length
             for q_rot in q.pattern_rotations():
                 left = _tile(q_rot, s, len(q_rot))
@@ -528,11 +489,10 @@ def enumerate_homoclinic(
                         x = build_point(left, w[1:], right, s)
                         if len(x.core) > core_bound:
                             continue
-                        if not (-big_l <= x.core_start and x.core_end <= big_l + 1):
+                        if not (-core_bound <= x.core_start and x.core_end <= core_bound + 1):
                             continue
                         seen[x] = True
-    out = sorted(seen, key=EventuallyPeriodicPoint.sort_key)
-    return out
+    return sorted(seen, key=EventuallyPeriodicPoint.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The program computes these objects through closed forms; the tests compare
 it against the definitions here.
 """
 
+import math
+
 from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import scenarios as sn
@@ -11,6 +13,56 @@ from sftops import sft
 from sftops.errors import SftopsError
 
 PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+
+
+def build_point(left, core, right, start):
+    """sft.build_point read off a raw point: the right tail's periodicity
+    scanned down from the core's end, the left tail's up from the core's
+    start, and the final cycles reduced to their primitive roots."""
+    left = sft.primitive_root(bytes(left))
+    right = sft.primitive_root(bytes(right))
+    core = bytes(core)
+    ml, mr = len(left), len(right)
+    if ml == 0 or mr == 0:
+        raise ValueError("cycles must be nonempty")
+    end = start + len(core)
+    period_lcm = math.lcm(ml, mr)
+    floor = start - period_lcm - mr
+    ceil = end + period_lcm + ml
+    raw = sft.EventuallyPeriodicPoint(left, core, right, start)
+    lo = floor - ml
+    win = raw.window(lo, ceil + 1)
+    r = end
+    while r > floor and win[r - 1 - lo] == win[r - 1 + mr - lo]:
+        r -= 1
+    if r <= floor:
+        w = sft.primitive_root(raw.window(0, mr))
+        return sft.EventuallyPeriodicPoint(w, b"", w, 0)
+    lft = start - 1
+    while lft < ceil and win[lft + 1 - lo] == win[lft + 1 - ml - lo]:
+        lft += 1
+    if lft >= ceil:
+        raise ValueError("the left tail extends past the periodicity bound")
+    s, e = (r, r) if lft + 1 >= r else (lft + 1, r)
+    return sft.EventuallyPeriodicPoint(
+        sft.primitive_root(win[s - ml - lo : s - lo]),
+        win[s - lo : e - lo],
+        sft.primitive_root(win[e - lo : e + mr - lo]),
+        s,
+    )
+
+
+def agree_from(x, y, lo: int) -> bool:
+    """x.at(i) == y.at(i) for every i >= lo: one window from lo to one lcm
+    of the right cycles past both cores (and lo)."""
+    hi = max(x.core_end, y.core_end, lo) + math.lcm(len(x.right_cycle), len(y.right_cycle))
+    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
+
+
+def agree_upto(x, y, hi: int) -> bool:
+    """x.at(i) == y.at(i) for every i <= hi, the mirror image of agree_from."""
+    lo = min(x.core_start, y.core_start, hi) - math.lcm(len(x.left_cycle), len(y.left_cycle))
+    return x.window(lo, hi + 1) == y.window(lo, hi + 1)
 
 
 def local_set_membership(x, y, eps_exp: int, side: str) -> bool:
@@ -56,8 +108,8 @@ def _locally_close(x, y, side: str) -> bool:
     """Closed-disk branch condition of the two-branch metric: one-sided
     agreement through coordinate 0, compared as one window."""
     if side == sft.STABLE:
-        return sft.agree_upto(y, x, 0)
-    return sft.agree_from(y, x, 0)
+        return agree_upto(y, x, 0)
+    return agree_from(y, x, 0)
 
 
 def units_metric_exponent(x, y):
@@ -149,7 +201,7 @@ def period_two_scenario():
         anchor = gd.GroupoidElement(x, y, side)
         return anchor, gd.c_first_time(anchor)
 
-    (ca, ta), (cb, tb) = first(sft.agree_from, gd.STABLE), first(sft.agree_upto, gd.UNSTABLE)
+    (ca, ta), (cb, tb) = first(agree_from, gd.STABLE), first(agree_upto, gd.UNSTABLE)
 
     def terms(anchor, time, side, coeff=lambda k: 2.0**-k):
         return fn.LocallyConstantFunction(

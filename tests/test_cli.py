@@ -759,3 +759,37 @@ def test_readme_lists_exactly_the_cli_options():
     }
     assert parsed == documented
     assert len(parsed) == 9
+
+
+def reference_at_kappa(tmp_path, name, kappa):
+    data = json.loads((REFERENCE_DIR / f"{name}.json").read_text())
+    data["kappa"] = kappa
+    path = tmp_path / f"{name}-{kappa}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("kappa", [1.05, 1.5, 3.0])
+@pytest.mark.parametrize("name", sorted(sn.REFERENCE_SCENARIOS))
+def test_no_valid_kappa_exits_4(tmp_path, name, kappa):
+    # near 1 the diameter regression has no usable radius level: the audit
+    # says so in its report and fails the check (exit 1), it does not crash
+    path = reference_at_kappa(tmp_path, name, kappa)
+    for command in ("validate", "metric-audit", "auf-audit", "spectrum", "fredholm"):
+        out = tmp_path / command
+        code = run([command, "--scenario", path, "--out", str(out), "--samples", "200", "--window=-2..4"])
+        assert code in (0, 1), (command, code)
+    regression = json.loads((tmp_path / "auf-audit" / "auf_audit.json").read_text())["diameter_regression"]
+    if kappa == 1.05:
+        assert regression == {"insufficient_data": "only 0 usable radius levels"}
+    else:
+        assert "slope" in regression
+
+
+def test_spectrum_huge_kappa_skips_the_decay_certificate(tmp_path):
+    # C2 = max norm * kappa**n overflows a float: no certificate, exit 0
+    path = reference_at_kappa(tmp_path, "full-2-shift", 1e200)
+    assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--window=-2..8"]) == 0
+    rep = json.loads((tmp_path / "spectrum.json").read_text())
+    assert "decay_certificate" not in rep
+    assert rep["decay_certificate_skipped"] == "C2 = max norm * kappa**n overflows a float"

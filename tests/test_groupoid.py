@@ -409,6 +409,6 @@ class TestUnstableMirror:
         for i in range(-10, -v.time):
             assert h.at(i) == z.at(i)
         # the future is pinned to the anchor's range point
-        assert sft.agree_from(h, STEP, -v.time)
+        assert sft.in_stable_set(STEP, h, v.time)
         assert element_is_valid(unstable(h, z), P, Q)
         assert base_set_membership(v, unstable(h, z))

@@ -9,6 +9,7 @@ from sftops import sampling as smp
 from sftops import sft
 from sftops.errors import BracketUndefined, NotIrreducible, OrbitsNotDisjoint, ZeroRowOrColumn
 
+import oracles
 from oracles import PERIOD2, local_set_membership
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -430,6 +431,15 @@ raw3 = st.tuples(cycles3, st.lists(st.integers(0, 2), max_size=5), cycles3, st.i
 REACH = 40
 
 
+def raw_encodings(n):
+    """Raw encodings over n symbols: cycles up to 4, cores up to 7, starts -12..12."""
+
+    def word(lo, hi):
+        return st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi).map(bytes)
+
+    return st.tuples(word(1, 4), word(0, 7), word(1, 4), st.integers(-12, 12))
+
+
 class TestWordOracles:
     @settings(max_examples=300, deadline=None)
     @given(raw3, raw3, st.booleans(), st.booleans(), st.integers(-14, 14))
@@ -453,8 +463,53 @@ class TestWordOracles:
             assert sft.agreement_depth(x, y) == (-math.inf if left_tails_differ else diff[0] - 1)
             assert sft.agreement_floor(x, y) == (math.inf if right_tails_differ else diff[-1] + 1)
             assert sft.agreement_radius(x, y) == min(abs(i) for i in diff)
-        assert sft.agree_from(x, y, k) == all(i < k for i in diff)
-        assert sft.agree_upto(x, y, k) == all(i > k for i in diff)
+        assert sft.in_stable_set(x, y, -k) == all(i < k for i in diff)
+        assert sft.in_unstable_set(x, y, k) == all(i > k for i in diff)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(raw_encodings))
+    def test_build_point_matches_the_raw_window_oracle(self, raw):
+        assert sft.build_point(*raw) == oracles.build_point(*raw)
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            # the right tail's periodicity reaches below the core's start,
+            # so the left scan starts at its end, not at the start
+            (((1, 2, 2, 2), (), (2, 2, 0, 2), 12), "2122*|@11|2220*"),
+            # globally periodic: the phase is pinned at coordinate 0
+            (((0, 1), (), (0, 1), 5), "10*|@0|10*"),
+            (((0, 1, 0, 1), (0, 1, 0), (1, 0), -3), "10*|@0|10*"),
+            (((2, 1), (2, 1, 2), (1, 2, 1, 2), 7), "12*|@0|12*"),
+            (((0,), (0, 0, 0), (0, 0), -12), "0*|@0|0*"),
+        ],
+    )
+    def test_build_point_examples(self, raw, want):
+        x = sft.build_point(*raw)
+        assert sft.encode_point(x) == want
+        assert x == oracles.build_point(*raw)
+
+    def test_point_questions_read_no_long_window(self, monkeypatch):
+        # the deciding window spans the cores, coordinate 0 and one lcm of
+        # each side's cycles, whatever the threshold asked about
+        read = []
+        window = sft.EventuallyPeriodicPoint.window
+
+        def spy(self, lo, hi):
+            read.append(hi - lo)
+            return window(self, lo, hi)
+
+        monkeypatch.setattr(sft.EventuallyPeriodicPoint, "window", spy)
+        x, y = pt((0, 1), (2, 2), (1,), -3), pt((1, 0), (2, 1), (1, 1), 4)
+        z = pt((0, 1), (2, 0, 2), (2,), -3)
+        for a, b in ((x, y), (x, z), (y, y)):
+            span = max(a.core_end, b.core_end, 0) - min(a.core_start, b.core_start, 0)
+            bound = span + len(a.left_cycle + b.left_cycle + a.right_cycle + b.right_cycle)
+            for e in (10**6, -(10**6)):
+                read.clear()
+                sft.in_unstable_set(a, b, e)
+                sft.in_stable_set(a, b, e)
+                assert read and max(read) <= bound, (a, b, e, read)
 
     def test_every_word_is_bytes(self):
         p, q = sft.PeriodicOrbit.from_word([0, 1], PERIOD2), sft.PeriodicOrbit((0, 2))
