@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -356,7 +359,7 @@ def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
     yet registered are added (or counted as truncation events when the
     registry is frozen or full).
     """
-    op, _ = _assemble((f,), _single, list(reg.points), reg)
+    op, _ = _register(_columns((f,), _single, list(reg.points)), reg)
     return op
 
 
@@ -483,15 +486,18 @@ def _support_windows(a_n: LocallyConstantFunction, b: LocallyConstantFunction):
 def estimate_column_count(
     a_n: LocallyConstantFunction, b: LocallyConstantFunction, m: TransitionMatrix
 ) -> int:
-    """Upper bound on the support enumeration size, via path counting."""
-    total = 0
-    for s_pat, u_pat, past_hi, future_lo in _support_windows(a_n, b):
-        gap = future_lo - past_hi
-        if gap <= 1:
-            total += 1
-            continue
-        total += _path_count(m, s_pat.at(past_hi), u_pat.at(future_lo), gap)
-    return total
+    """Upper bound on the support enumeration size, via path counting: the
+    windows of each spec of either composition order."""
+    return sum(_spec_count(m, spec) for spec in _support_windows(a_n, b))
+
+
+def _spec_count(m: TransitionMatrix, spec: tuple) -> int:
+    """The most windows _bridge_windows finds for one free-window spec."""
+    s_pat, u_pat, past_hi, future_lo = spec
+    gap = future_lo - past_hi
+    if gap <= 1:
+        return 1
+    return _path_count(m, s_pat.at(past_hi), u_pat.at(future_lo), gap)
 
 
 def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
@@ -508,10 +514,12 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
 # slice (reversed on the unstable side).  A column rule says how the
 # functions' actions make a column: _single for represent and
 # apply_to_point, _commutator for a block.  A first pass runs the rule on
-# every column with each action noted, not valued: its _act images are kept
-# and its profile words collected.  _word_totals hashes each seed's words,
-# a second pass runs the rule on the kept images' values, and a row
-# becomes a canonical point only at the end.
+# every column with each action noted, not valued: its profile words are
+# collected and, for the column's own window, the mask of its acting terms
+# kept.  _word_totals hashes each seed's words, a second pass rebuilds the
+# images from the masks, without testing a column's domains again, and runs
+# the rule on their values, and a row becomes a canonical point only at the
+# end.
 
 
 def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
@@ -532,12 +540,17 @@ def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
     return out
 
 
-def _act(actions: list, z: bytes) -> list:
-    """(image, term, profile word) for each action whose domain holds z."""
+def _act(actions: list, z: bytes) -> int:
+    """The bit mask of the actions whose domain holds the window z."""
+    return sum(1 << i for i, (_, domain, pattern, *_) in enumerate(actions) if z[domain] == pattern)
+
+
+def _images(actions: list, z: bytes, acting: int) -> list:
+    """(image, term, profile word) for each action of the mask acting on z."""
     return [
         (piece + z[cut:] if stable else z[:cut] + piece, term, z[at])
-        for term, domain, pattern, cut, piece, at, stable in actions
-        if z[domain] == pattern
+        for i, (term, _, _, cut, piece, at, stable) in enumerate(actions)
+        if acting >> i & 1
     ]
 
 
@@ -576,36 +589,62 @@ def _twice(apply, f: int, g: int, z: bytes) -> dict:
     return out
 
 
+def _common_prefix(u, v) -> int:
+    k = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
 def _word_totals(seed: str, words: dict) -> dict:
     """Sets each words[w] to 1 + sum_{m <= len(w)} 2**-m * bit(w[:m]) and
-    returns words.  The words are hashed in sorted order, a walk of their
-    trie: states[k] and totals[k] hold the hash and the sum through the
-    last word's first k symbols, so a word hashes only the symbols past its
-    common prefix with the one before."""
-    states = [hashlib.sha256(f"{seed}:".encode())]
-    totals = [1.0]
-    last = b""
-    for word in sorted(words):
-        k = 0
-        for a, b in zip(word, last):
-            if a != b:
-                break
-            k += 1
-        del states[k + 1 :], totals[k + 1 :]
-        h, total = states[k], totals[k]
-        weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
-        for i in range(k, len(word)):
-            chunk = _SYMBOL_BYTES[word[i]]
+    returns words.
+
+    The words are hashed in sorted order, a walk of their trie: a word
+    resumes from the state of its common prefix with the word before and
+    hashes each symbol past it with one update and one digest.  A state is
+    kept, on a stack of (depth, hash, sum), only at a depth where a later
+    word branches off the path: the running minima of the common prefixes
+    of the following neighbours.  So a node costs a copy only per later
+    branch off it."""
+    order = sorted(words)
+    starts = [0] + [_common_prefix(u, v) for u, v in zip(order, order[1:])]
+    # Backward over the words, minima is the increasing stack of the running
+    # minima of starts[i + 1:]: word i keeps its states at those deeper than
+    # where it starts, and copies its start state if that one is among them.
+    keeps, agains = [()] * len(order), [False] * len(order)
+    minima: List[int] = []
+    for i in range(len(order) - 1, -1, -1):
+        j = len(minima)
+        while j and minima[j - 1] > starts[i]:
+            j -= 1
+        agains[i] = again = j > 0 and minima[j - 1] == starts[i]
+        if j < len(minima):
+            keeps[i] = tuple(minima[j:])
+        del minima[j - again :]
+        minima.append(starts[i])
+    stack = [(0, hashlib.sha256(f"{seed}:".encode()), 1.0)]
+    for word, k, keep, again in zip(order, starts, keeps, agains):
+        _, h, total = stack[-1] if again else stack.pop()
+        if again and len(word) > k:
             h = h.copy()
-            h.update(chunk if i else chunk[1:])
-            weight *= 0.5
-            # digest() does not finalise h, so it needs no copy of its own
-            if h.digest()[0] & 1:
-                total += weight
-            states.append(h)
-            totals.append(total)
+        weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
+        i = k
+        for stop in (*keep, None):
+            end = len(word) if stop is None else stop
+            for i in range(i, end):
+                chunk = _SYMBOL_BYTES[word[i]]
+                h.update(chunk if i else chunk[1:])
+                weight *= 0.5
+                # digest() does not finalise h, so it needs no copy
+                if h.digest()[0] & 1:
+                    total += weight
+            i = end
+            if stop is not None:
+                stack.append((stop, h if stop == len(word) else h.copy(), total))
         words[word] = total
-        last = word
     return words
 
 
@@ -617,34 +656,41 @@ def _columns(fs: tuple, rule, cols: list):
     actions = [_actions(f, lo, hi) for f in fs]
     lone = [len(f.terms) == 1 and f.terms[0].depth > 0 for f in fs]
     windows = [x.window(lo, hi) for x in cols]
-    acted = [{} for _ in fs]  # per function: window -> its _act images
+    masks = [{} for _ in fs]  # per function: column window -> its _act mask
     words: Dict[str, dict] = {}  # seed -> its profile words
 
     def note(k: int, z: bytes) -> dict:
         # every image, weight 1: a superset of the images whose values survive
-        acted[k][z] = images = _act(actions[k], z)
+        mask = _act(actions[k], z)
+        if z is column:
+            masks[k][z] = mask
+        images = _images(actions[k], z, mask)
         for _, t, w in images:
             if t.depth:
                 words.setdefault(t.seed, {})[w] = None
         return dict.fromkeys([y for y, _, _ in images], 1.0)
 
-    for z in windows:
-        rule(note, z)
+    for column in windows:
+        rule(note, column)
     totals = {seed: _word_totals(seed, seen) for seed, seen in words.items()}
 
     def apply(k: int, z: bytes) -> dict:
-        return _apply(acted[k][z], totals, lone[k])
+        # an image's mask is tested again: keeping it would keep its window
+        mask = masks[k].get(z)
+        if mask is None:
+            mask = _act(actions[k], z)
+        return _apply(_images(actions[k], z, mask), totals, lone[k])
 
     for x, z in zip(cols, windows):
         yield x, {_point(row, lo, period): v for row, v in rule(apply, z).items()}
 
 
-def _assemble(fs: tuple, rule, cols: list, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
-    """The operator of a column rule on the columns cols, every nonzero
+def _register(columns, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
+    """The operator of the (x, column) pairs of _columns, every nonzero
     column and then its rows registered in order, and whether the cap cut it."""
     op = SparseOperator()
     truncated = False
-    for x, col in _columns(fs, rule, cols):
+    for x, col in columns:
         if not col:
             continue
         j = reg.add(x)
@@ -660,6 +706,104 @@ def _assemble(fs: tuple, rule, cols: list, reg: BasisRegistry) -> Tuple[SparseOp
     return op, truncated
 
 
+# Below this many estimated columns a run of certain blocks is assembled in
+# one process.  A fork and its pipe cost about 2 ms: on full-2-shift, two
+# processes broke even on runs of 88 to 152 estimated columns.
+FORK_FLOOR = 256
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _block_columns(a_n: LocallyConstantFunction, b: LocallyConstantFunction, m: TransitionMatrix) -> list:
+    """The nonzero columns of block [a_n, b] in support order, each held
+    flat as (x, row, value, row, value, ...): a tuple, not a dict, per column."""
+    cols = commutator_column_support(a_n, b, m)
+    return [(x, *chain.from_iterable(col.items())) for x, col in _columns((a_n, b), _commutator, cols) if col]
+
+
+def _certain(est: dict, most: dict, n: int, room: int, slots: int) -> list:
+    """The blocks n, n + 1, ... that pass the estimate check whatever the
+    blocks before them register: block k has at most most[k] columns, each
+    taking at most slots registry slots, so a block is certain while its
+    estimate fits in the room left after those worst cases."""
+    out = []
+    while n in est and est[n] <= room:
+        out.append(n)
+        room -= slots * most[n]
+        n += 1
+    return out
+
+
+def _child(w: int, jobs: dict, b: LocallyConstantFunction, m: TransitionMatrix) -> None:
+    """Body of the forked child: one byte down the pipe after each block, so
+    it ends on the broken pipe once the parent is gone, then the pickled
+    columns of every block; it leaves through os._exit."""
+    code = 1
+    try:
+        with os.fdopen(w, "wb") as pipe:
+            out = {}
+            for n, a_n in jobs.items():
+                out[n] = _block_columns(a_n, b, m)
+                pipe.write(b".")
+                pipe.flush()
+            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe, blocks: int) -> dict:
+    """The child's columns, read as it sent them: one byte per block, then
+    the pickle.  Empty when either is short or broken, so that the parent
+    computes those blocks itself."""
+    try:
+        if pipe.read(blocks) == b"." * blocks:
+            return pickle.load(pipe)
+    except Exception:
+        pass
+    return {}
+
+
+def _fork_columns(jobs: dict, est: dict, b: LocallyConstantFunction, m: TransitionMatrix) -> dict:
+    """n -> _block_columns of each block a_n of jobs (n -> a_n), the blocks
+    split by estimate, largest first, between this process and a forked
+    child.  The blocks of a child that fails or sends a short result are
+    computed here; when the fork itself fails, nothing is computed ahead."""
+    shares, loads = ([], []), [0, 0]
+    for n in sorted(jobs, key=lambda n: -est[n]):
+        k = loads[1] < loads[0]  # the lighter share, this process's on a tie
+        shares[k].append(n)
+        loads[k] += est[n]
+    mine, theirs = shares
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return {}
+    if pid == 0:
+        os.close(r)
+        _child(w, {n: jobs[n] for n in theirs}, b, m)
+    os.close(w)
+    pipe = os.fdopen(r, "rb")
+    try:
+        out = {n: _block_columns(jobs[n], b, m) for n in mine}
+        got = _receive(pipe, len(theirs))
+    finally:
+        pipe.close()  # a child still at work ends on the broken pipe
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        got = {}
+    for n in theirs:
+        out[n] = got[n] if n in got else _block_columns(jobs[n], b, m)
+    return out
+
+
 def commutator_blocks(
     a: LocallyConstantFunction,
     b: LocallyConstantFunction,
@@ -672,22 +816,44 @@ def commutator_blocks(
     Each block's support columns are enumerated from the term patterns; a
     block whose enumeration would blow the registry cap is flagged
     untrusted and left empty.
+
+    A block's columns do not depend on the registry, only its registration
+    and the estimate check do.  So where a run of blocks is certain to pass
+    the check (see _certain), worth a fork and there are two CPUs, their
+    columns are computed in two processes; the blocks are then registered
+    in order n = lo..hi as in one process, and the result is the same.
     """
     if a.side != STABLE or b.side != UNSTABLE:
         raise SideMismatch("commutator needs a stable and an unstable function")
     n_min, n_max = window
+    shifted = {n: a.alpha(n) for n in range(n_min, n_max + 1)}
+    est = {n: estimate_column_count(a_n, b, m) for n, a_n in shifted.items()}
+    # a block's columns, at most: the support enumerates each distinct spec
+    # once, where the estimate counts both orders' specs
+    most = {
+        n: sum(_spec_count(m, spec) for spec in dict.fromkeys(_support_windows(a_n, b)))
+        for n, a_n in shifted.items()
+    }
+    # the registry slots a column can take: itself and its rows
+    slots = 1 + 2 * len(a.terms) * len(b.terms)
     blocks: Dict[int, SparseOperator] = {}
     untrusted: Dict[int, str] = {}
-    for n in range(n_min, n_max + 1):
-        a_n = a.alpha(n)
-        est = estimate_column_count(a_n, b, m)
+    ahead: Dict[int, list] = {}
+    for n, a_n in shifted.items():
         room = reg.cap - len(reg)
-        if est > room:
-            untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
+        if est[n] > room:
+            untrusted[n] = f"support estimate {est[n]} exceeds remaining capacity {room}"
             blocks[n] = SparseOperator()
             continue
-        cols = commutator_column_support(a_n, b, m)
-        blocks[n], truncated = _assemble((a_n, b), _commutator, cols, reg)
+        if n not in ahead:
+            run = _certain(est, most, n, room, slots)
+            if len(run) >= 2 and sum(est[k] for k in run) >= FORK_FLOOR and _cpus() >= 2:
+                ahead = _fork_columns({k: shifted[k] for k in run}, est, b, m)
+        if n in ahead:
+            columns = ((c[0], dict(zip(c[1::2], c[2::2]))) for c in ahead.pop(n))
+        else:
+            columns = _columns((a_n, b), _commutator, commutator_column_support(a_n, b, m))
+        blocks[n], truncated = _register(columns, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
     return BlockOperator((n_min, n_max), blocks, untrusted, reg)

@@ -1,6 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
+import os
+import pathlib
+import pickle
+import signal
+import subprocess
+import sys
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +27,7 @@ from sftops.errors import SideMismatch
 import oracles
 from oracles import PERIOD2, period_two_scenario
 
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
 P = sft.PeriodicOrbit((1,))
@@ -49,6 +59,34 @@ def _word_bit(seed: str, word) -> int:
     """Reference bit of one word; _word_totals hashes the prefixes incrementally."""
     h = hashlib.sha256(f"{seed}:{','.join(map(str, word))}".encode()).digest()
     return h[0] & 1
+
+
+class CountingHash:
+    """A SHA-256 state that counts the calls made on it into steps."""
+
+    def __init__(self, h, steps):
+        self.h, self.steps = h, steps
+
+    def copy(self):
+        self.steps["copy"] += 1
+        return CountingHash(self.h.copy(), self.steps)
+
+    def update(self, chunk):
+        self.steps["update"] += 1
+        self.h.update(chunk)
+
+    def digest(self):
+        self.steps["digest"] += 1
+        return self.h.digest()
+
+
+@contextlib.contextmanager
+def counted_sha256():
+    """fn.hashlib.sha256 made a CountingHash; yields its step counts."""
+    steps = {"update": 0, "digest": 0, "copy": 0}
+    real = hashlib.sha256
+    with mock.patch.object(fn.hashlib, "sha256", lambda data: CountingHash(real(data), steps)):
+        yield steps
 
 
 def materialize_profile(f, m):
@@ -473,31 +511,45 @@ class TestProfileFunctions:
             seeds.setdefault(f"w{seed_no}", set()).add(word[::-1] if backward else word)
         for _, seeds in sorted(blocks.items()):
             for seed, words in seeds.items():
-                steps = []
-
-                class CountingHash:
-                    def __init__(self, h):
-                        self.h = h
-
-                    def copy(self):
-                        return CountingHash(self.h.copy())
-
-                    def update(self, data):
-                        steps.append(data)
-                        self.h.update(data)
-
-                    def digest(self):
-                        return self.h.digest()
-
-                real_sha256 = hashlib.sha256
-                with mock.patch.object(fn.hashlib, "sha256", lambda data: CountingHash(real_sha256(data))):
+                with counted_sha256() as steps:
                     totals = fn._word_totals(seed, dict.fromkeys(words))
-                assert len(steps) == len({w[:mm] for w in words for mm in range(1, len(w) + 1)})
+                assert steps["update"] == len({w[:mm] for w in words for mm in range(1, len(w) + 1)})
                 for word, total in totals.items():
                     want = 1.0
                     for mm in range(1, len(word) + 1):
                         want += 2.0**-mm * _word_bit(seed, word[:mm])
                     assert total == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_word_walk_matches_prefix_hashes(self, data):
+        # the trie walk against hashing every prefix from scratch, on word
+        # sets with the empty word, words that are prefixes of others and
+        # shared prefixes, over alphabets of 1-4 symbols; each trie node
+        # costs one update and one digest, and a hash state is copied once
+        # per later branch off a node
+        alphabet = data.draw(st.integers(1, 4))
+        symbols = st.lists(st.integers(0, alphabet - 1), max_size=40)
+        words = set()
+        for base in data.draw(st.lists(symbols, min_size=1, max_size=6)):
+            words.add(bytes(base))
+            for cut, tail in data.draw(st.lists(st.tuples(st.integers(0, len(base)), symbols), max_size=4)):
+                words.add(bytes(base[:cut] + tail[: 40 - cut]))
+        if data.draw(st.booleans()):
+            words.add(b"")
+        with counted_sha256() as steps:
+            totals = fn._word_totals("walk", dict.fromkeys(words))
+        for word in words:
+            want = 1.0
+            for mm in range(1, len(word) + 1):
+                want += 2.0**-mm * _word_bit("walk", word[:mm])
+            assert totals[word] == want, word
+        nodes = {w[:mm] for w in words for mm in range(1, len(w) + 1)}
+        children = {}
+        for node in nodes:
+            children[node[:-1]] = children.get(node[:-1], 0) + 1
+        assert steps["update"] == steps["digest"] == len(nodes)
+        assert steps["copy"] == sum(c - 1 for c in children.values())
 
     def test_profile_involution_round_trip(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=6, seed="t")
@@ -926,6 +978,207 @@ def test_support_enumerates_each_window_spec_once(monkeypatch, name, window, rep
         assert len(calls) == len(set(calls)) == len(set(specs))
         seen += len(specs) - len(set(specs))
     assert seen == repeats
+
+
+def _processes(monkeypatch, cpus):
+    """Pins the CPU count that commutator_blocks reads; the list that the
+    runs of blocks it hands to _fork_columns land in."""
+    forks, real = [], fn._fork_columns
+
+    def fork(jobs, *args):
+        forks.append(sorted(jobs))
+        return real(jobs, *args)
+
+    monkeypatch.setattr(fn, "_cpus", lambda: cpus)
+    monkeypatch.setattr(fn, "_fork_columns", fork)
+    return forks
+
+
+def _blocks_in(monkeypatch, cpus, s, window, cap):
+    forks = _processes(monkeypatch, cpus)
+    reg = fn.BasisRegistry.seeded(_seeds(s), cap=cap)
+    return fn.commutator_blocks(s.functions["a"], s.functions["b"], window, reg, s.matrix), forks
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_two_match_one(monkeypatch, s, window, cap) -> list:
+    """Blocks, untrusted reasons, registry order and truncation events are
+    the same whether the certain runs of blocks are split between two
+    processes or all assembled in this one; the runs, each of blocks that
+    pass the estimate check."""
+    one, forks = _blocks_in(monkeypatch, 1, s, window, cap)
+    assert not forks
+    two, forks = _blocks_in(monkeypatch, 2, s, window, cap)
+    assert forks
+    _assert_same_assembly(two, one)
+    _no_children_left()
+    turned_away = {n for n, why in one.untrusted.items() if why.startswith("support estimate")}
+    assert turned_away.isdisjoint(n for run in forks for n in run)
+    return forks, one.untrusted
+
+
+@pytest.mark.parametrize(
+    "s, window, floor",
+    [
+        (REFERENCE["full-2-shift"], (-8, 15), fn.FORK_FLOOR),
+        (REFERENCE["golden-mean"], (-8, 19), fn.FORK_FLOOR),
+        (period_two_scenario(), (-4, 10), 0),
+    ],
+    ids=["full-2-shift", "golden-mean", "period-2"],
+)
+def test_two_processes_match_one(monkeypatch, s, window, floor):
+    monkeypatch.setattr(fn, "FORK_FLOOR", floor)
+    _assert_two_match_one(monkeypatch, s, window, s.basis_cap)
+
+
+def test_two_processes_match_one_under_a_cap(monkeypatch):
+    # caps at which a run of certain blocks ends inside the window: some
+    # block hits the cap while it registers, later ones fail the estimate;
+    # at 70 extra slots, a run bounded by columns alone, without their
+    # rows, would take in a block that fails it
+    monkeypatch.setattr(fn, "FORK_FLOOR", 0)
+    s = _two_ranges()
+    reasons = set()
+    for extra in (21, 42, 70, 84):
+        forks, untrusted = _assert_two_match_one(monkeypatch, s, (-4, 12), len(_seeds(s)) + extra)
+        assert forks[-1][-1] < 12
+        reasons |= {why.split()[0] for why in untrusted.values()}
+    assert reasons == {"support", "registry"}
+
+
+def _child_that(send):
+    """A child body that runs send(w, jobs, b, m) and exits 0 after it."""
+
+    def child(w, jobs, b, m):
+        code = 1
+        try:
+            send(w, jobs, b, m)
+            code = 0
+        finally:
+            os._exit(code)
+
+    return child
+
+
+def _fails(w, jobs, b, m):
+    raise RuntimeError("child failed")
+
+
+def _truncated(w, jobs, b, m):
+    data = pickle.dumps({n: fn._block_columns(a_n, b, m) for n, a_n in jobs.items()})
+    os.write(w, b"." * len(jobs) + data[: len(data) // 2])
+
+
+def _one_block_short(w, jobs, b, m):
+    data = pickle.dumps({n: fn._block_columns(a_n, b, m) for n, a_n in list(jobs.items())[1:]})
+    os.write(w, b"." * len(jobs) + data)
+
+
+@pytest.mark.parametrize("send", [_fails, _truncated, _one_block_short])
+def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, send):
+    # a child that exits non-zero or sends a short result: this process
+    # computes its blocks, and no child is left to reap
+    s = REFERENCE["full-2-shift"]
+    one, _ = _blocks_in(monkeypatch, 1, s, (-8, 12), s.basis_cap)
+    monkeypatch.setattr(fn, "_child", _child_that(send))
+    two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
+    assert forks
+    _assert_same_assembly(two, one)
+    _no_children_left()
+
+
+def test_a_failed_fork_leaves_the_result_unchanged(monkeypatch):
+    s = REFERENCE["full-2-shift"]
+    one, _ = _blocks_in(monkeypatch, 1, s, (-8, 12), s.basis_cap)
+
+    def fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(fn.os, "fork", fork)
+    two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
+    assert forks
+    _assert_same_assembly(two, one)
+
+
+ORPHAN = """
+import os, sys, time
+from sftops import functions as fn, scenarios as sn, sft
+
+fork = os.fork
+
+
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+def slow(a_n, b, m):
+    time.sleep(0.2)
+    return []
+
+
+os.fork, fn._block_columns, fn._cpus = announced, slow, lambda: 2
+s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
+reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3), cap=s.basis_cap)
+fn.commutator_blocks(s.functions["a"], s.functions["b"], (-8, 15), reg, s.matrix)
+"""
+
+
+def _running(pid) -> bool:
+    """Whether pid is a live process (not gone and not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_child_ends_on_the_broken_pipe_when_the_parent_dies():
+    # the child's share is 23 blocks of 0.2 s each; killed at its first
+    # block, the parent leaves a child that ends after that block
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN], env=env, stdout=subprocess.PIPE, text=True)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2.5
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("name, window, bound_mb", [("full-2-shift", (-2, 14), 1.2), ("golden-mean", (-2, 18), 1.75)])
+def test_assembly_memory_peak(monkeypatch, name, window, bound_mb):
+    # between its two passes the kernel keeps each column's window and the
+    # masks of its acting terms, not the images and words of every window
+    # it met; the registry itself holds about 0.7 and 1.2 MB at the end
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    s = REFERENCE[name]
+    monkeypatch.setattr(fn, "_cpus", lambda: 1)
+    reg = fn.BasisRegistry.seeded(_seeds(s), cap=s.basis_cap)
+    tracemalloc.start()
+    try:
+        fn.commutator_blocks(s.functions["a"], s.functions["b"], window, reg, s.matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def _column_is_nonzero(a_n, b_n, x):

@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +196,13 @@ def test_package_data_ships_reference_scenarios():
     files = {pathlib.Path(load.args[0]).resolve() for load in sn.REFERENCE_SCENARIOS.values()}
     assert files and all(path.parent == SRC / "reference" and path.is_file() for path in files)
     assert files <= shipped
+
+
+def test_cli_import_loads_no_process_pool():
+    # spectrum forks its one child with os.fork (about 3 ms); importing
+    # multiprocessing or concurrent.futures would add 20-25 ms and 2 MB to
+    # the start of every command
+    code = "import sys, sftops.cli; print(sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
