@@ -13,21 +13,22 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import copy
 import dataclasses
 import json
 import math
 import os
 import sys
 import time
+from collections import deque
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from . import aufmetric as auf
-from . import fredholm as fd
+from . import forked
 from . import functions as fn
 from . import groupoid as gd
-from . import sampling as smp
-from . import schatten as sc
 from . import sft
 from .errors import InsufficientData, InvalidScenario, NotAProjection, SftopsError
 from .scenarios import (
@@ -111,6 +112,29 @@ def cmd_validate(scenario: Scenario, out_dir: str, args) -> int:
 # metric audit
 
 
+def _tuples(rng, bound: int, width: int, count: int, part):
+    """The width-tuples of `_draws(rng, bound, width * count)` in part
+    `part`: all `count` of them (None), the first count // 2 (0) or the
+    rest (1).  The draws outside the part are drawn and dropped, one chunk
+    at a time, so that the generator ends where drawing every tuple would
+    leave it."""
+    draws = _draws(rng, bound, width * count)
+    start, stop = {None: (0, count), 0: (0, count // 2), 1: (count // 2, count)}[part]
+    deque(islice(draws, width * start), maxlen=0)
+    yield from zip(*[islice(draws, width * (stop - start))] * width)
+    deque(draws, maxlen=0)
+
+
+def _record(checks: dict, name: str, passed: bool, witness) -> None:
+    """Count a check; the first failure's witness goes into the report."""
+    entry = checks[name]
+    entry[0] += 1
+    if not passed:
+        entry[1] += 1
+        if entry[2] is None:
+            entry[2] = witness
+
+
 def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
     """Ultrametric / isometry / contraction property suite on sampled data.
 
@@ -118,7 +142,16 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
     triangle and two pool indices per unit pair, each loop consuming its
     draws in order; no other draw comes between.  The loops take them from
     `_draws`, which batches them without changing that sequence.
+
+    With two CPUs each loop's draws are split in two halves by position
+    (`_tuples`).  This process checks the first halves while a forked child
+    checks the second on a copy of the generator (see forked.run).  Every
+    check is a function of its draws alone, so summing the counts and
+    keeping the first half's witness, where it has one, gives the report
+    of one process.
     """
+    from . import sampling as smp
+
     rng = _seeded_rng(scenario, 1)
     m = scenario.matrix
     samples = args.samples
@@ -126,24 +159,6 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
         m, scenario.orbit_p, scenario.orbit_q, rng, max(240, samples // 40)
     )
     n = len(elements)
-    checks = {
-        "ultrametric_triangle": [0, 0, None],
-        "phi_contraction_equality": [0, 0, None],
-        "phi_global_sandwich": [0, 0, None],
-        "inversion_isometry": [0, 0, None],
-        "first_time_shift": [0, 0, None],
-        "units_two_branch": [0, 0, None],
-    }
-
-    def record(name, passed, witness):
-        """Count a check; the first failure's witness goes into the report."""
-        entry = checks[name]
-        entry[0] += 1
-        if not passed:
-            entry[1] += 1
-            if entry[2] is None:
-                entry[2] = witness
-
     dm = {}
 
     def dist(i, j):
@@ -160,32 +175,51 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
     canon = {a: a for a in elements}
     shifted = [canon.setdefault(x, x) for x in (gd.phi_auto(a, -1) for a in elements)]
     inverted = [canon.setdefault(x, x) for x in (gd.inverse(a) for a in elements)]
-    draws = _draws(rng, n, 2 * samples)
-    for i, j in zip(draws, draws):
-        e = dist(i, j)
-        ee = gd.groupoid_metric_exponent(shifted[i], shifted[j])
-        if e is not None and e >= 1:
-            record("phi_contraction_equality", ee == e + 1, (i, j, e, ee))
-        # global sandwich kappa^-1 D <= D Phi^-1 <= D on exponents
-        if e is None:
-            record("phi_global_sandwich", ee is None, (i, j))
-        else:
-            record("phi_global_sandwich", ee is not None and e <= ee <= e + 1, (i, j, e, ee))
-        ei = gd.groupoid_metric_exponent(inverted[i], inverted[j])
-        record("inversion_isometry", ei == e, (i, j, e, ei))
-        cs = gd.c_first_time(elements[i])
-        csm = gd.c_first_time(shifted[i])
-        record("first_time_shift", csm == cs + 1 or cs == 0, (i, cs, csm))
-    draws = _draws(rng, n, 3 * (samples // 3))
-    for i, j, k in zip(draws, draws, draws):
-        dij, djk, dik = val(dist(i, j)), val(dist(j, k)), val(dist(i, k))
-        record("ultrametric_triangle", dik <= max(dij, djk) + 1e-15, (i, j, k))
     pool = smp.homoclinic_pool(m, scenario.orbit_p, scenario.orbit_q, 2, range(0, 5))
-    draws = _draws(rng, len(pool), 2 * (samples // 5))
-    for xi, yi in zip(draws, draws):
-        x, y = pool[xi], pool[yi]
-        ok = gd.units_metric_exponent(x, y) == gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
-        record("units_two_branch", ok, None if ok else (str(x), str(y)))
+
+    def walk(g, part) -> dict:
+        """The checks of part `part` (see _tuples) of each loop's draws from g."""
+        checks = {
+            "ultrametric_triangle": [0, 0, None],
+            "phi_contraction_equality": [0, 0, None],
+            "phi_global_sandwich": [0, 0, None],
+            "inversion_isometry": [0, 0, None],
+            "first_time_shift": [0, 0, None],
+            "units_two_branch": [0, 0, None],
+        }
+        record = partial(_record, checks)
+        for i, j in _tuples(g, n, 2, samples, part):
+            e = dist(i, j)
+            ee = gd.groupoid_metric_exponent(shifted[i], shifted[j])
+            if e is not None and e >= 1:
+                record("phi_contraction_equality", ee == e + 1, (i, j, e, ee))
+            # global sandwich kappa^-1 D <= D Phi^-1 <= D on exponents
+            if e is None:
+                record("phi_global_sandwich", ee is None, (i, j))
+            else:
+                record("phi_global_sandwich", ee is not None and e <= ee <= e + 1, (i, j, e, ee))
+            ei = gd.groupoid_metric_exponent(inverted[i], inverted[j])
+            record("inversion_isometry", ei == e, (i, j, e, ei))
+            cs = gd.c_first_time(elements[i])
+            csm = gd.c_first_time(shifted[i])
+            record("first_time_shift", csm == cs + 1 or cs == 0, (i, cs, csm))
+        for i, j, k in _tuples(g, n, 3, samples // 3, part):
+            dij, djk, dik = val(dist(i, j)), val(dist(j, k)), val(dist(i, k))
+            record("ultrametric_triangle", dik <= max(dij, djk) + 1e-15, (i, j, k))
+        for xi, yi in _tuples(g, len(pool), 2, samples // 5, part):
+            x, y = pool[xi], pool[yi]
+            ok = gd.units_metric_exponent(x, y) == gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
+            record("units_two_branch", ok, None if ok else (str(x), str(y)))
+        return checks
+
+    if forked.two_cpus():
+        (first,), (second,) = forked.run([partial(walk, rng, 0)], [partial(walk, copy.deepcopy(rng), 1)])
+        checks = {
+            name: [c + second[name][0], f + second[name][1], second[name][2] if w is None else w]
+            for name, (c, f, w) in first.items()
+        }
+    else:
+        checks = walk(rng, None)
     checks["holonomy_isometry"] = [0, 0, None]
     anchors = [e for e in elements if e.first != e.second][:6] or elements[:3]
     budget = max(samples // 20, 50)
@@ -199,7 +233,7 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
                 ok = sft.agreement_radius(a.first, b.first) == sft.agreement_radius(
                     a.second, b.second
                 )
-                record("holonomy_isometry", ok, None if ok else (str(a.second), str(b.second)))
+                _record(checks, "holonomy_isometry", ok, None if ok else (str(a.second), str(b.second)))
 
     rep = _report_skeleton(scenario, "metric-audit")
     rep["sample_count"] = samples
@@ -219,6 +253,16 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
+    """Cover-sequence metrization checks on sampled elements.
+
+    The star-refinement check is the only user of the generator after the
+    elements, so a forked child runs it on the generator as it stands while
+    this process runs the chain metric, the sandwich and diameter checks and
+    writes the CSV (see forked.run).
+    """
+    from . import aufmetric as auf
+    from . import sampling as smp
+
     rng = _seeded_rng(scenario, 2)
     m = scenario.matrix
     count = max(200, args.samples // 50)
@@ -226,24 +270,33 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
     cp = auf.CoverIndexParams(scenario.kappa)
     vcap = auf.build_vcap_table(elements, cp)
     table = auf.build_quasimetric_table(elements, cp, vcap=vcap)
-    dist = auf.chain_metric(table)
-    sandwich = auf.sandwich_check(table, dist)
-    star = auf.star_refinement_check(elements, cp, rng, max(1000, args.samples // 10), vcap=vcap)
-    anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
-    try:
-        fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
-    except InsufficientData as exc:
-        # near kappa = 1: no slope, so the 10 % check cannot pass
-        regression, fit_ok = {"insufficient_data": str(exc)}, False
-    else:
-        regression = {
-            "slope": fit.slope,
-            "predicted_slope": fit.predicted_slope,
-            "relative_error": fit.relative_error,
-            "gamma_prime": fit.gamma_prime,
-            "ks": list(fit.ks),
-        }
-        fit_ok = fit.relative_error <= 0.10
+
+    def metric_checks():
+        """The sandwich report, the diameter regression and whether it passes."""
+        dist = auf.chain_metric(table)
+        sandwich = auf.sandwich_check(table, dist)
+        anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
+        try:
+            fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
+        except InsufficientData as exc:
+            # near kappa = 1: no slope, so the 10 % check cannot pass
+            regression, fit_ok = {"insufficient_data": str(exc)}, False
+        else:
+            regression = {
+                "slope": fit.slope,
+                "predicted_slope": fit.predicted_slope,
+                "relative_error": fit.relative_error,
+                "gamma_prime": fit.gamma_prime,
+                "ks": list(fit.ks),
+            }
+            fit_ok = fit.relative_error <= 0.10
+        with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
+            handle.write(auf.table_to_csv(table))
+        return sandwich, regression, fit_ok
+
+    trials = max(1000, args.samples // 10)
+    star_check = partial(auf.star_refinement_check, elements, cp, rng, trials, vcap=vcap)
+    ((sandwich, regression, fit_ok),), (star,) = forked.run([metric_checks], [star_check])
 
     rep = _report_skeleton(scenario, "auf-audit")
     rep["element_count"] = len(elements)
@@ -259,8 +312,6 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
         "violations": len(star.violations),
     }
     rep["diameter_regression"] = regression
-    with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
-        handle.write(auf.table_to_csv(table))
     _write_json(os.path.join(out_dir, "auf_audit.json"), rep)
     ok = sandwich.ok and star.ok and fit_ok
     return EXIT_OK if ok else EXIT_FINDINGS
@@ -284,6 +335,8 @@ def _norm_slope(ns, norms):
 
 def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None) -> dict:
     """Shared by the CLI command and the acceptance suite."""
+    from . import schatten as sc
+
     m = scenario.matrix
     h = sft.entropy(m)
     window = window or scenario.window
@@ -441,6 +494,8 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def cmd_fredholm(scenario: Scenario, out_dir: str, args) -> int:
+    from . import fredholm as fd
+
     names = _function_pair(scenario, "fredholm", ["e_proj", "e_unit"], ["b_terms", "b"])
     if names is None:
         return EXIT_INVALID

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import forked
 from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
@@ -712,12 +712,6 @@ def _register(columns, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:
 FORK_FLOOR = 256
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def _block_columns(a_n: LocallyConstantFunction, b: LocallyConstantFunction, m: TransitionMatrix) -> list:
     """The nonzero columns of block [a_n, b] in support order, each held
     flat as (x, row, value, row, value, ...): a tuple, not a dict, per column."""
@@ -738,70 +732,17 @@ def _certain(est: dict, most: dict, n: int, room: int, slots: int) -> list:
     return out
 
 
-def _child(w: int, jobs: dict, b: LocallyConstantFunction, m: TransitionMatrix) -> None:
-    """Body of the forked child: one byte down the pipe after each block, so
-    it ends on the broken pipe once the parent is gone, then the pickled
-    columns of every block; it leaves through os._exit."""
-    code = 1
-    try:
-        with os.fdopen(w, "wb") as pipe:
-            out = {}
-            for n, a_n in jobs.items():
-                out[n] = _block_columns(a_n, b, m)
-                pipe.write(b".")
-                pipe.flush()
-            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe, blocks: int) -> dict:
-    """The child's columns, read as it sent them: one byte per block, then
-    the pickle.  Empty when either is short or broken, so that the parent
-    computes those blocks itself."""
-    try:
-        if pipe.read(blocks) == b"." * blocks:
-            return pickle.load(pipe)
-    except Exception:
-        pass
-    return {}
-
-
 def _fork_columns(jobs: dict, est: dict, b: LocallyConstantFunction, m: TransitionMatrix) -> dict:
     """n -> _block_columns of each block a_n of jobs (n -> a_n), the blocks
     split by estimate, largest first, between this process and a forked
-    child.  The blocks of a child that fails or sends a short result are
-    computed here; when the fork itself fails, nothing is computed ahead."""
+    child (see forked.run)."""
     shares, loads = ([], []), [0, 0]
     for n in sorted(jobs, key=lambda n: -est[n]):
         k = loads[1] < loads[0]  # the lighter share, this process's on a tie
         shares[k].append(n)
         loads[k] += est[n]
-    mine, theirs = shares
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return {}
-    if pid == 0:
-        os.close(r)
-        _child(w, {n: jobs[n] for n in theirs}, b, m)
-    os.close(w)
-    pipe = os.fdopen(r, "rb")
-    try:
-        out = {n: _block_columns(jobs[n], b, m) for n in mine}
-        got = _receive(pipe, len(theirs))
-    finally:
-        pipe.close()  # a child still at work ends on the broken pipe
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        got = {}
-    for n in theirs:
-        out[n] = got[n] if n in got else _block_columns(jobs[n], b, m)
-    return out
+    mine, theirs = forked.run(*([partial(_block_columns, jobs[n], b, m) for n in share] for share in shares))
+    return dict(zip(shares[0] + shares[1], mine + theirs))
 
 
 def commutator_blocks(
@@ -847,7 +788,7 @@ def commutator_blocks(
             continue
         if n not in ahead:
             run = _certain(est, most, n, room, slots)
-            if len(run) >= 2 and sum(est[k] for k in run) >= FORK_FLOOR and _cpus() >= 2:
+            if len(run) >= 2 and sum(est[k] for k in run) >= FORK_FLOOR and forked.two_cpus():
                 ahead = _fork_columns({k: shifted[k] for k in run}, est, b, m)
         if n in ahead:
             columns = ((c[0], dict(zip(c[1::2], c[2::2]))) for c in ahead.pop(n))

@@ -3,16 +3,19 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 from sftops import aufmetric as auf
 from sftops import cli
+from sftops import forked
 from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
@@ -103,6 +106,9 @@ class TestMetricAudit:
             assert rep["checks"][name]["checked"] == 777
 
     def test_tampered_metric_surfaces_failure(self, tmp_path, monkeypatch):
+        # the tamper counts calls, so its witnesses depend on the call order
+        # of one process: a child would count its own calls from zero
+        monkeypatch.setattr(forked, "_cpus", lambda: 1)
         real = gd.groupoid_metric_exponent
         calls = {"n": 0}
 
@@ -793,3 +799,168 @@ def test_spectrum_huge_kappa_skips_the_decay_certificate(tmp_path):
     rep = json.loads((tmp_path / "spectrum.json").read_text())
     assert "decay_certificate" not in rep
     assert rep["decay_certificate_skipped"] == "C2 = max norm * kappa**n overflows a float"
+
+
+# ---------------------------------------------------------------------------
+# the audits in two processes
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("count", [0, 1, 7, cli.DRAW_CHUNK, cli.DRAW_CHUNK + 1, 2 * cli.DRAW_CHUNK + 3])
+def test_halves_split_the_draws(width, count):
+    # the two halves are the draws of the whole loop, cut at count // 2
+    # tuples, and each part leaves the generator where the whole loop does
+    whole_rng = np.random.default_rng(5)
+    draws = cli._draws(whole_rng, 37, width * count)
+    whole = list(zip(*[draws] * width))
+    parts = {}
+    for part in (None, 0, 1):
+        rng = np.random.default_rng(5)
+        parts[part] = list(cli._tuples(rng, 37, width, count, part))
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+    assert parts[None] == parts[0] + parts[1] == whole
+    assert len(parts[0]) == count // 2
+
+
+def test_halves_keep_one_chunk_of_draws():
+    # the part a process drops is drawn one chunk at a time, not as a list:
+    # 100000 draws as Python ints would take about 3.6 MB
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        for part in (None, 0, 1):
+            for _ in cli._tuples(np.random.default_rng(0), 1000, 2, 50000, part):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6
+
+
+def _audit_reports(tmp_path, monkeypatch, cpus, scenario, samples, label):
+    """Exit codes and report bytes of both audits, run with `cpus` CPUs;
+    and how many times os.fork was called."""
+    forks = []
+    real = forked.os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(forked, "_cpus", lambda: cpus)
+    monkeypatch.setattr(forked.os, "fork", fork)
+    out = tmp_path / label
+    codes = [
+        run([command, "--scenario", scenario, "--out", str(out), "--samples", str(samples)])
+        for command in ("metric-audit", "auf-audit")
+    ]
+    monkeypatch.undo()
+    return codes, {p.name: p.read_bytes() for p in out.iterdir()}, len(forks)
+
+
+def _period_two_path(tmp_path):
+    path = tmp_path / "period-2.json"
+    path.write_text(scenario_text(period_two_scenario()))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["full-2-shift", "golden-mean", "period-2"])
+def test_audits_in_two_processes_match_one(tmp_path, monkeypatch, name):
+    scenario = _period_two_path(tmp_path) if name == "period-2" else name
+    for samples in (0, 777, 2000, 20000):
+        one = _audit_reports(tmp_path, monkeypatch, 1, scenario, samples, f"one-{samples}")
+        two = _audit_reports(tmp_path, monkeypatch, 2, scenario, samples, f"two-{samples}")
+        assert one[2] == 0 and two[2] == 2
+        assert one[:2] == two[:2], samples
+        assert {"metric_audit.json", "auf_audit.json", "quasimetric.csv"} == set(one[1])
+
+
+def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
+    # a tamper that is a function of the pair alone fails checks in both
+    # halves of the draws; the merged counts and first witnesses are those
+    # of one process
+    real = gd.groupoid_metric_exponent
+
+    def tampered(a, b):
+        e = real(a, b)
+        if e is not None and zlib.crc32(f"{a.first}{a.second}{b.first}{b.second}".encode()) % 31 == 0:
+            return e + 1
+        return e
+
+    argv = ["metric-audit", "--scenario", "full-2-shift", "--samples", "2000"]
+    halves = []
+
+    def run_halves(mine, theirs):
+        out = real_run(mine, theirs)
+        halves.append(out)
+        return out
+
+    real_run = forked.run
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
+        monkeypatch.setattr(forked, "_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "run", run_halves)
+        out = tmp_path / str(cpus)
+        assert run([*argv, "--out", str(out)]) == 1
+        monkeypatch.undo()
+        reports.append((out / "metric_audit.json").read_bytes())
+    assert reports[0] == reports[1]
+    for (first,), (second,) in halves:
+        for name in ("inversion_isometry", "units_two_branch"):
+            assert first[name][1] > 0 and second[name][1] > 0, name
+            assert first[name][2] != second[name][2]
+
+
+def _exits_after(send):
+    """A child body that runs send(w, jobs) and exits 0 after it."""
+
+    def child(w, jobs):
+        code = 1
+        try:
+            send(w, jobs)
+            code = 0
+        finally:
+            os._exit(code)
+
+    return child
+
+
+def _raises(w, jobs):
+    raise RuntimeError("child failed")
+
+
+def _sends_half_a_pickle(w, jobs):
+    data = pickle.dumps([job() for job in jobs])
+    os.write(w, b"." * len(jobs) + data[: len(data) // 2])
+
+
+def _fork_fails():
+    raise OSError("no fork")
+
+
+@pytest.mark.parametrize(
+    "target, name, stand_in",
+    [
+        (forked, "_child", _exits_after(_raises)),
+        (forked, "_child", _exits_after(_sends_half_a_pickle)),
+        (forked.os, "fork", _fork_fails),
+    ],
+    ids=["child-raises", "truncated-pickle", "fork-fails"],
+)
+def test_a_failed_audit_child_leaves_the_reports_unchanged(tmp_path, monkeypatch, target, name, stand_in):
+    # this process runs the jobs the child left undone; no child is left
+    one = _audit_reports(tmp_path, monkeypatch, 1, "full-2-shift", 777, "one")
+    monkeypatch.setattr(target, name, stand_in)
+    monkeypatch.setattr(forked, "_cpus", lambda: 2)
+    out = tmp_path / "two"
+    codes = [
+        run([command, "--scenario", "full-2-shift", "--out", str(out), "--samples", "777"])
+        for command in ("metric-audit", "auf-audit")
+    ]
+    assert (codes, {p.name: p.read_bytes() for p in out.iterdir()}) == one[:2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

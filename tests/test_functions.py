@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftops import forked
 from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import scenarios as sn
@@ -981,15 +982,15 @@ def test_support_enumerates_each_window_spec_once(monkeypatch, name, window, rep
 
 
 def _processes(monkeypatch, cpus):
-    """Pins the CPU count that commutator_blocks reads; the list that the
-    runs of blocks it hands to _fork_columns land in."""
+    """Pins the CPU count that commutator_blocks and forked.run read; the
+    list that the runs of blocks it hands to _fork_columns land in."""
     forks, real = [], fn._fork_columns
 
     def fork(jobs, *args):
         forks.append(sorted(jobs))
         return real(jobs, *args)
 
-    monkeypatch.setattr(fn, "_cpus", lambda: cpus)
+    monkeypatch.setattr(forked, "_cpus", lambda: cpus)
     monkeypatch.setattr(fn, "_fork_columns", fork)
     return forks
 
@@ -1051,12 +1052,12 @@ def test_two_processes_match_one_under_a_cap(monkeypatch):
 
 
 def _child_that(send):
-    """A child body that runs send(w, jobs, b, m) and exits 0 after it."""
+    """A child body that runs send(w, jobs) and exits 0 after it."""
 
-    def child(w, jobs, b, m):
+    def child(w, jobs):
         code = 1
         try:
-            send(w, jobs, b, m)
+            send(w, jobs)
             code = 0
         finally:
             os._exit(code)
@@ -1064,17 +1065,17 @@ def _child_that(send):
     return child
 
 
-def _fails(w, jobs, b, m):
+def _fails(w, jobs):
     raise RuntimeError("child failed")
 
 
-def _truncated(w, jobs, b, m):
-    data = pickle.dumps({n: fn._block_columns(a_n, b, m) for n, a_n in jobs.items()})
+def _truncated(w, jobs):
+    data = pickle.dumps([job() for job in jobs])
     os.write(w, b"." * len(jobs) + data[: len(data) // 2])
 
 
-def _one_block_short(w, jobs, b, m):
-    data = pickle.dumps({n: fn._block_columns(a_n, b, m) for n, a_n in list(jobs.items())[1:]})
+def _one_block_short(w, jobs):
+    data = pickle.dumps([job() for job in jobs[1:]])
     os.write(w, b"." * len(jobs) + data)
 
 
@@ -1084,7 +1085,7 @@ def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, send):
     # computes its blocks, and no child is left to reap
     s = REFERENCE["full-2-shift"]
     one, _ = _blocks_in(monkeypatch, 1, s, (-8, 12), s.basis_cap)
-    monkeypatch.setattr(fn, "_child", _child_that(send))
+    monkeypatch.setattr(forked, "_child", _child_that(send))
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
     _assert_same_assembly(two, one)
@@ -1098,7 +1099,7 @@ def test_a_failed_fork_leaves_the_result_unchanged(monkeypatch):
     def fork():
         raise OSError("no fork")
 
-    monkeypatch.setattr(fn.os, "fork", fork)
+    monkeypatch.setattr(forked.os, "fork", fork)
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
     _assert_same_assembly(two, one)
@@ -1106,7 +1107,7 @@ def test_a_failed_fork_leaves_the_result_unchanged(monkeypatch):
 
 ORPHAN = """
 import os, sys, time
-from sftops import functions as fn, scenarios as sn, sft
+from sftops import forked, functions as fn, scenarios as sn, sft
 
 fork = os.fork
 
@@ -1123,7 +1124,7 @@ def slow(a_n, b, m):
     return []
 
 
-os.fork, fn._block_columns, fn._cpus = announced, slow, lambda: 2
+os.fork, fn._block_columns, forked._cpus = announced, slow, lambda: 2
 s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
 reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3), cap=s.basis_cap)
 fn.commutator_blocks(s.functions["a"], s.functions["b"], (-8, 15), reg, s.matrix)
@@ -1170,7 +1171,7 @@ def test_assembly_memory_peak(monkeypatch, name, window, bound_mb):
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     s = REFERENCE[name]
-    monkeypatch.setattr(fn, "_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "_cpus", lambda: 1)
     reg = fn.BasisRegistry.seeded(_seeds(s), cap=s.basis_cap)
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -198,11 +199,34 @@ def test_package_data_ships_reference_scenarios():
     assert files <= shipped
 
 
-def test_cli_import_loads_no_process_pool():
-    # spectrum forks its one child with os.fork (about 3 ms); importing
-    # multiprocessing or concurrent.futures would add 20-25 ms and 2 MB to
-    # the start of every command
-    code = "import sys, sftops.cli; print(sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'}))"
+def _fresh_import(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # spectrum and the audits fork their one child with os.fork (about
+    # 3 ms) in sftops.forked; importing multiprocessing or
+    # concurrent.futures would add 20-25 ms and 2 MB to the start of every
+    # command
+    code = (
+        "import sys, sftops.cli, sftops.forked\n"
+        "print(sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'}))"
+    )
+    assert _fresh_import(code).strip() == "[]"
+
+
+def test_only_the_fork_helper_forks():
+    # one fork implementation: the pipe, the pickles and os.fork live in
+    # sftops.forked
+    users = sorted(path.name for path in SRC.glob("*.py") if re.search(r"os\.fork|os\.pipe|\bpickle\b", path.read_text()))
+    assert users == ["forked.py"]
+
+
+def test_cli_import_loads_no_command_module():
+    # each command imports the modules only it uses; with no bytecode cache
+    # (PYTHONDONTWRITEBYTECODE) every module is compiled at each start
+    code = "import sys, sftops.cli; print(sorted(m for m in sys.modules if m.startswith('sftops.')))"
+    loaded = set(_fresh_import(code).strip().strip("[]").replace("'", "").split(", "))
+    assert "sftops.cli" in loaded
+    assert loaded.isdisjoint({"sftops.aufmetric", "sftops.fredholm", "sftops.sampling", "sftops.schatten"})
