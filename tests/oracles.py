@@ -5,6 +5,8 @@ it against the definitions here.
 """
 
 import math
+import os
+import pickle
 
 from sftops import functions as fn
 from sftops import groupoid as gd
@@ -223,3 +225,27 @@ def period_two_scenario():
     )
     s.validate()
     return s
+
+
+def child_that(send):
+    """A stand-in for forked._child that runs send(w, jobs) and exits 0
+    after it."""
+
+    def child(w, jobs):
+        code = 1
+        try:
+            send(w, jobs)
+            code = 0
+        finally:
+            os._exit(code)
+
+    return child
+
+
+def child_raises(w, jobs):
+    raise RuntimeError("child failed")
+
+
+def child_sends_half_a_pickle(w, jobs):
+    data = pickle.dumps([job() for job in jobs])
+    os.write(w, b"." * len(jobs) + data[: len(data) // 2])

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import pathlib
-import pickle
 import re
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
 
+import oracles
 from oracles import period_two_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -891,14 +891,13 @@ def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
         return e
 
     argv = ["metric-audit", "--scenario", "full-2-shift", "--samples", "2000"]
-    halves = []
+    halves, real_run = [], forked.run
 
     def run_halves(mine, theirs):
         out = real_run(mine, theirs)
         halves.append(out)
         return out
 
-    real_run = forked.run
     reports = []
     for cpus in (1, 2):
         monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
@@ -909,33 +908,10 @@ def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
         monkeypatch.undo()
         reports.append((out / "metric_audit.json").read_bytes())
     assert reports[0] == reports[1]
-    for (first,), (second,) in halves:
-        for name in ("inversion_isometry", "units_two_branch"):
-            assert first[name][1] > 0 and second[name][1] > 0, name
-            assert first[name][2] != second[name][2]
-
-
-def _exits_after(send):
-    """A child body that runs send(w, jobs) and exits 0 after it."""
-
-    def child(w, jobs):
-        code = 1
-        try:
-            send(w, jobs)
-            code = 0
-        finally:
-            os._exit(code)
-
-    return child
-
-
-def _raises(w, jobs):
-    raise RuntimeError("child failed")
-
-
-def _sends_half_a_pickle(w, jobs):
-    data = pickle.dumps([job() for job in jobs])
-    os.write(w, b"." * len(jobs) + data[: len(data) // 2])
+    (((first,), (second,)),) = halves  # one CPU walks the loops whole
+    for name in ("inversion_isometry", "units_two_branch"):
+        assert first[name][1] > 0 and second[name][1] > 0, name
+        assert first[name][2] != second[name][2]
 
 
 def _fork_fails():
@@ -945,8 +921,8 @@ def _fork_fails():
 @pytest.mark.parametrize(
     "target, name, stand_in",
     [
-        (forked, "_child", _exits_after(_raises)),
-        (forked, "_child", _exits_after(_sends_half_a_pickle)),
+        (forked, "_child", oracles.child_that(oracles.child_raises)),
+        (forked, "_child", oracles.child_that(oracles.child_sends_half_a_pickle)),
         (forked.os, "fork", _fork_fails),
     ],
     ids=["child-raises", "truncated-pickle", "fork-fails"],
@@ -955,12 +931,7 @@ def test_a_failed_audit_child_leaves_the_reports_unchanged(tmp_path, monkeypatch
     # this process runs the jobs the child left undone; no child is left
     one = _audit_reports(tmp_path, monkeypatch, 1, "full-2-shift", 777, "one")
     monkeypatch.setattr(target, name, stand_in)
-    monkeypatch.setattr(forked, "_cpus", lambda: 2)
-    out = tmp_path / "two"
-    codes = [
-        run([command, "--scenario", "full-2-shift", "--out", str(out), "--samples", "777"])
-        for command in ("metric-audit", "auf-audit")
-    ]
-    assert (codes, {p.name: p.read_bytes() for p in out.iterdir()}) == one[:2]
+    two = _audit_reports(tmp_path, monkeypatch, 2, "full-2-shift", 777, "two")
+    assert two[2] == 2 and two[:2] == one[:2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1051,41 +1051,18 @@ def test_two_processes_match_one_under_a_cap(monkeypatch):
     assert reasons == {"support", "registry"}
 
 
-def _child_that(send):
-    """A child body that runs send(w, jobs) and exits 0 after it."""
-
-    def child(w, jobs):
-        code = 1
-        try:
-            send(w, jobs)
-            code = 0
-        finally:
-            os._exit(code)
-
-    return child
-
-
-def _fails(w, jobs):
-    raise RuntimeError("child failed")
-
-
-def _truncated(w, jobs):
-    data = pickle.dumps([job() for job in jobs])
-    os.write(w, b"." * len(jobs) + data[: len(data) // 2])
-
-
 def _one_block_short(w, jobs):
     data = pickle.dumps([job() for job in jobs[1:]])
     os.write(w, b"." * len(jobs) + data)
 
 
-@pytest.mark.parametrize("send", [_fails, _truncated, _one_block_short])
+@pytest.mark.parametrize("send", [oracles.child_raises, oracles.child_sends_half_a_pickle, _one_block_short])
 def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, send):
     # a child that exits non-zero or sends a short result: this process
     # computes its blocks, and no child is left to reap
     s = REFERENCE["full-2-shift"]
     one, _ = _blocks_in(monkeypatch, 1, s, (-8, 12), s.basis_cap)
-    monkeypatch.setattr(forked, "_child", _child_that(send))
+    monkeypatch.setattr(forked, "_child", oracles.child_that(send))
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
     _assert_same_assembly(two, one)
