@@ -1056,7 +1056,11 @@ def _one_block_short(w, jobs):
     os.write(w, b"." * len(jobs) + data)
 
 
-@pytest.mark.parametrize("send", [oracles.child_raises, oracles.child_sends_half_a_pickle, _one_block_short])
+@pytest.mark.parametrize(
+    "send",
+    [oracles.child_raises, oracles.child_sends_half_a_pickle, _one_block_short],
+    ids=["_fails", "_truncated", "_one_block_short"],
+)
 def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, send):
     # a child that exits non-zero or sends a short result: this process
     # computes its blocks, and no child is left to reap
