@@ -161,7 +161,9 @@ class QuasimetricTable:
         return len(self.point_ids)
 
     def values(self) -> np.ndarray:
-        v = np.power(2.0, -self.exponents.astype(float))
+        # computed in the one output array: no table-sized temporaries
+        v = np.negative(self.exponents, out=np.empty(self.exponents.shape))
+        np.power(2.0, v, out=v)
         np.fill_diagonal(v, 0.0)
         return v
 
@@ -173,29 +175,81 @@ def build_quasimetric_table(
     n_max: int = 40,
 ) -> QuasimetricTable:
     """rho over the finite candidate family, centers restricted to it, from
-    the family's build_vcap_table."""
+    the family's build_vcap_table.
+
+    exps[i, j] is the largest min(levels[i, c], levels[j, c]) over centers
+    c, capped at n_max.  Levels are >= 0, so a pair scores above 0 only at a
+    center where both rows have a level above 0: each center adds the outer
+    minimum of its few such rows, and every other pair keeps 0.
+    """
     m = len(elements)
     n_c1 = np.array([max(c_first_time(c), 1) for c in elements], dtype=np.int64)
     levels = cover_levels(vcap, n_c1, cp)
-    exps = np.full((m, m), -1, dtype=int)
-    for i in range(m - 1):
-        best = np.minimum(levels[i], levels[i + 1 :]).max(axis=1)  # over shared centers
-        exps[i, i + 1 :] = exps[i + 1 :, i] = np.clip(best, 0, n_max)
+    exps = np.zeros((m, m), dtype=int)
+    for c in range(m):
+        rows = np.flatnonzero(levels[:, c])
+        if len(rows) > 1:
+            block = np.ix_(rows, rows)
+            exps[block] = np.maximum(exps[block], np.minimum.outer(levels[rows, c], levels[rows, c]))
+    np.minimum(exps, n_max, out=exps)
+    np.fill_diagonal(exps, -1)
     return QuasimetricTable([str(i) for i in range(m)], exps, candidate_count=m)
+
+
+def _floyd_warshall(d: np.ndarray) -> None:
+    """Floyd-Warshall in place.  Each step's sums go to one preallocated
+    buffer and are complete before the minimum is written back, as in
+    d = min(d, d[:, k] + d[k, :])."""
+    via = np.empty_like(d)
+    for k in range(len(d)):
+        np.add(d[:, k, None], d[None, k, :], out=via)
+        np.minimum(d, via, out=d)
+
+
+def _components(close: np.ndarray) -> list:
+    """The ascending member indices of each component of the graph whose
+    edges are the True off-diagonal entries of the symmetric `close`,
+    leaving out the points without an edge."""
+    unseen = close.any(axis=1)
+    out = []
+    for s in np.flatnonzero(unseen):
+        if not unseen[s]:
+            continue
+        unseen[s] = False
+        members = front = np.array([s])
+        while len(front):
+            front = np.flatnonzero(close[front].any(axis=0) & unseen)
+            unseen[front] = False
+            members = np.concatenate([members, front])
+        out.append(np.sort(members))
+    return out
 
 
 def chain_metric(t: QuasimetricTable) -> np.ndarray:
     """All-pairs shortest paths over the complete graph weighted by rho.
 
-    Floyd-Warshall; sums of dyadic values are exact in binary floats.  Each
-    step's sums go to one preallocated buffer and are complete before the
-    minimum is written back, as in d = min(d, d[:, k] + d[k, :]).
+    Floyd-Warshall; sums of dyadic values are exact in binary floats.  It
+    runs per component of the graph of pairs closer than the table's
+    largest value `top`: a chain between two components has a step >= top,
+    so their pairs keep top, and inside a component every pivot from
+    outside is a no-op (d[i, k] = top), so the pass over its members in
+    increasing order does the same float operations on each of its entries
+    as the pass over the whole table.  Components of one or two points
+    have nothing to shorten.
     """
     d = t.values()
-    via = np.empty_like(d)
-    for k in range(t.size):
-        np.add(d[:, k, None], d[None, k, :], out=via)
-        np.minimum(d, via, out=d)
+    if t.size < 3:
+        return d
+    close = d < d.max()
+    np.fill_diagonal(close, False)
+    for members in _components(close):
+        if len(members) == t.size:
+            _floyd_warshall(d)
+        elif len(members) > 2:
+            block = np.ix_(members, members)
+            sub = d[block]
+            _floyd_warshall(sub)
+            d[block] = sub
     return d
 
 

@@ -669,5 +669,19 @@ def main(argv=None) -> int:
     return code
 
 
+def cli() -> None:
+    """Entry of `python -m sftops.cli` and of the `sftops` script: main(),
+    then out through os._exit once both streams are flushed.
+
+    That skips the interpreter's teardown, 25-35 ms per command, mostly
+    numpy's module finalisation.  Nothing is lost: every report is closed
+    by its with block and a forked child is reaped before main returns.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    cli()

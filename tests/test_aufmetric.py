@@ -204,6 +204,42 @@ def random_table(rng, m, values):
     return auf.QuasimetricTable([f"p{i}" for i in range(m)], e)
 
 
+def clustered_table(rng, m, top, spread):
+    """A table whose pairs sit at exponent `top` except inside clusters of
+    about three points, scattered over the indices, whose pairs draw
+    exponents from top, ..., top + spread."""
+    labels = rng.integers(0, max(1, m // 3), size=m)
+    inside = labels[:, None] == labels[None, :]
+    e = np.where(inside, rng.integers(top, top + spread + 1, size=(m, m)), top)
+    e = np.triu(e, 1)
+    e = e + e.T
+    np.fill_diagonal(e, -1)
+    return auf.QuasimetricTable([f"p{i}" for i in range(m)], e)
+
+
+def close_components(t):
+    """The components chain_metric runs on: pairs below the largest value."""
+    v = t.values()
+    close = v < v.max()
+    np.fill_diagonal(close, False)
+    return auf._components(close)
+
+
+def scalar_quasimetric_exponents(els, cp, vcap, n_max):
+    """The exponent table from cover_level_from_cap, one pair and one
+    center at a time."""
+    n_c1 = [max(gd.c_first_time(c), 1) for c in els]
+    m = len(els)
+    levels = [[cover_level_from_cap(int(vcap[i, j]), n_c1[j], cp) for j in range(m)] for i in range(m)]
+    want = np.full((m, m), -1)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                best = max(min(levels[i][k], levels[j][k]) for k in range(m))
+                want[i, j] = min(max(best, 0), n_max)
+    return want
+
+
 @pytest.fixture(scope="module")
 def reference_tables():
     out = {}
@@ -364,20 +400,22 @@ class TestCoverLevels:
         cp = auf.CoverIndexParams(kappa)
         els = reference_elements("golden-mean", 60)
         vcap = pair_vcap(els, cp)
-        n_c1 = [max(gd.c_first_time(c), 1) for c in els]
-        m = len(els)
-        levels = [
-            [cover_level_from_cap(int(vcap[i, j]), n_c1[j], cp) for j in range(m)]
-            for i in range(m)
-        ]
-        want = np.full((m, m), -1)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    best = max(min(levels[i][k], levels[j][k]) for k in range(m))
-                    want[i, j] = min(max(best, 0), 3)
         got = auf.build_quasimetric_table(els, cp, n_max=3, vcap=vcap).exponents
+        assert np.array_equal(got, scalar_quasimetric_exponents(els, cp, vcap, 3))
+
+    @pytest.mark.parametrize("n_max", [2, 40])
+    def test_sparse_caps_match_scalar_levels(self, n_max):
+        # most entries lie in no V-set, so many pairs share no center
+        # (exponent 0); deep caps give levels far above n_max
+        rng = np.random.default_rng(11)
+        els = reference_elements("full-2-shift", 40)
+        caps = rng.choice([-1, 0, 1, 3, 7, 15, 60, auf._DEEP], size=(40, 40), p=[0.9] + [0.1 / 7] * 7)
+        vcap = np.maximum(caps, np.where(np.eye(40, dtype=bool), auf._DEEP, -1))
+        got = auf.build_quasimetric_table(els, CP, n_max=n_max, vcap=vcap).exponents
+        want = scalar_quasimetric_exponents(els, CP, vcap, n_max)
         assert np.array_equal(got, want)
+        off = ~np.eye(40, dtype=bool)
+        assert (want[off] == 0).any() and (want[off] == n_max).any()
 
 
 class TestQuasimetric:
@@ -468,7 +506,7 @@ class TestChainMetric:
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_matches_allocating_oracle_on_reference(self, reference_tables, name):
         t = reference_tables[name][2]
-        assert np.array_equal(auf.chain_metric(t), chain_metric_oracle(t))
+        assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes()
 
     def test_matches_allocating_oracle_on_random_dyadic(self):
         rng = np.random.default_rng(17)
@@ -476,6 +514,62 @@ class TestChainMetric:
             for _ in range(4):
                 t = random_table(rng, m, [0, 1, 2, 3, 5, 9, 40])
                 assert np.array_equal(auf.chain_metric(t), chain_metric_oracle(t))
+
+    @pytest.mark.parametrize("top", [0, 2])
+    def test_bit_for_bit_on_clustered_tables(self, top):
+        # many small components, scattered over the indices, below a top
+        # of 1 and of 1/4
+        rng = np.random.default_rng(23)
+        sizes = []
+        for m in (3, 7, 40, 150):
+            for spread in (1, 3, 8):
+                t = clustered_table(rng, m, top, spread)
+                sizes += [len(c) for c in close_components(t)]
+                assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes()
+        assert max(sizes) > 3 and sizes.count(2) > 5
+
+    def test_bit_for_bit_on_one_component_tables(self):
+        # a path of close pairs through a random order joins every point,
+        # and its two ends hold the largest value
+        rng = np.random.default_rng(29)
+        for m in (3, 9, 60):
+            for values in ([0, 1, 2, 3, 5], [1, 2, 2, 6]):
+                e = random_table(rng, m, values).exponents
+                path = rng.permutation(m)
+                e[path[:-1], path[1:]] = e[path[1:], path[:-1]] = values[0] + 1
+                e[path[0], path[-1]] = e[path[-1], path[0]] = values[0]
+                t = auf.QuasimetricTable([f"p{i}" for i in range(m)], e)
+                assert [len(c) for c in close_components(t)] == [m]
+                assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes()
+
+    def test_bit_for_bit_on_one_and_two_points_and_equal_values(self):
+        rng = np.random.default_rng(31)
+        tables = [random_table(rng, m, [0, 3, 40]) for m in (1, 2, 2, 2)]
+        tables.append(random_table(rng, 30, [4]))  # no pair below the top
+        for t in tables:
+            assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes()
+
+    def test_memory_peak_on_two_point_clusters(self):
+        # 1000 components of two points have nothing to shorten, so the
+        # peak is the table of values; a table-sized step buffer, or a
+        # temporary while the values are computed, would double it
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        m = 2000
+        e = np.zeros((m, m), dtype=int)
+        e[np.arange(0, m, 2), np.arange(1, m, 2)] = e[np.arange(1, m, 2), np.arange(0, m, 2)] = 3
+        np.fill_diagonal(e, -1)
+        t = auf.QuasimetricTable([str(i) for i in range(m)], e)
+        tracemalloc.start()
+        try:
+            d = auf.chain_metric(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * t.exponents.nbytes
+        assert d.tobytes() == t.values().tobytes()
 
 
 class TestSandwich:

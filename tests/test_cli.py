@@ -718,6 +718,45 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         assert outs[0] == outs[1] and len(outs[0]) > 10, name
 
 
+def test_command_line_exits_like_main(tmp_path):
+    # python -m sftops.cli leaves through os._exit, which skips the
+    # interpreter's teardown: the exit codes, the last stderr line and the
+    # report bytes must still be those of cli.main in this process
+    period_two = tmp_path / "period-2.json"
+    period_two.write_text(scenario_text(period_two_scenario()))
+    kappa = reference_at_kappa(tmp_path, "golden-mean", 1.05)
+    cases = {
+        "validate": (["validate", "--scenario", "full-2-shift"], 0, r"validate: exit 0 in \d+\.\ds"),
+        "kappa": (["auf-audit", "--scenario", kappa, "--samples", "200"], 1, r"auf-audit: exit 1 in \d+\.\ds"),
+        "missing": (["validate", "--scenario", str(tmp_path / "nope.json")], 2, r"invalid scenario: .*nope\.json.*"),
+        "usage": (["no-such-command", "--scenario", "full-2-shift"], 2, r"sftops: error: argument command: .*"),
+        "cap": (["spectrum", "--scenario", small_scenario(tmp_path), "--cap", "4"], 3, r"spectrum: exit 3 in \d+\.\ds"),
+        "period-2": (["auf-audit", "--scenario", str(period_two), "--samples", "200"], 0, r"auf-audit: exit 0 in \d+\.\ds"),
+    }
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = {
+        label: subprocess.Popen(
+            [sys.executable, "-m", "sftops.cli", *argv, "--out", str(tmp_path / label)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        for label, (argv, _, _) in cases.items()
+    }
+    for label, proc in procs.items():
+        err = proc.communicate()[1].decode()
+        _, code, last = cases[label]
+        assert proc.returncode == code, (label, err)
+        assert re.fullmatch(last, err.rstrip().splitlines()[-1]), (label, err)
+    regression = json.loads((tmp_path / "kappa" / "auf_audit.json").read_text())["diameter_regression"]
+    assert regression == {"insufficient_data": "only 0 usable radius levels"}
+    here = tmp_path / "in-process"
+    assert run([*cases["period-2"][0], "--out", str(here)]) == 0
+    reports = {p.name: p.read_bytes() for p in (tmp_path / "period-2").iterdir()}
+    assert reports == {p.name: p.read_bytes() for p in here.iterdir()}
+    assert set(reports) == {"auf_audit.json", "quasimetric.csv"}
+
+
 def test_period_two_scenario_runs_every_command(tmp_path):
     # a third matrix, of period 2, through every command but report-all:
     # no crash, and the same bytes on a second run
