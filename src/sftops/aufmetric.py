@@ -21,14 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientData
-from .groupoid import (
-    BaseSet,
-    GroupoidElement,
-    _holonomy_splice,
-    c_first_time,
-    disk_depth,
-    in_domain,
-)
+from .groupoid import GroupoidElement, c_first_time
+from .sft import STABLE, UNSTABLE, FamilyWindow
 
 _FUZZ = 1e-9
 _DEEP = 10**6  # stands for "member at every finite index"
@@ -69,13 +63,6 @@ def v_set_threshold(n_a: int, v: int, cp: CoverIndexParams) -> int:
     return max(n_a, v) + cp.disk_margin
 
 
-def v_set(a: GroupoidElement, v: int, cp: CoverIndexParams) -> BaseSet:
-    """The neighbourhood-base set V_v(a) of the self-similar model."""
-    n_a = c_first_time(a)
-    time = max(n_a, v)
-    return BaseSet(a, v_set_threshold(n_a, v, cp) - 1, time)
-
-
 def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
     """Largest n >= 1 with k(c, n) <= vcap[i, j], 0 if none, where column j
     has center c with N_{c,1} = n_c1[j]; k(c, 1) = 1 and k(c, n + 1) =
@@ -94,40 +81,60 @@ def build_vcap_table(elements: Sequence[GroupoidElement], cp: CoverIndexParams) 
     a = elements[i] lies in V_v(c) when the one-sided agreement depth d of
     the source points is at least max(N_c, v) + disk_margin and the
     holonomy equation holds, so the entry is d - disk_margin once a lies in
-    V_{N_c}(c).  That reads a through its side and source point (the depth,
-    the domain test and the splice) and through its range point only in the
-    final equality, and the audit families put hundreds of elements on a
-    few dozen sources.  So rows are grouped by (side, source): the depth is
-    computed once per group and distinct center source, the domain test and
-    the holonomy splice once per (center, group) that passes the depth test,
-    and the cap is written into the rows of the group whose range point is
-    the splice.
+    V_{N_c}(c).  Every point is read once, as a row of one sft.FamilyWindow.
+    Rows are grouped by (side, source): the depths come per distinct center
+    source, for all groups at once, from the window.  The domain test of
+    V_{N_c}(c) is the depth test on c's side, since v_set_threshold(N_c,
+    N_c) = N_c + disk_margin.  The holonomy image of a group's source z is
+    then a lookup among the group's range rows: c's range row up to the
+    splice cut joined to z's row after it (see _spliced_word).
     """
     m = len(elements)
     vm = np.full((m, m), -1, dtype=np.int64)
-    groups = {}  # (side, source) -> {range point: row indices}
+    win = FamilyWindow([x for a in elements for x in (a.first, a.second)])
+    index = win.index
+    groups = {}  # (side, source index) -> {range row: row indices}
     for i, a in enumerate(elements):
-        groups.setdefault((a.side, a.second), {}).setdefault(a.first, []).append(i)
+        by_range = groups.setdefault((a.side, index[a.second]), {})
+        by_range.setdefault(win.words[index[a.first]], []).append(i)
     keys, rows_by_range = list(groups), list(groups.values())
-    centers = {}  # center source -> column indices
+    sources = np.array([z for _, z in keys], dtype=np.intp)
+    stable = np.array([side == STABLE for side, _ in keys])
+    centers = {}  # center source index -> column indices
     for j, c in enumerate(elements):
-        centers.setdefault(c.second, []).append(j)
+        centers.setdefault(index[c.second], []).append(j)
     margin = cp.disk_margin
     for source, columns in centers.items():
-        depths = np.array([disk_depth(side, z, source) for side, z in keys])
+        by_side = {STABLE: win.depth(sources, source), UNSTABLE: -win.floor(sources, source)}
+        depths = np.where(stable, by_side[STABLE], by_side[UNSTABLE])
         for j in columns:
             c = elements[j]
             n_c = c_first_time(c)
-            bs = v_set(c, n_c, cp)  # the V-set of every cap >= 0
-            for g in np.flatnonzero(depths >= n_c + margin):
-                z = keys[g][1]
-                if not in_domain(bs, z):
-                    continue
-                rows = rows_by_range[g].get(_holonomy_splice(bs, z))
+            inside = (depths >= n_c + margin) & (by_side[c.side] >= n_c + margin)
+            for g in np.flatnonzero(inside):
+                rows = rows_by_range[g].get(_spliced_word(win, c, int(sources[g]), n_c))
                 if rows:
                     d = depths[g]
                     vm[rows, j] = _DEEP if d == math.inf else int(d) - margin
     return vm
+
+
+def _spliced_word(win: FamilyWindow, c: GroupoidElement, z: int, n_c: int) -> bytes:
+    """The window row of the holonomy image under V_{N_c}(c) of the point z
+    (a window index) in its domain disk: c's range point up to the cut and z
+    after it (stable side, cut after N_c), or z up to the cut and c's range
+    point after it (unstable side, cut after -N_c - 1).  Where clamping the
+    cut into [lo + L, hi - R] moves it, c's range point and z agree between
+    the two cuts (c's points agree from N_c - 1 on, z agrees with c's source
+    up to N_c + disk_margin; mirrored on the unstable side), so the row is
+    the image's and equals a family point's row exactly when they are equal.
+    """
+    first, words = win.words[win.index[c.first]], win.words
+    cut = n_c + 1 if c.side == STABLE else -n_c
+    p = min(max(cut - win.lo, win.left), len(first) - win.right)
+    if c.side == STABLE:
+        return first[:p] + words[z][p:]
+    return words[z][:p] + first[p:]
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +203,31 @@ def build_quasimetric_table(
     return QuasimetricTable([str(i) for i in range(m)], exps, candidate_count=m)
 
 
+# entries of one Floyd-Warshall step's sum buffer (256 KB of floats)
+_STEP_BLOCK = 2**15
+
+
 def _floyd_warshall(d: np.ndarray) -> None:
-    """Floyd-Warshall in place.  Each step's sums go to one preallocated
-    buffer and are complete before the minimum is written back, as in
-    d = min(d, d[:, k] + d[k, :])."""
-    via = np.empty_like(d)
-    for k in range(len(d)):
-        np.add(d[:, k, None], d[None, k, :], out=via)
-        np.minimum(d, via, out=d)
+    """Floyd-Warshall in place, each step d = min(d, d[:, k] + d[k, :]) in
+    blocks of rows, through one buffer of at most _STEP_BLOCK entries.  Row
+    and column k do not change in step k (d[k, k] == 0 and no entry is
+    negative), so every block reads the values the whole step would."""
+    m = len(d)
+    rows = max(1, _STEP_BLOCK // m)
+    via = np.empty((min(rows, m), m))
+    for k in range(m):
+        for r in range(0, m, rows):
+            block, buf = d[r : r + rows], via[: min(rows, m - r)]
+            np.add(block[:, k, None], d[None, k, :], out=buf)
+            np.minimum(block, buf, out=block)
 
 
-def _components(close: np.ndarray) -> list:
+def _components(d: np.ndarray) -> list:
     """The ascending member indices of each component of the graph whose
-    edges are the True off-diagonal entries of the symmetric `close`,
-    leaving out the points without an edge."""
+    edges are the off-diagonal pairs of the symmetric table d below its
+    largest value, leaving out the points without an edge."""
+    close = d < d.max()
+    np.fill_diagonal(close, False)
     unseen = close.any(axis=1)
     out = []
     for s in np.flatnonzero(unseen):
@@ -240,9 +258,7 @@ def chain_metric(t: QuasimetricTable) -> np.ndarray:
     d = t.values()
     if t.size < 3:
         return d
-    close = d < d.max()
-    np.fill_diagonal(close, False)
-    for members in _components(close):
+    for members in _components(d):
         if len(members) == t.size:
             _floyd_warshall(d)
         elif len(members) > 2:
@@ -310,27 +326,35 @@ def star_refinement_check(
 
     Each trial draws the center index and then the level index, the level
     as STAR_LEVELS[rng.integers(len(STAR_LEVELS))], which is rng.choice's
-    draw.
-    Violations are listed by witness b, then member e, both ascending.
+    draw.  Each distinct (center, level) pair is checked once; the counts
+    and violations are then replayed in trial order.
+    Violations are listed by trial, then witness b, then member e, both
+    ascending.
     """
-    m = len(elements)
+    m, k = len(elements), len(STAR_LEVELS)
     n_first = [c_first_time(e) for e in elements]
-    rep = StarReport()
-    for _ in range(trials):
-        ai = int(rng.integers(m))
-        n = STAR_LEVELS[int(rng.integers(len(STAR_LEVELS)))]
+    # per trial the center index, then the level index, as scalar draws
+    draws = np.fromiter((rng.integers(b) for _ in range(trials) for b in (m, k)), np.int64, 2 * trials)
+    pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
+    # a center with no member in V_j(a) counts as one triple
+    triples, witnesses = np.ones(len(pairs), np.int64), np.zeros(len(pairs), np.int64)
+    violations = {}  # pair -> its violations, for the pairs with some
+    for u, (ai, level) in enumerate(divmod(pair, k) for pair in pairs.tolist()):
+        n = STAR_LEVELS[level]
         j = j_index(n_first[ai], n, cp)
         in_a = vcap[:, ai] >= j
         if not in_a.any():
-            rep.triples_checked += 1
             continue
         bis = np.flatnonzero((vcap[in_a, :] >= j).any(axis=0))  # b with a shared witness
-        rep.triples_checked += len(bis)
-        rep.witnesses += len(bis)
+        triples[u] = witnesses[u] = len(bis)
         # [b, e]: e in V_j(b) but not in V_n(a)
         bad = (vcap[:, bis] >= j).T & (vcap[:, ai] < n)
-        for b, e in zip(*np.nonzero(bad)):
-            rep.violations.append((ai, int(bis[b]), int(e), n))
+        if bad.any():
+            violations[u] = [(ai, int(bis[b]), int(e), n) for b, e in zip(*np.nonzero(bad))]
+    rep = StarReport(int(triples[at].sum()), int(witnesses[at].sum()))
+    if violations:
+        for u in at.tolist():
+            rep.violations += violations.get(u, [])
     return rep
 
 

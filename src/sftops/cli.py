@@ -13,20 +13,15 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import copy
 import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from collections import deque
-from functools import partial
-from itertools import islice
 
 import numpy as np
 
-from . import forked
 from . import functions as fn
 from . import groupoid as gd
 from . import sft
@@ -72,18 +67,20 @@ def _seeded_rng(scenario: Scenario, salt: int = 0):
 DRAW_CHUNK = 1024
 
 
-def _draws(rng, bound: int, count: int):
-    """The values of `count` successive int(rng.integers(bound)) calls, in
-    order, drawn one chunk of DRAW_CHUNK at a time.
+def _draws(rng, bound: int, width: int, count: int):
+    """The values of `width * count` successive int(rng.integers(bound))
+    calls, in order, as width-tuples: per chunk of at most DRAW_CHUNK
+    values, `width` index arrays, the k-th tuple's entries at position k.
 
     numpy draws rng.integers(bound, size=k) as k scalar draws, so the
     values and the generator state after them are the same
-    (tests/test_cli.py pins this).  Drawing by chunk keeps only one chunk of
-    Python ints alive.
+    (tests/test_cli.py pins this).  Drawing by chunk keeps only one chunk
+    of draws alive.
     """
+    per = max(1, DRAW_CHUNK // width)
     while count > 0:
-        k = min(DRAW_CHUNK, count)
-        yield from rng.integers(bound, size=k).tolist()
+        k = min(per, count)
+        yield rng.integers(bound, size=(k, width)).T
         count -= k
 
 
@@ -112,27 +109,21 @@ def cmd_validate(scenario: Scenario, out_dir: str, args) -> int:
 # metric audit
 
 
-def _tuples(rng, bound: int, width: int, count: int, part):
-    """The width-tuples of `_draws(rng, bound, width * count)` in part
-    `part`: all `count` of them (None), the first count // 2 (0) or the
-    rest (1).  The draws outside the part are drawn and dropped, one chunk
-    at a time, so that the generator ends where drawing every tuple would
-    leave it."""
-    draws = _draws(rng, bound, width * count)
-    start, stop = {None: (0, count), 0: (0, count // 2), 1: (count // 2, count)}[part]
-    deque(islice(draws, width * start), maxlen=0)
-    yield from zip(*[islice(draws, width * (stop - start))] * width)
-    deque(draws, maxlen=0)
-
-
-def _record(checks: dict, name: str, passed: bool, witness) -> None:
-    """Count a check; the first failure's witness goes into the report."""
+def _record(checks: dict, name: str, checked: int, failed, witness) -> None:
+    """Count `checked` checks of one chunk of draws, those flagged in the
+    bool array `failed` failing; the run's first failure gives the report
+    its witness, witness(k) for the chunk's draw k."""
     entry = checks[name]
-    entry[0] += 1
-    if not passed:
-        entry[1] += 1
-        if entry[2] is None:
-            entry[2] = witness
+    entry[0] += checked
+    bad = np.flatnonzero(failed)
+    entry[1] += len(bad)
+    if len(bad) and entry[2] is None:
+        entry[2] = witness(int(bad[0]))
+
+
+def _exponent(e):
+    """An entry of a metric exponent array as the report writes it."""
+    return None if e == gd.NO_DISTANCE else int(e)
 
 
 def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
@@ -140,15 +131,11 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
 
     Draw order: the elements, then two indices per sampled pair, three per
     triangle and two pool indices per unit pair, each loop consuming its
-    draws in order; no other draw comes between.  The loops take them from
-    `_draws`, which batches them without changing that sequence.
-
-    With two CPUs each loop's draws are split in two halves by position
-    (`_tuples`).  This process checks the first halves while a forked child
-    checks the second on a copy of the generator (see forked.run).  Every
-    check is a function of its draws alone, so summing the counts and
-    keeping the first half's witness, where it has one, gives the report
-    of one process.
+    draws in order; no other draw comes between.  The loops take the same
+    draws in the same order from `_draws`, one chunk at a time, in this one
+    process, and check a chunk as array operations: the metric of the
+    elements, their Phi^-1 shifts and their inverses comes from one
+    groupoid.ElementFamily.  Each check's witness is its first failing draw.
     """
     from . import sampling as smp
 
@@ -159,68 +146,67 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
         m, scenario.orbit_p, scenario.orbit_q, rng, max(240, samples // 40)
     )
     n = len(elements)
-    dm = {}
-
-    def dist(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in dm:
-            dm[key] = gd.groupoid_metric_exponent(elements[key[0]], elements[key[1]])
-        return dm[key]
-
-    def val(e):
-        return 0.0 if e is None else scenario.kappa**-e
-
-    # equal elements share one object, so that the metric's equality test
-    # and its first-time cache lookups mostly end at the identity check
-    canon = {a: a for a in elements}
-    shifted = [canon.setdefault(x, x) for x in (gd.phi_auto(a, -1) for a in elements)]
-    inverted = [canon.setdefault(x, x) for x in (gd.inverse(a) for a in elements)]
+    # elements, then their shifts, then their inverses
+    family = gd.ElementFamily(
+        elements + [gd.phi_auto(a, -1) for a in elements] + [gd.inverse(a) for a in elements]
+    )
+    metric, first_time = family.metric_exponents, family.first_time
     pool = smp.homoclinic_pool(m, scenario.orbit_p, scenario.orbit_q, 2, range(0, 5))
+    checks = {
+        "ultrametric_triangle": [0, 0, None],
+        "phi_contraction_equality": [0, 0, None],
+        "phi_global_sandwich": [0, 0, None],
+        "inversion_isometry": [0, 0, None],
+        "first_time_shift": [0, 0, None],
+        "units_two_branch": [0, 0, None],
+        "holonomy_isometry": [0, 0, None],
+    }
 
-    def walk(g, part) -> dict:
-        """The checks of part `part` (see _tuples) of each loop's draws from g."""
-        checks = {
-            "ultrametric_triangle": [0, 0, None],
-            "phi_contraction_equality": [0, 0, None],
-            "phi_global_sandwich": [0, 0, None],
-            "inversion_isometry": [0, 0, None],
-            "first_time_shift": [0, 0, None],
-            "units_two_branch": [0, 0, None],
-        }
-        record = partial(_record, checks)
-        for i, j in _tuples(g, n, 2, samples, part):
-            e = dist(i, j)
-            ee = gd.groupoid_metric_exponent(shifted[i], shifted[j])
-            if e is not None and e >= 1:
-                record("phi_contraction_equality", ee == e + 1, (i, j, e, ee))
-            # global sandwich kappa^-1 D <= D Phi^-1 <= D on exponents
-            if e is None:
-                record("phi_global_sandwich", ee is None, (i, j))
-            else:
-                record("phi_global_sandwich", ee is not None and e <= ee <= e + 1, (i, j, e, ee))
-            ei = gd.groupoid_metric_exponent(inverted[i], inverted[j])
-            record("inversion_isometry", ei == e, (i, j, e, ei))
-            cs = gd.c_first_time(elements[i])
-            csm = gd.c_first_time(shifted[i])
-            record("first_time_shift", csm == cs + 1 or cs == 0, (i, cs, csm))
-        for i, j, k in _tuples(g, n, 3, samples // 3, part):
-            dij, djk, dik = val(dist(i, j)), val(dist(j, k)), val(dist(i, k))
-            record("ultrametric_triangle", dik <= max(dij, djk) + 1e-15, (i, j, k))
-        for xi, yi in _tuples(g, len(pool), 2, samples // 5, part):
-            x, y = pool[xi], pool[yi]
-            ok = gd.units_metric_exponent(x, y) == gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
-            record("units_two_branch", ok, None if ok else (str(x), str(y)))
-        return checks
+    for i, j in _draws(rng, n, 2, samples):
+        e, ee, ei = metric(i, j), metric(i + n, j + n), metric(i + 2 * n, j + 2 * n)
 
-    if forked.two_cpus():
-        (first,), (second,) = forked.run([partial(walk, rng, 0)], [partial(walk, copy.deepcopy(rng), 1)])
-        checks = {
-            name: [c + second[name][0], f + second[name][1], second[name][2] if w is None else w]
-            for name, (c, f, w) in first.items()
-        }
-    else:
-        checks = walk(rng, None)
-    checks["holonomy_isometry"] = [0, 0, None]
+        def against(other):
+            """The witness (i, j, e, other) of the chunk's draw k."""
+            return lambda k: (int(i[k]), int(j[k]), _exponent(e[k]), _exponent(other[k]))
+
+        none = e == gd.NO_DISTANCE
+        contracting = ~none & (e >= 1)
+        failed = contracting & (ee != e + 1)
+        _record(checks, "phi_contraction_equality", int(contracting.sum()), failed, against(ee))
+        # global sandwich kappa^-1 D <= D Phi^-1 <= D on exponents; a pair at
+        # distance 0 is witnessed by (i, j)
+        held = np.where(none, ee == gd.NO_DISTANCE, (ee != gd.NO_DISTANCE) & (e <= ee) & (ee <= e + 1))
+        _record(checks, "phi_global_sandwich", len(e), ~held, lambda k: against(ee)(k)[: 2 if none[k] else 4])
+        _record(checks, "inversion_isometry", len(e), ei != e, against(ei))
+        cs, csm = first_time[i], first_time[i + n]
+        failed = (csm != cs + 1) & (cs != 0)
+        _record(checks, "first_time_shift", len(e), failed, lambda k: (int(i[k]), int(cs[k]), int(csm[k])))
+
+    def values(e):
+        """kappa**-e per entry, 0.0 for NO_DISTANCE, each as Python computes it."""
+        distinct, at = np.unique(e, return_inverse=True)
+        return np.array([0.0 if x == gd.NO_DISTANCE else scenario.kappa ** -int(x) for x in distinct])[at]
+
+    for i, j, k in _draws(rng, n, 3, samples // 3):
+        dij, djk, dik = values(metric(i, j)), values(metric(j, k)), values(metric(i, k))
+        held = dik <= np.maximum(dij, djk) + 1e-15
+        _record(checks, "ultrametric_triangle", len(i), ~held, lambda t: (int(i[t]), int(j[t]), int(k[t])))
+
+    units_ok = {}  # (x, y) pool indices -> whether the two readings agree
+    for xs, ys in _draws(rng, len(pool), 2, samples // 5):
+        pairs = list(zip(xs.tolist(), ys.tolist()))
+        for xi, yi in pairs:
+            if (xi, yi) not in units_ok:
+                x, y = pool[xi], pool[yi]
+                units = gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
+                units_ok[xi, yi] = gd.units_metric_exponent(x, y) == units
+        failed = np.array([not units_ok[p] for p in pairs], dtype=bool)
+
+        def named(k):
+            return tuple(str(pool[x]) for x in pairs[k])
+
+        _record(checks, "units_two_branch", len(pairs), failed, named)
+
     anchors = [e for e in elements if e.first != e.second][:6] or elements[:3]
     budget = max(samples // 20, 50)
     for c in anchors:
@@ -233,7 +219,7 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
                 ok = sft.agreement_radius(a.first, b.first) == sft.agreement_radius(
                     a.second, b.second
                 )
-                _record(checks, "holonomy_isometry", ok, None if ok else (str(a.second), str(b.second)))
+                _record(checks, "holonomy_isometry", 1, [not ok], lambda k: (str(a.second), str(b.second)))
 
     rep = _report_skeleton(scenario, "metric-audit")
     rep["sample_count"] = samples
@@ -253,13 +239,7 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
 
 
 def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
-    """Cover-sequence metrization checks on sampled elements.
-
-    The star-refinement check is the only user of the generator after the
-    elements, so a forked child runs it on the generator as it stands while
-    this process runs the chain metric, the sandwich and diameter checks and
-    writes the CSV (see forked.run).
-    """
+    """Cover-sequence metrization checks on sampled elements."""
     from . import aufmetric as auf
     from . import sampling as smp
 
@@ -271,32 +251,26 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
     vcap = auf.build_vcap_table(elements, cp)
     table = auf.build_quasimetric_table(elements, cp, vcap=vcap)
 
-    def metric_checks():
-        """The sandwich report, the diameter regression and whether it passes."""
-        dist = auf.chain_metric(table)
-        sandwich = auf.sandwich_check(table, dist)
-        anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
-        try:
-            fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
-        except InsufficientData as exc:
-            # near kappa = 1: no slope, so the 10 % check cannot pass
-            regression, fit_ok = {"insufficient_data": str(exc)}, False
-        else:
-            regression = {
-                "slope": fit.slope,
-                "predicted_slope": fit.predicted_slope,
-                "relative_error": fit.relative_error,
-                "gamma_prime": fit.gamma_prime,
-                "ks": list(fit.ks),
-            }
-            fit_ok = fit.relative_error <= 0.10
-        with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
-            handle.write(auf.table_to_csv(table))
-        return sandwich, regression, fit_ok
-
-    trials = max(1000, args.samples // 10)
-    star_check = partial(auf.star_refinement_check, elements, cp, rng, trials, vcap=vcap)
-    ((sandwich, regression, fit_ok),), (star,) = forked.run([metric_checks], [star_check])
+    dist = auf.chain_metric(table)
+    sandwich = auf.sandwich_check(table, dist)
+    anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
+    try:
+        fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
+    except InsufficientData as exc:
+        # near kappa = 1: no slope, so the 10 % check cannot pass
+        regression, fit_ok = {"insufficient_data": str(exc)}, False
+    else:
+        regression = {
+            "slope": fit.slope,
+            "predicted_slope": fit.predicted_slope,
+            "relative_error": fit.relative_error,
+            "gamma_prime": fit.gamma_prime,
+            "ks": list(fit.ks),
+        }
+        fit_ok = fit.relative_error <= 0.10
+    with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
+        handle.write(auf.table_to_csv(table))
+    star = auf.star_refinement_check(elements, cp, rng, max(1000, args.samples // 10), vcap=vcap)
 
     rep = _report_skeleton(scenario, "auf-audit")
     rep["element_count"] = len(elements)

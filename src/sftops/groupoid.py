@@ -18,11 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .errors import NotComposable, SideMismatch
 from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
+    FamilyWindow,
     agreement_floor,
     agreement_depth,
     in_stable_set,
@@ -216,6 +219,42 @@ def _close_exponent(x, y, side: str) -> Optional[int]:
     if reach == math.inf:
         return None
     return int(reach) + 1 if reach >= 0 else 0
+
+
+# the exponent arrays' stand-in for None (distance zero)
+NO_DISTANCE = 2**62
+
+
+class ElementFamily:
+    """Elements of one side, read through one sft.FamilyWindow of their
+    points: per element the window indices of its range and source points
+    and its c_first_time, so that metric_exponents evaluates
+    groupoid_metric_exponent on arrays of element indices."""
+
+    def __init__(self, elements):
+        sides = {a.side for a in elements}
+        if len(sides) > 1:
+            raise SideMismatch("metric needs elements on one side")
+        self.side = sides.pop() if sides else STABLE
+        self.window = FamilyWindow([x for a in elements for x in (a.first, a.second)])
+        index = self.window.index
+        self.first = np.array([index[a.first] for a in elements], dtype=np.intp)
+        self.second = np.array([index[a.second] for a in elements], dtype=np.intp)
+        self.first_time = np.array([c_first_time(a) for a in elements], dtype=np.int64)
+
+    def _close(self, i, j) -> np.ndarray:
+        """_close_exponent of the points at window indices i and j."""
+        reach = self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
+        return np.where(reach == math.inf, NO_DISTANCE, np.maximum(reach + 1, 0)).astype(np.int64)
+
+    def metric_exponents(self, i, j) -> np.ndarray:
+        """groupoid_metric_exponent of the elements at index arrays i and j,
+        NO_DISTANCE where it is None."""
+        exps = np.minimum(
+            self._close(self.second[i], self.second[j]), self._close(self.first[i], self.first[j])
+        )
+        exps[self.first_time[i] != self.first_time[j]] = 0
+        return exps
 
 
 def units_metric_exponent(x, y) -> Optional[int]:

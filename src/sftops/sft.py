@@ -358,6 +358,42 @@ def agreement_floor(x, y):
     return lo + k
 
 
+class FamilyWindow:
+    """The distinct points of a family, each read once over one shared
+    window [lo, hi): lo = min(core starts, 0) - L and hi = max(core ends, 0)
+    + R, for L and R the lcms of all the members' left and right cycle
+    lengths.  The window holds a full L period of every pair's left tails
+    and an R period of their right tails, as _deciding_window does for one
+    pair, so a row decides its point and two rows decide agreement_depth
+    and agreement_floor; `words[k]` is the row of `points[k]` as bytes."""
+
+    def __init__(self, points):
+        self.points = list(dict.fromkeys(points))
+        self.index = {x: k for k, x in enumerate(self.points)}
+        self.left = math.lcm(*(len(x.left_cycle) for x in self.points))
+        self.right = math.lcm(*(len(x.right_cycle) for x in self.points))
+        self.lo = min([x.core_start for x in self.points] + [0]) - self.left
+        hi = max([x.core_end for x in self.points] + [0]) + self.right
+        self.words = [x.window(self.lo, hi) for x in self.points]
+        self.rows = np.frombuffer(b"".join(self.words), np.uint8).reshape(-1, hi - self.lo)
+
+    def depth(self, i, j) -> np.ndarray:
+        """agreement_depth of the points at index arrays i and j, as floats:
+        from the first differing column."""
+        differ = self.rows[i] != self.rows[j]
+        k = differ.argmax(axis=-1)
+        out = np.where(k < self.left, -math.inf, self.lo + k - 1.0)
+        return np.where(differ.any(axis=-1), out, math.inf)
+
+    def floor(self, i, j) -> np.ndarray:
+        """agreement_floor of the points at index arrays i and j, as floats:
+        from the last differing column."""
+        differ = self.rows[i] != self.rows[j]
+        k = differ.shape[-1] - differ[..., ::-1].argmax(axis=-1)
+        out = np.where(k > differ.shape[-1] - self.right, math.inf, self.lo + k + 0.0)
+        return np.where(differ.any(axis=-1), out, -math.inf)
+
+
 def agreement_radius(x, y) -> Optional[int]:
     """Largest n >= 0 with x.at(i) == y.at(i) for |i| < n (None when x == y),
     scanned out from index -lo; a tail mismatch repeats in the window, nearer 0."""

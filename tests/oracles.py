@@ -8,6 +8,8 @@ import math
 import os
 import pickle
 
+import numpy as np
+
 from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import scenarios as sn
@@ -135,6 +137,16 @@ def groupoid_metric_exponent(a, b):
             return 0
     radii = (sft.agreement_radius(a.first, b.first), sft.agreement_radius(a.second, b.second))
     return min(r for r in radii if r is not None)
+
+
+def floyd_warshall(d):
+    """aufmetric's Floyd-Warshall before its steps ran in blocks of rows:
+    in place, each step's sums in one table-sized buffer, complete before
+    the minimum is written back."""
+    via = np.empty_like(d)
+    for k in range(len(d)):
+        np.add(d[:, k, None], d[None, k, :], out=via)
+        np.minimum(d, via, out=d)
 
 
 def _term_value(f, x, term) -> complex:

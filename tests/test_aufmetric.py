@@ -9,6 +9,7 @@ from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import sft
 
+import oracles
 from oracles import base_set_membership
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -45,8 +46,14 @@ def k_index(n_a1, n, cp):
     return n_a1 + (n - 1) * cp.ceil_log3
 
 
+def v_set(a, v, cp):
+    """The neighbourhood-base set V_v(a) of the self-similar model."""
+    n_a = gd.c_first_time(a)
+    return gd.BaseSet(a, auf.v_set_threshold(n_a, v, cp) - 1, max(n_a, v))
+
+
 def v_set_membership(b, a, v, cp):
-    return base_set_membership(auf.v_set(a, v, cp), b)
+    return base_set_membership(v_set(a, v, cp), b)
 
 
 def u_cover_member(a, c, n, cp):
@@ -72,7 +79,7 @@ def v_index_cap(a, c, cp):
     cap = auf._DEEP if d == math.inf else int(d) - margin
     if cap < 0 or (d != math.inf and d < n_c + margin):
         return -1
-    bs = auf.v_set(c, min(cap, n_c), cp)
+    bs = v_set(c, min(cap, n_c), cp)
     if not gd.in_domain(bs, a.second):
         return -1
     if gd._holonomy_splice(bs, a.second) != a.first:
@@ -219,10 +226,7 @@ def clustered_table(rng, m, top, spread):
 
 def close_components(t):
     """The components chain_metric runs on: pairs below the largest value."""
-    v = t.values()
-    close = v < v.max()
-    np.fill_diagonal(close, False)
-    return auf._components(close)
+    return auf._components(t.values())
 
 
 def scalar_quasimetric_exponents(els, cp, vcap, n_max):
@@ -364,22 +368,30 @@ class TestVcapTable:
             want = pair_vcap(els, cp)
             assert (want[~np.eye(len(els), dtype=bool)] >= 0).any()
             assert np.array_equal(auf.build_vcap_table(els, cp), want)
+        # far shifts put every core before 0 (stable) or after it
+        # (unstable), so a holonomy cut can lie past the window's cores
+        for els in ([gd.phi_auto(a, 40) for a in stable], [gd.phi_auto(a, -40) for a in unstable]):
+            assert np.array_equal(auf.build_vcap_table(els, cp), pair_vcap(els, cp))
 
     def test_one_depth_per_source_pair(self, monkeypatch):
-        calls = []
-        real = gd.agreement_depth
-
-        def counting(x, y):
-            calls.append((x, y))
-            return real(x, y)
-
-        monkeypatch.setattr(gd, "agreement_depth", counting)
+        # every depth and every holonomy image comes from the one family
+        # window: each distinct point of the family is read once
         els = elements(160)
+        for a in els:
+            gd.c_first_time(a)  # cached before the count, as in the audit
+        reads, real = [], sft.EventuallyPeriodicPoint.window
+
+        def counting(x, lo, hi):
+            reads.append(x)
+            return real(x, lo, hi)
+
+        monkeypatch.setattr(sft.EventuallyPeriodicPoint, "window", counting)
         vcap = auf.build_vcap_table(els, CP)
-        monkeypatch.setattr(gd, "agreement_depth", real)
+        monkeypatch.undo()
         assert np.array_equal(vcap, pair_vcap(els, CP))
-        sources = {a.second for a in els}
-        assert len(calls) == len(set(calls)) <= len(sources) ** 2 < len(els) ** 2
+        points = {x for a in els for x in (a.first, a.second)}
+        assert len(reads) == len(set(reads)) == len(points) < len(els)
+        assert set(reads) == points
 
 
 class TestCoverLevels:
@@ -540,7 +552,9 @@ class TestChainMetric:
                 e[path[0], path[-1]] = e[path[-1], path[0]] = values[0]
                 t = auf.QuasimetricTable([f"p{i}" for i in range(m)], e)
                 assert [len(c) for c in close_components(t)] == [m]
-                assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes()
+                want = t.values()
+                oracles.floyd_warshall(want)
+                assert auf.chain_metric(t).tobytes() == chain_metric_oracle(t).tobytes() == want.tobytes()
 
     def test_bit_for_bit_on_one_and_two_points_and_equal_values(self):
         rng = np.random.default_rng(31)
@@ -552,7 +566,9 @@ class TestChainMetric:
     def test_memory_peak_on_two_point_clusters(self):
         # 1000 components of two points have nothing to shorten, so the
         # peak is the table of values; a table-sized step buffer, or a
-        # temporary while the values are computed, would double it
+        # temporary while the values are computed, would double it.  One
+        # component over a whole 600-point table runs in place, one block
+        # of rows at a time.
         import tracemalloc
 
         if tracemalloc.is_tracing():
@@ -561,15 +577,21 @@ class TestChainMetric:
         e = np.zeros((m, m), dtype=int)
         e[np.arange(0, m, 2), np.arange(1, m, 2)] = e[np.arange(1, m, 2), np.arange(0, m, 2)] = 3
         np.fill_diagonal(e, -1)
-        t = auf.QuasimetricTable([str(i) for i in range(m)], e)
-        tracemalloc.start()
-        try:
-            d = auf.chain_metric(t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * t.exponents.nbytes
-        assert d.tobytes() == t.values().tobytes()
+        pairs = auf.QuasimetricTable([str(i) for i in range(m)], e)
+        one = random_table(np.random.default_rng(41), 600, [0, 1, 2, 3])
+        assert [len(c) for c in close_components(one)] == [600]
+        for t, bound in ((pairs, 1.5), (one, 1.3)):
+            tracemalloc.start()
+            try:
+                d = auf.chain_metric(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * t.exponents.nbytes, t.size
+            want = t.values()
+            if t is one:
+                oracles.floyd_warshall(want)
+            assert d.tobytes() == want.tobytes()
 
 
 class TestSandwich:

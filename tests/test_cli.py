@@ -19,7 +19,6 @@ from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
 
-import oracles
 from oracles import period_two_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -106,20 +105,31 @@ class TestMetricAudit:
             assert rep["checks"][name]["checked"] == 777
 
     def test_tampered_metric_surfaces_failure(self, tmp_path, monkeypatch):
-        # the tamper counts calls, so its witnesses depend on the call order
-        # of one process: a child would count its own calls from zero
-        monkeypatch.setattr(forked, "_cpus", lambda: 1)
-        real = gd.groupoid_metric_exponent
-        calls = {"n": 0}
+        # the tamper is a function of the (unordered) element pair alone, on
+        # the family metric the sampled loops read and on the scalar metric
+        # the unit pairs read, so its witnesses do not depend on call order
+        def broken(a, b):
+            x, y = sorted([f"{a.first}{a.second}", f"{b.first}{b.second}"])
+            return zlib.crc32((x + y).encode()) % 31 == 0
+
+        real, real_family = gd.groupoid_metric_exponent, gd.ElementFamily.metric_exponents
 
         def tampered(a, b):
-            calls["n"] += 1
             e = real(a, b)
-            if calls["n"] % 97 == 0 and e is not None:
-                return e + 1  # break the isometry checks deterministically
-            return e
+            return e + 1 if e is not None and broken(a, b) else e
 
-        monkeypatch.setattr(cli.gd, "groupoid_metric_exponent", tampered)
+        def tampered_family(family, i, j):
+            e = real_family(family, i, j)
+            pts = family.window.points
+
+            def element(k):
+                return gd.GroupoidElement(pts[family.first[k]], pts[family.second[k]], family.side)
+
+            hit = np.array([broken(element(a), element(b)) for a, b in zip(i, j)], dtype=bool)
+            return np.where(hit & (e != gd.NO_DISTANCE), e + 1, e)
+
+        monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
+        monkeypatch.setattr(gd.ElementFamily, "metric_exponents", tampered_family)
         out = tmp_path / "o"
         code = run(
             ["metric-audit", "--scenario", "full-2-shift", "--out", str(out), "--samples", "2000"]
@@ -131,11 +141,12 @@ class TestMetricAudit:
         assert bad and bad[0]["first_counterexample"] is not None
         # pinned witnesses: building them only on failure must not change them
         checks = rep["checks"]
-        assert checks["inversion_isometry"]["first_counterexample"] == [175, 109, 1, 0]
-        assert checks["units_two_branch"]["failures"] == 4
+        assert checks["inversion_isometry"]["first_counterexample"] == [199, 151, 1, 0]
+        assert checks["ultrametric_triangle"]["first_counterexample"] == [179, 162, 132]
+        assert checks["units_two_branch"]["failures"] == 6
         assert checks["units_two_branch"]["first_counterexample"] == [
-            "Point('0*|10@3|1*')",
-            "Point('0*|10@0|1*')",
+            "Point('0*|@0|1*')",
+            "Point('0*|@-1|1*')",
         ]
 
 
@@ -301,7 +312,7 @@ def test_numpy_draw_contract(name):
             for count in (1, 7, cli.DRAW_CHUNK, 2 * cli.DRAW_CHUNK + 3):
                 scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 scalar = [int(scalar_rng.integers(bound)) for _ in range(count)]
-                assert list(cli._draws(batch_rng, bound, count)) == scalar
+                assert [int(v) for (chunk,) in cli._draws(batch_rng, bound, 1, count) for v in chunk] == scalar
                 chunk = batch_rng.integers(bound, size=count).tolist()
                 assert chunk == [int(scalar_rng.integers(bound)) for _ in range(count)]
                 assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
@@ -841,37 +852,20 @@ def test_spectrum_huge_kappa_skips_the_decay_certificate(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the audits in two processes
-
-
-@pytest.mark.parametrize("width", [2, 3])
-@pytest.mark.parametrize("count", [0, 1, 7, cli.DRAW_CHUNK, cli.DRAW_CHUNK + 1, 2 * cli.DRAW_CHUNK + 3])
-def test_halves_split_the_draws(width, count):
-    # the two halves are the draws of the whole loop, cut at count // 2
-    # tuples, and each part leaves the generator where the whole loop does
-    whole_rng = np.random.default_rng(5)
-    draws = cli._draws(whole_rng, 37, width * count)
-    whole = list(zip(*[draws] * width))
-    parts = {}
-    for part in (None, 0, 1):
-        rng = np.random.default_rng(5)
-        parts[part] = list(cli._tuples(rng, 37, width, count, part))
-        assert rng.bit_generator.state == whole_rng.bit_generator.state
-    assert parts[None] == parts[0] + parts[1] == whole
-    assert len(parts[0]) == count // 2
+# the audits in one process
 
 
 def test_halves_keep_one_chunk_of_draws():
-    # the part a process drops is drawn one chunk at a time, not as a list:
-    # 100000 draws as Python ints would take about 3.6 MB
+    # the sampled loops draw one chunk at a time, not the whole loop as a
+    # list: 100000 draws as Python ints would take about 3.6 MB
     import tracemalloc
 
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     tracemalloc.start()
     try:
-        for part in (None, 0, 1):
-            for _ in cli._tuples(np.random.default_rng(0), 1000, 2, 50000, part):
+        for width in (2, 3):
+            for _ in cli._draws(np.random.default_rng(0), 1000, width, 50000):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -883,14 +877,14 @@ def _audit_reports(tmp_path, monkeypatch, cpus, scenario, samples, label):
     """Exit codes and report bytes of both audits, run with `cpus` CPUs;
     and how many times os.fork was called."""
     forks = []
-    real = forked.os.fork
+    real = os.fork
 
     def fork():
         forks.append(1)
         return real()
 
     monkeypatch.setattr(forked, "_cpus", lambda: cpus)
-    monkeypatch.setattr(forked.os, "fork", fork)
+    monkeypatch.setattr(os, "fork", fork)
     out = tmp_path / label
     codes = [
         run([command, "--scenario", scenario, "--out", str(out), "--samples", str(samples)])
@@ -900,77 +894,16 @@ def _audit_reports(tmp_path, monkeypatch, cpus, scenario, samples, label):
     return codes, {p.name: p.read_bytes() for p in out.iterdir()}, len(forks)
 
 
-def _period_two_path(tmp_path):
-    path = tmp_path / "period-2.json"
-    path.write_text(scenario_text(period_two_scenario()))
-    return str(path)
-
-
 @pytest.mark.parametrize("name", ["full-2-shift", "golden-mean", "period-2"])
-def test_audits_in_two_processes_match_one(tmp_path, monkeypatch, name):
-    scenario = _period_two_path(tmp_path) if name == "period-2" else name
-    for samples in (0, 777, 2000, 20000):
-        one = _audit_reports(tmp_path, monkeypatch, 1, scenario, samples, f"one-{samples}")
-        two = _audit_reports(tmp_path, monkeypatch, 2, scenario, samples, f"two-{samples}")
-        assert one[2] == 0 and two[2] == 2
+def test_audits_with_two_cpus_do_not_fork(tmp_path, monkeypatch, name):
+    # both audits run in the command's process whatever the CPU count
+    if name == "period-2":
+        path = tmp_path / "period-2.json"
+        path.write_text(scenario_text(period_two_scenario()))
+        name = str(path)
+    for samples in (0, 777, 20000):
+        one = _audit_reports(tmp_path, monkeypatch, 1, name, samples, f"one-{samples}")
+        two = _audit_reports(tmp_path, monkeypatch, 2, name, samples, f"two-{samples}")
+        assert one[2] == two[2] == 0
         assert one[:2] == two[:2], samples
         assert {"metric_audit.json", "auf_audit.json", "quasimetric.csv"} == set(one[1])
-
-
-def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
-    # a tamper that is a function of the pair alone fails checks in both
-    # halves of the draws; the merged counts and first witnesses are those
-    # of one process
-    real = gd.groupoid_metric_exponent
-
-    def tampered(a, b):
-        e = real(a, b)
-        if e is not None and zlib.crc32(f"{a.first}{a.second}{b.first}{b.second}".encode()) % 31 == 0:
-            return e + 1
-        return e
-
-    argv = ["metric-audit", "--scenario", "full-2-shift", "--samples", "2000"]
-    halves, real_run = [], forked.run
-
-    def run_halves(mine, theirs):
-        out = real_run(mine, theirs)
-        halves.append(out)
-        return out
-
-    reports = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
-        monkeypatch.setattr(forked, "_cpus", lambda: cpus)
-        monkeypatch.setattr(forked, "run", run_halves)
-        out = tmp_path / str(cpus)
-        assert run([*argv, "--out", str(out)]) == 1
-        monkeypatch.undo()
-        reports.append((out / "metric_audit.json").read_bytes())
-    assert reports[0] == reports[1]
-    (((first,), (second,)),) = halves  # one CPU walks the loops whole
-    for name in ("inversion_isometry", "units_two_branch"):
-        assert first[name][1] > 0 and second[name][1] > 0, name
-        assert first[name][2] != second[name][2]
-
-
-def _fork_fails():
-    raise OSError("no fork")
-
-
-@pytest.mark.parametrize(
-    "target, name, stand_in",
-    [
-        (forked, "_child", oracles.child_that(oracles.child_raises)),
-        (forked, "_child", oracles.child_that(oracles.child_sends_half_a_pickle)),
-        (forked.os, "fork", _fork_fails),
-    ],
-    ids=["child-raises", "truncated-pickle", "fork-fails"],
-)
-def test_a_failed_audit_child_leaves_the_reports_unchanged(tmp_path, monkeypatch, target, name, stand_in):
-    # this process runs the jobs the child left undone; no child is left
-    one = _audit_reports(tmp_path, monkeypatch, 1, "full-2-shift", 777, "one")
-    monkeypatch.setattr(target, name, stand_in)
-    two = _audit_reports(tmp_path, monkeypatch, 2, "full-2-shift", 777, "two")
-    assert two[2] == 2 and two[:2] == one[:2]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

@@ -299,6 +299,40 @@ class TestMetricOracle:
             assert gd.units_metric_exponent(x, y) == oracles.units_metric_exponent(x, y)
 
 
+def audit_family(s):
+    """metric-audit's elements on scenario s at the default sample count,
+    then their Phi^-1 shifts, then their inverses."""
+    els = smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, np.random.default_rng(s.seed + 1), 240)
+    return len(els), els + [gd.phi_auto(a, -1) for a in els] + [gd.inverse(a) for a in els]
+
+
+class TestElementFamily:
+    @pytest.mark.parametrize("name", ["full-2-shift", "golden-mean", "period-2"])
+    def test_metric_matches_the_scalar_metric(self, name):
+        # every pair of the elements, of their shifts and of their inverses,
+        # in one family as the audit builds it, and the time reversal of
+        # that family on the unstable side
+        s = oracles.period_two_scenario() if name == "period-2" else sn.REFERENCE_SCENARIOS[name]()
+        n, els = audit_family(s)
+        seen = set()
+        for family in (els, [gd.reverse_element(a) for a in els]):
+            fam = gd.ElementFamily(family)
+            assert fam.first_time.tolist() == [gd.c_first_time(a) for a in family]
+            i, j = np.divmod(np.arange(n * n), n)
+            for block in (0, n, 2 * n):
+                got = fam.metric_exponents(i + block, j + block).tolist()
+                want = [gd.groupoid_metric_exponent(family[a + block], family[b + block]) for a, b in zip(i, j)]
+                assert [None if e == gd.NO_DISTANCE else e for e in got] == want
+                seen.update(want)
+        assert {None, 0, 1} < seen
+
+    def test_one_side_only(self):
+        a = stable(STEP, pt((1, 0), -2))
+        with pytest.raises(SideMismatch):
+            gd.ElementFamily([a, gd.reverse_element(a)])
+        assert gd.ElementFamily([]).metric_exponents(np.arange(0), np.arange(0)).tolist() == []
+
+
 class TestDynamics:
     def test_phi_identity(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))

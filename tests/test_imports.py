@@ -205,8 +205,8 @@ def _fresh_import(code: str) -> str:
 
 
 def test_cli_import_loads_no_process_pool():
-    # spectrum and the audits fork their one child with os.fork (about
-    # 3 ms) in sftops.forked; importing multiprocessing or
+    # spectrum forks its one child with os.fork (about 3 ms) in
+    # sftops.forked; importing multiprocessing or
     # concurrent.futures would add 20-25 ms and 2 MB to the start of every
     # command
     code = (
@@ -218,9 +218,11 @@ def test_cli_import_loads_no_process_pool():
 
 def test_only_the_fork_helper_forks():
     # one fork implementation: the pipe, the pickles and os.fork live in
-    # sftops.forked
+    # sftops.forked, and only spectrum's block assembly calls it
     users = sorted(path.name for path in SRC.glob("*.py") if re.search(r"os\.fork|os\.pipe|\bpickle\b", path.read_text()))
     assert users == ["forked.py"]
+    callers = sorted(path.name for path in SRC.glob("*.py") if re.search(r"\bforked\.run\b", path.read_text()))
+    assert callers == ["functions.py"]
 
 
 def test_cli_import_loads_no_command_module():
