@@ -19,6 +19,7 @@ from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
 
+import oracles
 from oracles import period_two_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,6 +87,34 @@ class TestValidate:
         assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
+def _tamper_metric(monkeypatch):
+    # the tamper is a function of the (unordered) element pair alone, on
+    # the family metric the sampled loops read and on the scalar metric
+    # the unit pairs read, so its witnesses do not depend on call order
+    def broken(a, b):
+        x, y = sorted([f"{a.first}{a.second}", f"{b.first}{b.second}"])
+        return zlib.crc32((x + y).encode()) % 31 == 0
+
+    real, real_family = gd.groupoid_metric_exponent, gd.ElementFamily.metric_exponents
+
+    def tampered(a, b):
+        e = real(a, b)
+        return e + 1 if e is not None and broken(a, b) else e
+
+    def tampered_family(family, i, j):
+        e = real_family(family, i, j)
+        pts = family.window.points
+
+        def element(k):
+            return gd.GroupoidElement(pts[family.first[k]], pts[family.second[k]], family.side)
+
+        hit = np.array([broken(element(a), element(b)) for a, b in zip(i, j)], dtype=bool)
+        return np.where(hit & (e != gd.NO_DISTANCE), e + 1, e)
+
+    monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
+    monkeypatch.setattr(gd.ElementFamily, "metric_exponents", tampered_family)
+
+
 class TestMetricAudit:
     def test_zero_failures(self, tmp_path):
         out = tmp_path / "o"
@@ -105,31 +134,7 @@ class TestMetricAudit:
             assert rep["checks"][name]["checked"] == 777
 
     def test_tampered_metric_surfaces_failure(self, tmp_path, monkeypatch):
-        # the tamper is a function of the (unordered) element pair alone, on
-        # the family metric the sampled loops read and on the scalar metric
-        # the unit pairs read, so its witnesses do not depend on call order
-        def broken(a, b):
-            x, y = sorted([f"{a.first}{a.second}", f"{b.first}{b.second}"])
-            return zlib.crc32((x + y).encode()) % 31 == 0
-
-        real, real_family = gd.groupoid_metric_exponent, gd.ElementFamily.metric_exponents
-
-        def tampered(a, b):
-            e = real(a, b)
-            return e + 1 if e is not None and broken(a, b) else e
-
-        def tampered_family(family, i, j):
-            e = real_family(family, i, j)
-            pts = family.window.points
-
-            def element(k):
-                return gd.GroupoidElement(pts[family.first[k]], pts[family.second[k]], family.side)
-
-            hit = np.array([broken(element(a), element(b)) for a, b in zip(i, j)], dtype=bool)
-            return np.where(hit & (e != gd.NO_DISTANCE), e + 1, e)
-
-        monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
-        monkeypatch.setattr(gd.ElementFamily, "metric_exponents", tampered_family)
+        _tamper_metric(monkeypatch)
         out = tmp_path / "o"
         code = run(
             ["metric-audit", "--scenario", "full-2-shift", "--out", str(out), "--samples", "2000"]
@@ -907,3 +912,51 @@ def test_audits_with_two_cpus_do_not_fork(tmp_path, monkeypatch, name):
         assert one[2] == two[2] == 0
         assert one[:2] == two[:2], samples
         assert {"metric_audit.json", "auf_audit.json", "quasimetric.csv"} == set(one[1])
+
+
+def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
+    # a tamper that is a function of the pair alone fails the same checks
+    # with the same witnesses whatever the CPU count, and nothing forks
+    argv = ["metric-audit", "--scenario", "full-2-shift", "--samples", "2000"]
+    reports = []
+    for cpus in (1, 2):
+        _tamper_metric(monkeypatch)
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise OSError("the audits must not fork")
+
+        monkeypatch.setattr(forked, "_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / str(cpus)
+        assert run([*argv, "--out", str(out)]) == 1
+        monkeypatch.undo()
+        assert not forks
+        reports.append((out / "metric_audit.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["checks"]["inversion_isometry"]["failures"] > 0
+
+
+def _fork_fails():
+    raise OSError("no fork")
+
+
+@pytest.mark.parametrize(
+    "target, name, stand_in",
+    [
+        (forked, "_child", oracles.child_that(oracles.child_raises)),
+        (forked, "_child", oracles.child_that(oracles.child_sends_half_a_pickle)),
+        (forked.os, "fork", _fork_fails),
+    ],
+    ids=["child-raises", "truncated-pickle", "fork-fails"],
+)
+def test_a_failed_audit_child_leaves_the_reports_unchanged(tmp_path, monkeypatch, target, name, stand_in):
+    # the audits do not use the fork helper, so a failing child or fork
+    # changes no report, and no child is left
+    one = _audit_reports(tmp_path, monkeypatch, 1, "full-2-shift", 777, "one")
+    monkeypatch.setattr(target, name, stand_in)
+    two = _audit_reports(tmp_path, monkeypatch, 2, "full-2-shift", 777, "two")
+    assert two[2] == 0 and two[:2] == one[:2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
