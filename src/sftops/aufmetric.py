@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientData
-from .groupoid import GroupoidElement, c_first_time
-from .sft import STABLE, UNSTABLE, FamilyWindow
+from .groupoid import ElementFamily
+from .sft import STABLE
 
 _FUZZ = 1e-9
 _DEEP = 10**6  # stands for "member at every finite index"
@@ -74,65 +74,56 @@ def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np
     )
 
 
-def build_vcap_table(elements: Sequence[GroupoidElement], cp: CoverIndexParams) -> np.ndarray:
-    """vcap[i, j] = largest V-index v with elements[i] in V_v(elements[j]),
-    -1 if none.
+def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> np.ndarray:
+    """vcap[i, j] = largest V-index v with element i in V_v(element j) of
+    the family, -1 if none.
 
-    a = elements[i] lies in V_v(c) when the one-sided agreement depth d of
+    a = element i lies in V_v(c) when the one-sided agreement depth d of
     the source points is at least max(N_c, v) + disk_margin and the
     holonomy equation holds, so the entry is d - disk_margin once a lies in
-    V_{N_c}(c).  Every point is read once, as a row of one sft.FamilyWindow.
-    Rows are grouped by (side, source): the depths come per distinct center
-    source, for all groups at once, from the window.  The domain test of
-    V_{N_c}(c) is the depth test on c's side, since v_set_threshold(N_c,
+    V_{N_c}(c).  Rows are grouped by source: the depths come per distinct
+    center source, for all groups at once, from the family's window.  The
+    domain test of V_{N_c}(c) is the depth test, since v_set_threshold(N_c,
     N_c) = N_c + disk_margin.  The holonomy image of a group's source z is
     then a lookup among the group's range rows: c's range row up to the
     splice cut joined to z's row after it (see _spliced_word).
     """
-    m = len(elements)
+    m = len(family)
     vm = np.full((m, m), -1, dtype=np.int64)
-    win = FamilyWindow([x for a in elements for x in (a.first, a.second)])
-    index = win.index
-    groups = {}  # (side, source index) -> {range row: row indices}
-    for i, a in enumerate(elements):
-        by_range = groups.setdefault((a.side, index[a.second]), {})
-        by_range.setdefault(win.words[index[a.first]], []).append(i)
-    keys, rows_by_range = list(groups), list(groups.values())
-    sources = np.array([z for _, z in keys], dtype=np.intp)
-    stable = np.array([side == STABLE for side, _ in keys])
-    centers = {}  # center source index -> column indices
-    for j, c in enumerate(elements):
-        centers.setdefault(index[c.second], []).append(j)
+    by_source = {}  # source index -> ({range row: row indices}, column indices)
+    for i, (first, second) in enumerate(zip(family.first.tolist(), family.second.tolist())):
+        by_range, columns = by_source.setdefault(second, ({}, []))
+        by_range.setdefault(family.window.words[first], []).append(i)
+        columns.append(i)
+    sources, groups = np.array(list(by_source), dtype=np.intp), list(by_source.values())
     margin = cp.disk_margin
-    for source, columns in centers.items():
-        by_side = {STABLE: win.depth(sources, source), UNSTABLE: -win.floor(sources, source)}
-        depths = np.where(stable, by_side[STABLE], by_side[UNSTABLE])
+    for source, (_, columns) in zip(sources, groups):
+        depths = family.disk_depths(sources, source)
         for j in columns:
-            c = elements[j]
-            n_c = c_first_time(c)
-            inside = (depths >= n_c + margin) & (by_side[c.side] >= n_c + margin)
-            for g in np.flatnonzero(inside):
-                rows = rows_by_range[g].get(_spliced_word(win, c, int(sources[g]), n_c))
+            n_c = int(family.first_time[j])
+            for g in np.flatnonzero(depths >= n_c + margin):
+                rows = groups[g][0].get(_spliced_word(family, j, int(sources[g]), n_c))
                 if rows:
                     d = depths[g]
                     vm[rows, j] = _DEEP if d == math.inf else int(d) - margin
     return vm
 
 
-def _spliced_word(win: FamilyWindow, c: GroupoidElement, z: int, n_c: int) -> bytes:
-    """The window row of the holonomy image under V_{N_c}(c) of the point z
-    (a window index) in its domain disk: c's range point up to the cut and z
-    after it (stable side, cut after N_c), or z up to the cut and c's range
-    point after it (unstable side, cut after -N_c - 1).  Where clamping the
-    cut into [lo + L, hi - R] moves it, c's range point and z agree between
-    the two cuts (c's points agree from N_c - 1 on, z agrees with c's source
-    up to N_c + disk_margin; mirrored on the unstable side), so the row is
-    the image's and equals a family point's row exactly when they are equal.
-    """
-    first, words = win.words[win.index[c.first]], win.words
-    cut = n_c + 1 if c.side == STABLE else -n_c
+def _spliced_word(family: ElementFamily, j: int, z: int, n_c: int) -> bytes:
+    """The window row of the holonomy image under V_{N_c}(c), c element j,
+    of the point z (a window index) in its domain disk: c's range point up
+    to the cut and z after it (stable side, cut after N_c), or z up to the
+    cut and c's range point after it (unstable side, cut after -N_c - 1).
+    Where clamping the cut into [lo + L, hi - R] moves it, c's range point
+    and z agree between the two cuts (c's points agree from N_c - 1 on, z
+    agrees with c's source up to N_c + disk_margin; mirrored on the unstable
+    side), so the row is the image's and equals a family point's row
+    exactly when they are equal."""
+    win = family.window
+    first, words = win.words[family.first[j]], win.words
+    cut = n_c + 1 if family.side == STABLE else -n_c
     p = min(max(cut - win.lo, win.left), len(first) - win.right)
-    if c.side == STABLE:
+    if family.side == STABLE:
         return first[:p] + words[z][p:]
     return words[z][:p] + first[p:]
 
@@ -151,7 +142,6 @@ class QuasimetricTable:
 
     point_ids: list
     exponents: np.ndarray
-    candidate_count: int = 0
 
     def __post_init__(self):
         e = np.asarray(self.exponents, dtype=int)
@@ -176,7 +166,7 @@ class QuasimetricTable:
 
 
 def build_quasimetric_table(
-    elements: Sequence[GroupoidElement],
+    family: ElementFamily,
     cp: CoverIndexParams,
     vcap: np.ndarray,
     n_max: int = 40,
@@ -189,8 +179,8 @@ def build_quasimetric_table(
     center where both rows have a level above 0: each center adds the outer
     minimum of its few such rows, and every other pair keeps 0.
     """
-    m = len(elements)
-    n_c1 = np.array([max(c_first_time(c), 1) for c in elements], dtype=np.int64)
+    m = len(family)
+    n_c1 = np.maximum(family.first_time, 1)
     levels = cover_levels(vcap, n_c1, cp)
     exps = np.zeros((m, m), dtype=int)
     for c in range(m):
@@ -200,7 +190,7 @@ def build_quasimetric_table(
             exps[block] = np.maximum(exps[block], np.minimum.outer(levels[rows, c], levels[rows, c]))
     np.minimum(exps, n_max, out=exps)
     np.fill_diagonal(exps, -1)
-    return QuasimetricTable([str(i) for i in range(m)], exps, candidate_count=m)
+    return QuasimetricTable([str(i) for i in range(m)], exps)
 
 
 # entries of one Floyd-Warshall step's sum buffer (256 KB of floats)
@@ -315,7 +305,7 @@ class StarReport:
 
 
 def star_refinement_check(
-    elements: Sequence[GroupoidElement],
+    family: ElementFamily,
     cp: CoverIndexParams,
     rng,
     trials: int,
@@ -331,8 +321,8 @@ def star_refinement_check(
     Violations are listed by trial, then witness b, then member e, both
     ascending.
     """
-    m, k = len(elements), len(STAR_LEVELS)
-    n_first = [c_first_time(e) for e in elements]
+    m, k = len(family), len(STAR_LEVELS)
+    n_first = family.first_time.tolist()
     # per trial the center index, then the level index, as scalar draws
     draws = np.fromiter((rng.integers(b) for _ in range(trials) for b in (m, k)), np.int64, 2 * trials)
     pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
@@ -372,7 +362,7 @@ class DiameterFit:
 
 
 def diameter_bound_check(
-    elements: Sequence[GroupoidElement],
+    family: ElementFamily,
     d: np.ndarray,
     anchors: Sequence[int],
     cp: CoverIndexParams,
@@ -383,19 +373,17 @@ def diameter_bound_check(
     lambda**-(N + k) * gamma against k.
 
     Predicted exponential base is 2**(-1 / ceil(log_lambda 3)), i.e. a
-    log2-slope of -1/ceil_log3.
+    log2-slope of -1/ceil_log3.  d is symmetric, non-negative and zero on
+    the diagonal: a member block's largest entry is its diameter.
     """
-    n_first = [c_first_time(e) for e in elements]
     diams = {}
     for k in k_range:
-        best = 0.0
-        seen = False
+        best, seen = 0.0, False
         for ci in anchors:
-            members = np.flatnonzero(vcap[:, ci] >= n_first[ci] + k)
-            for ii in range(len(members)):
-                for jj in range(ii + 1, len(members)):
-                    seen = True
-                    best = max(best, d[members[ii], members[jj]])
+            members = np.flatnonzero(vcap[:, ci] >= family.first_time[ci] + k)
+            if len(members) > 1:
+                seen = True
+                best = max(best, d[np.ix_(members, members)].max())
         if seen and best > 0.0:
             diams[k] = math.log2(best)
     if len(diams) < 3:

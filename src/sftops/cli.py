@@ -60,7 +60,7 @@ def _report_skeleton(scenario: Scenario, command: str) -> dict:
     }
 
 
-def _seeded_rng(scenario: Scenario, salt: int = 0):
+def _seeded_rng(scenario: Scenario, salt: int):
     return np.random.default_rng(scenario.seed + salt)
 
 
@@ -246,16 +246,16 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
     rng = _seeded_rng(scenario, 2)
     m = scenario.matrix
     count = max(200, args.samples // 50)
-    elements = smp.audit_elements(m, scenario.orbit_p, scenario.orbit_q, rng, count)
+    family = gd.ElementFamily(smp.audit_elements(m, scenario.orbit_p, scenario.orbit_q, rng, count))
     cp = auf.CoverIndexParams(scenario.kappa)
-    vcap = auf.build_vcap_table(elements, cp)
-    table = auf.build_quasimetric_table(elements, cp, vcap=vcap)
+    vcap = auf.build_vcap_table(family, cp)
+    table = auf.build_quasimetric_table(family, cp, vcap=vcap)
 
     dist = auf.chain_metric(table)
     sandwich = auf.sandwich_check(table, dist)
-    anchors = [i for i, e in enumerate(elements) if e.first == e.second][:24]
+    anchors = np.flatnonzero(family.first == family.second)[:24]
     try:
-        fit = auf.diameter_bound_check(elements, dist, anchors, cp, range(0, 10), vcap=vcap)
+        fit = auf.diameter_bound_check(family, dist, anchors, cp, range(0, 10), vcap=vcap)
     except InsufficientData as exc:
         # near kappa = 1: no slope, so the 10 % check cannot pass
         regression, fit_ok = {"insufficient_data": str(exc)}, False
@@ -270,11 +270,11 @@ def cmd_auf_audit(scenario: Scenario, out_dir: str, args) -> int:
         fit_ok = fit.relative_error <= 0.10
     with open(os.path.join(out_dir, "quasimetric.csv"), "w") as handle:
         handle.write(auf.table_to_csv(table))
-    star = auf.star_refinement_check(elements, cp, rng, max(1000, args.samples // 10), vcap=vcap)
+    star = auf.star_refinement_check(family, cp, rng, max(1000, args.samples // 10), vcap=vcap)
 
     rep = _report_skeleton(scenario, "auf-audit")
-    rep["element_count"] = len(elements)
-    rep["candidate_count"] = table.candidate_count
+    rep["element_count"] = len(family)
+    rep["candidate_count"] = table.size
     rep["sandwich"] = {
         "checked": sandwich.checked,
         "upper_violations": len(sandwich.upper_violations),
@@ -432,8 +432,7 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
     if names is None:
         return EXIT_INVALID
     a_name, b_name = names
-    window = args.window or scenario.window
-    analysis = spectrum_analysis(scenario, a_name, b_name, window)
+    analysis = spectrum_analysis(scenario, a_name, b_name, args.window)
     rep = _report_skeleton(scenario, "spectrum")
     merged = analysis.pop("_merged", None)
     blocks = analysis.pop("_blocks", None)
@@ -446,9 +445,9 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
                 handle.write(f"{i},{_fmt(v)}\n")
     if blocks is not None:
         manifest = {
-            "window": list(blocks.window),
-            "basis_size": len(blocks.basis),
-            "untrusted": {str(k): v for k, v in blocks.untrusted.items()},
+            "window": analysis["window"],
+            "basis_size": analysis["basis_size"],
+            "untrusted": analysis["untrusted_blocks"],
         }
         for n, op in sorted(blocks.trusted_blocks().items()):
             path = os.path.join(out_dir, f"block_{n:+03d}.csv")

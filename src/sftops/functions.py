@@ -246,13 +246,13 @@ def convolve(
 class BasisRegistry:
     """Ordered registry of canonical homoclinic points with a growth cap."""
 
-    cap: int = 20000
+    cap: int
     points: List[EventuallyPeriodicPoint] = field(default_factory=list)
     index: Dict[EventuallyPeriodicPoint, int] = field(default_factory=dict)
     truncation_events: int = 0
 
     @classmethod
-    def seeded(cls, pts, cap: int = 20000) -> "BasisRegistry":
+    def seeded(cls, pts, cap: int) -> "BasisRegistry":
         reg = cls(cap=cap)
         for x in pts:
             reg.add(x)

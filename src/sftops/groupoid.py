@@ -242,9 +242,16 @@ class ElementFamily:
         self.second = np.array([index[a.second] for a in elements], dtype=np.intp)
         self.first_time = np.array([c_first_time(a) for a in elements], dtype=np.int64)
 
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def disk_depths(self, i, j) -> np.ndarray:
+        """disk_depth of the points at window indices i and j, as floats."""
+        return self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
+
     def _close(self, i, j) -> np.ndarray:
         """_close_exponent of the points at window indices i and j."""
-        reach = self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
+        reach = self.disk_depths(i, j)
         return np.where(reach == math.inf, NO_DISTANCE, np.maximum(reach + 1, 0)).astype(np.int64)
 
     def metric_exponents(self, i, j) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -62,7 +63,9 @@ class Scenario:
         if self.seed < 0:
             raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         for f in self.functions.values():
-            for bs, _, depth, _ in f.terms:
+            for bs, coeff, depth, _ in f.terms:
+                if not cmath.isfinite(coeff):
+                    raise InvalidScenario(f"coeff must be finite, got {coeff!r}")
                 if depth < 0:
                     raise InvalidScenario("negative profile depth")
                 for pt in (bs.anchor.first, bs.anchor.second):
@@ -216,10 +219,10 @@ def scenario_from_dict(d: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            return scenario_from_dict(json.load(handle))
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting past the interpreter's limit, in the decoder or a `sum`
         raise InvalidScenario(f"cannot read scenario: {exc}") from exc
-    return scenario_from_dict(data)
 
 
 def scenario_hash(s: Scenario) -> str:

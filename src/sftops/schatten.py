@@ -160,7 +160,7 @@ class QuasiNormReport:
     power_subadditivity_failures: int
 
 
-def quasinorm_properties_check(p: float, trials: int, seed: int = 0) -> QuasiNormReport:
+def quasinorm_properties_check(p: float, trials: int, seed: int) -> QuasiNormReport:
     """Randomized test, on 8 x 8 complex Gaussian pairs, of
     |S+T|_p^p <= |S|_p^p + |T|_p^p and the quasinorm constant K = 2**(1/p).
 
@@ -230,7 +230,7 @@ class BoundCertificate:
 
 
 def decay_bound_schedule(
-    c1: float, alpha: float, c2: float, beta: float, n0: int = 0, n_max: int = 40
+    c1: float, alpha: float, c2: float, beta: float, n0: int, n_max: int
 ) -> BoundCertificate:
     """Schedule s_{1 + sum_{i<=n} rank_i} <= C2 * beta**-(n+1).
 

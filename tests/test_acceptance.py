@@ -230,19 +230,19 @@ def test_criterion_3_auf_engine():
     notes = []
     for name, m, p, q in _shift_cases():
         rng = np.random.default_rng(7)
-        els = smp.audit_elements(m, p, q, rng, 220)
+        family = gd.ElementFamily(smp.audit_elements(m, p, q, rng, 220))
         cp = auf.CoverIndexParams(2.0)
-        vcap = auf.build_vcap_table(els, cp)
-        table = auf.build_quasimetric_table(els, cp, vcap=vcap)
+        vcap = auf.build_vcap_table(family, cp)
+        table = auf.build_quasimetric_table(family, cp, vcap=vcap)
         dist = auf.chain_metric(table)
         sand = auf.sandwich_check(table, dist)
-        star = auf.star_refinement_check(els, cp, rng, 800, vcap=vcap)
-        anchors = [i for i, e in enumerate(els) if e.first == e.second][:20]
-        fit = auf.diameter_bound_check(els, dist, anchors, cp, range(0, 10), vcap=vcap)
+        star = auf.star_refinement_check(family, cp, rng, 800, vcap=vcap)
+        anchors = np.flatnonzero(family.first == family.second)[:20]
+        fit = auf.diameter_bound_check(family, dist, anchors, cp, range(0, 10), vcap=vcap)
         ok = ok and sand.ok and star.ok and star.triples_checked >= 1000
-        ok = ok and len(els) >= 200 and fit.relative_error <= 0.10
+        ok = ok and len(family) >= 200 and fit.relative_error <= 0.10
         notes.append(
-            f"{name}: els={len(els)} sandwich={len(sand.lower_violations)}"
+            f"{name}: els={len(family)} sandwich={len(sand.lower_violations)}"
             f" star={star.triples_checked}tr/{len(star.violations)}viol"
             f" diam_err={fit.relative_error:.3f}"
         )

@@ -8,6 +8,7 @@ from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import sft
+from sftops.errors import SideMismatch
 
 import oracles
 from oracles import base_set_membership
@@ -140,7 +141,8 @@ def table_from_csv(text):
 
 
 def quasimetric_table(els, cp, n_max=40):
-    return auf.build_quasimetric_table(els, cp, auf.build_vcap_table(els, cp), n_max)
+    family = gd.ElementFamily(els)
+    return auf.build_quasimetric_table(family, cp, auf.build_vcap_table(family, cp), n_max)
 
 
 def pair_vcap(els, cp):
@@ -189,6 +191,28 @@ def star_oracle(elements, cp, rng, trials, n_levels, vcap):
                 if vcap[ei, ai] < n:
                     rep.violations.append((ai, int(bi), int(ei), n))
     return rep
+
+
+def diameter_oracle(elements, d, anchors, cp, k_range, vcap):
+    """The diameter fit from a loop over the member pairs ii < jj."""
+    n_first = [gd.c_first_time(e) for e in elements]
+    diams = {}
+    for k in k_range:
+        best = 0.0
+        seen = False
+        for ci in anchors:
+            members = np.flatnonzero(vcap[:, ci] >= n_first[ci] + k)
+            for ii in range(len(members)):
+                for jj in range(ii + 1, len(members)):
+                    seen = True
+                    best = max(best, d[members[ii], members[jj]])
+        if seen and best > 0.0:
+            diams[k] = math.log2(best)
+    ks = sorted(diams)
+    ys = [diams[k] for k in ks]
+    slope = np.polyfit(ks, ys, 1)[0]
+    gamma = max(2.0 ** (y + k / cp.ceil_log3) for k, y in zip(ks, ys))
+    return auf.DiameterFit(ks, ys, float(slope), -1.0 / cp.ceil_log3, gamma)
 
 
 def csv_oracle(t):
@@ -249,8 +273,9 @@ def reference_tables():
     out = {}
     for name in REFERENCE:
         els = reference_elements(name, 200)
-        vcap = auf.build_vcap_table(els, CP)
-        out[name] = (els, vcap, auf.build_quasimetric_table(els, CP, vcap=vcap))
+        family = gd.ElementFamily(els)
+        vcap = auf.build_vcap_table(family, CP)
+        out[name] = (els, vcap, auf.build_quasimetric_table(family, CP, vcap=vcap))
     return out
 
 
@@ -340,7 +365,7 @@ class TestCovers:
 
     def test_vcap_consistency(self):
         els = elements(60)
-        vcap = auf.build_vcap_table(els, CP)
+        vcap = auf.build_vcap_table(gd.ElementFamily(els), CP)
         for i, a in enumerate(els[::9]):
             for j, c in enumerate(els[::9]):
                 lvl = max_cover_level(a, c, CP)
@@ -355,7 +380,15 @@ class TestVcapTable:
         cp = auf.CoverIndexParams(kappa)
         stable = reference_elements(name, 40)
         unstable = [gd.reverse_element(a) for a in stable]
-        # both sides, each source under several elements, repeated elements
+        # each side alone, and with units of the other side's points and
+        # repeated elements; each source under several elements
+        padded = stable[::2] + [gd.unit(a.second) for a in unstable[:8]] + stable[:4]
+        for els in (stable, unstable, padded, [gd.reverse_element(a) for a in padded]):
+            assert len({a.second for a in els}) < len(els)
+            want = pair_vcap(els, cp)
+            assert (want[~np.eye(len(els), dtype=bool)] >= 0).any()
+            assert np.array_equal(auf.build_vcap_table(gd.ElementFamily(els), cp), want)
+        # a table has one side: a family of both is refused
         mixed = (
             stable[::2]
             + unstable[1::2]
@@ -363,19 +396,17 @@ class TestVcapTable:
             + [gd.unit(a.second) for a in unstable[:8]]
             + stable[:4]
         )
-        for els in (stable, unstable, mixed):
-            assert len({a.second for a in els}) < len(els)
-            want = pair_vcap(els, cp)
-            assert (want[~np.eye(len(els), dtype=bool)] >= 0).any()
-            assert np.array_equal(auf.build_vcap_table(els, cp), want)
+        with pytest.raises(SideMismatch):
+            auf.build_vcap_table(gd.ElementFamily(mixed), cp)
         # far shifts put every core before 0 (stable) or after it
         # (unstable), so a holonomy cut can lie past the window's cores
         for els in ([gd.phi_auto(a, 40) for a in stable], [gd.phi_auto(a, -40) for a in unstable]):
-            assert np.array_equal(auf.build_vcap_table(els, cp), pair_vcap(els, cp))
+            assert np.array_equal(auf.build_vcap_table(gd.ElementFamily(els), cp), pair_vcap(els, cp))
 
     def test_one_depth_per_source_pair(self, monkeypatch):
         # every depth and every holonomy image comes from the one family
-        # window: each distinct point of the family is read once
+        # window: across building the family and the table, each distinct
+        # point of the family is read once
         els = elements(160)
         for a in els:
             gd.c_first_time(a)  # cached before the count, as in the audit
@@ -386,7 +417,7 @@ class TestVcapTable:
             return real(x, lo, hi)
 
         monkeypatch.setattr(sft.EventuallyPeriodicPoint, "window", counting)
-        vcap = auf.build_vcap_table(els, CP)
+        vcap = auf.build_vcap_table(gd.ElementFamily(els), CP)
         monkeypatch.undo()
         assert np.array_equal(vcap, pair_vcap(els, CP))
         points = {x for a in els for x in (a.first, a.second)}
@@ -412,7 +443,7 @@ class TestCoverLevels:
         cp = auf.CoverIndexParams(kappa)
         els = reference_elements("golden-mean", 60)
         vcap = pair_vcap(els, cp)
-        got = auf.build_quasimetric_table(els, cp, n_max=3, vcap=vcap).exponents
+        got = auf.build_quasimetric_table(gd.ElementFamily(els), cp, n_max=3, vcap=vcap).exponents
         assert np.array_equal(got, scalar_quasimetric_exponents(els, cp, vcap, 3))
 
     @pytest.mark.parametrize("n_max", [2, 40])
@@ -423,7 +454,7 @@ class TestCoverLevels:
         els = reference_elements("full-2-shift", 40)
         caps = rng.choice([-1, 0, 1, 3, 7, 15, 60, auf._DEEP], size=(40, 40), p=[0.9] + [0.1 / 7] * 7)
         vcap = np.maximum(caps, np.where(np.eye(40, dtype=bool), auf._DEEP, -1))
-        got = auf.build_quasimetric_table(els, CP, n_max=n_max, vcap=vcap).exponents
+        got = auf.build_quasimetric_table(gd.ElementFamily(els), CP, n_max=n_max, vcap=vcap).exponents
         want = scalar_quasimetric_exponents(els, CP, vcap, n_max)
         assert np.array_equal(got, want)
         off = ~np.eye(40, dtype=bool)
@@ -648,7 +679,8 @@ class TestStar:
     def test_star_holds_with_witnesses(self):
         els = elements(200, seed=9)
         rng = np.random.default_rng(4)
-        rep = auf.star_refinement_check(els, CP, rng, 200, vcap=auf.build_vcap_table(els, CP))
+        family = gd.ElementFamily(els)
+        rep = auf.star_refinement_check(family, CP, rng, 200, vcap=auf.build_vcap_table(family, CP))
         assert rep.ok
         assert rep.witnesses >= 100
 
@@ -661,7 +693,7 @@ class TestStar:
         tampered = np.where(knock, -1, vcap)
         levels = (0, 1, 2, 3)
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-        rep = auf.star_refinement_check(els, CP, rng, 300, vcap=tampered)
+        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, rng, 300, vcap=tampered)
         ref = star_oracle(els, CP, ref_rng, 300, levels, tampered)
         assert len(ref.violations) > 20
         assert rep.violations == ref.violations
@@ -671,7 +703,7 @@ class TestStar:
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_matches_loop_oracle_on_reference(self, reference_tables, name):
         els, vcap, _ = reference_tables[name]
-        rep = auf.star_refinement_check(els, CP, np.random.default_rng(37), 300, vcap=vcap)
+        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, np.random.default_rng(37), 300, vcap=vcap)
         ref = star_oracle(els, CP, np.random.default_rng(37), 300, (0, 1, 2, 3), vcap)
         assert rep.ok and ref.ok
         assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
@@ -679,29 +711,40 @@ class TestStar:
 
 class TestDiameter:
     def test_regression_matches_predicted_base(self):
-        els = elements(220, seed=11)
+        family = gd.ElementFamily(elements(220, seed=11))
         cp = CP
-        vcap = auf.build_vcap_table(els, cp)
-        t = auf.build_quasimetric_table(els, cp, vcap=vcap)
+        vcap = auf.build_vcap_table(family, cp)
+        t = auf.build_quasimetric_table(family, cp, vcap=vcap)
         d = auf.chain_metric(t)
-        anchors = [i for i, e in enumerate(els) if e.first == e.second][:20]
-        fit = auf.diameter_bound_check(els, d, anchors, cp, range(0, 9), vcap=vcap)
+        anchors = np.flatnonzero(family.first == family.second)[:20]
+        fit = auf.diameter_bound_check(family, d, anchors, cp, range(0, 9), vcap=vcap)
         # lambda = 2 predicts base 2**-(1/2) ~ 0.7071
         assert fit.predicted_slope == -0.5
         assert fit.relative_error <= 0.10
         assert fit.gamma_prime > 0
 
     def test_gamma_prime_bounds_every_level(self):
-        els = elements(160, seed=11)
-        vcap = auf.build_vcap_table(els, CP)
-        t = auf.build_quasimetric_table(els, CP, vcap=vcap)
+        family = gd.ElementFamily(elements(160, seed=11))
+        vcap = auf.build_vcap_table(family, CP)
+        t = auf.build_quasimetric_table(family, CP, vcap=vcap)
         d = auf.chain_metric(t)
-        anchors = [i for i, e in enumerate(els) if e.first == e.second][:12]
-        fit = auf.diameter_bound_check(els, d, anchors, CP, range(0, 8), vcap=vcap)
+        anchors = np.flatnonzero(family.first == family.second)[:12]
+        fit = auf.diameter_bound_check(family, d, anchors, CP, range(0, 8), vcap=vcap)
         for k, y in zip(fit.ks, fit.log2_diameters):
             assert 2.0**y <= 2.0 ** (-k / CP.ceil_log3) * fit.gamma_prime + 1e-12
         # k = 0 reduces the bound to gamma' itself
         assert 2.0 ** fit.log2_diameters[0] <= fit.gamma_prime + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_pair_loop_oracle_on_reference(self, reference_tables, name):
+        els, vcap, t = reference_tables[name]
+        d = auf.chain_metric(t)
+        anchors = [i for i, e in enumerate(els) if e.first == e.second][:24]
+        family = gd.ElementFamily(els)
+        assert np.flatnonzero(family.first == family.second)[:24].tolist() == anchors
+        fit = auf.diameter_bound_check(family, d, anchors, CP, range(0, 10), vcap=vcap)
+        assert len(fit.ks) >= 3
+        assert fit == diameter_oracle(els, d, anchors, CP, range(0, 10), vcap)
 
 
 class TestCsv:

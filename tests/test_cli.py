@@ -574,6 +574,10 @@ class TestBadInput:
             (["functions", "a", "profile", "coeff"], [1.0, 0.0, 0.0], "coeff must be an array of two entries"),
             (["functions", "a", "profile", "seed"], 7, "profile seed must be a string"),
             (["name"], ["x"], "name must be a string"),
+            (["functions", "e_proj", "terms", 0, "coeff"], [math.nan, 0.0], "coeff must be finite"),
+            (["functions", "e_proj", "terms", 0, "coeff"], [1.0, math.inf], "coeff must be finite"),
+            (["functions", "a", "profile", "coeff"], [math.nan, 0.0], "coeff must be finite"),
+            (["functions", "a", "profile", "coeff"], [-math.inf, 0.0], "coeff must be finite"),
         ],
         ids=[
             "orbit-float", "matrix-float", "core-bound-bool", "window-float", "window-strings",
@@ -581,6 +585,7 @@ class TestBadInput:
             "kappa-string", "kappa-bool", "p-string", "p-bool", "coeff-bool", "profile-coeff-string",
             "anchor-one-point", "anchor-three-points", "anchor-string", "anchor-point-number",
             "coeff-one-part", "profile-coeff-three-parts", "profile-seed-number", "name-list",
+            "coeff-nan", "coeff-infinity", "profile-coeff-nan", "profile-coeff-infinity",
         ],
     )
     def test_non_integer_exit_2(self, tmp_path, capsys, keys, value, message):
@@ -589,7 +594,8 @@ class TestBadInput:
         # number; a float or string window crashed spectrum (exit 4).  A
         # short anchor or coeff raised IndexError (exit 1), a long one was
         # cut to two entries, and str() read a number or a list as a profile
-        # seed or a name (exit 0)
+        # seed or a name (exit 0).  A NaN or infinite coeff made the SVD of
+        # spectrum fail to converge (exit 4)
         path = edited_reference(tmp_path, keys, value)
         for command in ("validate", "spectrum"):
             assert run([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
@@ -653,6 +659,25 @@ class TestBadInput:
         path.write_text(json.dumps(malform(data)))
         assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [600, 100000], ids=["sum", "array"])
+    def test_nesting_past_the_recursion_limit_exit_2(self, tmp_path, capsys, depth):
+        # a RecursionError used to escape the reader (exit 1, a traceback);
+        # json.dumps cannot write the text, so it is built here
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
+        if depth == 600:
+            deep = json.dumps(data["functions"]["a"])
+            for _ in range(depth):
+                deep = '{"side": "stable", "sum": [' + deep + "]}"
+            data["functions"]["deep"] = "DEEP"
+            text = json.dumps(data).replace('"DEEP"', deep)
+        else:
+            text = "[" * depth
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        assert run(["validate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_swapped_sides_exit_2(self, tmp_path, capsys):
         path = small_scenario(tmp_path)

@@ -314,7 +314,7 @@ class TestElementFamily:
         # that family on the unstable side
         s = oracles.period_two_scenario() if name == "period-2" else sn.REFERENCE_SCENARIOS[name]()
         n, els = audit_family(s)
-        seen = set()
+        seen, depths = set(), set()
         for family in (els, [gd.reverse_element(a) for a in els]):
             fam = gd.ElementFamily(family)
             assert fam.first_time.tolist() == [gd.c_first_time(a) for a in family]
@@ -324,7 +324,17 @@ class TestElementFamily:
                 want = [gd.groupoid_metric_exponent(family[a + block], family[b + block]) for a, b in zip(i, j)]
                 assert [None if e == gd.NO_DISTANCE else e for e in got] == want
                 seen.update(want)
+                # the point pairs the metric reads: range points and source points
+                for ends in (fam.first, fam.second):
+                    x, y = ends[i + block], ends[j + block]
+                    pairs = sorted(set(zip(x.tolist(), y.tolist())))
+                    u, v = np.array(pairs).T
+                    points = fam.window.points
+                    scalar = [gd.disk_depth(fam.side, points[a], points[b]) for a, b in pairs]
+                    assert fam.disk_depths(u, v).tolist() == scalar
+                    depths.update(scalar)
         assert {None, 0, 1} < seen
+        assert math.inf in depths and min(depths) < 0
 
     def test_one_side_only(self):
         a = stable(STEP, pt((1, 0), -2))

@@ -116,11 +116,12 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions(defined, searched) == []
 
 
-def call_settings(searched: dict):
-    """Per called name: the most positional arguments any call passes, and
-    the keywords the calls pass.  A starred argument reaches every position
-    and a ** mapping (keyword None) every keyword."""
-    reach, keywords = {}, {}
+def calls_by_name(searched: dict) -> dict:
+    """Per called name, the (positions, keywords) of each call: how many
+    positional arguments it passes and the keywords it names.  A starred
+    argument reaches every position and a ** mapping (keyword None) every
+    keyword."""
+    calls = {}
     for source in searched.values():
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
@@ -128,17 +129,16 @@ def call_settings(searched: dict):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            reach[name] = max(reach.get(name, 0), math.inf if starred else len(node.args))
-            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
-    return reach, keywords
+            positions = math.inf if starred else len(node.args)
+            calls.setdefault(name, []).append((positions, {k.arg for k in node.keywords}))
+    return calls
 
 
-def unset_parameters(defined: dict, searched: dict) -> list:
-    """Defaulted parameters of the functions and methods in `defined` that no
-    call in `searched`, matched by name, sets by keyword or by position
-    (a method's positions start after self or cls)."""
-    reach, keywords = call_settings(searched)
-    out = []
+def defaulted_parameters(defined: dict):
+    """(where, function name, parameter, position) of each defaulted
+    parameter of the functions and methods in `defined`, the position being
+    the number of positional arguments a call needs to set it (a method's
+    positions start after self or cls), inf for a keyword-only one."""
     for path, source in defined.items():
         tree = ast.parse(source)
         methods = {
@@ -164,11 +164,35 @@ def unset_parameters(defined: dict, searched: dict) -> list:
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                 if default is not None
             ]
-            kws = keywords.get(node.name, set())
             for name, needed in defaulted:
-                if name not in kws and None not in kws and reach.get(node.name, 0) < needed:
-                    out.append(f"{pathlib.Path(path).name}:{node.lineno} {node.name}({name})")
-    return out
+                yield f"{pathlib.Path(path).name}:{node.lineno} {node.name}({name})", node.name, name, needed
+
+
+def _sets(call, name: str, needed) -> bool:
+    positions, keywords = call
+    return name in keywords or None in keywords or positions >= needed
+
+
+def unset_parameters(defined: dict, searched: dict) -> list:
+    """Defaulted parameters of the functions and methods in `defined` that no
+    call in `searched`, matched by name, sets by keyword or by position."""
+    calls = calls_by_name(searched)
+    return [
+        where
+        for where, func, name, needed in defaulted_parameters(defined)
+        if not any(_sets(call, name, needed) for call in calls.get(func, ()))
+    ]
+
+
+def overridden_defaults(defined: dict, searched: dict) -> list:
+    """Defaulted parameters of the functions and methods in `defined` that
+    every call in `searched`, matched by name, sets: defaults never used."""
+    calls = calls_by_name(searched)
+    return [
+        where
+        for where, func, name, needed in defaulted_parameters(defined)
+        if calls.get(func) and all(_sets(call, name, needed) for call in calls[func])
+    ]
 
 
 def test_checker_finds_unset_parameters():
@@ -183,6 +207,25 @@ def test_checker_finds_unset_parameters():
 def test_every_option_is_set():
     defined, searched = _searched_and_defined()
     assert unset_parameters(defined, searched) == []
+
+
+def test_checker_finds_overridden_defaults():
+    source = (
+        "def draw(n, seed=0, dim=8, *, cap=1):\n    return n\n\n"
+        "class Box:\n    def read(self, at, floor=0):\n        return at\n\n"
+        "def idle(n=1):\n    return n\n\n"
+        "draw(1, 2, cap=3)\ndraw(1, dim=4, seed=5, cap=6)\nBox().read(1, 2)\nBox().read(*[1, 2])\n"
+    )
+    assert overridden_defaults({"m.py": source}, {"m.py": source}) == [
+        "m.py:1 draw(seed)",
+        "m.py:1 draw(cap)",
+        "m.py:5 read(floor)",
+    ]
+
+
+def test_every_default_is_used():
+    defined, searched = _searched_and_defined()
+    assert overridden_defaults(defined, searched) == []
 
 
 def test_package_data_ships_reference_scenarios():
