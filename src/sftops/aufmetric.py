@@ -102,30 +102,21 @@ def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> np.ndarray:
         for j in columns:
             n_c = int(family.first_time[j])
             for g in np.flatnonzero(depths >= n_c + margin):
-                rows = groups[g][0].get(_spliced_word(family, j, int(sources[g]), n_c))
+                rows = groups[g][0].get(_spliced_word(family, j, int(sources[g])))
                 if rows:
                     d = depths[g]
                     vm[rows, j] = _DEEP if d == math.inf else int(d) - margin
     return vm
 
 
-def _spliced_word(family: ElementFamily, j: int, z: int, n_c: int) -> bytes:
+def _spliced_word(family: ElementFamily, j: int, z: int) -> bytes:
     """The window row of the holonomy image under V_{N_c}(c), c element j,
-    of the point z (a window index) in its domain disk: c's range point up
-    to the cut and z after it (stable side, cut after N_c), or z up to the
-    cut and c's range point after it (unstable side, cut after -N_c - 1).
-    Where clamping the cut into [lo + L, hi - R] moves it, c's range point
-    and z agree between the two cuts (c's points agree from N_c - 1 on, z
-    agrees with c's source up to N_c + disk_margin; mirrored on the unstable
-    side), so the row is the image's and equals a family point's row
-    exactly when they are equal."""
+    of the point z (a window index) in its domain disk: c's range point
+    before the family's cut of c and z from it (stable side), or z before
+    the cut and c's range point from it (unstable side)."""
     win = family.window
-    first, words = win.words[family.first[j]], win.words
-    cut = n_c + 1 if family.side == STABLE else -n_c
-    p = min(max(cut - win.lo, win.left), len(first) - win.right)
-    if family.side == STABLE:
-        return first[:p] + words[z][p:]
-    return words[z][:p] + first[p:]
+    first, row, p = win.words[family.first[j]], win.words[z], int(family.cut[j]) - win.lo
+    return first[:p] + row[p:] if family.side == STABLE else row[:p] + first[p:]
 
 
 # ---------------------------------------------------------------------------

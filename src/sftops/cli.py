@@ -25,7 +25,7 @@ import numpy as np
 from . import functions as fn
 from . import groupoid as gd
 from . import sft
-from .errors import InsufficientData, InvalidScenario, NotAProjection, SftopsError
+from .errors import InsufficientData, InvalidScenario, NonFiniteOperator, NotAProjection, SftopsError
 from .scenarios import (
     REFERENCE_SCENARIOS,
     Scenario,
@@ -630,6 +630,9 @@ def main(argv=None) -> int:
     start = time.time()
     try:
         code = COMMANDS[args.command](scenario, args.out, args)
+    except NonFiniteOperator as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except Exception as exc:
         # a crash is not a property finding, so it must not exit 1; traceback
         # is imported here because importing it adds 0.1 MB to every run

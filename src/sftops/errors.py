@@ -55,3 +55,7 @@ class NotCornerUnitary(SftopsError):
 
 class InvalidScenario(SftopsError):
     pass
+
+
+class NonFiniteOperator(SftopsError):
+    pass

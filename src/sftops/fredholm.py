@@ -163,13 +163,20 @@ class FredholmModule:
         return out
 
 
+def _fails(residual: float, tol: float) -> bool:
+    """The residual is above tol or not finite (an overflowed tol passes it)."""
+    return not (math.isfinite(residual) and residual <= tol)
+
+
 def make_odd_module(e: np.ndarray) -> FredholmModule:
     """Odd module (H, rho_B, 2e - 1) from a projection in the other image."""
     e = np.asarray(e, dtype=complex)
-    if np.linalg.norm(e @ e - e) > 1e-12 * max(1.0, np.linalg.norm(e)):
-        raise NotAProjection("e**2 != e")
-    if np.linalg.norm(e.conj().T - e) > 1e-12 * max(1.0, np.linalg.norm(e)):
-        raise NotAProjection("e not self-adjoint")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check, quietly
+        tol = 1e-12 * max(1.0, np.linalg.norm(e))
+        if _fails(np.linalg.norm(e @ e - e), tol):
+            raise NotAProjection("e**2 != e")
+        if _fails(np.linalg.norm(e.conj().T - e), tol):
+            raise NotAProjection("e not self-adjoint")
     return FredholmModule(2.0 * e - np.eye(e.shape[0]))
 
 
@@ -178,9 +185,9 @@ def make_even_module(v: np.ndarray, p_proj: np.ndarray) -> FredholmModule:
     v = np.asarray(v, dtype=complex)
     p_proj = np.asarray(p_proj, dtype=complex)
     scale = max(1.0, np.linalg.norm(p_proj))
-    if np.linalg.norm(v.conj().T @ v - p_proj) > 1e-12 * scale:
+    if _fails(np.linalg.norm(v.conj().T @ v - p_proj), 1e-12 * scale):
         raise NotCornerUnitary("v*v != p")
-    if np.linalg.norm(v @ v.conj().T - p_proj) > 1e-12 * scale:
+    if _fails(np.linalg.norm(v @ v.conj().T - p_proj), 1e-12 * scale):
         raise NotCornerUnitary("vv* != p")
     f_op = v + np.eye(v.shape[0]) - p_proj
     dim = v.shape[0]

@@ -13,7 +13,6 @@ finitely many basis points their columns can touch, and a block is
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -38,8 +37,8 @@ from .sft import (
     EventuallyPeriodicPoint,
     MetricParams,
     TransitionMatrix,
+    Window,
     agreement_depth,
-    build_point,
     shift,
     splice_at,
 )
@@ -401,11 +400,9 @@ def _anchor_groups(f: LocallyConstantFunction):
     return groups
 
 
-def _block_span(fs, cols=()) -> Tuple[int, int, int]:
-    """(lo, hi, L): the cores of the columns and term anchors, and the
-    coordinates where a term's domain test, splice or profile word starts
-    or ends, lie in [lo + L, hi - L], L the lcm of their cycle lengths, so a
-    point spliced from them is its window over [lo, hi) (see _point)."""
+def _block_window(fs, cols) -> Window:
+    """The Window over the columns cols and the term anchors of fs, marked
+    where a term's domain test, splice or profile word starts or ends."""
     pts, cuts = list(cols), []
     for f in fs:
         for bs, _, depth, _ in f.terms:
@@ -413,15 +410,7 @@ def _block_span(fs, cols=()) -> Tuple[int, int, int]:
             t = bs.threshold
             stable = (t + 1, bs.time + 1, t + depth + 1)
             cuts += stable if f.side == STABLE else (-t, -bs.time, -t - depth)
-    period = math.lcm(*{len(c) for p in pts for c in (p.left_cycle, p.right_cycle)})
-    lo = min([p.core_start for p in pts] + cuts, default=0) - period
-    hi = max([p.core_end for p in pts] + cuts, default=0) + period
-    return lo, hi, period
-
-
-def _point(z: bytes, lo: int, period: int) -> EventuallyPeriodicPoint:
-    """The canonical point whose window over the _block_span from lo is z."""
-    return build_point(z[:period], z, z[-period:], lo)
+    return Window(pts, cuts)
 
 
 def _bridge_windows(m: TransitionMatrix, past: bytes, past_hi: int, future: bytes, future_lo: int):
@@ -457,13 +446,13 @@ def commutator_column_support(
     """
     if a_n.side != STABLE or b.side != UNSTABLE:
         raise SideMismatch("need a stable and an unstable factor")
-    lo, hi, period = _block_span((a_n, b))
+    win = _block_window((a_n, b), ())
     cands: Dict[bytes, None] = {}
     # the two orders often pin the same window; each spec is enumerated once
     for s_pat, u_pat, past_hi, future_lo in dict.fromkeys(_support_windows(a_n, b)):
-        s_win, u_win = s_pat.window(lo, hi), u_pat.window(lo, hi)
-        cands.update(dict.fromkeys(_bridge_windows(m, s_win, past_hi - lo, u_win, future_lo - lo)))
-    return sorted((_point(z, lo, period) for z in cands), key=EventuallyPeriodicPoint.sort_key)
+        past, future = win.read(s_pat), win.read(u_pat)
+        cands.update(dict.fromkeys(_bridge_windows(m, past, past_hi - win.lo, future, future_lo - win.lo)))
+    return sorted(map(win.point, cands), key=EventuallyPeriodicPoint.sort_key)
 
 
 def _support_windows(a_n: LocallyConstantFunction, b: LocallyConstantFunction):
@@ -507,8 +496,8 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
 
 
 # The kernel works on words: every point that some functions meet on a set
-# of columns (column, anchor, holonomy image, row) is its window over the
-# _block_span.  The anchor windows are read once and each column's window
+# of columns (column, anchor, holonomy image, row) is its row of the
+# _block_window.  The anchor windows are read once and each column's window
 # once: a domain test is a slice compare, a holonomy image a slice of the
 # column window joined to a slice of an anchor window, a profile word a
 # slice (reversed on the unstable side).  A column rule says how the
@@ -522,19 +511,19 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
 # end.
 
 
-def _actions(f: LocallyConstantFunction, lo: int, hi: int) -> list:
-    """Each term on windows over [lo, hi): (term, domain slice, the anchor
-    source over it, splice cut, the anchor range before the cut (stable) or
-    from it (unstable), profile word slice, stable)."""
+def _actions(f: LocallyConstantFunction, win: Window) -> list:
+    """Each term on the rows of win: (term, domain slice, the anchor source
+    over it, splice cut, the anchor range before the cut (stable) or from it
+    (unstable), profile word slice, stable)."""
     out = []
     for term in f.terms:
         bs = term.support
-        rng, src = bs.anchor.first.window(lo, hi), bs.anchor.second.window(lo, hi)
+        rng, src = win.read(bs.anchor.first), win.read(bs.anchor.second)
         if f.side == STABLE:
-            t, cut = bs.threshold + 1 - lo, bs.time + 1 - lo
+            t, cut = bs.threshold + 1 - win.lo, bs.time + 1 - win.lo
             domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + term.depth)
         else:
-            t, cut = -bs.threshold - lo, -bs.time - lo
+            t, cut = -bs.threshold - win.lo, -bs.time - win.lo
             domain, keep, word = slice(t, None), slice(cut, None), slice(t - 1, t - 1 - term.depth, -1)
         out.append((term, domain, src[domain], cut, rng[keep], word, f.side == STABLE))
     return out
@@ -652,10 +641,10 @@ def _columns(fs: tuple, rule, cols: list):
     """(x, column) for each point x of cols, in order: rule(apply, window of
     x) with its rows made canonical points, apply(k, y) being the action of
     fs[k] on the window y."""
-    lo, hi, period = _block_span(fs, cols)
-    actions = [_actions(f, lo, hi) for f in fs]
+    win = _block_window(fs, cols)
+    actions = [_actions(f, win) for f in fs]
     lone = [len(f.terms) == 1 and f.terms[0].depth > 0 for f in fs]
-    windows = [x.window(lo, hi) for x in cols]
+    windows = [win.read(x) for x in cols]
     masks = [{} for _ in fs]  # per function: column window -> its _act mask
     words: Dict[str, dict] = {}  # seed -> its profile words
 
@@ -682,7 +671,7 @@ def _columns(fs: tuple, rule, cols: list):
         return _apply(_images(actions[k], z, mask), totals, lone[k])
 
     for x, z in zip(cols, windows):
-        yield x, {_point(row, lo, period): v for row, v in rule(apply, z).items()}
+        yield x, {win.point(row): v for row, v in rule(apply, z).items()}
 
 
 def _register(columns, reg: BasisRegistry) -> Tuple[SparseOperator, bool]:

@@ -229,18 +229,20 @@ class ElementFamily:
     """Elements of one side, read through one sft.FamilyWindow of their
     points: per element the window indices of its range and source points
     and its c_first_time, so that metric_exponents evaluates
-    groupoid_metric_exponent on arrays of element indices."""
+    groupoid_metric_exponent on arrays of element indices.  The window is
+    marked at each element's `cut`, where V_{first_time}(element) splices."""
 
     def __init__(self, elements):
         sides = {a.side for a in elements}
         if len(sides) > 1:
             raise SideMismatch("metric needs elements on one side")
         self.side = sides.pop() if sides else STABLE
-        self.window = FamilyWindow([x for a in elements for x in (a.first, a.second)])
+        self.first_time = np.array([c_first_time(a) for a in elements], dtype=np.int64)
+        self.cut = self.first_time + 1 if self.side == STABLE else -self.first_time
+        self.window = FamilyWindow([x for a in elements for x in (a.first, a.second)], self.cut.tolist())
         index = self.window.index
         self.first = np.array([index[a.first] for a in elements], dtype=np.intp)
         self.second = np.array([index[a.second] for a in elements], dtype=np.intp)
-        self.first_time = np.array([c_first_time(a) for a in elements], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.first)

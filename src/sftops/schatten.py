@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientData, QuasiNormViolation
+from .errors import InsufficientData, NonFiniteOperator, QuasiNormViolation
 
 RANK_FLOOR = 1e-14
 TRIM_FLOOR = 1e-13
@@ -99,8 +99,11 @@ def singular_values(a, source: str = "") -> SingularSpectrum:
     """Dense SVD, applied per support component for sparse operators.
 
     The components of one shape go through one stacked np.linalg.svd,
-    which factors each matrix of the stack as a call on it alone would.
+    which factors each matrix of the stack as a call on it alone would.  An
+    infinite or NaN entry, whose SVD would not converge, raises.
     """
+    if not np.isfinite(list(a.entries.values()) if hasattr(a, "entries") else a).all():
+        raise NonFiniteOperator("an operator entry is not finite: a coefficient is too large")
     if hasattr(a, "entries"):
         if not a.entries:
             return SingularSpectrum(np.array([]), source=source)

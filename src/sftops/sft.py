@@ -316,78 +316,81 @@ def reverse_point(x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
 # agreement windows and the ultrametric
 
 
-def _deciding_window(x, y):
-    """(lo, a, b, l, r): x and y over [lo, hi), for l, r the lcms of their
-    left and right cycle lengths, lo = min(core starts, 0) - l and
-    hi = max(core ends, 0) + r.  Both points are cyclic outside their cores,
-    so the pair of symbols repeats with period l below lo + l and with
-    period r from hi - r on: the first l (last r) symbols decide agreement
-    on the whole left (right) tail, and a == b exactly when x == y."""
-    l = math.lcm(len(x.left_cycle), len(y.left_cycle))
-    r = math.lcm(len(x.right_cycle), len(y.right_cycle))
-    lo = min(x.core_start, y.core_start, 0) - l
-    hi = max(x.core_end, y.core_end, 0) + r
-    return lo, x.window(lo, hi), y.window(lo, hi), l, r
+class Window:
+    """The coordinates [lo, hi) that settle some points, for `left` and
+    `right` the lcms of their left and right cycle lengths: lo = min(core
+    starts, marks) - left and hi = max(core ends, marks) + right.  Each
+    point runs its cycles below lo + left and from hi - right on, so its row
+    decides it, two rows decide their points' agreement, and rows joined at
+    the marks are the row of the joined point, which `point` rebuilds."""
+
+    def __init__(self, points, marks: list):
+        self.left = left = math.lcm(*[len(x.left_cycle) for x in points])
+        self.right = right = math.lcm(*[len(x.right_cycle) for x in points])
+        # `or [0]` and not min's default=: a keyword costs a pair question more
+        self.lo = min([x.core_start for x in points] + marks or [0]) - left
+        self.hi = max([x.core_end for x in points] + marks or [0]) + right
+
+    def read(self, x: EventuallyPeriodicPoint) -> Word:
+        """The row of x: its symbols over [lo, hi)."""
+        return x.window(self.lo, self.hi)
+
+    def point(self, z: Word) -> EventuallyPeriodicPoint:
+        """The canonical point whose row is z."""
+        return build_point(z[: self.left], z, z[-self.right :], self.lo)
 
 
 def agreement_depth(x, y):
     """Largest T with agreement on all i <= T (math.inf when x == y,
     -math.inf when the left tails disagree arbitrarily far down)."""
-    lo, a, b, l, _ = _deciding_window(x, y)
+    w = Window((x, y), [0])
+    a, b = w.read(x), w.read(y)
     if a == b:
         return math.inf
-    if a[:l] != b[:l]:
+    k = w.left
+    if a[:k] != b[:k]:
         return -math.inf
-    k = l
     while a[k] == b[k]:
         k += 1
-    return lo + k - 1
+    return w.lo + k - 1
 
 
 def agreement_floor(x, y):
     """Smallest F with agreement on all i >= F (-math.inf when x == y,
     math.inf when the right tails disagree arbitrarily far up)."""
-    lo, a, b, _, r = _deciding_window(x, y)
+    w = Window((x, y), [0])
+    a, b = w.read(x), w.read(y)
     if a == b:
         return -math.inf
-    k = len(a) - r
+    k = len(a) - w.right
     if a[k:] != b[k:]:
         return math.inf
     while a[k - 1] == b[k - 1]:
         k -= 1
-    return lo + k
+    return w.lo + k
 
 
-class FamilyWindow:
-    """The distinct points of a family, each read once over one shared
-    window [lo, hi): lo = min(core starts, 0) - L and hi = max(core ends, 0)
-    + R, for L and R the lcms of all the members' left and right cycle
-    lengths.  The window holds a full L period of every pair's left tails
-    and an R period of their right tails, as _deciding_window does for one
-    pair, so a row decides its point and two rows decide agreement_depth
-    and agreement_floor; `words[k]` is the row of `points[k]` as bytes."""
+class FamilyWindow(Window):
+    """The distinct points of a family, each read once over one Window of
+    them all: `words[k]` is the row of `points[k]` as bytes, and two rows
+    decide agreement_depth and agreement_floor."""
 
-    def __init__(self, points):
+    def __init__(self, points, marks):
         self.points = list(dict.fromkeys(points))
+        super().__init__(self.points, marks)
         self.index = {x: k for k, x in enumerate(self.points)}
-        self.left = math.lcm(*(len(x.left_cycle) for x in self.points))
-        self.right = math.lcm(*(len(x.right_cycle) for x in self.points))
-        self.lo = min([x.core_start for x in self.points] + [0]) - self.left
-        hi = max([x.core_end for x in self.points] + [0]) + self.right
-        self.words = [x.window(self.lo, hi) for x in self.points]
-        self.rows = np.frombuffer(b"".join(self.words), np.uint8).reshape(-1, hi - self.lo)
+        self.words = [self.read(x) for x in self.points]
+        self.rows = np.frombuffer(b"".join(self.words), np.uint8).reshape(-1, self.hi - self.lo)
 
     def depth(self, i, j) -> np.ndarray:
-        """agreement_depth of the points at index arrays i and j, as floats:
-        from the first differing column."""
+        """agreement_depth of the points at index arrays i and j, as floats."""
         differ = self.rows[i] != self.rows[j]
         k = differ.argmax(axis=-1)
         out = np.where(k < self.left, -math.inf, self.lo + k - 1.0)
         return np.where(differ.any(axis=-1), out, math.inf)
 
     def floor(self, i, j) -> np.ndarray:
-        """agreement_floor of the points at index arrays i and j, as floats:
-        from the last differing column."""
+        """agreement_floor of the points at index arrays i and j, as floats."""
         differ = self.rows[i] != self.rows[j]
         k = differ.shape[-1] - differ[..., ::-1].argmax(axis=-1)
         out = np.where(k > differ.shape[-1] - self.right, math.inf, self.lo + k + 0.0)
@@ -397,10 +400,11 @@ class FamilyWindow:
 def agreement_radius(x, y) -> Optional[int]:
     """Largest n >= 0 with x.at(i) == y.at(i) for |i| < n (None when x == y),
     scanned out from index -lo; a tail mismatch repeats in the window, nearer 0."""
-    lo, a, b, _, _ = _deciding_window(x, y)
+    w = Window((x, y), [0])
+    a, b = w.read(x), w.read(y)
     if a == b:
         return None
-    c, n = -lo, 0
+    c, n = -w.lo, 0
     while (c + n >= len(a) or a[c + n] == b[c + n]) and (n > c or a[c - n] == b[c - n]):
         n += 1
     return n
@@ -414,12 +418,8 @@ def splice_at(past, future, m: int, word: Word = b"") -> EventuallyPeriodicPoint
     """The point equal to `past` on i <= m, to `word` on (m, m + len(word)]
     and to `future` beyond.  Caller guarantees the junctions are allowed."""
     end = m + len(word)
-    lo = min(past.core_start, m)
-    hi = max(future.core_end, end + 1)
-    left = _tile(past.left_cycle, lo - past.core_start, len(past.left_cycle))
-    right = _tile(future.right_cycle, hi - future.core_end, len(future.right_cycle))
-    core = past.window(lo, m + 1) + bytes(word) + future.window(end + 1, hi)
-    return build_point(left, core, right, lo)
+    w = Window((past, future), [m + 1, end + 1])
+    return w.point(past.window(w.lo, m + 1) + bytes(word) + future.window(end + 1, w.hi))
 
 
 def bracket(x, y) -> EventuallyPeriodicPoint:

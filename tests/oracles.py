@@ -16,6 +16,7 @@ from sftops import scenarios as sn
 from sftops import sft
 from sftops.errors import SftopsError
 
+FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 PERIOD2 = sft.TransitionMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 
 
@@ -200,22 +201,101 @@ def evaluate(f, gamma) -> complex:
     return total
 
 
-def period_two_scenario():
-    """A scenario on the period-2 irreducible matrix, P = (0, 1), Q = (0, 2).
+def bridge_points(m, past, past_hi, future, future_lo):
+    """Points matching `past` through past_hi and `future` from future_lo
+    on, each spliced and canonicalised on its own."""
+    if past_hi >= future_lo:
+        if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
+            return []
+        cand = sft.splice_at(past, future, future_lo - 1)
+        if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
+            return []
+        return [cand]
+    return [
+        sft.splice_at(past, future, past_hi, w[1:])
+        for w in m.paths(past.at(past_hi), future_lo - past_hi - 1)
+        if m.allowed(w[-1], future.at(future_lo))
+    ]
 
-    Its anchors are the first pairs of enumerate_homoclinic(..., 5) that
-    agree from 0 on (stable) or up to 0 (unstable), each base set at the
-    anchor's c_first_time.
-    """
-    m, p, q = PERIOD2, sft.PeriodicOrbit((0, 1)), sft.PeriodicOrbit((0, 2))
-    pts = sft.enumerate_homoclinic(m, p, q, 5)
+
+def apply_to_column(f, col):
+    """f applied to a column of points: the point-level apply_to_point at
+    each point, summed by image point."""
+    out = {}
+    for x, weight in col.items():
+        for y, v in apply_to_point(f, x).items():
+            fn._accumulate(out, y, weight * v)
+    return out
+
+
+def point_level_blocks(a, b, window, reg, m):
+    """commutator_blocks on points: the support spliced point by point, each
+    column through apply_to_column(f, apply_to_point(g, x)), every image a
+    canonical point."""
+    blocks, untrusted = {}, {}
+    for n in range(window[0], window[1] + 1):
+        a_n, b_n = a.alpha(n), b
+        est = fn.estimate_column_count(a_n, b_n, m)
+        room = reg.cap - len(reg)
+        blocks[n] = op = fn.SparseOperator()
+        if est > room:
+            untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
+            continue
+        cols = {}
+        for s_pat, u_pat, past_hi, future_lo in fn._support_windows(a_n, b_n):
+            cols.update(dict.fromkeys(bridge_points(m, s_pat, past_hi, u_pat, future_lo)))
+        for x in sorted(cols, key=sft.EventuallyPeriodicPoint.sort_key):
+            col = apply_to_column(a_n, apply_to_point(b_n, x))
+            for y, v in apply_to_column(b_n, apply_to_point(a_n, x)).items():
+                fn._accumulate(col, y, -v)
+            if not col:
+                continue
+            j = reg.add(x)
+            if j is None:
+                untrusted[n] = "registry cap hit during assembly"
+                continue
+            for y, v in col.items():
+                i = reg.add(y)
+                if i is None:
+                    untrusted[n] = "registry cap hit during assembly"
+                    continue
+                op.add(i, j, v)
+    return fn.BlockOperator(tuple(window), blocks, untrusted, reg)
+
+
+def entries_hex(op):
+    return sorted((k, v.real.hex(), v.imag.hex()) for k, v in op.entries.items())
+
+
+def assert_same_assembly(fast, oracle):
+    assert fast.untrusted == oracle.untrusted
+    assert fast.basis.points == oracle.basis.points
+    assert fast.basis.truncation_events == oracle.basis.truncation_events
+    assert {n: entries_hex(op) for n, op in fast.blocks.items()} == {
+        n: entries_hex(op) for n, op in oracle.blocks.items()
+    }
+    # every registered point is canonical
+    for i, x in enumerate(fast.basis.points):
+        again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
+        assert again == x and fast.basis.index[x] == i
+
+
+def anchored_scenario(name, m, p, q, core_bound, tag, **fields):
+    """A scenario on m with orbits P = p and Q = q, or None when it has no
+    anchors: those are the first pairs of enumerate_homoclinic(m, p, q,
+    core_bound) that agree from 0 on (stable) or up to 0 (unstable), each
+    base set at the anchor's c_first_time.  The profiles have depth 12 and
+    seeds named by tag; `fields` sets the rest of the scenario."""
+    pts = sft.enumerate_homoclinic(m, p, q, core_bound)
 
     def first(agree, side):
-        x, y = next((x, y) for x in pts for y in pts if x != y and agree(x, y, 0))
-        anchor = gd.GroupoidElement(x, y, side)
-        return anchor, gd.c_first_time(anchor)
+        pair = next(((x, y) for x in pts for y in pts if x != y and agree(x, y, 0)), None)
+        return pair and gd.GroupoidElement(*pair, side)
 
-    (ca, ta), (cb, tb) = first(agree_from, gd.STABLE), first(agree_upto, gd.UNSTABLE)
+    ca, cb = first(agree_from, gd.STABLE), first(agree_upto, gd.UNSTABLE)
+    if ca is None or cb is None:
+        return None
+    ta, tb = gd.c_first_time(ca), gd.c_first_time(cb)
 
     def terms(anchor, time, side, coeff=lambda k: 2.0**-k):
         return fn.LocallyConstantFunction(
@@ -223,20 +303,50 @@ def period_two_scenario():
         )
 
     functions = {
-        "a": fn.profile(gd.BaseSet(ca, ta + 1, ta), depth=12, seed="p2-a"),
-        "b": fn.profile(gd.BaseSet(cb, tb + 1, tb), depth=12, seed="p2-b"),
+        "a": fn.profile(gd.BaseSet(ca, ta + 1, ta), depth=12, seed=f"{tag}-a"),
+        "b": fn.profile(gd.BaseSet(cb, tb + 1, tb), depth=12, seed=f"{tag}-b"),
         "a_terms": terms(ca, ta, gd.STABLE),
         "b_terms": terms(cb, tb, gd.UNSTABLE),
         # every term maps a point to itself, so the images merge; in tenths,
         # the merged weight times a value rounds unlike the sum of products
         "e_unit": terms(gd.unit(ca.first), 0, gd.STABLE, lambda k: (k + 1) / 10),
     }
-    s = sn.Scenario(
-        name="period-2", matrix=m, kappa=2.0, orbit_p=p, orbit_q=q, core_bound=5,
-        window=(-4, 10), basis_cap=60000, functions=functions, p_grid=[0.5, 1.0], seed=1,
-    )
+    s = sn.Scenario(name=name, matrix=m, orbit_p=p, orbit_q=q, core_bound=core_bound, functions=functions, **fields)
     s.validate()
     return s
+
+
+def period_two_scenario():
+    """anchored_scenario on the period-2 irreducible matrix, P = (0, 1), Q = (0, 2)."""
+    p, q = sft.PeriodicOrbit((0, 1)), sft.PeriodicOrbit((0, 2))
+    return anchored_scenario(
+        "period-2", PERIOD2, p, q, 5, "p2",
+        kappa=2.0, window=(-4, 10), basis_cap=60000, p_grid=[0.5, 1.0], seed=1,
+    )
+
+
+def unequal_cycles_scenario():
+    """anchored_scenario on the full 2-shift with P = (0, 0, 1) and Q = (0, 1):
+    its homoclinic points have left cycles of length 2 and right cycles of
+    length 3, so a window's left and right margins differ."""
+    p, q = sft.PeriodicOrbit((0, 0, 1)), sft.PeriodicOrbit((0, 1))
+    return anchored_scenario(
+        "unequal-cycles", FULL, p, q, 5, "uc",
+        kappa=2.0, window=(-4, 10), basis_cap=60000, p_grid=[0.5, 1.0], seed=1,
+    )
+
+
+def splice_at(past, future, m, word=b""):
+    """sft.splice_at read symbol by symbol: past through m, word, future
+    beyond, with past's left cycle below its core and future's right cycle
+    above its core, canonicalised by the build_point oracle above."""
+    end = m + len(word)
+    lo, hi = min(past.core_start, m + 1), max(future.core_end, end + 1)
+    left = bytes(past.at(i) for i in range(lo - len(past.left_cycle), lo))
+    core = bytes(past.at(i) for i in range(lo, m + 1)) + bytes(word)
+    core += bytes(future.at(i) for i in range(end + 1, hi))
+    right = bytes(future.at(i) for i in range(hi, hi + len(future.right_cycle)))
+    return build_point(left, core, right, lo)
 
 
 def child_that(send):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import zlib
 
 import numpy as np
@@ -733,6 +734,27 @@ class TestBadInput:
         assert run(["fredholm", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "fredholm" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "keys,command,message",
+        [
+            (["functions", "e_proj", "terms", 0, "coeff"], "fredholm", "e_proj is not a projection"),
+            (["functions", "a", "profile", "coeff"], "spectrum", "spectrum: an operator entry is not finite"),
+        ],
+        ids=["projection", "profile"],
+    )
+    def test_huge_finite_coeff_exit_2(self, tmp_path, capsys, keys, command, message):
+        # a finite coeff passes validation, but 1e308 overflows: e**2 - e had
+        # an infinite residual against an infinite tolerance, which passed,
+        # and both commands died in an SVD that did not converge (exit 4).
+        # The overflow is expected, so it warns nothing (a warning raised
+        # here would exit 4)
+        path = edited_reference(tmp_path, keys, [1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--scenario", path, "--out", str(tmp_path / "o"), "--window=-4..8"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_report_all_exits_2_on_bad_fredholm_functions(self, tmp_path, capsys):
         data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())

@@ -26,7 +26,16 @@ from sftops import sft
 from sftops.errors import SideMismatch
 
 import oracles
-from oracles import PERIOD2, period_two_scenario
+from oracles import (
+    PERIOD2,
+    apply_to_column,
+    assert_same_assembly,
+    bridge_points,
+    entries_hex,
+    period_two_scenario,
+    point_level_blocks,
+    unequal_cycles_scenario,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
@@ -716,76 +725,15 @@ ORACLE_CASES = (
     [p for name in sorted(REFERENCE) for p in _pairs(REFERENCE[name])]
     + [(s, "a", "b") for s in KAPPA_THREE]
     + _pairs(period_two_scenario())
+    + _pairs(unequal_cycles_scenario())
     + [(_two_ranges(), "a", "b")]
 )
-
-
-def _bridge_points(m, past, past_hi, future, future_lo):
-    """Points matching `past` through past_hi and `future` from future_lo
-    on, each spliced and canonicalised on its own."""
-    if past_hi >= future_lo:
-        if not m.allowed(past.at(future_lo - 1), future.at(future_lo)):
-            return []
-        cand = sft.splice_at(past, future, future_lo - 1)
-        if cand.window(future_lo, past_hi + 1) != past.window(future_lo, past_hi + 1):
-            return []
-        return [cand]
-    return [
-        sft.splice_at(past, future, past_hi, w[1:])
-        for w in m.paths(past.at(past_hi), future_lo - past_hi - 1)
-        if m.allowed(w[-1], future.at(future_lo))
-    ]
 
 
 def intersection_points(m, unstable_center, unstable_depth, stable_center, stable_depth, k):
     """Enumeration oracle for fn.intersection_count."""
     shifted = sft.shift(unstable_center, k)
-    return _bridge_points(m, shifted, unstable_depth - k, stable_center, -stable_depth)
-
-
-def apply_to_column(f, col):
-    """f applied to a column of points: the point-level apply_to_point at
-    each point, summed by image point."""
-    out = {}
-    for x, weight in col.items():
-        for y, v in oracles.apply_to_point(f, x).items():
-            fn._accumulate(out, y, weight * v)
-    return out
-
-
-def point_level_blocks(a, b, window, reg, m):
-    """commutator_blocks on points: the support spliced point by point, each
-    column through apply_to_column(f, apply_to_point(g, x)), every image a
-    canonical point."""
-    blocks, untrusted = {}, {}
-    for n in range(window[0], window[1] + 1):
-        a_n, b_n = a.alpha(n), b
-        est = fn.estimate_column_count(a_n, b_n, m)
-        room = reg.cap - len(reg)
-        blocks[n] = op = fn.SparseOperator()
-        if est > room:
-            untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
-            continue
-        cols = {}
-        for s_pat, u_pat, past_hi, future_lo in fn._support_windows(a_n, b_n):
-            cols.update(dict.fromkeys(_bridge_points(m, s_pat, past_hi, u_pat, future_lo)))
-        for x in sorted(cols, key=sft.EventuallyPeriodicPoint.sort_key):
-            col = apply_to_column(a_n, oracles.apply_to_point(b_n, x))
-            for y, v in apply_to_column(b_n, oracles.apply_to_point(a_n, x)).items():
-                fn._accumulate(col, y, -v)
-            if not col:
-                continue
-            j = reg.add(x)
-            if j is None:
-                untrusted[n] = "registry cap hit during assembly"
-                continue
-            for y, v in col.items():
-                i = reg.add(y)
-                if i is None:
-                    untrusted[n] = "registry cap hit during assembly"
-                    continue
-                op.add(i, j, v)
-    return fn.BlockOperator(tuple(window), blocks, untrusted, reg)
+    return bridge_points(m, shifted, unstable_depth - k, stable_center, -stable_depth)
 
 
 def mixed_blocks(blocks, a, b, window, reg, m):
@@ -795,23 +743,6 @@ def mixed_blocks(blocks, a, b, window, reg, m):
     runs = [blocks(a, b.alpha(-n), (n, n), reg, m) for n in ns]
     untrusted = {n: why for run in runs for n, why in run.untrusted.items()}
     return fn.BlockOperator(tuple(window), {n: run.blocks[n] for n, run in zip(ns, runs)}, untrusted, reg)
-
-
-def _entries(op):
-    return sorted((k, v.real.hex(), v.imag.hex()) for k, v in op.entries.items())
-
-
-def _assert_same_assembly(fast, oracle):
-    assert fast.untrusted == oracle.untrusted
-    assert fast.basis.points == oracle.basis.points
-    assert fast.basis.truncation_events == oracle.basis.truncation_events
-    assert {n: _entries(op) for n, op in fast.blocks.items()} == {
-        n: _entries(op) for n, op in oracle.blocks.items()
-    }
-    # every registered point is canonical
-    for i, x in enumerate(fast.basis.points):
-        again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
-        assert again == x and fast.basis.index[x] == i
 
 
 def _seeds(s):
@@ -836,7 +767,7 @@ def test_blocks_match_point_level_assembly(s, a_name, b_name, mixed):
         return blocks(a, b, (-2, 6), reg, s.matrix)
 
     fast = assemble(fn.commutator_blocks)
-    _assert_same_assembly(fast, assemble(point_level_blocks))
+    assert_same_assembly(fast, assemble(point_level_blocks))
     # a mixed block n of the period-2 scenario is alpha^-n of the unmixed
     # block 2n, and every even unmixed block there is zero
     assert (mixed and s.matrix == PERIOD2) or any(op.entries for op in fast.blocks.values())
@@ -858,7 +789,7 @@ def test_cap_hit_during_assembly_matches_point_level(mixed):
                 runs.append(mixed_blocks(blocks, a, b, (-2, 8), reg, s.matrix))
             else:
                 runs.append(blocks(a, b, (-2, 8), reg, s.matrix))
-        _assert_same_assembly(*runs)
+        assert_same_assembly(*runs)
         reasons |= set(runs[0].untrusted.values())
     assert "registry cap hit during assembly" in reasons
 
@@ -878,9 +809,9 @@ def _disk_points(f, m):
     for bs in f.supports():
         src, t = bs.anchor.second, bs.threshold
         if f.side == gd.STABLE:
-            pts.update(dict.fromkeys(_bridge_points(m, src, t - 2, src, t + 3)))
+            pts.update(dict.fromkeys(bridge_points(m, src, t - 2, src, t + 3)))
         else:
-            pts.update(dict.fromkeys(_bridge_points(m, src, -t - 3, src, -t + 2)))
+            pts.update(dict.fromkeys(bridge_points(m, src, -t - 3, src, -t + 2)))
     return list(pts)
 
 
@@ -908,7 +839,7 @@ def test_represent_and_evaluate_match_point_level(s, name):
                 if frozen:
                     reg.freeze()
                 # the second call also has the rows of the first as columns
-                ops = [_entries(represent(f, reg)) for _ in range(2)]
+                ops = [entries_hex(represent(f, reg)) for _ in range(2)]
                 runs.append((ops, reg.points, reg.truncation_events))
             assert runs[0] == runs[1], (n, cap, frozen)
             assert frozen or any(runs[0][0])
@@ -1023,7 +954,7 @@ def _assert_two_match_one(monkeypatch, s, window, cap) -> list:
     assert not forks
     two, forks = _blocks_in(monkeypatch, 2, s, window, cap)
     assert forks
-    _assert_same_assembly(two, one)
+    assert_same_assembly(two, one)
     _no_children_left()
     turned_away = {n for n, why in one.untrusted.items() if why.startswith("support estimate")}
     assert turned_away.isdisjoint(n for run in forks for n in run)
@@ -1077,7 +1008,7 @@ def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, send):
     monkeypatch.setattr(forked, "_child", oracles.child_that(send))
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
-    _assert_same_assembly(two, one)
+    assert_same_assembly(two, one)
     _no_children_left()
 
 
@@ -1091,7 +1022,7 @@ def test_a_failed_fork_leaves_the_result_unchanged(monkeypatch):
     monkeypatch.setattr(forked.os, "fork", fork)
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
-    _assert_same_assembly(two, one)
+    assert_same_assembly(two, one)
 
 
 ORPHAN = """

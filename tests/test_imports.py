@@ -268,6 +268,37 @@ def test_only_the_fork_helper_forks():
     assert callers == ["functions.py"]
 
 
+def lcm_callers(source: str) -> list:
+    """The top-level function or class around each call of a function named
+    lcm (math.lcm, np.lcm or an imported lcm), None at module level."""
+    out = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "lcm":
+                    out.append(where)
+    return out
+
+
+def test_checker_finds_lcm_callers():
+    source = (
+        "import math\nfrom math import lcm\n"
+        "class W:\n    def __init__(self, a):\n        self.n = math.lcm(*a)\n"
+        "def f(a):\n    return lcm(a, 2) + np.lcm(a, 3)\n"
+        "N = math.lcm(2, 3)\n"
+    )
+    assert lcm_callers(source) == ["W", "f", "f", None]
+
+
+def test_window_margins_come_from_one_place():
+    # which coordinates settle a set of points is decided by sft.Window;
+    # build_point keeps its own raw window
+    callers = {f"{path.stem}.{where}" for path in SRC.glob("*.py") for where in lcm_callers(path.read_text())}
+    assert callers == {"sft.Window", "sft.build_point"}
+
+
 def test_cli_import_loads_no_command_module():
     # each command imports the modules only it uses; with no bytecode cache
     # (PYTHONDONTWRITEBYTECODE) every module is compiled at each start

@@ -491,7 +491,7 @@ class TestWordOracles:
             for raw, same_left, same_right in drawn
         ]
         points.append(points[repeat % len(points)])
-        win = sft.FamilyWindow(points)
+        win = sft.FamilyWindow(points, [0])
         assert win.points == list(dict.fromkeys(points))
         at = np.array([win.index[x] for x in points])
         i, j = at[:, None], at[None, :]
@@ -572,3 +572,78 @@ class TestWordOracles:
             return (tuple(x.left_cycle), x.core_start, tuple(x.core), tuple(x.right_cycle))
 
         assert sorted(pts, key=sft.EventuallyPeriodicPoint.sort_key) == sorted(pts, key=as_ints)
+
+
+# shifts of finite type and orbits for the Window tests: the homoclinic
+# points of the last one have left cycles of length 2 and right cycles of
+# length 3
+WINDOW_SHIFTS = {
+    "full-2-shift": (FULL, (1,), (0,)),
+    "golden-mean": (GOLDEN, (0, 1), (0,)),
+    "period-2": (PERIOD2, (0, 1), (0, 2)),
+    "unequal-cycles": (FULL, (0, 0, 1), (0, 1)),
+}
+HOMOCLINIC = {
+    name: sft.enumerate_homoclinic(m, sft.PeriodicOrbit(p), sft.PeriodicOrbit(q), 3)
+    for name, (m, p, q) in WINDOW_SHIFTS.items()
+}
+
+
+def window_points(name):
+    """Points for a Window on one of WINDOW_SHIFTS: shifted homoclinic points,
+    points of P and Q, and raw encodings over the alphabet, whose cycles
+    have other lengths."""
+    m, p, q = WINDOW_SHIFTS[name]
+    pool = HOMOCLINIC[name] + sft.PeriodicOrbit(p).points() + sft.PeriodicOrbit(q).points()
+    shifted = st.builds(sft.shift, st.sampled_from(pool), st.integers(-6, 6))
+    return st.one_of(shifted, shifted, raw_encodings(m.n).map(lambda raw: sft.build_point(*raw)))
+
+
+marks = st.lists(st.integers(-15, 15), max_size=3)
+
+
+def window_families(size):
+    """Lists of 1 to `size` window_points on one of WINDOW_SHIFTS."""
+    return st.sampled_from(sorted(WINDOW_SHIFTS)).flatmap(
+        lambda name: st.lists(window_points(name), min_size=1, max_size=size)
+    )
+
+
+class TestWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(window_families(5), marks)
+    def test_rows_decide_their_points_and_joins(self, points, cuts):
+        w = sft.Window(points, cuts)
+        assert w.left == math.lcm(*(len(x.left_cycle) for x in points))
+        assert w.right == math.lcm(*(len(x.right_cycle) for x in points))
+        assert w.lo == min([x.core_start for x in points] + cuts) - w.left
+        assert w.hi == max([x.core_end for x in points] + cuts) + w.right
+        for x in points:
+            assert w.point(w.read(x)) == x
+        # rows joined at a mark are the row of the spliced point
+        for c in cuts:
+            for x, y in zip(points, points[::-1]):
+                joined = w.read(x)[: c - w.lo] + w.read(y)[c - w.lo :]
+                assert w.point(joined) == oracles.splice_at(x, y, c - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(WINDOW_SHIFTS)).flatmap(
+            lambda name: st.tuples(
+                window_points(name), window_points(name), st.integers(-12, 12), st.binary(max_size=3)
+            )
+        )
+    )
+    def test_splice_at_matches_the_raw_window_oracle(self, drawn):
+        past, future, m, word = drawn
+        assert sft.splice_at(past, future, m, word) == oracles.splice_at(past, future, m, word)
+
+    @settings(max_examples=100, deadline=None)
+    @given(window_families(6), marks)
+    def test_family_window_matches_the_scalar_questions(self, points, cuts):
+        win = sft.FamilyWindow(points + points[:1], cuts)
+        assert win.points == list(dict.fromkeys(points))
+        at = np.array([win.index[x] for x in points])
+        i, j = at[:, None], at[None, :]
+        assert win.depth(i, j).tolist() == [[sft.agreement_depth(x, y) for y in points] for x in points]
+        assert win.floor(i, j).tolist() == [[sft.agreement_floor(x, y) for y in points] for x in points]
