@@ -135,7 +135,9 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
     draws in the same order from `_draws`, one chunk at a time, in this one
     process, and check a chunk as array operations: the metric of the
     elements, their Phi^-1 shifts and their inverses comes from one
-    groupoid.ElementFamily.  Each check's witness is its first failing draw.
+    groupoid.ElementFamily, and the unit pairs compare the metric of one
+    ElementFamily of the pool's units with its close branch.  Each check's
+    witness is its first failing draw.
     """
     from . import sampling as smp
 
@@ -192,27 +194,18 @@ def cmd_metric_audit(scenario: Scenario, out_dir: str, args) -> int:
         held = dik <= np.maximum(dij, djk) + 1e-15
         _record(checks, "ultrametric_triangle", len(i), ~held, lambda t: (int(i[t]), int(j[t]), int(k[t])))
 
-    units_ok = {}  # (x, y) pool indices -> whether the two readings agree
+    # the pool's units: window index k is pool[k], and so is element k
+    units = gd.ElementFamily([gd.unit(x) for x in pool])
     for xs, ys in _draws(rng, len(pool), 2, samples // 5):
-        pairs = list(zip(xs.tolist(), ys.tolist()))
-        for xi, yi in pairs:
-            if (xi, yi) not in units_ok:
-                x, y = pool[xi], pool[yi]
-                units = gd.groupoid_metric_exponent(gd.unit(x), gd.unit(y))
-                units_ok[xi, yi] = gd.units_metric_exponent(x, y) == units
-        failed = np.array([not units_ok[p] for p in pairs], dtype=bool)
-
-        def named(k):
-            return tuple(str(pool[x]) for x in pairs[k])
-
-        _record(checks, "units_two_branch", len(pairs), failed, named)
+        failed = units.metric_exponents(xs, ys) != units.close_exponents(xs, ys)
+        _record(checks, "units_two_branch", len(xs), failed, lambda k: (str(pool[xs[k]]), str(pool[ys[k]])))
 
     anchors = [e for e in elements if e.first != e.second][:6] or elements[:3]
     budget = max(samples // 20, 50)
     for c in anchors:
-        v = gd.base_set(c, gd.c_first_time(c) + 3)
-        for a in gd.elements_of(v, pool):
-            for b in gd.elements_of(v, pool):
+        graph = fn.elements_of(gd.base_set(c, gd.c_first_time(c) + 3), pool)
+        for a in graph:
+            for b in graph:
                 if budget <= 0:
                     break
                 budget -= 1
@@ -560,8 +553,6 @@ def cmd_report_all(scenario: Scenario, out_dir: str, args) -> int:
     for runner in (cmd_validate, cmd_metric_audit, cmd_auf_audit, cmd_fredholm):
         code = runner(scenario, out_dir, args)
         worst = max(worst, code)
-    args.stable_function = "a"
-    args.unstable_function = "b"
     worst = max(worst, cmd_spectrum(scenario, out_dir, args))
     return worst
 

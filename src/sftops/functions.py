@@ -25,8 +25,6 @@ from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
     GroupoidElement,
-    _holonomy_splice,
-    in_domain,
     inverse,
     phi_auto,
     reverse_element,
@@ -202,13 +200,9 @@ def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet
     else:
         center = e2
         depth = tw
-    if not in_domain(w, center):
-        return []
-    mid = _holonomy_splice(w, center)
-    if not in_domain(v, mid):
-        return []
-    anchor = GroupoidElement(_holonomy_splice(v, mid), center, STABLE)
-    return [BaseSet(anchor, depth - 1, max(nv, nw))]
+    # the anchor's range: the center under V after W, where both act
+    ((_, image),) = _columns((indicator(v), indicator(w)), _composed, [center])
+    return [BaseSet(GroupoidElement(y, center, STABLE), depth - 1, max(nv, nw)) for y in image]
 
 
 def compose_base_sets(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet]:
@@ -351,6 +345,12 @@ def apply_to_point(
     return col
 
 
+def elements_of(v: BaseSet, sources) -> list:
+    """Graph elements (h(z), z) of the bisection v over the source points in
+    its domain disk, in source order: the kernel's action of indicator(v)."""
+    return [GroupoidElement(y, z, v.side) for z, col in _columns((indicator(v),), _single, sources) for y in col]
+
+
 def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
     """Matrix of the fundamental representation over the current registry.
 
@@ -381,7 +381,6 @@ def unitary_u(reg: BasisRegistry) -> SparseOperator:
 class BlockOperator:
     """Z-indexed block diagonal family over a shared basis registry."""
 
-    window: Tuple[int, int]
     blocks: Dict[int, SparseOperator]
     untrusted: Dict[int, str]
     basis: BasisRegistry
@@ -559,6 +558,11 @@ def _apply(images: list, totals: dict, lone: bool) -> dict:
 def _single(apply, z: bytes) -> dict:
     """Column rule of one function: its action on the window z."""
     return apply(0, z)
+
+
+def _composed(apply, z: bytes) -> dict:
+    """Column rule of the composition f_0 f_1 (f_1 acting first) on the window z."""
+    return _twice(apply, 0, 1, z)
 
 
 def _commutator(apply, z: bytes) -> dict:
@@ -786,7 +790,7 @@ def commutator_blocks(
         blocks[n], truncated = _register(columns, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"
-    return BlockOperator((n_min, n_max), blocks, untrusted, reg)
+    return BlockOperator(blocks, untrusted, reg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 An element is an ordered pair of points; on the stable side the pair is
 forward-asymptotic (tails literally equal beyond some time) with both
 points on the unstable transversal of Q, and mirrored on the unstable
-side.  The two-branch ultrametric is computed on integer exponents: a
-distance kappa**-e is represented by e, with None standing for zero.
+side.  The two-branch ultrametric is computed on integer exponents, by
+ElementFamily over arrays of elements: a distance kappa**-e is represented
+by e, with NO_DISTANCE standing for zero.  A base set (bisection) is data
+here; its holonomy acts through the word kernel in sftops.functions.
 
 The unstable side uses the mirrored closed forms directly (thresholds and
 first times flip sign); :func:`reverse_element` provides the time-reversal
@@ -28,11 +30,8 @@ from .sft import (
     FamilyWindow,
     agreement_floor,
     agreement_depth,
-    in_stable_set,
-    in_unstable_set,
     reverse_point,
     shift,
-    splice_at,
 )
 
 
@@ -174,51 +173,8 @@ def base_set(anchor: GroupoidElement, radius_exp: int, time: Optional[int] = Non
     return BaseSet(anchor, radius_exp, time)
 
 
-def in_domain(v: BaseSet, z: EventuallyPeriodicPoint) -> bool:
-    if v.side == STABLE:
-        return in_unstable_set(v.anchor.second, z, v.threshold)
-    return in_stable_set(v.anchor.second, z, v.threshold)
-
-
-def _holonomy_splice(v: BaseSet, z: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    """Follow the holonomy of the bisection from a z in its domain disk:
-    splice the anchor's range past (stable) or future (unstable) onto z."""
-    if v.side == STABLE:
-        return splice_at(v.anchor.first, z, v.time)
-    return splice_at(z, v.anchor.first, -v.time - 1)
-
-
-def elements_of(v: BaseSet, sources) -> list:
-    """Graph elements (h(z), z) of the bisection over the given source points."""
-    out = []
-    for z in sources:
-        if in_domain(v, z):
-            out.append(GroupoidElement(_holonomy_splice(v, z), z, v.side))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the two-branch groupoid ultrametric
-
-
-def _close_exponent(x, y, side: str) -> Optional[int]:
-    """Metric exponent of the point pair on the close branch, or 0 off it.
-
-    The close branch is the closed disk: distance at most kappa**-1
-    together with the bracket fixed point, i.e. one-sided agreement through
-    coordinate 0 (on i <= 0 for the stable side, i >= 0 for the unstable).
-    Such a pair first differs just past its disk_depth, so the exponent is
-    disk_depth + 1; None when x == y.
-
-    The closed reading (not the open local sets) is what makes the shift
-    sandwich kappa**-1 D <= D o Phi**-1 <= D hold globally: with open
-    disks, a pair at distance exactly kappa**-1 enters the close branch
-    only after shifting and undershoots the lower bound.
-    """
-    reach = disk_depth(side, x, y)
-    if reach == math.inf:
-        return None
-    return int(reach) + 1 if reach >= 0 else 0
 
 
 # the exponent arrays' stand-in for None (distance zero)
@@ -228,9 +184,9 @@ NO_DISTANCE = 2**62
 class ElementFamily:
     """Elements of one side, read through one sft.FamilyWindow of their
     points: per element the window indices of its range and source points
-    and its c_first_time, so that metric_exponents evaluates
-    groupoid_metric_exponent on arrays of element indices.  The window is
-    marked at each element's `cut`, where V_{first_time}(element) splices."""
+    and its c_first_time, so that metric_exponents evaluates the groupoid
+    metric on arrays of element indices.  The window is marked at each
+    element's `cut`, where V_{first_time}(element) splices."""
 
     def __init__(self, elements):
         sides = {a.side for a in elements}
@@ -251,39 +207,36 @@ class ElementFamily:
         """disk_depth of the points at window indices i and j, as floats."""
         return self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
 
-    def _close(self, i, j) -> np.ndarray:
-        """_close_exponent of the points at window indices i and j."""
+    def close_exponents(self, i, j) -> np.ndarray:
+        """Metric exponent of the points at window indices i and j on the
+        close branch, or 0 off it; NO_DISTANCE where the points are equal.
+
+        The close branch is the closed disk: distance at most kappa**-1
+        together with the bracket fixed point, i.e. one-sided agreement through
+        coordinate 0 (on i <= 0 for the stable side, i >= 0 for the unstable).
+        Such a pair first differs just past its disk_depth, so the exponent is
+        disk_depth + 1.  On the stable side this is the pull-back metric of
+        the units space.
+
+        The closed reading (not the open local sets) is what makes the shift
+        sandwich kappa**-1 D <= D o Phi**-1 <= D hold globally: with open
+        disks, a pair at distance exactly kappa**-1 enters the close branch
+        only after shifting and undershoots the lower bound.
+        """
         reach = self.disk_depths(i, j)
         return np.where(reach == math.inf, NO_DISTANCE, np.maximum(reach + 1, 0)).astype(np.int64)
 
     def metric_exponents(self, i, j) -> np.ndarray:
-        """groupoid_metric_exponent of the elements at index arrays i and j,
-        NO_DISTANCE where it is None."""
+        """Exponents e with D(a, b) = kappa**-e of the elements at index
+        arrays i and j; NO_DISTANCE encodes D = 0.
+
+        Branches: 1 on a first-time mismatch, 1 when either coordinate pair
+        leaves the kappa**-1 local disks, else the max of the two point
+        distances (min of the exponents).
+        """
         exps = np.minimum(
-            self._close(self.second[i], self.second[j]), self._close(self.first[i], self.first[j])
+            self.close_exponents(self.second[i], self.second[j]),
+            self.close_exponents(self.first[i], self.first[j]),
         )
         exps[self.first_time[i] != self.first_time[j]] = 0
         return exps
-
-
-def units_metric_exponent(x, y) -> Optional[int]:
-    """Pull-back metric on the stable units space: d(x, y) when locally
-    close, else 1."""
-    return _close_exponent(x, y, STABLE)
-
-
-def groupoid_metric_exponent(a: GroupoidElement, b: GroupoidElement) -> Optional[int]:
-    """Exponent e with D(a, b) = kappa**-e; None encodes D = 0.
-
-    Branches: 1 on a first-time mismatch, 1 when either coordinate pair
-    leaves the kappa**-1 local disks, else the max of the two point
-    distances (min of the exponents).
-    """
-    if a.side != b.side:
-        raise SideMismatch("metric needs elements on one side")
-    if a == b:
-        return None
-    if c_first_time(a) != c_first_time(b):
-        return 0
-    exps = (_close_exponent(a.second, b.second, a.side), _close_exponent(a.first, b.first, a.side))
-    return min(e for e in exps if e is not None)

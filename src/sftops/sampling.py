@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .groupoid import GroupoidElement, base_set, c_first_time, elements_of, unit
+from .functions import elements_of
+from .groupoid import GroupoidElement, base_set, c_first_time, unit
 from .sft import (
     STABLE,
     EventuallyPeriodicPoint,

@@ -4,6 +4,7 @@ The program computes these objects through closed forms; the tests compare
 it against the definitions here.
 """
 
+import itertools
 import math
 import os
 import pickle
@@ -88,14 +89,37 @@ def local_set_membership(x, y, eps_exp: int, side: str) -> bool:
     raise ValueError(f"unknown side {side!r}")
 
 
+def in_domain(v, z) -> bool:
+    """z lies in the domain disk of the base set v: one-sided agreement with
+    the anchor's source up to v's threshold, read by the local-set closed
+    forms."""
+    if v.side == sft.STABLE:
+        return sft.in_unstable_set(v.anchor.second, z, v.threshold)
+    return sft.in_stable_set(v.anchor.second, z, v.threshold)
+
+
+def holonomy_splice(v, z):
+    """The holonomy image of a z in v's domain disk, as one splice: the
+    anchor's range past (stable) or future (unstable) onto z."""
+    if v.side == sft.STABLE:
+        return sft.splice_at(v.anchor.first, z, v.time)
+    return sft.splice_at(z, v.anchor.first, -v.time - 1)
+
+
+def elements_of(v, sources) -> list:
+    """fn.elements_of point by point: (h(z), z) for each source z in the
+    domain disk, in source order."""
+    return [gd.GroupoidElement(holonomy_splice(v, z), z, v.side) for z in sources if in_domain(v, z)]
+
+
 def base_set_membership(v, b) -> bool:
     """b lies on the bisection v: its source in the domain disk, its range
     the holonomy image of the source."""
     if b.side != v.side:
         return False
-    if not gd.in_domain(v, b.second):
+    if not in_domain(v, b.second):
         return False
-    return gd._holonomy_splice(v, b.second) == b.first
+    return holonomy_splice(v, b.second) == b.first
 
 
 class OutsideDomain(SftopsError):
@@ -104,9 +128,44 @@ class OutsideDomain(SftopsError):
 
 def holonomy_apply(v, z):
     """The holonomy image of z, after testing that z lies in v's domain disk."""
-    if not gd.in_domain(v, z):
+    if not in_domain(v, z):
         raise OutsideDomain("point outside the base-set domain disk")
-    return gd._holonomy_splice(v, z)
+    return holonomy_splice(v, z)
+
+
+def compose_base_sets(v, w, m) -> list:
+    """fn.compose_base_sets with the composed anchor's range taken point by
+    point: the center through W's domain test and splice, then V's."""
+    if v.side != sft.STABLE:
+        rev = compose_base_sets(fn.reverse_base_set(v), fn.reverse_base_set(w), m.transpose())
+        return [fn.reverse_base_set(bs) for bs in rev]
+    c2 = v.anchor.second
+    e1, e2 = w.anchor.first, w.anchor.second
+    tv, tw, nv, nw = v.threshold, w.threshold, v.time, w.time
+    if sft.agreement_depth(e1, c2) < min(nw, tv):
+        return []
+    if e2.window(nw + 1, min(tw, tv) + 1) != c2.window(nw + 1, min(tw, tv) + 1):
+        return []
+    if tv > tw:
+        if not m.allowed(e2.at(tw), c2.at(tw + 1)):
+            return []
+        center, depth = sft.splice_at(e2, c2, tw), tv
+    else:
+        center, depth = e2, tw
+    if not in_domain(w, center):
+        return []
+    mid = holonomy_splice(w, center)
+    if not in_domain(v, mid):
+        return []
+    anchor = gd.GroupoidElement(holonomy_splice(v, mid), center, sft.STABLE)
+    return [gd.BaseSet(anchor, depth - 1, max(nv, nw))]
+
+
+def metric_exponent(a, b):
+    """The program's metric of two elements, read from a two-element
+    gd.ElementFamily; None for distance zero."""
+    (e,) = gd.ElementFamily([a, b]).metric_exponents([0], [1]).tolist()
+    return None if e == gd.NO_DISTANCE else e
 
 
 def _locally_close(x, y, side: str) -> bool:
@@ -118,8 +177,8 @@ def _locally_close(x, y, side: str) -> bool:
 
 
 def units_metric_exponent(x, y):
-    """The two-step reading of gd.units_metric_exponent: the close-branch
-    test, then the agreement radius scanned outward from 0."""
+    """The two-step reading of the metric on the stable units space: the
+    close-branch test, then the agreement radius scanned outward from 0."""
     if x == y:
         return None
     if not _locally_close(x, y, sft.STABLE):
@@ -128,7 +187,7 @@ def units_metric_exponent(x, y):
 
 
 def groupoid_metric_exponent(a, b):
-    """The two-step reading of gd.groupoid_metric_exponent."""
+    """The two-step reading of gd.ElementFamily.metric_exponents on a pair."""
     if a == b:
         return None
     if gd.c_first_time(a) != gd.c_first_time(b):
@@ -169,8 +228,8 @@ def apply_to_point(f, x) -> dict:
     are summed by image point in term order."""
     out = {}
     for term in f.terms:
-        if gd.in_domain(term.support, x):
-            y = gd._holonomy_splice(term.support, x)
+        if in_domain(term.support, x):
+            y = holonomy_splice(term.support, x)
             value = _term_value(f, x, term)
             if _lone_profile(f):
                 return {y: value}
@@ -260,7 +319,7 @@ def point_level_blocks(a, b, window, reg, m):
                     untrusted[n] = "registry cap hit during assembly"
                     continue
                 op.add(i, j, v)
-    return fn.BlockOperator(tuple(window), blocks, untrusted, reg)
+    return fn.BlockOperator(blocks, untrusted, reg)
 
 
 def entries_hex(op):
@@ -280,16 +339,24 @@ def assert_same_assembly(fast, oracle):
         assert again == x and fast.basis.index[x] == i
 
 
-def anchored_scenario(name, m, p, q, core_bound, tag, **fields):
+def anchored_scenario(name, m, p, q, core_bound, tag, rank=None, **fields):
     """A scenario on m with orbits P = p and Q = q, or None when it has no
     anchors: those are the first pairs of enumerate_homoclinic(m, p, q,
     core_bound) that agree from 0 on (stable) or up to 0 (unstable), each
-    base set at the anchor's c_first_time.  The profiles have depth 12 and
-    seeds named by tag; `fields` sets the rest of the scenario."""
+    base set at the anchor's c_first_time.  The pairs come in point order,
+    or with a rank, a key on points, in the order of their larger rank.
+    The profiles have depth 12 and seeds named by tag; `fields` sets the
+    rest of the scenario."""
     pts = sft.enumerate_homoclinic(m, p, q, core_bound)
 
+    def pairs():
+        if rank is None:
+            return itertools.product(pts, pts)
+        ranked = sorted(pts, key=rank)
+        return (pair for k, y in enumerate(ranked) for x in ranked[:k] for pair in ((x, y), (y, x)))
+
     def first(agree, side):
-        pair = next(((x, y) for x in pts for y in pts if x != y and agree(x, y, 0)), None)
+        pair = next(((x, y) for x, y in pairs() if x != y and agree(x, y, 0)), None)
         return pair and gd.GroupoidElement(*pair, side)
 
     ca, cb = first(agree_from, gd.STABLE), first(agree_upto, gd.UNSTABLE)

@@ -20,7 +20,7 @@ from sftops import scenarios as sn
 from sftops import sft
 from sftops.cli import spectrum_analysis
 
-from oracles import holonomy_apply
+from oracles import holonomy_apply, in_domain, metric_exponent
 
 KAPPA = sft.MetricParams(2.0)
 
@@ -156,7 +156,7 @@ def _structure_suite(m, p, q, core_bound=6):
     anchors = anchors[:8] or [gd.unit(pts[0])]
     for c in anchors:
         v = gd.base_set(c, gd.c_first_time(c) + 2)
-        members = [z for z in pts if gd.in_domain(v, z)]
+        members = [z for z in pts if in_domain(v, z)]
         graph = [gd.GroupoidElement(holonomy_apply(v, z), z, gd.STABLE) for z in members]
         for a in graph:
             for b in graph:
@@ -164,10 +164,10 @@ def _structure_suite(m, p, q, core_bound=6):
                 r_img = sft.agreement_radius(a.first, b.first)
                 if r_src != r_img:
                     failures += 1
-                e = gd.groupoid_metric_exponent(a, b)
-                if e != gd.units_metric_exponent(a.second, b.second):
+                e = metric_exponent(a, b)
+                if e != metric_exponent(gd.unit(a.second), gd.unit(b.second)):
                     failures += 1
-                if e != gd.groupoid_metric_exponent(gd.inverse(a), gd.inverse(b)):
+                if e != metric_exponent(gd.inverse(a), gd.inverse(b)):
                     failures += 1
     return failures, n, len(close_pairs)
 
@@ -203,8 +203,8 @@ def test_criterion_2_metric_dynamics():
         for _ in range(5200):
             i, j = int(rng.integers(n)), int(rng.integers(n))
             a, b = els[i], els[j]
-            e = gd.groupoid_metric_exponent(a, b)
-            ee = gd.groupoid_metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
+            e = metric_exponent(a, b)
+            ee = metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
             pairs += 1
             if e is None:
                 violations += ee is not None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sftops import aufmetric as auf
+from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
@@ -81,9 +82,9 @@ def v_index_cap(a, c, cp):
     if cap < 0 or (d != math.inf and d < n_c + margin):
         return -1
     bs = v_set(c, min(cap, n_c), cp)
-    if not gd.in_domain(bs, a.second):
+    if not oracles.in_domain(bs, a.second):
         return -1
-    if gd._holonomy_splice(bs, a.second) != a.first:
+    if oracles.holonomy_splice(bs, a.second) != a.first:
         return -1
     return cap
 
@@ -282,23 +283,26 @@ def reference_tables():
 class TestNestedFamily:
     def test_one_domain_test_per_candidate(self, monkeypatch):
         tested = []
-        real_in_domain = gd.in_domain
+        real = fn._act
 
-        def counted_in_domain(v, z):
+        def counted(actions, z):
             tested.append(z)
-            return real_in_domain(v, z)
+            return real(actions, z)
 
-        # nested_family takes its elements from gd.elements_of, which splices
-        # each candidate that passed the test without testing it again
-        monkeypatch.setattr(gd, "in_domain", counted_in_domain)
+        # nested_family takes its elements from fn.elements_of, whose kernel
+        # tests each candidate's domain once and splices it without testing
+        # it again
+        monkeypatch.setattr(fn, "_act", counted)
         anchor = gd.GroupoidElement(STEP, sft.build_point((0,), (1, 0), (1,), -2))
         depths = range(gd.c_first_time(anchor) + 2, 12)
-        candidates = sum(
-            len(smp.variations_at_depth(FULL, anchor.second, t, P)) for t in depths
-        )
+        variations = {t: smp.variations_at_depth(FULL, anchor.second, t, P) for t in depths}
         els = smp.nested_family(FULL, anchor, depths, P)
         assert els
-        assert len(tested) == candidates
+        assert len(tested) == sum(map(len, variations.values()))
+        want = []
+        for t, zs in variations.items():
+            want += oracles.elements_of(gd.base_set(anchor, max(t - 1, gd.c_first_time(anchor))), zs)
+        assert els == want
 
 
 class TestIndices:

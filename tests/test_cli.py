@@ -90,17 +90,13 @@ class TestValidate:
 
 def _tamper_metric(monkeypatch):
     # the tamper is a function of the (unordered) element pair alone, on
-    # the family metric the sampled loops read and on the scalar metric
-    # the unit pairs read, so its witnesses do not depend on call order
+    # the family metric that the sampled loops and the unit pairs read, so
+    # its witnesses do not depend on call order
     def broken(a, b):
         x, y = sorted([f"{a.first}{a.second}", f"{b.first}{b.second}"])
         return zlib.crc32((x + y).encode()) % 31 == 0
 
-    real, real_family = gd.groupoid_metric_exponent, gd.ElementFamily.metric_exponents
-
-    def tampered(a, b):
-        e = real(a, b)
-        return e + 1 if e is not None and broken(a, b) else e
+    real_family = gd.ElementFamily.metric_exponents
 
     def tampered_family(family, i, j):
         e = real_family(family, i, j)
@@ -112,7 +108,6 @@ def _tamper_metric(monkeypatch):
         hit = np.array([broken(element(a), element(b)) for a, b in zip(i, j)], dtype=bool)
         return np.where(hit & (e != gd.NO_DISTANCE), e + 1, e)
 
-    monkeypatch.setattr(gd, "groupoid_metric_exponent", tampered)
     monkeypatch.setattr(gd.ElementFamily, "metric_exponents", tampered_family)
 
 
@@ -779,6 +774,20 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
             assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outs[0] == outs[1] and len(outs[0]) > 10, name
+
+
+def test_report_all_passes_the_function_flags_to_spectrum(tmp_path):
+    # report-all's spectrum reads --stable-function and --unstable-function
+    # as spectrum does; it used to run a and b whatever the flags said
+    flags = ["--scenario", "full-2-shift", "--window=-2..6", "--samples", "200"]
+    flags += ["--stable-function", "a_terms", "--unstable-function", "b_terms"]
+    alone, together = tmp_path / "spectrum", tmp_path / "report-all"
+    code = run(["spectrum", *flags, "--out", str(alone)])
+    assert run(["report-all", *flags, "--out", str(together)]) >= code
+    written = sorted(path.name for path in alone.iterdir())
+    assert "spectrum.json" in written
+    for name in written:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 def test_command_line_exits_like_main(tmp_path):

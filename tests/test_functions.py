@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from sftops import forked
 from sftops import functions as fn
 from sftops import groupoid as gd
+from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import schatten as sc
 from sftops import sft
@@ -153,7 +155,7 @@ def convolve_bruteforce(f, g, gamma) -> complex:
     for bs in f.supports():
         # alpha = (gamma.first, z) forces z = h_bs^{-1}(gamma.first)
         inv = gd.BaseSet(gd.inverse(bs.anchor), bs.radius_exp, bs.time)
-        if gd.in_domain(inv, gamma.first):
+        if oracles.in_domain(inv, gamma.first):
             mids[oracles.holonomy_apply(inv, gamma.first)] = None
     for z in mids:
         a = gd.GroupoidElement(gamma.first, z, gamma.side)
@@ -192,13 +194,12 @@ class TestLipschitz:
         ind = fn.indicator(gd.BaseSet(CA, 2, 0))
         bound = ind.lipschitz_constant(P2)
         assert bound == 2.0**3
-        from sftops import sampling as smp
 
         els = smp.nested_family(FULL, CA, range(1, 8), P) + [CA]
         worst = 0.0
         for a in els:
             for b in els:
-                e = gd.groupoid_metric_exponent(a, b)
+                e = oracles.metric_exponent(a, b)
                 if e is None:
                     continue
                 gap = abs(ind.evaluate(a) - ind.evaluate(b))
@@ -334,6 +335,72 @@ def test_composed_time_is_the_larger_time(name, side):
     assert composed >= 300
 
 
+# the shifts above and the full 2-shift with P = (0, 0, 1), Q = (0, 1), whose
+# homoclinic points have left cycles of 2 and right cycles of 3
+BISECTION_SHIFTS = {**SHIFTS, "unequal-cycles": (FULL, sft.PeriodicOrbit((0, 0, 1)), sft.PeriodicOrbit((0, 1)))}
+
+
+@functools.lru_cache(maxsize=None)
+def bisection_cases(name):
+    """The stable base sets of sweep_base_sets on a shift, each with its
+    sources: the anchor source, points that leave it just before, at and past
+    the domain threshold, and homoclinic points."""
+    m, p, q = BISECTION_SHIFTS[name]
+    pts = sft.enumerate_homoclinic(m, p, q, 2)
+    out = []
+    for v in sweep_base_sets(m, p, q, gd.STABLE):
+        depths = range(v.threshold - 2, v.threshold + 3)
+        near = [z for t in depths for z in smp.variations_at_depth(m, v.anchor.second, t, p)]
+        out.append((v, [v.anchor.second, *near, *pts[::5]]))
+    return out
+
+
+def assert_elements_of_matches_the_oracle(v, zs):
+    """fn.elements_of against the point-level oracle on v and, through time
+    reversal, on the mirrored unstable base set; the oracle's elements."""
+    want = oracles.elements_of(v, zs)
+    assert fn.elements_of(v, zs) == want
+    rv, rzs = fn.reverse_base_set(v), [sft.reverse_point(z) for z in zs]
+    assert fn.elements_of(rv, rzs) == oracles.elements_of(rv, rzs) == [gd.reverse_element(a) for a in want]
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_SHIFTS))
+def test_elements_of_keeps_the_sources_in_the_domain(name):
+    kept = dropped = 0
+    for v, zs in bisection_cases(name):
+        want = assert_elements_of_matches_the_oracle(v, zs)
+        kept += len(want)
+        dropped += len(zs) - len(want)
+    assert kept >= 50 and dropped >= 50
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(BISECTION_SHIFTS)), st.data())
+def test_elements_of_matches_the_point_level_oracle(name, data):
+    # any sources in any order, repeated or shifted off the anchor's cores
+    v, pool = data.draw(st.sampled_from(bisection_cases(name)))
+    moved = st.tuples(st.sampled_from(pool), st.sampled_from([0, 0, 0, -3, -1, 1, 2]))
+    zs = [sft.shift(z, k) for z, k in data.draw(st.lists(moved, max_size=10))]
+    assert_elements_of_matches_the_oracle(v, zs)
+
+
+@pytest.mark.parametrize("side", [gd.STABLE, gd.UNSTABLE])
+@pytest.mark.parametrize("name", sorted(BISECTION_SHIFTS))
+def test_compose_matches_the_point_level_composition(name, side):
+    # the composed anchor's range from the kernel (V after W on the center)
+    # against the center taken through W's and V's domain tests and splices
+    m, p, q = BISECTION_SHIFTS[name]
+    sets = sweep_base_sets(m, p, q, side)
+    composed = 0
+    for v in sets:
+        for w in sets:
+            got = fn.compose_base_sets(v, w, m)
+            assert got == oracles.compose_base_sets(v, w, m), (v, w)
+            composed += len(got)
+    assert composed >= 50
+
+
 @pytest.mark.parametrize("side", [gd.STABLE, gd.UNSTABLE])
 @pytest.mark.parametrize("name", ["golden-mean", "period-2"])
 def test_materialized_anchors_are_points_of_the_shift(name, side):
@@ -427,7 +494,6 @@ class TestProfileFunctions:
     def test_profile_matches_materialization(self):
         prof = fn.profile(gd.BaseSet(CA, 1, 0), depth=5, seed="t")
         mat = materialize_profile(prof, FULL)
-        from sftops import sampling as smp
 
         els = smp.nested_family(FULL, CA, range(1, 9), P) + [CA]
         for g in els:
@@ -742,7 +808,7 @@ def mixed_blocks(blocks, a, b, window, reg, m):
     ns = range(window[0], window[1] + 1)
     runs = [blocks(a, b.alpha(-n), (n, n), reg, m) for n in ns]
     untrusted = {n: why for run in runs for n, why in run.untrusted.items()}
-    return fn.BlockOperator(tuple(window), {n: run.blocks[n] for n, run in zip(ns, runs)}, untrusted, reg)
+    return fn.BlockOperator({n: run.blocks[n] for n, run in zip(ns, runs)}, untrusted, reg)
 
 
 def _seeds(s):

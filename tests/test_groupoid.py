@@ -13,7 +13,7 @@ from sftops import scenarios as sn
 from sftops.errors import NotComposable, SideMismatch
 
 import oracles
-from oracles import OutsideDomain, base_set_membership, holonomy_apply, local_set_membership
+from oracles import OutsideDomain, base_set_membership, holonomy_apply, in_domain, local_set_membership, metric_exponent
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
@@ -179,7 +179,7 @@ class TestHolonomy:
         ]
         for z1 in zs:
             for z2 in zs:
-                if not (gd.in_domain(self.v, z1) and gd.in_domain(self.v, z2)):
+                if not (in_domain(self.v, z1) and in_domain(self.v, z2)):
                     continue
                 h1, h2 = holonomy_apply(self.v, z1), holonomy_apply(self.v, z2)
                 assert sft.agreement_radius(h1, h2) == sft.agreement_radius(z1, z2)
@@ -205,38 +205,36 @@ class TestHolonomy:
 class TestMetric:
     def test_zero_on_diagonal(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
-        assert gd.groupoid_metric_exponent(a, a) is None
-        assert P2.value(gd.groupoid_metric_exponent(a, a)) == 0.0
+        assert metric_exponent(a, a) is None
+        assert P2.value(metric_exponent(a, a)) == 0.0
 
     def test_first_time_mismatch_gives_one(self):
         a = stable(ZERO, sft.build_point((0,), (1,), (0,), 3))
         b = stable(ZERO, sft.build_point((0,), (1,), (0,), 4))
         assert gd.c_first_time(a) != gd.c_first_time(b)
-        assert P2.value(gd.groupoid_metric_exponent(a, b)) == 1.0
+        assert P2.value(metric_exponent(a, b)) == 1.0
 
     def test_unit_pair_example(self):
         y = sft.build_point((0,), (1,), (0,), 3)
-        assert gd.groupoid_metric_exponent(gd.unit(ZERO), gd.unit(y)) == 3
-        assert P2.value(gd.groupoid_metric_exponent(gd.unit(ZERO), gd.unit(y))) == 0.125
+        assert metric_exponent(gd.unit(ZERO), gd.unit(y)) == 3
+        assert P2.value(metric_exponent(gd.unit(ZERO), gd.unit(y))) == 0.125
 
     def test_side_mismatch(self):
         with pytest.raises(SideMismatch):
-            gd.groupoid_metric_exponent(gd.unit(ZERO), gd.unit(ZERO, gd.UNSTABLE))
+            metric_exponent(gd.unit(ZERO), gd.unit(ZERO, gd.UNSTABLE))
 
     def test_units_two_branch_formula(self):
         xs = sft.enumerate_homoclinic(FULL, P, Q, 3)
         for x in xs[::6]:
             for y in xs[::7]:
-                assert gd.units_metric_exponent(x, y) == gd.groupoid_metric_exponent(
-                    gd.unit(x), gd.unit(y)
-                )
+                assert oracles.units_metric_exponent(x, y) == metric_exponent(gd.unit(x), gd.unit(y))
 
     def test_strong_triangle(self):
         els = _element_family()
         import itertools
 
         def val(a, b):
-            e = gd.groupoid_metric_exponent(a, b)
+            e = metric_exponent(a, b)
             return 0.0 if e is None else 2.0**-e
 
         for a, b, c in itertools.islice(itertools.combinations(els, 3), 3000):
@@ -294,9 +292,9 @@ class TestMetricOracle:
         family = METRIC_FAMILIES[name][side]
         a = gd.phi_auto(family[i % len(family)], k)
         b = gd.phi_auto(family[j % len(family)], k)
-        assert gd.groupoid_metric_exponent(a, b) == oracles.groupoid_metric_exponent(a, b)
+        assert metric_exponent(a, b) == oracles.groupoid_metric_exponent(a, b)
         for x, y in ((a.first, b.first), (a.second, b.first), (a.first, a.second)):
-            assert gd.units_metric_exponent(x, y) == oracles.units_metric_exponent(x, y)
+            assert metric_exponent(gd.unit(x), gd.unit(y)) == oracles.units_metric_exponent(x, y)
 
 
 def audit_family(s):
@@ -321,7 +319,7 @@ class TestElementFamily:
             i, j = np.divmod(np.arange(n * n), n)
             for block in (0, n, 2 * n):
                 got = fam.metric_exponents(i + block, j + block).tolist()
-                want = [gd.groupoid_metric_exponent(family[a + block], family[b + block]) for a, b in zip(i, j)]
+                want = [oracles.groupoid_metric_exponent(family[a + block], family[b + block]) for a, b in zip(i, j)]
                 assert [None if e == gd.NO_DISTANCE else e for e in got] == want
                 seen.update(want)
                 # the point pairs the metric reads: range points and source points
@@ -353,9 +351,9 @@ class TestDynamics:
         hits = 0
         for a in els:
             for b in els:
-                e = gd.groupoid_metric_exponent(a, b)
+                e = metric_exponent(a, b)
                 if e is not None and e >= 1:
-                    ee = gd.groupoid_metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
+                    ee = metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
                     assert ee == e + 1
                     hits += 1
         assert hits > 20
@@ -364,8 +362,8 @@ class TestDynamics:
         els = _element_family()
         for a in els:
             for b in els:
-                e = gd.groupoid_metric_exponent(a, b)
-                ee = gd.groupoid_metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
+                e = metric_exponent(a, b)
+                ee = metric_exponent(gd.phi_auto(a, -1), gd.phi_auto(b, -1))
                 if e is None:
                     assert ee is None
                 else:
@@ -388,19 +386,19 @@ class TestPairAlgebra:
         els = _element_family()
         for a in els[:20]:
             for b in els[:20]:
-                assert gd.groupoid_metric_exponent(a, b) == gd.groupoid_metric_exponent(
+                assert metric_exponent(a, b) == metric_exponent(
                     gd.inverse(a), gd.inverse(b)
                 )
 
     def test_source_locally_isometric(self):
         y = sft.build_point((0,), (1, 0), (1,), -2)
         v = gd.base_set(stable(STEP, y), 4)
-        zs = [z for z in sft.enumerate_homoclinic(FULL, P, Q, 4) if gd.in_domain(v, z)]
+        zs = [z for z in sft.enumerate_homoclinic(FULL, P, Q, 4) if in_domain(v, z)]
         els = [stable(holonomy_apply(v, z), z) for z in zs]
         for a in els:
             for b in els:
-                e = gd.groupoid_metric_exponent(a, b)
-                eu = gd.units_metric_exponent(a.second, b.second)
+                e = metric_exponent(a, b)
+                eu = metric_exponent(gd.unit(a.second), gd.unit(b.second))
                 assert e == eu
 
 
@@ -411,7 +409,7 @@ class TestTopology:
             n = 3
             v = gd.base_set(a, n, max(gd.c_first_time(a), 0))
             for b in els:
-                e = gd.groupoid_metric_exponent(a, b)
+                e = metric_exponent(a, b)
                 if e is not None and e >= n + 2:  # open ball of radius 2^-(n+1)
                     assert base_set_membership(v, b)
 
@@ -423,11 +421,11 @@ class TestTopology:
             members = [
                 stable(holonomy_apply(v, z), z)
                 for z in sft.enumerate_homoclinic(FULL, P, Q, 5)
-                if gd.in_domain(v, z)
+                if in_domain(v, z)
             ]
             for a in members:
                 for b in members:
-                    e = gd.groupoid_metric_exponent(a, b)
+                    e = metric_exponent(a, b)
                     assert e is None or e >= n + 1
 
 
@@ -441,7 +439,7 @@ class TestUnstableMirror:
 
     def test_holonomy_by_reversal(self):
         w, v, z = self._data()
-        assert gd.in_domain(v, z)
+        assert in_domain(v, z)
         direct = holonomy_apply(v, z)
         rv = gd.BaseSet(gd.reverse_element(v.anchor), v.radius_exp, v.time)
         mirrored = sft.reverse_point(holonomy_apply(rv, sft.reverse_point(z)))

@@ -299,6 +299,35 @@ def test_window_margins_come_from_one_place():
     assert callers == {"sft.Window", "sft.build_point"}
 
 
+def function_names(source: str) -> set:
+    """The names of every function and method a module defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_checkers_find_definitions_and_calls():
+    source = (
+        "from .sft import in_stable_set\n"
+        "class F:\n    def metric_exponents(self):\n        def inner():\n            pass\n"
+        "def go(x):\n    return sft.in_unstable_set(x) and in_stable_set(x)\n"
+    )
+    assert function_names(source) == {"metric_exponents", "inner", "go"}
+    assert set(calls_by_name({"m.py": source})) == {"in_unstable_set", "in_stable_set"}
+
+
+def test_one_implementation_per_groupoid_construct():
+    # a bisection acts only through the word kernel in functions, and the
+    # two-branch metric is only groupoid.ElementFamily: the point-level
+    # readings of both are the tests' oracles
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    names = {stem: function_names(source) for stem, source in sources.items()}
+    for stem, defined in names.items():
+        assert not {"in_domain", "_holonomy_splice"} & defined, stem
+        assert not [name for name in defined if name.endswith("metric_exponent")], stem
+    assert [stem for stem, defined in names.items() if "elements_of" in defined] == ["functions"]
+    local_sets = {"in_stable_set", "in_unstable_set"}
+    assert [stem for stem, source in sources.items() if stem != "sft" and local_sets & calls_by_name({stem: source}).keys()] == []
+
+
 def test_cli_import_loads_no_command_module():
     # each command imports the modules only it uses; with no bytecode cache
     # (PYTHONDONTWRITEBYTECODE) every module is compiled at each start
