@@ -41,10 +41,6 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -431,11 +427,9 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
     blocks = analysis.pop("_blocks", None)
     rep.update(analysis)
     if merged is not None:
-        vals = merged.expanded(limit=2_000_000)
+        vals = merged.expanded(limit=2_000_000).tolist()
         with open(os.path.join(out_dir, "spectrum.csv"), "w") as handle:
-            handle.write("index,value\n")
-            for i, v in enumerate(vals, start=1):
-                handle.write(f"{i},{_fmt(v)}\n")
+            handle.write("index,value\n" + "".join(["%d,%.17g\n" % iv for iv in enumerate(vals, start=1)]))
     if blocks is not None:
         manifest = {
             "window": analysis["window"],
@@ -444,10 +438,10 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, args) -> int:
         }
         for n, op in sorted(blocks.trusted_blocks().items()):
             path = os.path.join(out_dir, f"block_{n:+03d}.csv")
+            entries = sorted(op.entries.items())
+            rows = ["%s,%s,%.17g,%.17g\n" % (i, jj, v.real, v.imag) for (i, jj), v in entries]
             with open(path, "w") as handle:
-                handle.write("row,col,re,im\n")
-                for (i, jj), v in sorted(op.entries.items()):
-                    handle.write(f"{i},{jj},{_fmt(v.real)},{_fmt(v.imag)}\n")
+                handle.write("row,col,re,im\n" + "".join(rows))
         _write_json(os.path.join(out_dir, "blocks_manifest.json"), manifest)
     _write_json(os.path.join(out_dir, "spectrum.json"), rep)
     if not analysis.get("trusted_blocks"):

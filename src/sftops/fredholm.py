@@ -232,13 +232,14 @@ def contour_calculus(
 def _trapezoid(
     s: np.ndarray, f: Callable[[complex], complex], center: complex, radius: float, nodes: int
 ) -> np.ndarray:
-    """(2 pi i)**-1 of the trapezoid sum of f(z)(z - S)**-1 on a circle."""
-    n = s.shape[0]
+    """(2 pi i)**-1 of the trapezoid sum of f(z)(z - S)**-1 on a circle, in
+    node order, the stacked z - S inverted by one np.linalg.inv call."""
+    thetas = [2.0 * math.pi * k / nodes for k in range(nodes)]
+    zs = [center + radius * cmath.exp(1j * theta) for theta in thetas]
+    resolvents = np.linalg.inv(np.array(zs)[:, None, None] * np.eye(s.shape[0]) - s)
     acc = np.zeros_like(s)
-    for k in range(nodes):
-        theta = 2.0 * math.pi * k / nodes
-        z = center + radius * cmath.exp(1j * theta)
-        acc += f(z) * cmath.exp(1j * theta) * np.linalg.inv(z * np.eye(n) - s)
+    for theta, z, resolvent in zip(thetas, zs, resolvents):
+        acc += f(z) * cmath.exp(1j * theta) * resolvent
     return acc * (radius / nodes)
 
 

@@ -496,63 +496,44 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
 
 # The kernel works on words: every point that some functions meet on a set
 # of columns (column, anchor, holonomy image, row) is its row of the
-# _block_window.  The anchor windows are read once and each column's window
-# once: a domain test is a slice compare, a holonomy image a slice of the
-# column window joined to a slice of an anchor window, a profile word a
-# slice (reversed on the unstable side).  A column rule says how the
-# functions' actions make a column: _single for represent and
-# apply_to_point, _commutator for a block.  A first pass runs the rule on
-# every column with each action noted, not valued: its profile words are
-# collected and, for the column's own window, the mask of its acting terms
-# kept.  _word_totals hashes each seed's words, a second pass rebuilds the
-# images from the masks, without testing a column's domains again, and runs
-# the rule on their values, and a row becomes a canonical point only at the
-# end.
+# _block_window, the anchors' and each column's read once.  A domain test is
+# a slice compare, a holonomy image a slice of the column window joined to
+# a slice of an anchor window, a profile word a slice (reversed on the
+# unstable side).  A column rule (_single, _composed, _commutator) says how
+# the functions' actions make a column.  A first pass runs it with each
+# action noted, not valued: its profile words are collected and the mask of
+# the column's acting terms kept.  _word_totals values each seed's words in
+# place, a second pass runs the rule on values, and only then does a row
+# become a canonical point.
 
 
-def _actions(f: LocallyConstantFunction, win: Window) -> list:
-    """Each term on the rows of win: (term, domain slice, the anchor source
+def _actions(f: LocallyConstantFunction, win: Window, words: Dict[str, dict]) -> list:
+    """Each term on the rows of win: (coeff, domain slice, the anchor source
     over it, splice cut, the anchor range before the cut (stable) or from it
-    (unstable), profile word slice, stable)."""
+    (unstable), stable, profile word slice, its seed's words or None)."""
     out = []
-    for term in f.terms:
-        bs = term.support
+    stable = f.side == STABLE
+    for bs, coeff, depth, seed in f.terms:
         rng, src = win.read(bs.anchor.first), win.read(bs.anchor.second)
-        if f.side == STABLE:
+        if stable:
             t, cut = bs.threshold + 1 - win.lo, bs.time + 1 - win.lo
-            domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + term.depth)
+            domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + depth)
         else:
             t, cut = -bs.threshold - win.lo, -bs.time - win.lo
-            domain, keep, word = slice(t, None), slice(cut, None), slice(t - 1, t - 1 - term.depth, -1)
-        out.append((term, domain, src[domain], cut, rng[keep], word, f.side == STABLE))
+            domain, keep, word = slice(t, None), slice(cut, None), slice(t - 1, t - 1 - depth, -1)
+        seen = words.setdefault(seed, {}) if depth else None
+        out.append((coeff, domain, src[domain], cut, rng[keep], stable, word, seen))
     return out
 
 
 def _act(actions: list, z: bytes) -> int:
     """The bit mask of the actions whose domain holds the window z."""
-    return sum(1 << i for i, (_, domain, pattern, *_) in enumerate(actions) if z[domain] == pattern)
-
-
-def _images(actions: list, z: bytes, acting: int) -> list:
-    """(image, term, profile word) for each action of the mask acting on z."""
-    return [
-        (piece + z[cut:] if stable else z[:cut] + piece, term, z[at])
-        for i, (term, _, _, cut, piece, at, stable) in enumerate(actions)
-        if acting >> i & 1
-    ]
-
-
-def _apply(images: list, totals: dict, lone: bool) -> dict:
-    """The values of the terms acting on a window (its _act images), summed
-    by image window in term order.  A lone profile term's value is kept as
-    computed: 0j + value would turn an imaginary -0.0 into 0.0."""
-    out = {}
-    for y, term, word in images:
-        value = term.coeff * totals[term.seed][word] if term.depth else term.coeff
-        if lone:
-            return {y: value}
-        _accumulate(out, y, value)
-    return out
+    mask, bit = 0, 1
+    for _, domain, pattern, _, _, _, _, _ in actions:
+        if z[domain] == pattern:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def _single(apply, z: bytes) -> dict:
@@ -582,13 +563,10 @@ def _twice(apply, f: int, g: int, z: bytes) -> dict:
     return out
 
 
-def _common_prefix(u, v) -> int:
-    k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        k += 1
-    return k
+def _common_prefix(u: bytes, v: bytes) -> int:
+    """The bytes u and v share before the highest byte of their XOR (big-endian)."""
+    n = min(len(u), len(v))
+    return n - ((int.from_bytes(u[:n], "big") ^ int.from_bytes(v[:n], "big")).bit_length() + 7) // 8
 
 
 def _word_totals(seed: str, words: dict) -> dict:
@@ -625,17 +603,19 @@ def _word_totals(seed: str, words: dict) -> dict:
             h = h.copy()
         weight = 2.0**-k  # halves exactly to 2**-(i + 1) at symbol i
         i = k
+        if not k and word:  # the first symbol follows the colon, without a comma
+            h.update(_SYMBOL_BYTES[word[0]][1:])
+            weight, i = 0.5, 1
+            total += weight * (h.digest()[0] & 1)  # + 0.0 leaves total as it is
         for stop in (*keep, None):
-            end = len(word) if stop is None else stop
-            for i in range(i, end):
-                chunk = _SYMBOL_BYTES[word[i]]
-                h.update(chunk if i else chunk[1:])
+            for symbol in word[i:stop]:
+                h.update(_SYMBOL_BYTES[symbol])
                 weight *= 0.5
                 # digest() does not finalise h, so it needs no copy
                 if h.digest()[0] & 1:
                     total += weight
-            i = end
             if stop is not None:
+                i = stop
                 stack.append((stop, h if stop == len(word) else h.copy(), total))
         words[word] = total
     return words
@@ -646,33 +626,52 @@ def _columns(fs: tuple, rule, cols: list):
     x) with its rows made canonical points, apply(k, y) being the action of
     fs[k] on the window y."""
     win = _block_window(fs, cols)
-    actions = [_actions(f, win) for f in fs]
+    words: Dict[str, dict] = {}  # seed -> its profile words, then their totals
+    actions = [_actions(f, win, words) for f in fs]
     lone = [len(f.terms) == 1 and f.terms[0].depth > 0 for f in fs]
     windows = [win.read(x) for x in cols]
     masks = [{} for _ in fs]  # per function: column window -> its _act mask
-    words: Dict[str, dict] = {}  # seed -> its profile words
 
     def note(k: int, z: bytes) -> dict:
-        # every image, weight 1: a superset of the images whose values survive
-        mask = _act(actions[k], z)
-        if z is column:
-            masks[k][z] = mask
-        images = _images(actions[k], z, mask)
-        for _, t, w in images:
-            if t.depth:
-                words.setdefault(t.seed, {})[w] = None
-        return dict.fromkeys([y for y, _, _ in images], 1.0)
+        # every image, weight 1: a superset of the images whose values
+        # survive.  A rule acts at most twice, so only the column's own
+        # images are acted on again: an image's images feed only values,
+        # which this pass drops.
+        mask = acting = _act(actions[k], z)
+        images = {}
+        for _, _, _, cut, piece, stable, word, seen in actions[k]:
+            if acting & 1:
+                images[piece + z[cut:] if stable else z[:cut] + piece] = 1.0
+                if seen is not None:
+                    seen[z[word]] = None
+            acting >>= 1
+        if z is not column:
+            return {}
+        masks[k][z] = mask
+        return images
 
     for column in windows:
         rule(note, column)
-    totals = {seed: _word_totals(seed, seen) for seed, seen in words.items()}
+    for seed, seen in words.items():
+        _word_totals(seed, seen)
 
     def apply(k: int, z: bytes) -> dict:
-        # an image's mask is tested again: keeping it would keep its window
-        mask = masks[k].get(z)
-        if mask is None:
-            mask = _act(actions[k], z)
-        return _apply(_images(actions[k], z, mask), totals, lone[k])
+        # the values of the acting terms, summed by image window in term
+        # order; an image's mask is tested again: keeping it would keep its
+        # window
+        acting = masks[k].get(z)
+        if acting is None:
+            acting = _act(actions[k], z)
+        out = {}
+        for coeff, _, _, cut, piece, stable, word, seen in actions[k]:
+            if acting & 1:
+                y = piece + z[cut:] if stable else z[:cut] + piece
+                value = coeff if seen is None else coeff * seen[z[word]]
+                if lone[k]:  # kept as computed: 0j + value turns an imaginary -0.0 into 0.0
+                    return {y: value}
+                _accumulate(out, y, value)
+            acting >>= 1
+        return out
 
     for x, z in zip(cols, windows):
         yield x, {win.point(row): v for row, v in rule(apply, z).items()}

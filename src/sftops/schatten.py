@@ -9,6 +9,7 @@ exact-size even when the ambient registry is large.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,8 +71,12 @@ def merge_spectra(spectra: Sequence[SingularSpectrum], source: str = "") -> Sing
 
 
 def _connected_components(entries: Dict[Tuple[int, int], complex]):
-    """Union-find over the bipartite support graph of the entries."""
-    parent: Dict = {}
+    """Union-find over the bipartite support graph of the entries, its rows
+    and columns numbered in order of appearance: the entries (i, j, v) of
+    each component in entry order, the components in that of their first."""
+    nodes: Dict = {}
+    edges = [(nodes.setdefault((0, i), len(nodes)), nodes.setdefault((1, j), len(nodes))) for i, j in entries]
+    parent = list(range(len(nodes)))
 
     def find(x):
         while parent[x] != x:
@@ -79,19 +84,13 @@ def _connected_components(entries: Dict[Tuple[int, int], complex]):
             x = parent[x]
         return x
 
-    def union(x, y):
-        for z in (x, y):
-            parent.setdefault(z, z)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i, j in entries:
-        union(("r", i), ("c", j))
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     comps: Dict = {}
-    for (i, j), v in entries.items():
-        root = find(("r", i))
-        comps.setdefault(root, []).append((i, j, v))
+    for (i, _), ((row, col), v) in zip(edges, entries.items()):
+        comps.setdefault(find(i), []).append((row, col, v))
     return list(comps.values())
 
 
@@ -107,23 +106,23 @@ def singular_values(a, source: str = "") -> SingularSpectrum:
     if hasattr(a, "entries"):
         if not a.entries:
             return SingularSpectrum(np.array([]), source=source)
+        # shape -> [components so far, their entries' flat stack positions, values]
         by_shape: Dict[Tuple[int, int], list] = {}
         for comp in _connected_components(a.entries):
-            rows = sorted({i for i, _, _ in comp})
-            cols = sorted({j for _, j, _ in comp})
-            by_shape.setdefault((len(rows), len(cols)), []).append((rows, cols, comp))
+            # a lone entry, as in every component of a monomial block, needs no sort
+            rows = [comp[0][0]] if len(comp) == 1 else sorted({i for i, _, _ in comp})
+            cols = [comp[0][1]] if len(comp) == 1 else sorted({j for _, j, _ in comp})
+            r, c = len(rows), len(cols)
+            group = by_shape.setdefault((r, c), [0, [], []])
+            for i, j, v in comp:
+                group[1].append(group[0] * r * c + bisect_left(rows, i) * c + bisect_left(cols, j))
+                group[2].append(v)
+            group[0] += 1
         out = []
-        for (r, c), group in by_shape.items():
-            flat, entries = [], []
-            for k, (rows, cols, comp) in enumerate(group):
-                ri = {x: n for n, x in enumerate(rows)}
-                ci = {x: n for n, x in enumerate(cols)}
-                for i, j, v in comp:
-                    flat.append((k * r + ri[i]) * c + ci[j])
-                    entries.append(v)
-            stack = np.zeros(len(group) * r * c, dtype=complex)
-            stack[flat] = entries
-            out.append(np.linalg.svd(stack.reshape(len(group), r, c), compute_uv=False).ravel())
+        for (r, c), (count, flat, values) in by_shape.items():
+            stack = np.zeros(count * r * c, dtype=complex)
+            stack[flat] = values
+            out.append(np.linalg.svd(stack.reshape(count, r, c), compute_uv=False).ravel())
         vals = np.concatenate(out)
     else:
         arr = np.asarray(a)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -173,6 +174,21 @@ def primitive_root(w: Word) -> Word:
     return w
 
 
+# primitive_root of the few distinct cycles a command's build_point calls meet
+_primitive_roots = lru_cache(maxsize=256)(primitive_root)
+
+
+def _first_difference(a: Word, b: Word) -> int:
+    """The first index where words of one length differ (their length if none)."""
+    diff = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return ((diff & -diff).bit_length() - 1) // 8 if diff else len(a)
+
+
+def _last_difference(a: Word, b: Word) -> int:
+    """The last index where words of one length differ (-1 when equal)."""
+    return ((int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_length() + 7) // 8 - 1
+
+
 def _tile(cycle: Word, offset: int, n: int) -> Word:
     """The n symbols of the periodic word cycle**inf read from index offset."""
     m = len(cycle)
@@ -246,8 +262,8 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
     """Canonicalize a raw encoding (words or iterables of ints): primitive
     cycles, minimal core, pinned phases.  The new cycles are rotations of
     the primitive roots, so primitive too."""
-    left = primitive_root(bytes(left))
-    right = primitive_root(bytes(right))
+    left = _primitive_roots(bytes(left))
+    right = _primitive_roots(bytes(right))
     core = bytes(core)
     ml, mr = len(left), len(right)
     if ml == 0 or mr == 0:
@@ -257,20 +273,17 @@ def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPe
     # new left cycle can start ml below it)
     lo = start - math.lcm(ml, mr) - mr - ml
     win = _tile(left, lo - start, start - lo) + core + right
-
-    # Extend the right tail's periodicity down from the core's end; hitting
+    # Extend the right tail's periodicity down from the core's end, to above
+    # the last index of win[ml:e] that differs from win one mr up; reaching
     # the floor means the left-cyclic zone is itself mr-periodic over a full
     # lcm window, i.e. the sequence is globally periodic.
-    e = end - lo
-    while e > ml and win[e - 1] == win[e - 1 + mr]:
-        e -= 1
-    if e <= ml:
+    e = ml + 1 + _last_difference(win[ml : end - lo], win[ml + mr : end - lo + mr])
+    if e == ml:
         w = _tile(right, -end, mr)
         return EventuallyPeriodicPoint(w, b"", w, 0)
     # then the left tail's periodicity up, at most to e
     s = min(start - lo, e)
-    while s < e and win[s] == win[s - ml]:
-        s += 1
+    s += _first_difference(win[s:e], win[s - ml : e - ml])
     return EventuallyPeriodicPoint(win[s - ml : s], win[s:e], win[e : e + mr], s + lo)
 
 
@@ -347,12 +360,8 @@ def agreement_depth(x, y):
     a, b = w.read(x), w.read(y)
     if a == b:
         return math.inf
-    k = w.left
-    if a[:k] != b[:k]:
-        return -math.inf
-    while a[k] == b[k]:
-        k += 1
-    return w.lo + k - 1
+    k = _first_difference(a, b)
+    return -math.inf if k < w.left else w.lo + k - 1
 
 
 def agreement_floor(x, y):
@@ -362,12 +371,8 @@ def agreement_floor(x, y):
     a, b = w.read(x), w.read(y)
     if a == b:
         return -math.inf
-    k = len(a) - w.right
-    if a[k:] != b[k:]:
-        return math.inf
-    while a[k - 1] == b[k - 1]:
-        k -= 1
-    return w.lo + k
+    k = _last_difference(a, b) + 1
+    return math.inf if k > len(a) - w.right else w.lo + k
 
 
 class FamilyWindow(Window):

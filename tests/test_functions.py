@@ -723,6 +723,44 @@ class TestApplyToPoint:
             fn.represent(f, reg)
         assert calls == [1] * len(pts) + [len(A.terms)] * len(pts)
 
+    @pytest.mark.parametrize(
+        "name, window, columns, rows", [("full-2-shift", (-8, 15), 2062, 2048), ("golden-mean", (-8, 19), 2594, 2584)]
+    )
+    def test_one_canonical_point_per_support_column_and_row(self, monkeypatch, name, window, columns, rows):
+        # at the benchmark windows every block canonicalises each support
+        # column once and each row of a nonzero column once, nothing more
+        s = REFERENCE[name]
+        monkeypatch.setattr(forked, "_cpus", lambda: 1)
+        built, support = [], []
+        real_build, real_support = sft.build_point, fn.commutator_column_support
+
+        def counted_build(*raw):
+            built.append(raw)
+            return real_build(*raw)
+
+        def counted_support(*args):
+            support.append(real_support(*args))
+            return support[-1]
+
+        monkeypatch.setattr(sft, "build_point", counted_build)
+        monkeypatch.setattr(fn, "commutator_column_support", counted_support)
+        reg = fn.BasisRegistry.seeded(sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3), cap=s.basis_cap)
+        built.clear()
+        out = fn.commutator_blocks(s.functions["a"], s.functions["b"], window, reg, s.matrix)
+        assert not out.untrusted
+        assert sum(map(len, support)) == columns
+        assert sum(len(op.entries) for op in out.blocks.values()) == rows
+        assert len(built) == columns + rows
+
+    def test_the_primitive_root_memo_is_bounded(self):
+        bound = sft._primitive_roots.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 100):
+            cycle = bytes([k % 256, k // 256, 1])
+            x = sft.build_point(cycle, b"", cycle, 0)
+            assert x == oracles.build_point(cycle, b"", cycle, 0)
+        assert sft._primitive_roots.cache_info().currsize <= bound
+
 
 @pytest.fixture(scope="module")
 def blocks():

@@ -353,12 +353,21 @@ class TestEnumeration:
         assert all(sft.is_homoclinic(x, p, q) for x in got)
 
 
-words = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=4)
+# one alphabet per example, shared by every word of it: the binary one, or
+# the three symbols of the period-2 matrix
+alphabet = st.shared(st.sampled_from([2, PERIOD2.n]), key="alphabet")
+
+
+def symbol_lists(min_size, max_size):
+    return alphabet.flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=min_size, max_size=max_size))
+
+
+words = symbol_lists(1, 4)
 
 
 class TestHypothesis:
-    @settings(max_examples=150, deadline=None)
-    @given(words, st.lists(st.integers(0, 1), max_size=5), words, st.integers(-5, 5))
+    @settings(max_examples=300, deadline=None)
+    @given(words, symbol_lists(0, 5), words, st.integers(-5, 5))
     def test_canonical_form_is_stable(self, left, core, right, start):
         x = sft.build_point(tuple(left), tuple(core), tuple(right), start)
         again = sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start)
@@ -366,8 +375,8 @@ class TestHypothesis:
         for i in range(start - 8, start + len(core) + 8):
             assert x.at(i) == _raw_at(tuple(left), tuple(core), tuple(right), start, i)
 
-    @settings(max_examples=100, deadline=None)
-    @given(words, st.lists(st.integers(0, 1), max_size=5), words, st.integers(-5, 5))
+    @settings(max_examples=200, deadline=None)
+    @given(words, symbol_lists(0, 5), words, st.integers(-5, 5))
     def test_window_matches_raw_reader(self, left, core, right, start):
         # every [lo, hi) from empty and reversed ranges through ranges inside
         # the core to ranges three cycle lengths past both ends, on the
@@ -382,18 +391,18 @@ class TestHypothesis:
                 for hi in span:
                     assert y.window(lo, hi) == bytes(seq[i] for i in range(lo, hi))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         words,
-        st.lists(st.integers(0, 1), max_size=4),
+        symbol_lists(0, 4),
         words,
         st.integers(-4, 4),
         words,
-        st.lists(st.integers(0, 1), max_size=4),
+        symbol_lists(0, 4),
         words,
         st.integers(-4, 4),
         st.integers(-6, 6),
-        st.lists(st.integers(0, 1), max_size=5),
+        symbol_lists(0, 5),
     )
     def test_splice_matches_raw_reader(self, pl, pc, pr, ps, fl, fc, fr, fs, m, word):
         raw_past = (tuple(pl), tuple(pc), tuple(pr), ps)
@@ -413,8 +422,8 @@ class TestHypothesis:
                 assert x.at(i) == want, (w, i)
             assert sft.build_point(x.left_cycle, x.core, x.right_cycle, x.core_start) == x
 
-    @settings(max_examples=100, deadline=None)
-    @given(words, st.lists(st.integers(0, 1), max_size=4), words, st.integers(-4, 4), st.integers(-6, 6))
+    @settings(max_examples=200, deadline=None)
+    @given(words, symbol_lists(0, 4), words, st.integers(-4, 4), st.integers(-6, 6))
     def test_shift_consistency(self, left, core, right, start, k):
         x = sft.build_point(tuple(left), tuple(core), tuple(right), start)
         y = sft.shift(x, k)
@@ -439,6 +448,41 @@ def raw_encodings(n):
         return st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi).map(bytes)
 
     return st.tuples(word(1, 4), word(0, 7), word(1, 4), st.integers(-12, 12))
+
+
+def sized_words(n, lengths):
+    """Words over n symbols, their length drawn evenly from `lengths` first,
+    so that long words are as likely as short ones."""
+    words = st.sampled_from(lengths).flatmap(lambda k: st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    return words.map(bytes)
+
+
+def cycles(n):
+    """Cycle words over n symbols: words of 1-6 symbols, or the square or
+    cube of a word of 1-3 symbols (not primitive)."""
+    power = st.tuples(sized_words(n, range(1, 4)), st.integers(2, 3)).map(lambda rk: rk[0] * rk[1])
+    return st.one_of(sized_words(n, range(1, 7)), power)
+
+
+def canonicalised_rows(n):
+    """Raw encodings like the rows the block kernel canonicalises, over n
+    symbols: cycles(n) and cores of up to 64 symbols, or a globally
+    periodic sequence, its core and both tails read off one cycle at powers
+    of it (build_point's floor case)."""
+
+    def periodic(drawn):
+        c, left_power, right_power, length, start = drawn
+
+        def read(lo, k):
+            return bytes(c[i % len(c)] for i in range(lo, lo + k))
+
+        left, right = len(c) * left_power, len(c) * right_power
+        return read(start - left, left), read(start, length), read(start + length, right), start
+
+    eventually = st.tuples(cycles(n), sized_words(n, range(65)), cycles(n), st.integers(-12, 12))
+    powers = st.integers(1, 3)
+    drawn = st.tuples(cycles(n), powers, powers, st.sampled_from(range(65)), st.integers(-12, 12))
+    return st.one_of(eventually, eventually, drawn.map(periodic))
 
 
 class TestWordOracles:
@@ -468,7 +512,7 @@ class TestWordOracles:
         assert sft.in_unstable_set(x, y, k) == all(i > k for i in diff)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(raw_encodings))
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.one_of(raw_encodings(n), canonicalised_rows(n))))
     def test_build_point_matches_the_raw_window_oracle(self, raw):
         assert sft.build_point(*raw) == oracles.build_point(*raw)
 
@@ -637,6 +681,35 @@ class TestWindow:
     def test_splice_at_matches_the_raw_window_oracle(self, drawn):
         past, future, m, word = drawn
         assert sft.splice_at(past, future, m, word) == oracles.splice_at(past, future, m, word)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(WINDOW_SHIFTS)).flatmap(
+            lambda name: st.lists(
+                st.one_of(
+                    window_points(name),
+                    canonicalised_rows(WINDOW_SHIFTS[name][0].n).map(lambda raw: sft.build_point(*raw)),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        marks,
+    )
+    # left and right cycles of 4, 5 and 6 symbols: margins of lcm 60
+    @example([pt((0, 0, 0, 1), (1, 0, 1), (0, 1, 1, 1, 1), -3), pt((0, 0, 0, 0, 1), (), (0, 0, 1, 1), 2),
+              pt((0, 0, 0, 0, 0, 1), (1, 1), (0, 1, 1, 1, 1, 1), 5)], [0, 7])
+    def test_window_point_matches_the_raw_window_oracle(self, points, cuts):
+        # Window.point hands build_point a row as its raw encoding: the
+        # first `left` symbols, the row, the last `right` symbols, from lo;
+        # the rows are those of the points and their joins at the marks,
+        # over families whose cycles of up to 6 symbols make lcm margins of
+        # up to 60
+        w = sft.Window(points, cuts)
+        rows = [w.read(x) for x in points]
+        rows += [x[: c - w.lo] + y[c - w.lo :] for c in cuts for x, y in zip(rows, rows[::-1])]
+        for z in rows:
+            assert w.point(z) == oracles.build_point(z[: w.left], z, z[-w.right :], w.lo)
 
     @settings(max_examples=100, deadline=None)
     @given(window_families(6), marks)
