@@ -64,10 +64,9 @@ def v_set_threshold(n_a: int, v: int, cp: CoverIndexParams) -> int:
 
 
 def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
-    """Largest n >= 1 with k(c, n) <= vcap[i, j], 0 if none, where column j
-    has center c with N_{c,1} = n_c1[j]; k(c, 1) = 1 and k(c, n + 1) =
-    N_{c,1} + n * ceil(log_lambda 3)."""
-    n_c1 = n_c1[None, :]
+    """Largest n >= 1 with k(c, n) <= vcap, 0 if none, entry by entry, for
+    the center c with N_{c,1} = n_c1 (broadcast against vcap); k(c, 1) = 1
+    and k(c, n + 1) = N_{c,1} + n * ceil(log_lambda 3)."""
     deeper = 1 + (vcap - n_c1) // cp.ceil_log3
     return np.select(
         [vcap < 1, vcap >= _DEEP, vcap >= n_c1 + cp.ceil_log3], [0, _DEEP, deeper], default=1
@@ -135,7 +134,9 @@ class QuasimetricTable:
     exponents: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.exponents, dtype=int)
+        e = np.asarray(self.exponents)
+        if e.dtype.kind != "i":
+            e = e.astype(int)
         if e.shape != (len(self.point_ids), len(self.point_ids)):
             raise ValueError("exponent matrix shape mismatch")
         if not np.array_equal(e, e.T):
@@ -149,11 +150,15 @@ class QuasimetricTable:
         return len(self.point_ids)
 
     def values(self) -> np.ndarray:
-        # computed in the one output array: no table-sized temporaries
-        v = np.negative(self.exponents, out=np.empty(self.exponents.shape))
-        np.power(2.0, v, out=v)
+        v = _dyadic(self.exponents, np.empty(self.exponents.shape))
         np.fill_diagonal(v, 0.0)
         return v
+
+
+def _dyadic(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2.0**-e entry by entry, computed in `out`: no other temporary."""
+    np.negative(e, out=out)
+    return np.power(2.0, out, out=out)
 
 
 def build_quasimetric_table(
@@ -166,20 +171,25 @@ def build_quasimetric_table(
     the family's build_vcap_table.
 
     exps[i, j] is the largest min(levels[i, c], levels[j, c]) over centers
-    c, capped at n_max.  Levels are >= 0, so a pair scores above 0 only at a
-    center where both rows have a level above 0: each center adds the outer
-    minimum of its few such rows, and every other pair keeps 0.
+    c, capped at n_max.  Levels are >= 0, and above 0 exactly where vcap >=
+    1, so a pair scores above 0 only at a center where both rows have such
+    an entry: the levels are evaluated at those entries only, capped at
+    n_max first (the cap commutes with the max and the mins), each center
+    adds the outer minimum of its few rows, and every other pair keeps 0.
+    The exponents are int8, so n_max is at most 127.
     """
+    if not 0 <= n_max <= np.iinfo(np.int8).max:
+        raise ValueError(f"n_max {n_max} outside 0..127")
     m = len(family)
-    n_c1 = np.maximum(family.first_time, 1)
-    levels = cover_levels(vcap, n_c1, cp)
-    exps = np.zeros((m, m), dtype=int)
-    for c in range(m):
-        rows = np.flatnonzero(levels[:, c])
-        if len(rows) > 1:
-            block = np.ix_(rows, rows)
-            exps[block] = np.maximum(exps[block], np.minimum.outer(levels[rows, c], levels[rows, c]))
-    np.minimum(exps, n_max, out=exps)
+    centers, rows = np.nonzero(vcap.T >= 1)  # by center, rows ascending
+    n_c1 = np.maximum(family.first_time[centers], 1)
+    levels = np.minimum(cover_levels(vcap[rows, centers], n_c1, cp), n_max).astype(np.int8)
+    exps = np.zeros((m, m), dtype=np.int8)
+    bounds = (np.flatnonzero(np.diff(centers)) + 1).tolist()  # where a new center's rows begin
+    for lo, hi in zip([0] + bounds, bounds + [len(centers)]):
+        if hi - lo > 1:
+            block = np.ix_(rows[lo:hi], rows[lo:hi])
+            exps[block] = np.maximum(exps[block], np.minimum.outer(levels[lo:hi], levels[lo:hi]))
     np.fill_diagonal(exps, -1)
     return QuasimetricTable([str(i) for i in range(m)], exps)
 
@@ -262,22 +272,28 @@ class SandwichReport:
 
 
 def sandwich_check(t: QuasimetricTable, d: np.ndarray) -> SandwichReport:
-    """Verify rho/4 <= D <= rho pairwise.
+    """Verify rho/4 <= D <= rho pairwise, over the pairs (i, j > i) in
+    order, one block of rows of at most _STEP_BLOCK entries at a time: rho
+    is read from the exponents block by block, with no table-sized copy.
 
     A lower violation is evidence that rho fails the star condition (the
     sandwich is a theorem only for cover-derived quasimetrics); it is
     reported as data, not raised.
     """
-    rho = t.values()
-    ids = t.point_ids
-    rep = SandwichReport()
-    for i in range(t.size):
-        dr, rr = d[i, i + 1 :], rho[i, i + 1 :]  # the pairs (i, j > i)
-        rep.checked += len(dr)
-        for j in np.flatnonzero(dr > rr + 1e-15):
-            rep.upper_violations.append((ids[i], ids[i + 1 + j], dr[j], rr[j]))
-        for j in np.flatnonzero(dr < 0.25 * rr - 1e-15):
-            rep.lower_violations.append((ids[i], ids[i + 1 + j], dr[j], rr[j]))
+    m, ids = t.size, t.point_ids
+    rep = SandwichReport(m * (m - 1) // 2)
+    step = max(1, _STEP_BLOCK // max(1, m))
+    rho_rows, bound_rows = np.empty((2, min(step, m), m))
+    for r in range(0, m, step):
+        dr = d[r : r + step]
+        rho, bound = _dyadic(t.exponents[r : r + step], rho_rows[: len(dr)]), bound_rows[: len(dr)]
+        above = np.arange(m)[None, :] > np.arange(r, r + len(dr))[:, None]
+        np.add(rho, 1e-15, out=bound)
+        for i, j in zip(*np.nonzero(above & (dr > bound))):
+            rep.upper_violations.append((ids[r + i], ids[j], dr[i, j], rho[i, j]))
+        np.subtract(np.multiply(0.25, rho, out=bound), 1e-15, out=bound)
+        for i, j in zip(*np.nonzero(above & (dr < bound))):
+            rep.lower_violations.append((ids[r + i], ids[j], dr[i, j], rho[i, j]))
     return rep
 
 
@@ -307,31 +323,40 @@ def star_refinement_check(
 
     Each trial draws the center index and then the level index, the level
     as STAR_LEVELS[rng.integers(len(STAR_LEVELS))], which is rng.choice's
-    draw.  Each distinct (center, level) pair is checked once; the counts
-    and violations are then replayed in trial order.
+    draw; all 2 * trials draws come from one rng.integers call over the
+    alternating bounds, which draws the same values as the scalar calls
+    (tests/test_cli.py pins this).  Each distinct (center, level) pair is
+    checked once, by a walk over the table's memberships (entries >= 0):
+    per center its members and per member its centers, both ascending.
+    The counts and violations are then replayed in trial order.
     Violations are listed by trial, then witness b, then member e, both
     ascending.
     """
     m, k = len(family), len(STAR_LEVELS)
     n_first = family.first_time.tolist()
-    # per trial the center index, then the level index, as scalar draws
-    draws = np.fromiter((rng.integers(b) for _ in range(trials) for b in (m, k)), np.int64, 2 * trials)
+    draws = rng.integers(np.tile([m, k], trials))
     pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
+    members, centers = [[] for _ in range(m)], [[] for _ in range(m)]
+    rows, cols = np.nonzero(vcap >= 0)
+    for e, c, v in zip(rows.tolist(), cols.tolist(), vcap[rows, cols].tolist()):
+        members[c].append((e, v))
+        centers[e].append((c, v))
     # a center with no member in V_j(a) counts as one triple
     triples, witnesses = np.ones(len(pairs), np.int64), np.zeros(len(pairs), np.int64)
     violations = {}  # pair -> its violations, for the pairs with some
     for u, (ai, level) in enumerate(divmod(pair, k) for pair in pairs.tolist()):
         n = STAR_LEVELS[level]
         j = j_index(n_first[ai], n, cp)
-        in_a = vcap[:, ai] >= j
-        if not in_a.any():
+        in_a = [e for e, v in members[ai] if v >= j]
+        if not in_a:
             continue
-        bis = np.flatnonzero((vcap[in_a, :] >= j).any(axis=0))  # b with a shared witness
+        bis = sorted({b for e in in_a for b, v in centers[e] if v >= j})  # b with a shared witness
         triples[u] = witnesses[u] = len(bis)
-        # [b, e]: e in V_j(b) but not in V_n(a)
-        bad = (vcap[:, bis] >= j).T & (vcap[:, ai] < n)
-        if bad.any():
-            violations[u] = [(ai, int(bis[b]), int(e), n) for b, e in zip(*np.nonzero(bad))]
+        # e in V_j(b) but not in V_n(a); a non-member of a has no entry >= 0
+        level_in_a = dict(members[ai])
+        bad = [(ai, b, e, n) for b in bis for e, v in members[b] if v >= j and level_in_a.get(e, -1) < n]
+        if bad:
+            violations[u] = bad
     rep = StarReport(int(triples[at].sum()), int(witnesses[at].sum()))
     if violations:
         for u in at.tolist():

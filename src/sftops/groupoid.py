@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -180,13 +180,18 @@ def base_set(anchor: GroupoidElement, radius_exp: int, time: Optional[int] = Non
 # the exponent arrays' stand-in for None (distance zero)
 NO_DISTANCE = 2**62
 
+# entries of one block of the close table's row comparisons (64 KB of bools)
+_TABLE_BLOCK = 2**16
+
 
 class ElementFamily:
     """Elements of one side, read through one sft.FamilyWindow of their
     points: per element the window indices of its range and source points
     and its c_first_time, so that metric_exponents evaluates the groupoid
     metric on arrays of element indices.  The window is marked at each
-    element's `cut`, where V_{first_time}(element) splices."""
+    element's `cut`, where V_{first_time}(element) splices.  The close
+    branch of every pair of window points is computed once, on the first
+    metric question, as the P x P table `close_table`."""
 
     def __init__(self, elements):
         sides = {a.side for a in elements}
@@ -207,9 +212,12 @@ class ElementFamily:
         """disk_depth of the points at window indices i and j, as floats."""
         return self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
 
-    def close_exponents(self, i, j) -> np.ndarray:
-        """Metric exponent of the points at window indices i and j on the
-        close branch, or 0 off it; NO_DISTANCE where the points are equal.
+    @cached_property
+    def close_table(self) -> np.ndarray:
+        """close_exponents of every pair of window points, by window index.
+
+        Built in blocks of rows, each compared with every row of the window
+        through at most _TABLE_BLOCK row entries at once.
 
         The close branch is the closed disk: distance at most kappa**-1
         together with the bracket fixed point, i.e. one-sided agreement through
@@ -223,8 +231,20 @@ class ElementFamily:
         disks, a pair at distance exactly kappa**-1 enters the close branch
         only after shifting and undershoots the lower bound.
         """
-        reach = self.disk_depths(i, j)
-        return np.where(reach == math.inf, NO_DISTANCE, np.maximum(reach + 1, 0)).astype(np.int64)
+        p, width = self.window.rows.shape
+        table = np.empty((p, p), dtype=np.int64)
+        step = max(1, _TABLE_BLOCK // max(1, p * width))
+        every = np.arange(p)[None, :]
+        for r in range(0, p, step):
+            reach = self.disk_depths(np.arange(r, min(r + step, p))[:, None], every)
+            table[r : r + step] = np.where(reach == math.inf, NO_DISTANCE, np.maximum(reach + 1, 0))
+        return table
+
+    def close_exponents(self, i, j) -> np.ndarray:
+        """Metric exponent of the points at window indices i and j on the
+        close branch (see close_table), or 0 off it; NO_DISTANCE where the
+        points are equal."""
+        return self.close_table[i, j]
 
     def metric_exponents(self, i, j) -> np.ndarray:
         """Exponents e with D(a, b) = kappa**-e of the elements at index
@@ -234,9 +254,7 @@ class ElementFamily:
         leaves the kappa**-1 local disks, else the max of the two point
         distances (min of the exponents).
         """
-        exps = np.minimum(
-            self.close_exponents(self.second[i], self.second[j]),
-            self.close_exponents(self.first[i], self.first[j]),
-        )
+        close = self.close_table
+        exps = np.minimum(close[self.second[i], self.second[j]], close[self.first[i], self.first[j]])
         exps[self.first_time[i] != self.first_time[j]] = 0
         return exps

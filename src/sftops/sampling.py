@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import numpy as np
+
 from .functions import elements_of
 from .groupoid import GroupoidElement, base_set, c_first_time, unit
 from .sft import (
     STABLE,
     EventuallyPeriodicPoint,
+    FamilyWindow,
     PeriodicOrbit,
     TransitionMatrix,
-    agreement_floor,
     enumerate_homoclinic,
     periodic_point,
     shift,
@@ -96,18 +98,16 @@ def nested_family(
 
 
 def stable_pairs(pool, limit: int, rng) -> list:
-    """Stably equivalent ordered pairs drawn from the pool."""
+    """Stably equivalent ordered pairs drawn from the pool (of distinct
+    points): the first `limit` of them in the order of one permutation of
+    the n * n pool pairs, pair (i, j) at i * n + j.  Which pairs are stably
+    equivalent is read from one table of the pool's agreement floors."""
     n = len(pool)
-    out = []
+    every = np.arange(n)
+    stable = FamilyWindow(pool, [0]).floor(every[:, None], every[None, :]) != math.inf
     order = rng.permutation(n * n)
-    for idx in order:
-        i, j = divmod(int(idx), n)
-        x, y = pool[i], pool[j]
-        if agreement_floor(x, y) != math.inf:
-            out.append(GroupoidElement(x, y, STABLE))
-            if len(out) >= limit:
-                break
-    return out
+    hits = order[stable.ravel()[order]][:limit]
+    return [GroupoidElement(pool[i], pool[j], STABLE) for i, j in zip(*np.divmod(hits, n))]
 
 
 def audit_elements(

@@ -11,6 +11,7 @@ import pickle
 
 import numpy as np
 
+from sftops import aufmetric as auf
 from sftops import functions as fn
 from sftops import groupoid as gd
 from sftops import scenarios as sn
@@ -207,6 +208,48 @@ def floyd_warshall(d):
     for k in range(len(d)):
         np.add(d[:, k, None], d[None, k, :], out=via)
         np.minimum(d, via, out=d)
+
+
+def star_refinement_check(family, cp, rng, trials, vcap):
+    """aufmetric.star_refinement_check before it walked the table's
+    memberships: two scalar draws per trial, and per distinct (center,
+    level) pair one scan of the table's dense columns."""
+    m, k = len(family), len(auf.STAR_LEVELS)
+    n_first = family.first_time.tolist()
+    draws = np.fromiter((rng.integers(b) for _ in range(trials) for b in (m, k)), np.int64, 2 * trials)
+    pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
+    triples, witnesses = np.ones(len(pairs), np.int64), np.zeros(len(pairs), np.int64)
+    violations = {}
+    for u, (ai, level) in enumerate(divmod(pair, k) for pair in pairs.tolist()):
+        n = auf.STAR_LEVELS[level]
+        j = auf.j_index(n_first[ai], n, cp)
+        in_a = vcap[:, ai] >= j
+        if not in_a.any():
+            continue
+        bis = np.flatnonzero((vcap[in_a, :] >= j).any(axis=0))
+        triples[u] = witnesses[u] = len(bis)
+        bad = (vcap[:, bis] >= j).T & (vcap[:, ai] < n)
+        if bad.any():
+            violations[u] = [(ai, int(bis[b]), int(e), n) for b, e in zip(*np.nonzero(bad))]
+    rep = auf.StarReport(int(triples[at].sum()), int(witnesses[at].sum()))
+    if violations:
+        for u in at.tolist():
+            rep.violations += violations.get(u, [])
+    return rep
+
+
+def stable_pairs(pool, limit, rng):
+    """sampling.stable_pairs before its pool table: the scalar
+    agreement_floor of each candidate in the permutation's order."""
+    n = len(pool)
+    out = []
+    for idx in rng.permutation(n * n):
+        i, j = divmod(int(idx), n)
+        if sft.agreement_floor(pool[i], pool[j]) != math.inf:
+            out.append(gd.GroupoidElement(pool[i], pool[j], sft.STABLE))
+            if len(out) >= limit:
+                break
+    return out
 
 
 def _term_value(f, x, term) -> complex:

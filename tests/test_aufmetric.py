@@ -305,6 +305,29 @@ class TestNestedFamily:
         assert els == want
 
 
+class TestStablePairs:
+    @pytest.mark.parametrize("name", ["full-2-shift", "golden-mean", "period-2", "unequal-cycles"])
+    def test_matches_the_scalar_loop(self, name):
+        # the pool table decides the same candidates as agreement_floor,
+        # taken in the order of the same permutation: on the audits' pool,
+        # whose pairs are all stably equivalent, and on it with the points
+        # of both orbits, whose pairs are not
+        s = {"period-2": oracles.period_two_scenario, "unequal-cycles": oracles.unequal_cycles_scenario}.get(
+            name, sn.REFERENCE_SCENARIOS.get(name)
+        )()
+        pool = smp.homoclinic_pool(s.matrix, s.orbit_p, s.orbit_q, 2, range(0, 6))
+        mixed = pool + s.orbit_p.points() + s.orbit_q.points()
+        for points in (pool, mixed):
+            n = len(points)
+            for limit in (1, 4, 240, n * n):
+                for seed in (0, 5):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got, want = smp.stable_pairs(points, limit, rng), oracles.stable_pairs(points, limit, ref_rng)
+                    assert got == want and 0 < len(got) <= limit
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(got) < n * n
+
+
 class TestIndices:
     def test_ceil_log3(self):
         assert CP.ceil_log3 == 2
@@ -463,6 +486,33 @@ class TestCoverLevels:
         assert np.array_equal(got, want)
         off = ~np.eye(40, dtype=bool)
         assert (want[off] == 0).any() and (want[off] == n_max).any()
+
+    def test_memory_peak_of_the_table_stage(self):
+        # auf-audit's family at --samples 20000 on full-2-shift: the levels
+        # come from the entries with vcap >= 1 only (under 1 % of them) and
+        # the exponents are int8, so the stage peaks well below one vcap
+        # table; levels over the whole table would take several
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        s = REFERENCE["full-2-shift"]
+        family = gd.ElementFamily(
+            smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, np.random.default_rng(s.seed + 2), 400)
+        )
+        cp = auf.CoverIndexParams(s.kappa)
+        vcap = auf.build_vcap_table(family, cp)
+        assert len(family) == 400 and (vcap >= 1).mean() < 0.01
+        tracemalloc.start()
+        try:
+            t = auf.build_quasimetric_table(family, cp, vcap=vcap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * vcap.nbytes
+        assert t.exponents.dtype == np.int8
+        with pytest.raises(ValueError, match="n_max"):
+            auf.build_quasimetric_table(family, cp, vcap=vcap, n_max=128)
 
 
 class TestQuasimetric:
@@ -667,6 +717,41 @@ class TestSandwich:
         assert rep.upper_violations == ref.upper_violations
         assert rep.lower_violations == ref.lower_violations
 
+    @pytest.mark.parametrize("block", [1, 37, 2**15])
+    def test_blocks_of_rows_match_the_loop_oracle(self, monkeypatch, block):
+        # blocks of one row, of a row and a part (37 // 40 = 0 -> one row)
+        # and of several rows, on a table with violations of both kinds
+        monkeypatch.setattr(auf, "_STEP_BLOCK", block)
+        rng = np.random.default_rng(47)
+        for m in (2, 3, 40, 90):
+            t = random_table(rng, m, [0, 1, 2, 3, 4])
+            d = t.values() * rng.choice([0.125, 0.5, 1.0, 2.0], size=(m, m))
+            rep, ref = auf.sandwich_check(t, d), sandwich_oracle(t, d)
+            assert (rep.checked, rep.upper_violations, rep.lower_violations) == (
+                ref.checked,
+                ref.upper_violations,
+                ref.lower_violations,
+            )
+        assert ref.upper_violations and ref.lower_violations
+
+    def test_memory_peak_is_one_block_of_rows(self):
+        # rho is read from the exponents one block of rows at a time: a
+        # table-sized copy of it would take 8 MB here
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        t = random_table(np.random.default_rng(53), 1000, [0, 1, 2, 3])
+        d = t.values()  # rho/4 <= rho <= rho
+        tracemalloc.start()
+        try:
+            rep = auf.sandwich_check(t, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.checked == 1000 * 999 // 2
+        assert peak < 3 * 8 * auf._STEP_BLOCK < d.nbytes / 8
+
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_matches_loop_oracle_on_reference(self, reference_tables, name):
         t = reference_tables[name][2]
@@ -711,6 +796,31 @@ class TestStar:
         ref = star_oracle(els, CP, np.random.default_rng(37), 300, (0, 1, 2, 3), vcap)
         assert rep.ok and ref.ok
         assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
+
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_membership_walk_matches_the_dense_oracle(self, reference_tables, name):
+        # the walk over per-center member lists and per-member center lists
+        # against the scan of dense columns: the counts, and the violations
+        # in their order, on the reference table, on the table with a tenth
+        # of its memberships knocked out, and on a random table of dyadic
+        # V-indices, one entry in ten set
+        els, vcap, _ = reference_tables[name]
+        family = gd.ElementFamily(els)
+        rng = np.random.default_rng(41)
+        tampered = np.where(rng.random(vcap.shape) < 0.1, -1, vcap)
+        dyadic = rng.choice([-1, 0, 1, 2, 4, 8, 16, auf._DEEP], size=vcap.shape, p=[0.9] + [0.1 / 7] * 7)
+        found = []
+        for table in (vcap, tampered, dyadic):
+            for seed in (0, 43):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                rep = auf.star_refinement_check(family, CP, rng, 500, vcap=table)
+                ref = oracles.star_refinement_check(family, CP, ref_rng, 500, table)
+                assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
+                assert rep.violations == ref.violations
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            found.append(len(ref.violations))
+        assert found[0] == 0 and found[1] > 20 and found[2] > 20
 
 
 class TestDiameter:

@@ -326,6 +326,15 @@ def test_numpy_draw_contract(name):
                 drawn = levels[int(index_rng.integers(len(levels)))]
                 assert int(choice_rng.choice(levels)) == drawn
         assert choice_rng.bit_generator.state == index_rng.bit_generator.state
+    # the star check draws each trial's center index and level index in one
+    # call over the alternating bounds
+    for bound in bounds:
+        for seed in (0, 1, 2**32 + 7):
+            for trials in (1, 7, 1000, 2003):
+                scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                scalar = [int(scalar_rng.integers(b)) for _ in range(trials) for b in (bound, len(levels))]
+                assert batch_rng.integers(np.tile([bound, len(levels)], trials)).tolist() == scalar
+                assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestAufAudit:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sftops.errors import NotComposable, SideMismatch
 
 import oracles
 from oracles import OutsideDomain, base_set_membership, holonomy_apply, in_domain, local_set_membership, metric_exponent
+from test_sft import WINDOW_SHIFTS, window_points
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P2 = sft.MetricParams(2.0)
@@ -333,6 +335,71 @@ class TestElementFamily:
                     depths.update(scalar)
         assert {None, 0, 1} < seen
         assert math.inf in depths and min(depths) < 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(WINDOW_SHIFTS)).flatmap(
+            lambda name: st.lists(window_points(name), min_size=1, max_size=5)
+        ),
+        st.sampled_from([gd.STABLE, gd.UNSTABLE]),
+        st.integers(1, 400),
+    )
+    def test_close_table_matches_the_family_window(self, points, side, block):
+        # the units of the points and every pair of them equivalent on the
+        # side, so the window is marked at several cuts; the table is built
+        # in blocks of at most `block` row entries (of one row at least)
+        if side == gd.STABLE:
+            equivalent = lambda x, y: sft.agreement_floor(x, y) != math.inf
+        else:
+            equivalent = lambda x, y: sft.agreement_depth(x, y) != -math.inf
+        els = [gd.GroupoidElement(x, y, side) for x in points for y in points if equivalent(x, y)]
+        with mock.patch.object(gd, "_TABLE_BLOCK", block):
+            fam = gd.ElementFamily(els)
+            table = fam.close_table
+        win = fam.window
+        p = len(win.points)
+        assert table.shape == (p, p) and table.dtype == np.int64
+        for i in range(p):
+            for j in range(p):
+                d = win.depth(i, j) if side == gd.STABLE else -win.floor(i, j)
+                want = gd.NO_DISTANCE if d == math.inf else 0 if d == -math.inf else max(int(d) + 1, 0)
+                assert table[i, j] == want
+        # both exponent readings index the table
+        i, j = np.divmod(np.arange(len(els) ** 2), len(els))
+        got = fam.metric_exponents(i, j).tolist()
+        assert [None if e == gd.NO_DISTANCE else e for e in got] == [
+            oracles.groupoid_metric_exponent(els[a], els[b]) for a, b in zip(i, j)
+        ]
+        u, v = np.divmod(np.arange(p * p), p)
+        assert fam.close_exponents(u, v).tolist() == table.ravel().tolist()
+
+    @pytest.mark.parametrize("name, points", [("full-2-shift", 173), ("golden-mean", 75)])
+    def test_close_table_is_bounded(self, name, points):
+        # metric-audit's family: its points come from a fixed homoclinic
+        # pool, so the table has the same side at --samples 20000 and
+        # 200000, and building it takes one block of row comparisons
+        # beside the table, not P * P * width of them
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        s = sn.REFERENCE_SCENARIOS[name]()
+        sides = set()
+        for samples in (20000, 200000):
+            rng = np.random.default_rng(s.seed + 1)
+            els = smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, rng, max(240, samples // 40))
+            fam = gd.ElementFamily(els + [gd.phi_auto(a, -1) for a in els] + [gd.inverse(a) for a in els])
+            tracemalloc.start()
+            try:
+                table = fam.close_table
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            sides.add(table.shape)
+            width = fam.window.rows.shape[1]
+            assert points * points * width > gd._TABLE_BLOCK
+            assert peak < table.nbytes + 4 * gd._TABLE_BLOCK
+        assert sides == {(points, points)}
 
     def test_one_side_only(self):
         a = stable(STEP, pt((1, 0), -2))

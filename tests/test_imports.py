@@ -314,6 +314,31 @@ def test_checkers_find_definitions_and_calls():
     assert set(calls_by_name({"m.py": source})) == {"in_unstable_set", "in_stable_set"}
 
 
+def method_callers(source: str, names) -> list:
+    """The top-level function or class around each call of a method named
+    in `names`, None at module level; calls on the math and numpy modules
+    (math.floor) do not count."""
+    out = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr in names:
+                receiver = sub.func.value
+                if not (isinstance(receiver, ast.Name) and receiver.id in ("math", "np")):
+                    out.append(where)
+    return out
+
+
+def test_checker_finds_method_callers():
+    source = (
+        "import math\n"
+        "class F:\n    def d(self, i):\n        return self.window.depth(i, i) + math.floor(i)\n"
+        "def pool(p):\n    return Window(p, [0]).floor(0, 1) + np.floor(2)\n"
+        "X = w.depth(1, 2)\n"
+    )
+    assert method_callers(source, {"depth", "floor"}) == ["F", "pool", None]
+
+
 def test_one_implementation_per_groupoid_construct():
     # a bisection acts only through the word kernel in functions, and the
     # two-branch metric is only groupoid.ElementFamily: the point-level
@@ -326,6 +351,11 @@ def test_one_implementation_per_groupoid_construct():
     assert [stem for stem, defined in names.items() if "elements_of" in defined] == ["functions"]
     local_sets = {"in_stable_set", "in_unstable_set"}
     assert [stem for stem, source in sources.items() if stem != "sft" and local_sets & calls_by_name({stem: source}).keys()] == []
+    # one path from window rows to exponents: sft.FamilyWindow's depth and
+    # floor are read by groupoid.ElementFamily, whose close table every
+    # metric question indexes, and by the pool table of sampling.stable_pairs
+    readers = {f"{stem}.{where}" for stem, source in sources.items() for where in method_callers(source, {"depth", "floor"})}
+    assert readers == {"groupoid.ElementFamily", "sampling.stable_pairs"}
 
 
 def test_cli_import_loads_no_command_module():
