@@ -15,7 +15,6 @@ the true infimum over all centers; reports carry the candidate count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,20 +22,21 @@ import numpy as np
 from .errors import InsufficientData
 from .groupoid import ElementFamily
 from .sft import STABLE
+from .slotted import Frozen, Slotted
 
 _FUZZ = 1e-9
 _DEEP = 10**6  # stands for "member at every finite index"
 
 
-@dataclass(frozen=True)
-class CoverIndexParams:
+class CoverIndexParams(Frozen):
     """Contraction constant of the ambient metric and ceil(log_lambda 3)."""
 
-    lambda_x: float
+    __slots__ = _fields = ("lambda_x",)
 
-    def __post_init__(self):
-        if not self.lambda_x > 1.0:
+    def __init__(self, lambda_x: float):
+        if not lambda_x > 1.0:
             raise ValueError("lambda must be > 1")
+        object.__setattr__(self, "lambda_x", lambda_x)
 
     @property
     def ceil_log3(self) -> int:
@@ -122,27 +122,26 @@ def _spliced_word(family: ElementFamily, j: int, z: int) -> bytes:
 # quasimetric tables and the chain metric
 
 
-@dataclass
-class QuasimetricTable:
+class QuasimetricTable(Slotted):
     """Symmetric table of rho values 2**-n, stored as integer exponents.
 
     exponents[i, j] = n encodes the value 2**-n; the diagonal is exactly
     zero and carries the sentinel -1.
     """
 
-    point_ids: list
-    exponents: np.ndarray
+    __slots__ = _fields = ("point_ids", "exponents")
 
-    def __post_init__(self):
-        e = np.asarray(self.exponents)
+    def __init__(self, point_ids: list, exponents: np.ndarray):
+        e = np.asarray(exponents)
         if e.dtype.kind != "i":
             e = e.astype(int)
-        if e.shape != (len(self.point_ids), len(self.point_ids)):
+        if e.shape != (len(point_ids), len(point_ids)):
             raise ValueError("exponent matrix shape mismatch")
         if not np.array_equal(e, e.T):
             raise ValueError("quasimetric table must be symmetric")
-        if not all(e[i, i] == -1 for i in range(len(self.point_ids))):
+        if not all(e[i, i] == -1 for i in range(len(point_ids))):
             raise ValueError("diagonal must be zero (sentinel -1)")
+        self.point_ids = point_ids
         self.exponents = e
 
     @property
@@ -260,11 +259,13 @@ def chain_metric(t: QuasimetricTable) -> np.ndarray:
     return d
 
 
-@dataclass
-class SandwichReport:
-    checked: int = 0
-    upper_violations: list = field(default_factory=list)
-    lower_violations: list = field(default_factory=list)
+class SandwichReport(Slotted):
+    __slots__ = _fields = ("checked", "upper_violations", "lower_violations")
+
+    def __init__(self, checked: int = 0):
+        self.checked = checked
+        self.upper_violations = []
+        self.lower_violations = []
 
     @property
     def ok(self) -> bool:
@@ -300,11 +301,13 @@ def sandwich_check(t: QuasimetricTable, d: np.ndarray) -> SandwichReport:
 STAR_LEVELS = (0, 1, 2, 3)  # the cover levels n the star check samples
 
 
-@dataclass
-class StarReport:
-    triples_checked: int = 0
-    witnesses: int = 0
-    violations: list = field(default_factory=list)
+class StarReport(Slotted):
+    __slots__ = _fields = ("triples_checked", "witnesses", "violations")
+
+    def __init__(self, triples_checked: int = 0, witnesses: int = 0):
+        self.triples_checked = triples_checked
+        self.witnesses = witnesses
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -364,13 +367,15 @@ def star_refinement_check(
     return rep
 
 
-@dataclass
-class DiameterFit:
-    ks: list
-    log2_diameters: list
-    slope: float
-    predicted_slope: float
-    gamma_prime: float  # smallest constant with diam <= 2**(-k/ceil_log3) * gamma'
+class DiameterFit(Slotted):
+    __slots__ = _fields = ("ks", "log2_diameters", "slope", "predicted_slope", "gamma_prime")
+
+    def __init__(self, ks: list, log2_diameters: list, slope: float, predicted_slope: float, gamma_prime: float):
+        self.ks = ks
+        self.log2_diameters = log2_diameters
+        self.slope = slope
+        self.predicted_slope = predicted_slope
+        self.gamma_prime = gamma_prime  # smallest constant with diam <= 2**(-k/ceil_log3) * gamma'
 
     @property
     def relative_error(self) -> float:

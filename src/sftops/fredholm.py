@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .schatten import (
     singular_values,
     summability_verdict,
 )
+from .slotted import Slotted
 
 # ---------------------------------------------------------------------------
 # inflated operators on basis x window
@@ -94,13 +94,22 @@ def densify(op: SparseOperator, window: Tuple[int, int], stride: int) -> np.ndar
     return flat.to_dense((hi - lo + 1) * stride)
 
 
-@dataclass
-class KpwCommutator:
-    matrix: SparseOperator
-    interior_window: Tuple[int, int]
-    spectrum: SingularSpectrum
-    factorization_residual: float
-    excluded_blocks: List[int]
+class KpwCommutator(Slotted):
+    __slots__ = _fields = ("matrix", "interior_window", "spectrum", "factorization_residual", "excluded_blocks")
+
+    def __init__(
+        self,
+        matrix: SparseOperator,
+        interior_window: Tuple[int, int],
+        spectrum: SingularSpectrum,
+        factorization_residual: float,
+        excluded_blocks: List[int],
+    ):
+        self.matrix = matrix
+        self.interior_window = interior_window
+        self.spectrum = spectrum
+        self.factorization_residual = factorization_residual
+        self.excluded_blocks = excluded_blocks
 
 
 def kpw_commutator(
@@ -114,7 +123,7 @@ def kpw_commutator(
     certified spectra must agree within 1e-10.  The images it registers go
     into a copy of reg, so reg and its indices stay as they were.
     """
-    reg = replace(reg, points=list(reg.points), index=dict(reg.index))
+    reg = reg.copy()
     margin = max(abs(j), abs(jp)) + 1
     lo, hi = window[0] + margin, window[1] - margin
     u_mat = unitary_u(reg)
@@ -147,10 +156,12 @@ def kpw_commutator(
 # Fredholm modules
 
 
-@dataclass
-class FredholmModule:
-    f_op: np.ndarray
-    grading: Optional[np.ndarray] = None  # the Z/2 grading of an even module
+class FredholmModule(Slotted):
+    __slots__ = _fields = ("f_op", "grading")
+
+    def __init__(self, f_op: np.ndarray, grading: Optional[np.ndarray] = None):
+        self.f_op = f_op
+        self.grading = grading  # the Z/2 grading of an even module
 
     def rep(self, x: np.ndarray) -> np.ndarray:
         """The algebra acts by x on an odd module and by x (+) x on an even one."""

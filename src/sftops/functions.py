@@ -13,14 +13,12 @@ finitely many basis points their columns can touch, and a block is
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import forked
 from .errors import SideMismatch
 from .groupoid import (
     BaseSet,
@@ -40,6 +38,7 @@ from .sft import (
     shift,
     splice_at,
 )
+from .slotted import Frozen, Slotted
 
 # ---------------------------------------------------------------------------
 # the function type
@@ -68,16 +67,15 @@ class Term(NamedTuple):
     seed: str = ""
 
 
-@dataclass(frozen=True)
-class LocallyConstantFunction:
-    side: str
-    terms: Tuple[Term, ...]
+class LocallyConstantFunction(Frozen):
+    __slots__ = _fields = ("side", "terms")
 
-    def __post_init__(self):
-        terms = tuple(Term(*t) for t in self.terms)
+    def __init__(self, side: str, terms: Tuple[Term, ...]):
+        terms = tuple(Term(*t) for t in terms)
         for t in terms:
-            if t.support.side != self.side:
+            if t.support.side != side:
                 raise SideMismatch("term base set on the wrong side")
+        object.__setattr__(self, "side", side)
         object.__setattr__(self, "terms", terms)
 
     def supports(self) -> Tuple[BaseSet, ...]:
@@ -235,21 +233,33 @@ def convolve(
 # basis registry and the fundamental representation
 
 
-@dataclass
-class BasisRegistry:
+class BasisRegistry(Slotted):
     """Ordered registry of canonical homoclinic points with a growth cap."""
 
-    cap: int
-    points: List[EventuallyPeriodicPoint] = field(default_factory=list)
-    index: Dict[EventuallyPeriodicPoint, int] = field(default_factory=dict)
-    truncation_events: int = 0
+    __slots__ = _fields = ("cap", "points", "index", "truncation_events")
+
+    def __init__(
+        self,
+        cap: int,
+        points: List[EventuallyPeriodicPoint],
+        index: Dict[EventuallyPeriodicPoint, int],
+        truncation_events: int,
+    ):
+        self.cap = cap
+        self.points = points
+        self.index = index
+        self.truncation_events = truncation_events
 
     @classmethod
     def seeded(cls, pts, cap: int) -> "BasisRegistry":
-        reg = cls(cap=cap)
+        reg = cls(cap, [], {}, 0)
         for x in pts:
             reg.add(x)
         return reg
+
+    def copy(self) -> "BasisRegistry":
+        """A registry that grows apart from this one from here on."""
+        return BasisRegistry(self.cap, list(self.points), dict(self.index), self.truncation_events)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -285,8 +295,7 @@ def _accumulate(acc: dict, key, v: complex) -> None:
 DENSE_SIDE_CAP = 2048
 
 
-@dataclass
-class SparseOperator:
+class SparseOperator(Slotted):
     """Complex matrix with finitely many entries, keyed by (row, column).
 
     A key is a registry index, or a (window slot, registry index) pair on
@@ -294,7 +303,10 @@ class SparseOperator:
     while the registry grows.
     """
 
-    entries: Dict[tuple, complex] = field(default_factory=dict)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Dict[tuple, complex] = None):
+        self.entries = {} if entries is None else entries
 
     def add(self, i, j, v: complex) -> None:
         _accumulate(self.entries, (i, j), v)
@@ -377,13 +389,15 @@ def unitary_u(reg: BasisRegistry) -> SparseOperator:
 # commutator blocks
 
 
-@dataclass
-class BlockOperator:
+class BlockOperator(Slotted):
     """Z-indexed block diagonal family over a shared basis registry."""
 
-    blocks: Dict[int, SparseOperator]
-    untrusted: Dict[int, str]
-    basis: BasisRegistry
+    __slots__ = _fields = ("blocks", "untrusted", "basis")
+
+    def __init__(self, blocks: Dict[int, SparseOperator], untrusted: Dict[int, str], basis: BasisRegistry):
+        self.blocks = blocks
+        self.untrusted = untrusted
+        self.basis = basis
 
     def trusted_blocks(self) -> Dict[int, SparseOperator]:
         return {n: b for n, b in self.blocks.items() if n not in self.untrusted}
@@ -728,6 +742,8 @@ def _fork_columns(jobs: dict, est: dict, b: LocallyConstantFunction, m: Transiti
     """n -> _block_columns of each block a_n of jobs (n -> a_n), the blocks
     split by estimate, largest first, between this process and a forked
     child (see forked.run)."""
+    from . import forked
+
     shares, loads = ([], []), [0, 0]
     for n in sorted(jobs, key=lambda n: -est[n]):
         k = loads[1] < loads[0]  # the lighter share, this process's on a tie
@@ -756,6 +772,8 @@ def commutator_blocks(
     columns are computed in two processes; the blocks are then registered
     in order n = lo..hi as in one process, and the result is the same.
     """
+    from . import forked  # imported here: the commands that never fork do not compile it
+
     if a.side != STABLE or b.side != UNSTABLE:
         raise SideMismatch("commutator needs a stable and an unstable function")
     n_min, n_max = window

@@ -16,7 +16,6 @@ conjugation that the tests use to cross-check every mirrored formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -33,26 +32,28 @@ from .sft import (
     reverse_point,
     shift,
 )
+from .slotted import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class GroupoidElement:
+class GroupoidElement(Frozen):
     """An ordered pair (first, second) = (range, source) on one side.
 
     The hash is computed once, at construction, and kept outside the
     fields: the metric and the per-element caches hash and compare the
-    same elements many times.  Equality is field equality.  The stored hash
-    is this process's, so an element is not to be unpickled in another.
+    same elements many times.  Equality is field equality.  An element
+    pickles through its constructor, which computes the hash anew.
     """
 
-    first: EventuallyPeriodicPoint
-    second: EventuallyPeriodicPoint
-    side: str = STABLE
+    _fields = ("first", "second", "side")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        if self.side not in (STABLE, UNSTABLE):
-            raise ValueError(f"unknown side {self.side!r}")
-        object.__setattr__(self, "_hash", hash((self.first, self.second, self.side)))
+    def __init__(self, first: EventuallyPeriodicPoint, second: EventuallyPeriodicPoint, side: str = STABLE):
+        if side not in (STABLE, UNSTABLE):
+            raise ValueError(f"unknown side {side!r}")
+        _set_first(self, first)
+        _set_second(self, second)
+        _set_side(self, side)
+        _set_hash(self, hash((first, second, side)))
 
     def __hash__(self):
         return self._hash
@@ -68,6 +69,11 @@ class GroupoidElement:
 
     def sort_key(self):
         return (self.first.sort_key(), self.second.sort_key())
+
+
+_set_first, _set_second, _set_side, _set_hash = (
+    GroupoidElement.__dict__[name].__set__ for name in GroupoidElement.__slots__
+)
 
 
 def unit(x: EventuallyPeriodicPoint, side: str = STABLE) -> GroupoidElement:
@@ -138,8 +144,7 @@ def c_first_time(a: GroupoidElement) -> int:
 # base sets (bisections) and holonomy
 
 
-@dataclass(frozen=True)
-class BaseSet:
+class BaseSet(Frozen):
     """V^s(anchor, kappa**-(radius_exp+1), time) and the unstable mirror.
 
     The domain disk pins one-sided agreement up to threshold
@@ -148,15 +153,16 @@ class BaseSet:
     parameters translated.
     """
 
-    anchor: GroupoidElement
-    radius_exp: int
-    time: int
+    __slots__ = _fields = ("anchor", "radius_exp", "time")
 
-    def __post_init__(self):
-        if self.time < min_splice_time(self.anchor):
+    def __init__(self, anchor: GroupoidElement, radius_exp: int, time: int):
+        if time < min_splice_time(anchor):
             raise ValueError("time below the first coherent splice time")
-        if self.radius_exp < self.time:
+        if radius_exp < time:
             raise ValueError("radius exponent below the holonomy time")
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "radius_exp", radius_exp)
+        object.__setattr__(self, "time", time)
 
     @property
     def side(self) -> str:

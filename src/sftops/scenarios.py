@@ -7,7 +7,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Tuple
 
@@ -26,21 +25,55 @@ from .sft import (
     validate_matrix,
     validate_point,
 )
+from .slotted import Slotted
 
 
-@dataclass
-class Scenario:
-    name: str
-    matrix: TransitionMatrix
-    kappa: float
-    orbit_p: PeriodicOrbit
-    orbit_q: PeriodicOrbit
-    core_bound: int
-    window: Tuple[int, int]
-    basis_cap: int
-    functions: Dict[str, LocallyConstantFunction] = field(default_factory=dict)
-    p_grid: List[float] = field(default_factory=list)
-    seed: int = 0
+class Scenario(Slotted):
+    __slots__ = _fields = (
+        "name",
+        "matrix",
+        "kappa",
+        "orbit_p",
+        "orbit_q",
+        "core_bound",
+        "window",
+        "basis_cap",
+        "functions",
+        "p_grid",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        matrix: TransitionMatrix,
+        kappa: float,
+        orbit_p: PeriodicOrbit,
+        orbit_q: PeriodicOrbit,
+        core_bound: int,
+        window: Tuple[int, int],
+        basis_cap: int,
+        functions: Dict[str, LocallyConstantFunction],
+        p_grid: List[float],
+        seed: int,
+    ):
+        self.name = name
+        self.matrix = matrix
+        self.kappa = kappa
+        self.orbit_p = orbit_p
+        self.orbit_q = orbit_q
+        self.core_bound = core_bound
+        self.window = window
+        self.basis_cap = basis_cap
+        self.functions = functions
+        self.p_grid = p_grid
+        self.seed = seed
+
+    def replace(self, **changes) -> "Scenario":
+        """A new scenario with the named fields changed and the rest shared."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return Scenario(**fields)
 
     @property
     def metric(self) -> MetricParams:

@@ -10,31 +10,29 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InsufficientData, NonFiniteOperator, QuasiNormViolation
+from .slotted import Slotted
 
 RANK_FLOOR = 1e-14
 TRIM_FLOOR = 1e-13
 
 
-@dataclass
-class SingularSpectrum:
+class SingularSpectrum(Slotted):
     """Nonincreasing singular values with optional multiplicities."""
 
-    values: np.ndarray
-    counts: Optional[np.ndarray] = None
-    source: str = ""
+    __slots__ = _fields = ("values", "counts", "source")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.counts is None:
+    def __init__(self, values: np.ndarray, counts: Optional[np.ndarray] = None, source: str = ""):
+        self.values = np.asarray(values, dtype=float)
+        if counts is None:
             self.counts = np.ones(len(self.values), dtype=np.int64)
         else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
+            self.counts = np.asarray(counts, dtype=np.int64)
+        self.source = source
         if len(self.counts) != len(self.values):
             raise ValueError("counts/values length mismatch")
         if np.any(self.values < 0):
@@ -155,11 +153,13 @@ def power_masses(spec: SingularSpectrum, p: float) -> np.ndarray:
 # quasinorm property check
 
 
-@dataclass
-class QuasiNormReport:
-    max_power_ratio: float
-    max_constant_ratio: float
-    power_subadditivity_failures: int
+class QuasiNormReport(Slotted):
+    __slots__ = _fields = ("max_power_ratio", "max_constant_ratio", "power_subadditivity_failures")
+
+    def __init__(self, max_power_ratio: float, max_constant_ratio: float, power_subadditivity_failures: int):
+        self.max_power_ratio = max_power_ratio
+        self.max_constant_ratio = max_constant_ratio
+        self.power_subadditivity_failures = power_subadditivity_failures
 
 
 def quasinorm_properties_check(p: float, trials: int, seed: int) -> QuasiNormReport:
@@ -203,17 +203,19 @@ def quasinorm_properties_check(p: float, trials: int, seed: int) -> QuasiNormRep
 # blockwise singular-value decay certificates
 
 
-@dataclass
-class BoundCertificate:
+class BoundCertificate(Slotted):
     """Certified (index, bound) schedule for block operators with
     rank(T_n) <= C1 * alpha**n and |T_n| <= C2 * beta**-n from n0 on."""
 
-    c1: float
-    alpha: float
-    c2: float
-    beta: float
-    n0: int
-    schedule: List[Tuple[int, float]] = field(default_factory=list)
+    __slots__ = _fields = ("c1", "alpha", "c2", "beta", "n0", "schedule")
+
+    def __init__(self, c1: float, alpha: float, c2: float, beta: float, n0: int):
+        self.c1 = c1
+        self.alpha = alpha
+        self.c2 = c2
+        self.beta = beta
+        self.n0 = n0
+        self.schedule: List[Tuple[int, float]] = []
 
     @property
     def exponent(self) -> float:
@@ -273,10 +275,12 @@ def staircase_spectrum(alpha: int, beta: float, n_blocks: int) -> SingularSpectr
 # decay-exponent regression and summability verdicts
 
 
-@dataclass
-class DecayFit:
-    slope: float
-    r_squared: float
+class DecayFit(Slotted):
+    __slots__ = _fields = ("slope", "r_squared")
+
+    def __init__(self, slope: float, r_squared: float):
+        self.slope = slope
+        self.r_squared = r_squared
 
 
 def fit_decay_exponent(spec: SingularSpectrum, window: Optional[Tuple[int, int]] = None) -> DecayFit:
@@ -308,13 +312,17 @@ DIVERGENT_TREND = "DIVERGENT-TREND"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
-class SummabilityVerdict:
-    p: float
-    verdict: str
-    checkpoints: List[int]
-    partial_sums: List[float]
-    final_relative_increment: float
+class SummabilityVerdict(Slotted):
+    __slots__ = _fields = ("p", "verdict", "checkpoints", "partial_sums", "final_relative_increment")
+
+    def __init__(
+        self, p: float, verdict: str, checkpoints: List[int], partial_sums: List[float], final_relative_increment: float
+    ):
+        self.p = p
+        self.verdict = verdict
+        self.checkpoints = checkpoints
+        self.partial_sums = partial_sums
+        self.final_relative_increment = final_relative_increment
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ integer ``i``.  ``shift(x, k).at(i) == x.at(i + k)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .errors import (
     OrbitsNotDisjoint,
     ZeroRowOrColumn,
 )
+from .slotted import Frozen
 
 Word = bytes  # one symbol per byte; bytes compare like tuples of ints
 
@@ -36,11 +36,13 @@ UNSTABLE = "unstable"
 # transition matrices
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Frozen):
     """0/1 transition matrix over the alphabet {0, ..., n-1}."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
@@ -140,15 +142,15 @@ def entropy(m: TransitionMatrix) -> float:
     return math.log(rho)
 
 
-@dataclass(frozen=True)
-class MetricParams:
+class MetricParams(Frozen):
     """Expanding factor kappa > 1 of the self-similar ultrametric."""
 
-    kappa: float
+    __slots__ = _fields = ("kappa",)
 
-    def __post_init__(self):
-        if not self.kappa > 1.0:
+    def __init__(self, kappa: float):
+        if not kappa > 1.0:
             raise ValueError("kappa must be > 1")
+        object.__setattr__(self, "kappa", kappa)
 
     def value(self, exponent: Optional[int]) -> float:
         """kappa**-exponent, with None meaning distance zero."""
@@ -196,22 +198,43 @@ def _tile(cycle: Word, offset: int, n: int) -> Word:
     return (cycle * ((k + n) // m + 1))[k : k + n]
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicPoint:
+class EventuallyPeriodicPoint(Frozen):
     """Canonical encoding of an allowed bi-infinite eventually periodic sequence.
 
     For i < core_start the symbol is left_cycle[(i - core_start) % len],
     inside the core it is core[i - core_start], and for i >= core_end it is
     right_cycle[(i - core_end) % len].  Construction goes through
     :func:`build_point`, which produces the unique canonical form, so
-    dataclass equality and hashing decide point equality.  An instance made
+    field equality and hashing decide point equality.  An instance made
     without it from a raw encoding is only to be read.
+
+    The hash is computed once, at construction, and kept outside the
+    fields: hash((left_cycle, core, right_cycle, 2 * core_start + 1)), with
+    2 * core_start + 1 and not core_start since CPython's hash(-1) ==
+    hash(-2).  The fields are set through the slots' own setters, the
+    cheapest way past the frozen __setattr__.
     """
 
-    left_cycle: Word
-    core: Word
-    right_cycle: Word
-    core_start: int
+    _fields = ("left_cycle", "core", "right_cycle", "core_start")
+    __slots__ = (*_fields, "_hash")
+
+    def __init__(self, left_cycle: Word, core: Word, right_cycle: Word, core_start: int):
+        _set_left(self, left_cycle)
+        _set_core(self, core)
+        _set_right(self, right_cycle)
+        _set_start(self, core_start)
+        _set_hash(self, hash((left_cycle, core, right_cycle, 2 * core_start + 1)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.core_start == other.core_start
+            and self.core == other.core
+            and self.left_cycle == other.left_cycle
+            and self.right_cycle == other.right_cycle
+        )
 
     @property
     def core_end(self) -> int:
@@ -248,14 +271,18 @@ class EventuallyPeriodicPoint:
         return out
 
     def __hash__(self):
-        # 2 * core_start + 1, not core_start: CPython's hash(-1) == hash(-2)
-        return hash((self.left_cycle, self.core, self.right_cycle, 2 * self.core_start + 1))
+        return self._hash
 
     def sort_key(self):
         return (self.left_cycle, self.core_start, self.core, self.right_cycle)
 
     def __repr__(self):
         return f"Point({encode_point(self)!r})"
+
+
+_set_left, _set_core, _set_right, _set_start, _set_hash = (
+    EventuallyPeriodicPoint.__dict__[name].__set__ for name in EventuallyPeriodicPoint.__slots__
+)
 
 
 def build_point(left: Word, core: Word, right: Word, start: int) -> EventuallyPeriodicPoint:
@@ -449,14 +476,13 @@ def in_unstable_set(x, y, eps_exp: int) -> bool:
 # periodic orbits and homoclinic enumeration
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(Frozen):
     """A periodic orbit, stored as one primitive allowed cycle word."""
 
-    cycle: Word
+    __slots__ = _fields = ("cycle",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle", bytes(self.cycle))
+    def __init__(self, cycle: Word):
+        object.__setattr__(self, "cycle", bytes(cycle))
 
     @classmethod
     def from_word(cls, w, m: TransitionMatrix = None) -> "PeriodicOrbit":

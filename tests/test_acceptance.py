@@ -18,7 +18,7 @@ from sftops import sampling as smp
 from sftops import schatten as sc
 from sftops import scenarios as sn
 from sftops import sft
-from sftops.cli import spectrum_analysis
+from sftops.cmd_spectrum import spectrum_analysis
 
 from oracles import holonomy_apply, in_domain, metric_exponent
 

@@ -15,6 +15,9 @@ import pytest
 
 from sftops import aufmetric as auf
 from sftops import cli
+from sftops import cmd_metric_audit
+from sftops import cmd_spectrum
+from sftops import cmd_validate
 from sftops import forked
 from sftops import groupoid as gd
 from sftops import sampling as smp
@@ -310,10 +313,10 @@ def test_numpy_draw_contract(name):
     assert len(bounds) >= 3
     for bound in bounds:
         for seed in (0, 1, 2**32 + 7):
-            for count in (1, 7, cli.DRAW_CHUNK, 2 * cli.DRAW_CHUNK + 3):
+            for count in (1, 7, cmd_metric_audit.DRAW_CHUNK, 2 * cmd_metric_audit.DRAW_CHUNK + 3):
                 scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 scalar = [int(scalar_rng.integers(bound)) for _ in range(count)]
-                assert [int(v) for (chunk,) in cli._draws(batch_rng, bound, 1, count) for v in chunk] == scalar
+                assert [int(v) for (chunk,) in cmd_metric_audit._draws(batch_rng, bound, 1, count) for v in chunk] == scalar
                 chunk = batch_rng.integers(bound, size=count).tolist()
                 assert chunk == [int(scalar_rng.integers(bound)) for _ in range(count)]
                 assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
@@ -398,13 +401,12 @@ class TestSpectrum:
 
     def test_empty_function_trivially_convergent(self, tmp_path):
         from sftops import functions as fnmod
-        from sftops import cli as climod
 
         s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
         s.basis_cap = 500
         s.window = (-2, 4)
         s.functions["zero"] = fnmod.LocallyConstantFunction("stable", ())
-        analysis = climod.spectrum_analysis(s, "zero", "b")
+        analysis = cmd_spectrum.spectrum_analysis(s, "zero", "b")
         assert analysis["spectrum_count"] == 0
         assert all(v["verdict"] == "CONVERGENT" for v in analysis["verdicts"].values())
 
@@ -861,14 +863,30 @@ def test_period_two_scenario_runs_every_command(tmp_path):
 
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
     # a crash inside a command is not a property finding (exit 1)
-    def crash(scenario, out_dir, args):
+    def crash(scenario, args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli.COMMANDS, "validate", crash)
+    monkeypatch.setattr(cmd_validate, "run", crash)
     assert run(["validate", "--scenario", "full-2-shift", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_out_that_names_a_file_exits_2(tmp_path, capsys, sub):
+    # --out naming an existing file, or a path below one, is invalid input
+    # (exit 2) with a message; it used to end in an os.makedirs traceback
+    # and exit 1, the code of property findings
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / sub if sub else taken
+    assert run(["validate", "--scenario", "full-2-shift", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    why = "Not a directory" if sub else "File exists"
+    assert err.rstrip().splitlines() == [f"invalid option: --out {str(out)!r} cannot be made a directory: {why}"]
+    assert taken.read_text() == "kept"
 
 
 def test_readme_lists_exactly_the_cli_options():
@@ -935,7 +953,7 @@ def test_halves_keep_one_chunk_of_draws():
     tracemalloc.start()
     try:
         for width in (2, 3):
-            for _ in cli._draws(np.random.default_rng(0), 1000, width, 50000):
+            for _ in cmd_metric_audit._draws(np.random.default_rng(0), 1000, width, 50000):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import math
@@ -643,7 +642,7 @@ class TestProfileFunctions:
 
 
 REFERENCE = {name: mk() for name, mk in sn.REFERENCE_SCENARIOS.items()}
-KAPPA_THREE = [dataclasses.replace(s, name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE.values()]
+KAPPA_THREE = [s.replace(name=f"{s.name}-kappa-3", kappa=3.0) for s in REFERENCE.values()]
 LINEARITY_SCENARIOS = {s.name: s for s in [*REFERENCE.values(), *KAPPA_THREE, period_two_scenario()]}
 LINEARITY_REGISTRY = {
     name: sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 3)
@@ -822,7 +821,7 @@ def _two_ranges():
     two = fn.LocallyConstantFunction(
         gd.STABLE, ((term.support, 1.0), (gd.BaseSet(other, 1, gd.c_first_time(other)), 0.5))
     )
-    return dataclasses.replace(s, name="two-ranges", functions={"a": two, "b": s.functions["b"]})
+    return s.replace(name="two-ranges", functions={"a": two, "b": s.functions["b"]})
 
 
 ORACLE_CASES = (
@@ -1127,6 +1126,31 @@ def test_a_failed_fork_leaves_the_result_unchanged(monkeypatch):
     two, forks = _blocks_in(monkeypatch, 2, s, (-8, 12), s.basis_cap)
     assert forks
     assert_same_assembly(two, one)
+
+
+def _where_and_what(x):
+    """A job's result: the process that ran it, a point and an element of it."""
+    return os.getpid(), x, gd.unit(x, gd.UNSTABLE)
+
+
+def test_fork_returns_the_childs_points(monkeypatch):
+    # forked._receive swallows an unpickling error and the parent then
+    # reruns the child's jobs: the results would be the same, made in one
+    # process.  The child's share must come from the child, its points and
+    # elements unpickled whole, each with its construction-time hash.
+    monkeypatch.setattr(forked, "_cpus", lambda: 2)
+    s = REFERENCE["golden-mean"]
+    pts = sft.enumerate_homoclinic(s.matrix, s.orbit_p, s.orbit_q, 2)[:8]
+    jobs = [functools.partial(_where_and_what, x) for x in pts]
+    mine, theirs = forked.run(jobs[:4], jobs[4:])
+    assert {pid for pid, _, _ in mine} == {os.getpid()}
+    (child,) = {pid for pid, _, _ in theirs}
+    assert child != os.getpid()
+    assert [x for _, x, _ in mine + theirs] == pts
+    for _, x, a in theirs:
+        assert hash(x) == hash((x.left_cycle, x.core, x.right_cycle, 2 * x.core_start + 1))
+        assert a == gd.unit(x, gd.UNSTABLE) and hash(a) == hash((x, x, gd.UNSTABLE))
+    _no_children_left()
 
 
 ORPHAN = """

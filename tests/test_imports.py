@@ -358,13 +358,42 @@ def test_one_implementation_per_groupoid_construct():
     assert readers == {"groupoid.ElementFamily", "sampling.stable_pairs"}
 
 
+# the modules every command loads, and those each loads besides
+COMMON_MODULES = ("cli", "errors", "functions", "groupoid", "report", "scenarios", "sft", "slotted")
+COMMAND_MODULES = {
+    "validate": ("cmd_validate",),
+    "metric-audit": ("cmd_metric_audit", "sampling"),
+    "auf-audit": ("cmd_auf_audit", "aufmetric", "sampling"),
+    "fredholm": ("cmd_fredholm", "fredholm", "schatten"),
+    "spectrum": ("cmd_spectrum", "forked", "schatten"),
+}
+
+
 def test_cli_import_loads_no_command_module():
     # each command imports the modules only it uses; with no bytecode cache
     # (PYTHONDONTWRITEBYTECODE) every module is compiled at each start
     code = "import sys, sftops.cli; print(sorted(m for m in sys.modules if m.startswith('sftops.')))"
     loaded = set(_fresh_import(code).strip().strip("[]").replace("'", "").split(", "))
-    assert "sftops.cli" in loaded
-    assert loaded.isdisjoint({"sftops.aufmetric", "sftops.fredholm", "sftops.sampling", "sftops.schatten"})
+    assert loaded == {f"sftops.{name}" for name in COMMON_MODULES}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(tmp_path, command):
+    # counted, not timed: the sftops modules a command compiles, and no
+    # dataclasses (building a dataclass compiles generated code, 0.3-1 ms
+    # a class at every start)
+    argv = [command, "--scenario", "full-2-shift", "--out", str(tmp_path), "--samples", "200", "--window=-2..4"]
+    code = (
+        "import contextlib, io, sys\n"
+        "from sftops import cli\n"
+        f"with contextlib.redirect_stderr(io.StringIO()):\n    assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sftops.')))\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    modules, dataclasses_loaded = _fresh_import(code).strip().splitlines()
+    expected = sorted(f"sftops.{name}" for name in COMMON_MODULES + COMMAND_MODULES[command])
+    assert modules == repr(expected)
+    assert dataclasses_loaded == "False"
 
 
 def unmanaged_opens(source: str) -> list:
