@@ -36,7 +36,7 @@ class CoverIndexParams(Frozen):
     def __init__(self, lambda_x: float):
         if not lambda_x > 1.0:
             raise ValueError("lambda must be > 1")
-        object.__setattr__(self, "lambda_x", lambda_x)
+        super().__init__(lambda_x)
 
     @property
     def ceil_log3(self) -> int:
@@ -368,14 +368,8 @@ def star_refinement_check(
 
 
 class DiameterFit(Slotted):
+    # gamma_prime: the smallest constant with diam <= 2**(-k/ceil_log3) * gamma'
     __slots__ = _fields = ("ks", "log2_diameters", "slope", "predicted_slope", "gamma_prime")
-
-    def __init__(self, ks: list, log2_diameters: list, slope: float, predicted_slope: float, gamma_prime: float):
-        self.ks = ks
-        self.log2_diameters = log2_diameters
-        self.slope = slope
-        self.predicted_slope = predicted_slope
-        self.gamma_prime = gamma_prime  # smallest constant with diam <= 2**(-k/ceil_log3) * gamma'
 
     @property
     def relative_error(self) -> float:

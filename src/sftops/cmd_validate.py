@@ -12,7 +12,7 @@ def run(scenario, args):
     rep = skeleton(scenario, "validate")
     h = sft.entropy(scenario.matrix)
     rep["entropy"] = h
-    rep["hausdorff_dimension"] = sft.hausdorff_dimension(scenario.matrix, scenario.metric)
+    rep["hausdorff_dimension"] = sft.hausdorff_dimension(scenario.matrix, scenario.kappa)
     rep["summability_threshold"] = h / math.log(scenario.kappa)
     rep["alphabet"] = scenario.matrix.n
     rep["orbit_P"] = list(scenario.orbit_p.cycle)

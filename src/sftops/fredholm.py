@@ -29,7 +29,6 @@ from .functions import (
     unitary_u,
 )
 from .schatten import (
-    SingularSpectrum,
     schatten_norm,
     singular_values,
     summability_verdict,
@@ -96,20 +95,6 @@ def densify(op: SparseOperator, window: Tuple[int, int], stride: int) -> np.ndar
 
 class KpwCommutator(Slotted):
     __slots__ = _fields = ("matrix", "interior_window", "spectrum", "factorization_residual", "excluded_blocks")
-
-    def __init__(
-        self,
-        matrix: SparseOperator,
-        interior_window: Tuple[int, int],
-        spectrum: SingularSpectrum,
-        factorization_residual: float,
-        excluded_blocks: List[int],
-    ):
-        self.matrix = matrix
-        self.interior_window = interior_window
-        self.spectrum = spectrum
-        self.factorization_residual = factorization_residual
-        self.excluded_blocks = excluded_blocks
 
 
 def kpw_commutator(

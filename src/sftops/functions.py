@@ -31,7 +31,6 @@ from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
-    MetricParams,
     TransitionMatrix,
     Window,
     agreement_depth,
@@ -75,8 +74,7 @@ class LocallyConstantFunction(Frozen):
         for t in terms:
             if t.support.side != side:
                 raise SideMismatch("term base set on the wrong side")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(side, terms)
 
     def supports(self) -> Tuple[BaseSet, ...]:
         return tuple(t.support for t in self.terms)
@@ -133,16 +131,16 @@ class LocallyConstantFunction(Frozen):
             raise SideMismatch("element on the wrong side")
         return apply_to_point(self, gamma.second).get(gamma.first, 0j)
 
-    def lipschitz_constant(self, p: MetricParams) -> float:
+    def lipschitz_constant(self, kappa: float) -> float:
         """Certified upper bound: an indicator at radius exponent n separates
         from its complement by at least kappa**-(n+1); a profile adds one
         such step of weight 2**-m per word coordinate m."""
         total = 0
         for bs, coeff, depth, _ in self.terms:
-            base = abs(coeff) * p.kappa ** (bs.radius_exp + 1)
+            base = abs(coeff) * kappa ** (bs.radius_exp + 1)
             if depth:
                 steps = sum(
-                    2.0**-mm * p.kappa ** (bs.radius_exp + 1 + mm) for mm in range(1, depth + 1)
+                    2.0**-mm * kappa ** (bs.radius_exp + 1 + mm) for mm in range(1, depth + 1)
                 )
                 base += abs(coeff) * steps
             total += base
@@ -237,18 +235,6 @@ class BasisRegistry(Slotted):
     """Ordered registry of canonical homoclinic points with a growth cap."""
 
     __slots__ = _fields = ("cap", "points", "index", "truncation_events")
-
-    def __init__(
-        self,
-        cap: int,
-        points: List[EventuallyPeriodicPoint],
-        index: Dict[EventuallyPeriodicPoint, int],
-        truncation_events: int,
-    ):
-        self.cap = cap
-        self.points = points
-        self.index = index
-        self.truncation_events = truncation_events
 
     @classmethod
     def seeded(cls, pts, cap: int) -> "BasisRegistry":
@@ -393,11 +379,6 @@ class BlockOperator(Slotted):
     """Z-indexed block diagonal family over a shared basis registry."""
 
     __slots__ = _fields = ("blocks", "untrusted", "basis")
-
-    def __init__(self, blocks: Dict[int, SparseOperator], untrusted: Dict[int, str], basis: BasisRegistry):
-        self.blocks = blocks
-        self.untrusted = untrusted
-        self.basis = basis
 
     def trusted_blocks(self) -> Dict[int, SparseOperator]:
         return {n: b for n, b in self.blocks.items() if n not in self.untrusted}

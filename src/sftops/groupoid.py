@@ -160,9 +160,7 @@ class BaseSet(Frozen):
             raise ValueError("time below the first coherent splice time")
         if radius_exp < time:
             raise ValueError("radius exponent below the holonomy time")
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "radius_exp", radius_exp)
-        object.__setattr__(self, "time", time)
+        super().__init__(anchor, radius_exp, time)
 
     @property
     def side(self) -> str:

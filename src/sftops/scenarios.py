@@ -8,7 +8,6 @@ import json
 import math
 import os
 from functools import partial
-from typing import Dict, List, Tuple
 
 from .errors import InvalidScenario, OrbitsNotDisjoint
 from .groupoid import BaseSet, GroupoidElement
@@ -16,7 +15,6 @@ from .functions import LocallyConstantFunction, Term
 from .sft import (
     STABLE,
     UNSTABLE,
-    MetricParams,
     PeriodicOrbit,
     TransitionMatrix,
     decode_point,
@@ -43,41 +41,11 @@ class Scenario(Slotted):
         "seed",
     )
 
-    def __init__(
-        self,
-        name: str,
-        matrix: TransitionMatrix,
-        kappa: float,
-        orbit_p: PeriodicOrbit,
-        orbit_q: PeriodicOrbit,
-        core_bound: int,
-        window: Tuple[int, int],
-        basis_cap: int,
-        functions: Dict[str, LocallyConstantFunction],
-        p_grid: List[float],
-        seed: int,
-    ):
-        self.name = name
-        self.matrix = matrix
-        self.kappa = kappa
-        self.orbit_p = orbit_p
-        self.orbit_q = orbit_q
-        self.core_bound = core_bound
-        self.window = window
-        self.basis_cap = basis_cap
-        self.functions = functions
-        self.p_grid = p_grid
-        self.seed = seed
-
     def replace(self, **changes) -> "Scenario":
         """A new scenario with the named fields changed and the rest shared."""
         fields = {name: getattr(self, name) for name in self._fields}
         fields.update(changes)
         return Scenario(**fields)
-
-    @property
-    def metric(self) -> MetricParams:
-        return MetricParams(self.kappa)
 
     def validate(self) -> None:
         validate_matrix(self.matrix)
@@ -96,11 +64,15 @@ class Scenario(Slotted):
         if self.seed < 0:
             raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         for f in self.functions.values():
-            for bs, coeff, depth, _ in f.terms:
+            for bs, coeff, depth, seed in f.terms:
                 if not cmath.isfinite(coeff):
                     raise InvalidScenario(f"coeff must be finite, got {coeff!r}")
                 if depth < 0:
                     raise InvalidScenario("negative profile depth")
+                try:
+                    seed.encode()  # the profile bits hash the seed's UTF-8 bytes
+                except UnicodeEncodeError:
+                    raise InvalidScenario(f"profile seed must be UTF-8 text, got {seed!r}") from None
                 for pt in (bs.anchor.first, bs.anchor.second):
                     validate_point(pt, self.matrix)
 

@@ -156,11 +156,6 @@ def power_masses(spec: SingularSpectrum, p: float) -> np.ndarray:
 class QuasiNormReport(Slotted):
     __slots__ = _fields = ("max_power_ratio", "max_constant_ratio", "power_subadditivity_failures")
 
-    def __init__(self, max_power_ratio: float, max_constant_ratio: float, power_subadditivity_failures: int):
-        self.max_power_ratio = max_power_ratio
-        self.max_constant_ratio = max_constant_ratio
-        self.power_subadditivity_failures = power_subadditivity_failures
-
 
 def quasinorm_properties_check(p: float, trials: int, seed: int) -> QuasiNormReport:
     """Randomized test, on 8 x 8 complex Gaussian pairs, of
@@ -278,10 +273,6 @@ def staircase_spectrum(alpha: int, beta: float, n_blocks: int) -> SingularSpectr
 class DecayFit(Slotted):
     __slots__ = _fields = ("slope", "r_squared")
 
-    def __init__(self, slope: float, r_squared: float):
-        self.slope = slope
-        self.r_squared = r_squared
-
 
 def fit_decay_exponent(spec: SingularSpectrum, window: Optional[Tuple[int, int]] = None) -> DecayFit:
     """Least squares on log s_m versus log m over the index window."""
@@ -315,23 +306,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class SummabilityVerdict(Slotted):
     __slots__ = _fields = ("p", "verdict", "checkpoints", "partial_sums", "final_relative_increment")
 
-    def __init__(
-        self, p: float, verdict: str, checkpoints: List[int], partial_sums: List[float], final_relative_increment: float
-    ):
-        self.p = p
-        self.verdict = verdict
-        self.checkpoints = checkpoints
-        self.partial_sums = partial_sums
-        self.final_relative_increment = final_relative_increment
-
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "verdict": self.verdict,
-            "checkpoints": self.checkpoints,
-            "partial_sums": self.partial_sums,
-            "final_relative_increment": self.final_relative_increment,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def _partial_sum(values: np.ndarray, counts: np.ndarray, p: float, upto: int) -> float:

@@ -41,9 +41,6 @@ class TransitionMatrix(Frozen):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple):
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
@@ -142,25 +139,9 @@ def entropy(m: TransitionMatrix) -> float:
     return math.log(rho)
 
 
-class MetricParams(Frozen):
-    """Expanding factor kappa > 1 of the self-similar ultrametric."""
-
-    __slots__ = _fields = ("kappa",)
-
-    def __init__(self, kappa: float):
-        if not kappa > 1.0:
-            raise ValueError("kappa must be > 1")
-        object.__setattr__(self, "kappa", kappa)
-
-    def value(self, exponent: Optional[int]) -> float:
-        """kappa**-exponent, with None meaning distance zero."""
-        if exponent is None:
-            return 0.0
-        return self.kappa ** (-exponent)
-
-
-def hausdorff_dimension(m: TransitionMatrix, p: MetricParams) -> float:
-    return 2.0 * entropy(m) / math.log(p.kappa)
+def hausdorff_dimension(m: TransitionMatrix, kappa: float) -> float:
+    """2h / log kappa: the dimension under the ultrametric kappa**-n, kappa > 1."""
+    return 2.0 * entropy(m) / math.log(kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +423,10 @@ def agreement_radius(x, y) -> Optional[int]:
     return n
 
 
-def metric(x, y, p: MetricParams) -> float:
-    return p.value(agreement_radius(x, y))
+def metric(x, y, kappa: float) -> float:
+    """kappa**-agreement_radius(x, y), zero when x == y."""
+    r = agreement_radius(x, y)
+    return 0.0 if r is None else kappa ** (-r)
 
 
 def splice_at(past, future, m: int, word: Word = b"") -> EventuallyPeriodicPoint:
@@ -482,7 +465,7 @@ class PeriodicOrbit(Frozen):
     __slots__ = _fields = ("cycle",)
 
     def __init__(self, cycle: Word):
-        object.__setattr__(self, "cycle", bytes(cycle))
+        super().__init__(bytes(cycle))
 
     @classmethod
     def from_word(cls, w, m: TransitionMatrix = None) -> "PeriodicOrbit":

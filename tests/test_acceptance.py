@@ -22,8 +22,6 @@ from sftops.cmd_spectrum import spectrum_analysis
 
 from oracles import holonomy_apply, in_domain, metric_exponent
 
-KAPPA = sft.MetricParams(2.0)
-
 
 def _verdict(tag, ok, detail, elapsed=None):
     stamp = f" ({elapsed:.1f}s)" if elapsed is not None else ""

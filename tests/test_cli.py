@@ -580,6 +580,7 @@ class TestBadInput:
             (["functions", "e_proj", "terms", 0, "coeff"], [1.0], "coeff must be an array of two entries"),
             (["functions", "a", "profile", "coeff"], [1.0, 0.0, 0.0], "coeff must be an array of two entries"),
             (["functions", "a", "profile", "seed"], 7, "profile seed must be a string"),
+            (["functions", "a", "profile", "seed"], "\ud800x", "profile seed must be UTF-8 text"),
             (["name"], ["x"], "name must be a string"),
             (["functions", "e_proj", "terms", 0, "coeff"], [math.nan, 0.0], "coeff must be finite"),
             (["functions", "e_proj", "terms", 0, "coeff"], [1.0, math.inf], "coeff must be finite"),
@@ -591,7 +592,8 @@ class TestBadInput:
             "cap-float", "seed-float", "seed-negative", "radius-float", "time-float", "depth-float",
             "kappa-string", "kappa-bool", "p-string", "p-bool", "coeff-bool", "profile-coeff-string",
             "anchor-one-point", "anchor-three-points", "anchor-string", "anchor-point-number",
-            "coeff-one-part", "profile-coeff-three-parts", "profile-seed-number", "name-list",
+            "coeff-one-part", "profile-coeff-three-parts", "profile-seed-number",
+            "profile-seed-surrogate", "name-list",
             "coeff-nan", "coeff-infinity", "profile-coeff-nan", "profile-coeff-infinity",
         ],
     )
@@ -602,7 +604,8 @@ class TestBadInput:
         # short anchor or coeff raised IndexError (exit 1), a long one was
         # cut to two entries, and str() read a number or a list as a profile
         # seed or a name (exit 0).  A NaN or infinite coeff made the SVD of
-        # spectrum fail to converge (exit 4)
+        # spectrum fail to converge (exit 4), and so did a profile seed with
+        # a lone surrogate, which the profile bits cannot hash (exit 4)
         path = edited_reference(tmp_path, keys, value)
         for command in ("validate", "spectrum"):
             assert run([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2

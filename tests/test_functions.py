@@ -40,7 +40,6 @@ from oracles import (
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
-P2 = sft.MetricParams(2.0)
 P = sft.PeriodicOrbit((1,))
 Q = sft.PeriodicOrbit((0,))
 
@@ -184,14 +183,14 @@ class TestEvaluate:
 
 class TestLipschitz:
     def test_zero_function(self):
-        assert fn.LocallyConstantFunction(gd.STABLE, ()).lipschitz_constant(P2) == 0.0
+        assert fn.LocallyConstantFunction(gd.STABLE, ()).lipschitz_constant(2.0) == 0.0
 
     def test_scaling(self):
-        assert A.scaled(3.0).lipschitz_constant(P2) == 3.0 * A.lipschitz_constant(P2)
+        assert A.scaled(3.0).lipschitz_constant(2.0) == 3.0 * A.lipschitz_constant(2.0)
 
     def test_bound_dominates_sampled_ratios(self):
         ind = fn.indicator(gd.BaseSet(CA, 2, 0))
-        bound = ind.lipschitz_constant(P2)
+        bound = ind.lipschitz_constant(2.0)
         assert bound == 2.0**3
 
         els = smp.nested_family(FULL, CA, range(1, 8), P) + [CA]

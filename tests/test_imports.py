@@ -396,6 +396,90 @@ def test_each_command_loads_only_its_own_modules(tmp_path, command):
     assert dataclasses_loaded == "False"
 
 
+def _stores_parameter(stmt, params) -> bool:
+    """stmt is self.p = p or object.__setattr__(self, "p", p) for a parameter p."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+        return (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+            and isinstance(value, ast.Name)
+            and value.id == target.attr
+            and value.id in params
+        )
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return (
+            ast.unparse(call.func) == "object.__setattr__"
+            and len(call.args) == 3
+            and ast.unparse(call.args[0]) == "self"
+            and isinstance(call.args[1], ast.Constant)
+            and isinstance(call.args[2], ast.Name)
+            and call.args[1].value == call.args[2].id
+            and call.args[2].id in params
+        )
+    return False
+
+
+def storing_only_inits(source: str) -> list:
+    """The Slotted or Frozen subclasses whose __init__ only stores its
+    parameters in the fields of the same names (a docstring aside).  An
+    __init__ with a defaulted parameter supplies the default, which
+    Slotted's constructor does not, and does not count."""
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & {"Slotted", "Frozen"}):
+            continue
+        for sub in node.body:
+            if not (isinstance(sub, ast.FunctionDef) and sub.name == "__init__"):
+                continue
+            args = sub.args
+            if args.defaults or any(args.kw_defaults):
+                continue
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            body = [b for b in sub.body if not (isinstance(b, ast.Expr) and isinstance(b.value, ast.Constant))]
+            if body and all(_stores_parameter(b, params) for b in body):
+                out.append(node.name)
+    return out
+
+
+def test_checker_finds_storing_only_inits():
+    source = (
+        "class A(Slotted):\n    def __init__(self, x, y):\n        'doc'\n        self.x = x\n        self.y = y\n"
+        "class B(Frozen):\n    def __init__(self, x):\n        object.__setattr__(self, 'x', x)\n"
+        "class C(Frozen):\n    def __init__(self, x):\n        super().__init__(bytes(x))\n"
+        "class D(Slotted):\n    def __init__(self, x, y):\n        self.x = x\n        self.y = []\n"
+        "class F(Slotted):\n    def __init__(self, x=None):\n        self.x = x\n"
+        "class E:\n    def __init__(self, x):\n        self.x = x\n"
+    )
+    assert storing_only_inits(source) == ["A", "B"]
+
+
+def test_no_init_only_stores_its_arguments():
+    # Slotted's constructor stores the fields by position or by name
+    found = {path.name: storing_only_inits(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+def object_setattr_lines(source: str) -> list:
+    """The lines that read object.__setattr__."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and ast.unparse(node.value) == "object"
+    )
+
+
+def test_only_slotted_sets_frozen_fields():
+    # a frozen class sets its fields through Slotted's constructor (or, on
+    # the hot path, the slots' own setters); the docstring's mention does
+    # not count
+    assert object_setattr_lines("'object.__setattr__'\nobject.__setattr__(a, 'b', 1)\nf = object.__setattr__\n") == [2, 3]
+    users = sorted(path.name for path in SRC.glob("*.py") if object_setattr_lines(path.read_text()))
+    assert users == ["slotted.py"]
+
+
 def unmanaged_opens(source: str) -> list:
     """(enclosing function, line) of each open or fdopen call that is not
     the context expression of a with item."""

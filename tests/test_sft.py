@@ -15,7 +15,6 @@ from oracles import PERIOD2, local_set_membership
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = sft.TransitionMatrix.from_rows([[1, 1], [1, 0]])
-P2 = sft.MetricParams(2.0)
 
 ZERO = sft.periodic_point((0,))
 ONE = sft.periodic_point((1,))
@@ -92,14 +91,14 @@ class TestEntropy:
 
 class TestDimension:
     def test_full_shift_kappa2(self):
-        assert abs(sft.hausdorff_dimension(FULL, P2) - 2.0) < 1e-12
+        assert abs(sft.hausdorff_dimension(FULL, 2.0) - 2.0) < 1e-12
 
     def test_full_shift_kappa4(self):
-        assert abs(sft.hausdorff_dimension(FULL, sft.MetricParams(4.0)) - 1.0) < 1e-12
+        assert abs(sft.hausdorff_dimension(FULL, 4.0) - 1.0) < 1e-12
 
     def test_trivial(self):
         one = sft.TransitionMatrix.from_rows([[1]])
-        assert sft.hausdorff_dimension(one, P2) == 0.0
+        assert sft.hausdorff_dimension(one, 2.0) == 0.0
 
 
 class TestPoints:
@@ -201,9 +200,9 @@ class TestAgreement:
 
     def test_metric_values(self):
         y = pt([0], [1], [0], 3)
-        assert sft.metric(ZERO, ZERO, P2) == 0.0
-        assert sft.metric(ZERO, STEP, P2) == 1.0
-        assert sft.metric(ZERO, y, P2) == 0.125
+        assert sft.metric(ZERO, ZERO, 2.0) == 0.0
+        assert sft.metric(ZERO, STEP, 2.0) == 1.0
+        assert sft.metric(ZERO, y, 2.0) == 0.125
 
 
 class TestBracket:

@@ -3,11 +3,12 @@
 Each must behave as the dataclass it replaces: the same fields in the
 same order, the same repr, field-wise ==, the same hash values (so set
 and dict order cannot move), immutability where the dataclass was frozen,
-and a pickle round trip.  The dataclass that each is checked against is
+a pickle round trip, and the dataclass's constructor contract.  The dataclass that each is checked against is
 built here, from its field names.
 """
 
 import dataclasses
+import inspect
 import pickle
 
 import numpy as np
@@ -20,6 +21,7 @@ from sftops import groupoid as gd
 from sftops import scenarios as sn
 from sftops import schatten as sc
 from sftops import sft
+from sftops.slotted import Slotted
 
 ZERO = sft.periodic_point((0,))
 STEP = sft.build_point((0,), (), (1,), 0)
@@ -41,7 +43,6 @@ def _registry():
 
 FROZEN = {
     "TransitionMatrix": lambda: sft.TransitionMatrix(((1, 1), (1, 0))),
-    "MetricParams": lambda: sft.MetricParams(2.0),
     "EventuallyPeriodicPoint": lambda: BUMP,
     "PeriodicOrbit": lambda: sft.PeriodicOrbit(b"\x00\x01"),
     "GroupoidElement": lambda: gd.GroupoidElement(STEP, ZERO, gd.UNSTABLE),
@@ -71,7 +72,6 @@ MUTABLE = {
 # the dataclasses' fields, in order
 FIELDS = {
     "TransitionMatrix": ("entries",),
-    "MetricParams": ("kappa",),
     "EventuallyPeriodicPoint": ("left_cycle", "core", "right_cycle", "core_start"),
     "PeriodicOrbit": ("cycle",),
     "GroupoidElement": ("first", "second", "side"),
@@ -107,7 +107,7 @@ ALL = {**FROZEN, **MUTABLE}
 
 
 def test_every_value_class_is_covered():
-    assert len(ALL) == len(FIELDS) == 23
+    assert len(ALL) == len(FIELDS) == 22
     assert set(ALL) == set(FIELDS)
 
 
@@ -208,8 +208,6 @@ def test_pickle_round_trip(name):
 
 def test_frozen_validation_kept():
     with pytest.raises(ValueError):
-        sft.MetricParams(1.0)
-    with pytest.raises(ValueError):
         auf.CoverIndexParams(0.5)
     with pytest.raises(ValueError):
         gd.GroupoidElement(ZERO, ZERO, "sideways")
@@ -227,3 +225,49 @@ def test_scenario_replace_shares_the_other_fields():
     assert all(getattr(t, f) is getattr(s, f) for f in FIELDS["Scenario"] if f not in ("name", "kappa"))
     with pytest.raises(TypeError):
         s.replace(no_such_field=1)
+
+
+# the classes with their own __init__: four check or normalise their
+# arguments and end in Slotted's; the points and elements set a cached hash;
+# the rest have defaults or normalise what they store
+OWN_INIT = {
+    "BaseSet", "CoverIndexParams", "LocallyConstantFunction", "PeriodicOrbit",
+    "EventuallyPeriodicPoint", "GroupoidElement",
+    "SparseOperator", "FredholmModule", "SandwichReport", "StarReport", "BoundCertificate", "QuasimetricTable",
+    "SingularSpectrum",
+}
+
+
+def test_storing_classes_use_the_shared_constructor():
+    for name, build in ALL.items():
+        assert (type(build()).__init__ is Slotted.__init__) == (name not in OWN_INIT), name
+
+
+def _parameters(cls) -> dict:
+    """The constructor's parameters, each mapped to whether a call must set
+    it: the fields, all required, for Slotted's own constructor."""
+    if cls.__init__ is Slotted.__init__:
+        return dict.fromkeys(cls._fields, True)
+    return {p.name: p.default is p.empty for p in inspect.signature(cls).parameters.values()}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_constructor_contract(name):
+    # as a dataclass's: by position or by name, TypeError on an extra
+    # positional argument, a missing field, an unknown or repeated keyword
+    x = ALL[name]()
+    cls = type(x)
+    params = _parameters(cls)
+    assert tuple(params) == FIELDS[name][: len(params)]
+    args = _values(x)[: len(params)]
+    by_name = dict(zip(params, args))
+    assert all(map(_same, _values(cls(**by_name)), _values(cls(*args))))
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    for field in [p for p, required in params.items() if required]:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in by_name.items() if k != field})
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(*args, **{FIELDS[name][0]: args[0]})
