@@ -58,11 +58,6 @@ def j_index(n_a: int, n: int, cp: CoverIndexParams) -> int:
     return max(n_a, n) + cp.ceil_log3
 
 
-def v_set_threshold(n_a: int, v: int, cp: CoverIndexParams) -> int:
-    """One-sided agreement threshold of the disk of V_v(a)."""
-    return max(n_a, v) + cp.disk_margin
-
-
 def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np.ndarray:
     """Largest n >= 1 with k(c, n) <= vcap, 0 if none, entry by entry, for
     the center c with N_{c,1} = n_c1 (broadcast against vcap); k(c, 1) = 1
@@ -73,22 +68,24 @@ def cover_levels(vcap: np.ndarray, n_c1: np.ndarray, cp: CoverIndexParams) -> np
     )
 
 
-def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> np.ndarray:
-    """vcap[i, j] = largest V-index v with element i in V_v(element j) of
-    the family, -1 if none.
+def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> tuple:
+    """The V-index entries of the family: int64 arrays (rows, centers, v),
+    sorted by center and then row, with one entry for each element i = row
+    and element j = center where i lies in some V-set of j, v being the
+    largest V-index with i in V_v(element j).  No other pair has an entry,
+    so the entries are the memberships, all with v >= 0.
 
     a = element i lies in V_v(c) when the one-sided agreement depth d of
-    the source points is at least max(N_c, v) + disk_margin and the
-    holonomy equation holds, so the entry is d - disk_margin once a lies in
-    V_{N_c}(c).  Rows are grouped by source: the depths come per distinct
-    center source, for all groups at once, from the family's window.  The
-    domain test of V_{N_c}(c) is the depth test, since v_set_threshold(N_c,
-    N_c) = N_c + disk_margin.  The holonomy image of a group's source z is
-    then a lookup among the group's range rows: c's range row up to the
-    splice cut joined to z's row after it (see _spliced_word).
+    the source points is at least max(N_c, v) + disk_margin (the threshold
+    of V_v(c)'s disk) and the holonomy equation holds, so the entry is d -
+    disk_margin once a lies in V_{N_c}(c).  Rows are grouped by source: the
+    depths come per distinct center source, for all groups at once, from
+    the family's window.  The domain test of V_{N_c}(c) is the depth test.
+    The holonomy image of a group's source z is then a lookup among the
+    group's range rows: c's range row up to the splice cut joined to z's
+    row after it (see _spliced_word).
     """
-    m = len(family)
-    vm = np.full((m, m), -1, dtype=np.int64)
+    rows, centers, caps = [], [], []
     by_source = {}  # source index -> ({range row: row indices}, column indices)
     for i, (first, second) in enumerate(zip(family.first.tolist(), family.second.tolist())):
         by_range, columns = by_source.setdefault(second, ({}, []))
@@ -101,11 +98,14 @@ def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> np.ndarray:
         for j in columns:
             n_c = int(family.first_time[j])
             for g in np.flatnonzero(depths >= n_c + margin):
-                rows = groups[g][0].get(_spliced_word(family, j, int(sources[g])))
-                if rows:
+                members = groups[g][0].get(_spliced_word(family, j, int(sources[g])))
+                if members:
                     d = depths[g]
-                    vm[rows, j] = _DEEP if d == math.inf else int(d) - margin
-    return vm
+                    rows += members
+                    centers += [j] * len(members)
+                    caps += [_DEEP if d == math.inf else int(d) - margin] * len(members)
+    order = np.lexsort((rows, centers))
+    return tuple(np.array(a, dtype=np.int64)[order] for a in (rows, centers, caps))
 
 
 def _spliced_word(family: ElementFamily, j: int, z: int) -> bytes:
@@ -163,26 +163,27 @@ def _dyadic(e: np.ndarray, out: np.ndarray) -> np.ndarray:
 def build_quasimetric_table(
     family: ElementFamily,
     cp: CoverIndexParams,
-    vcap: np.ndarray,
+    vcap: tuple,
     n_max: int = 40,
 ) -> QuasimetricTable:
     """rho over the finite candidate family, centers restricted to it, from
-    the family's build_vcap_table.
+    the family's V-index entries (build_vcap_table).
 
     exps[i, j] is the largest min(levels[i, c], levels[j, c]) over centers
-    c, capped at n_max.  Levels are >= 0, and above 0 exactly where vcap >=
-    1, so a pair scores above 0 only at a center where both rows have such
-    an entry: the levels are evaluated at those entries only, capped at
-    n_max first (the cap commutes with the max and the mins), each center
-    adds the outer minimum of its few rows, and every other pair keeps 0.
-    The exponents are int8, so n_max is at most 127.
+    c, capped at n_max.  Levels are >= 0, and above 0 exactly at the
+    entries with v >= 1, so a pair scores above 0 only at a center where
+    both rows have such an entry: the levels are evaluated at those entries
+    only, capped at n_max first (the cap commutes with the max and the
+    mins), each center adds the outer minimum of its few rows, and every
+    other pair keeps 0.  The exponents are int8, so n_max is at most 127.
     """
     if not 0 <= n_max <= np.iinfo(np.int8).max:
         raise ValueError(f"n_max {n_max} outside 0..127")
     m = len(family)
-    centers, rows = np.nonzero(vcap.T >= 1)  # by center, rows ascending
+    keep = vcap[2] >= 1
+    rows, centers, caps = (a[keep] for a in vcap)  # by center, rows ascending
     n_c1 = np.maximum(family.first_time[centers], 1)
-    levels = np.minimum(cover_levels(vcap[rows, centers], n_c1, cp), n_max).astype(np.int8)
+    levels = np.minimum(cover_levels(caps, n_c1, cp), n_max).astype(np.int8)
     exps = np.zeros((m, m), dtype=np.int8)
     bounds = (np.flatnonzero(np.diff(centers)) + 1).tolist()  # where a new center's rows begin
     for lo, hi in zip([0] + bounds, bounds + [len(centers)]):
@@ -319,7 +320,7 @@ def star_refinement_check(
     cp: CoverIndexParams,
     rng,
     trials: int,
-    vcap: np.ndarray,
+    vcap: tuple,
 ) -> StarReport:
     """Sampled star lemma: whenever V_{j(a,n)}(a) meets V_{j(a,n)}(b) inside
     the sample, every sampled member of V_{j(a,n)}(b) lies in V_n(a).
@@ -329,7 +330,7 @@ def star_refinement_check(
     draw; all 2 * trials draws come from one rng.integers call over the
     alternating bounds, which draws the same values as the scalar calls
     (tests/test_cli.py pins this).  Each distinct (center, level) pair is
-    checked once, by a walk over the table's memberships (entries >= 0):
+    checked once, by a walk over the V-index entries (build_vcap_table):
     per center its members and per member its centers, both ascending.
     The counts and violations are then replayed in trial order.
     Violations are listed by trial, then witness b, then member e, both
@@ -340,8 +341,7 @@ def star_refinement_check(
     draws = rng.integers(np.tile([m, k], trials))
     pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
     members, centers = [[] for _ in range(m)], [[] for _ in range(m)]
-    rows, cols = np.nonzero(vcap >= 0)
-    for e, c, v in zip(rows.tolist(), cols.tolist(), vcap[rows, cols].tolist()):
+    for e, c, v in zip(*(a.tolist() for a in vcap)):
         members[c].append((e, v))
         centers[e].append((c, v))
     # a center with no member in V_j(a) counts as one triple
@@ -382,20 +382,24 @@ def diameter_bound_check(
     anchors: Sequence[int],
     cp: CoverIndexParams,
     k_range: Sequence[int],
-    vcap: np.ndarray,
+    vcap: tuple,
 ) -> DiameterFit:
     """Fit the decay of the chain-metric diameter of base sets of radius
     lambda**-(N + k) * gamma against k.
 
     Predicted exponential base is 2**(-1 / ceil(log_lambda 3)), i.e. a
     log2-slope of -1/ceil_log3.  d is symmetric, non-negative and zero on
-    the diagonal: a member block's largest entry is its diameter.
+    the diagonal: a member block's largest entry is its diameter.  An
+    anchor's members are its run of the V-index entries, rows ascending.
     """
+    rows, centers, caps = vcap
+    starts, ends = np.searchsorted(centers, anchors), np.searchsorted(centers, anchors, side="right")
+    runs = [(rows[lo:hi], caps[lo:hi], family.first_time[ci]) for ci, lo, hi in zip(anchors, starts, ends)]
     diams = {}
     for k in k_range:
         best, seen = 0.0, False
-        for ci in anchors:
-            members = np.flatnonzero(vcap[:, ci] >= family.first_time[ci] + k)
+        for run, run_caps, n_c in runs:
+            members = run[run_caps >= n_c + k]
             if len(members) > 1:
                 seen = True
                 best = max(best, d[np.ix_(members, members)].max())
@@ -414,11 +418,18 @@ def diameter_bound_check(
 # CSV export: entries "0", "1", "2^-n"
 
 
-def table_to_csv(t: QuasimetricTable) -> str:
-    rows = t.exponents.tolist()
-    # each distinct exponent is formatted once
-    cell = {e: "0" if e == -1 else ("1" if e == 0 else f"2^-{e}") for e in set().union(*rows)}
-    lines = [",".join([""] + list(t.point_ids))]
-    for pid, row in zip(t.point_ids, rows):
-        lines.append(",".join([pid] + [cell[e] for e in row]))
-    return "\n".join(lines) + "\n"
+class _Cells(dict):
+    """The CSV entry of each exponent, formatted at its first lookup."""
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = "0" if e == -1 else ("1" if e == 0 else f"2^-{e}")
+        return text
+
+
+def write_csv(t: QuasimetricTable, out) -> None:
+    """Write t to the text file out one row at a time, each distinct
+    exponent formatted once."""
+    entry = _Cells().__getitem__
+    out.write(",".join(["", *t.point_ids]) + "\n")
+    for pid, row in zip(t.point_ids, t.exponents):
+        out.write(",".join([pid, *map(entry, row.tolist())]) + "\n")

@@ -41,7 +41,7 @@ def run(scenario, args):
         }
         fit_ok = fit.relative_error <= 0.10
     with open(os.path.join(args.out, "quasimetric.csv"), "w") as handle:
-        handle.write(auf.table_to_csv(table))
+        auf.write_csv(table, handle)
     star = auf.star_refinement_check(family, cp, rng, max(1000, args.samples // 10), vcap=vcap)
 
     rep = skeleton(scenario, "auf-audit")

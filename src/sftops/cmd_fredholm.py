@@ -49,23 +49,23 @@ def run(scenario, args):
         )
         return EXIT_RESOURCE, {}
 
+    # e's dense matrix lives only while F is built and b's is built after
+    # it, so F, b and one summability operator are the dense matrices held
     e_infl = fd.inflate_stable(proj_fn, 0, lab_window, reg)
-    e_dense = fd.densify(e_infl, lab_window, len(reg))
-    b_infl = fd.inflate_unstable(b_fn, 0, lab_window, reg)
-    b_dense = fd.densify(b_infl, lab_window, len(reg))
-
     try:
-        module = fd.make_odd_module(e_dense)
+        module = fd.make_odd_module(fd.densify(e_infl, lab_window, len(reg)))
     except NotAProjection as exc:
         print(f"fredholm: {proj_name} is not a projection: {exc}", file=sys.stderr)
         return EXIT_INVALID, {}
     f_op = module.f_op
     rep["window"] = list(lab_window)
     rep["interior_margin"] = 1
+    # the norm of F - F* is that of its negation F* - F
     rep["odd_module"] = {
-        "f_squared_residual": float(np.linalg.norm(f_op @ f_op - np.eye(dim))),
-        "f_adjoint_residual": float(np.linalg.norm(f_op - f_op.conj().T)),
+        "f_squared_residual": float(np.linalg.norm(fd.square_defect(f_op))),
+        "f_adjoint_residual": float(np.linalg.norm(fd.adjoint_defect(f_op))),
     }
+    b_dense = fd.densify(fd.inflate_unstable(b_fn, 0, lab_window, reg), lab_window, len(reg))
     rep["summability_table"] = fd.summability_report(module, {b_name: b_dense}, scenario.p_grid)
 
     rng = seeded_rng(scenario, 3)

@@ -169,11 +169,13 @@ def make_odd_module(e: np.ndarray) -> FredholmModule:
     e = np.asarray(e, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check, quietly
         tol = 1e-12 * max(1.0, np.linalg.norm(e))
-        if _fails(np.linalg.norm(e @ e - e), tol):
+        square = e @ e
+        square -= e
+        if _fails(np.linalg.norm(square), tol):
             raise NotAProjection("e**2 != e")
-        if _fails(np.linalg.norm(e.conj().T - e), tol):
+        if _fails(np.linalg.norm(adjoint_defect(e)), tol):
             raise NotAProjection("e not self-adjoint")
-    return FredholmModule(2.0 * e - np.eye(e.shape[0]))
+    return FredholmModule(_minus_identity(2.0 * e))
 
 
 def make_even_module(v: np.ndarray, p_proj: np.ndarray) -> FredholmModule:
@@ -194,6 +196,31 @@ def make_even_module(v: np.ndarray, p_proj: np.ndarray) -> FredholmModule:
     big_f[:dim, dim:] = f_op.conj().T
     big_f[dim:, :dim] = f_op
     return FredholmModule(big_f, grading)
+
+
+def _minus_identity(x: np.ndarray) -> np.ndarray:
+    """x - 1 in place: the entries of x - np.eye(len(x)), since subtracting
+    a zero leaves every entry as it is (-0.0 too), with no eye."""
+    x.flat[:: len(x) + 1] -= 1.0
+    return x
+
+
+def adjoint_defect(f_op: np.ndarray) -> np.ndarray:
+    """F* - F, in one new C-ordered array (as f_op.conj().T - f_op)."""
+    out = np.conj(f_op.T, out=np.empty(f_op.shape, dtype=f_op.dtype))
+    return np.subtract(out, f_op, out=out)
+
+
+def square_defect(f_op: np.ndarray) -> np.ndarray:
+    """F**2 - 1, in one new array (as f_op @ f_op - np.eye)."""
+    return _minus_identity(f_op @ f_op)
+
+
+def _bracket(x: np.ndarray, f_op: np.ndarray) -> np.ndarray:
+    """x F - F x, in one new array and one temporary."""
+    out = x @ f_op
+    out -= f_op @ x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +328,17 @@ def summability_report(
     module: FredholmModule, funcs: Dict[str, object], p_grid: List[float]
 ) -> List[dict]:
     """One row per function and p: the p-norms q1, q2, q3 of rho(F* - F),
-    rho(F**2 - 1) and [rho, F], and the verdict on the commutator's spectrum."""
+    rho(F**2 - 1) and [rho, F], and the verdict on the commutator's spectrum.
+    The three operators are built one at a time, each dropped once its
+    singular values are taken."""
     f_op = module.f_op
     rows = []
     for name, x in funcs.items():
         rho_x = module.rep(x)
         spectra = [
-            singular_values(q)
-            for q in (
-                rho_x @ (f_op.conj().T - f_op),
-                rho_x @ (f_op @ f_op - np.eye(f_op.shape[0])),
-                rho_x @ f_op - f_op @ rho_x,
-            )
+            singular_values(rho_x @ adjoint_defect(f_op)),
+            singular_values(rho_x @ square_defect(f_op)),
+            singular_values(_bracket(rho_x, f_op)),
         ]
         for p in p_grid:
             q1, q2, q3 = (schatten_norm(spec, p) for spec in spectra)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -197,7 +197,7 @@ def _compose_stable(v: BaseSet, w: BaseSet, m: TransitionMatrix) -> List[BaseSet
         center = e2
         depth = tw
     # the anchor's range: the center under V after W, where both act
-    ((_, image),) = _columns((indicator(v), indicator(w)), _composed, [center])
+    ((_, image),) = _columns((indicator(v), indicator(w)), [_composed], [center])
     return [BaseSet(GroupoidElement(y, center, STABLE), depth - 1, max(nv, nw)) for y in image]
 
 
@@ -339,14 +339,27 @@ def apply_to_point(
     when x lies in the domain disk, else to zero; the values of several
     acting terms are summed by image point, in term order.
     """
-    ((_, col),) = _columns((f,), _single, [x])
+    ((_, col),) = _columns((f,), [_single], [x])
     return col
 
 
 def elements_of(v: BaseSet, sources) -> list:
     """Graph elements (h(z), z) of the bisection v over the source points in
     its domain disk, in source order: the kernel's action of indicator(v)."""
-    return [GroupoidElement(y, z, v.side) for z, col in _columns((indicator(v),), _single, sources) for y in col]
+    return elements_over([v], [sources])
+
+
+def elements_over(vs, groups) -> list:
+    """elements_of(v, sources) for each base set v of vs and its sources in
+    groups, joined in order, from one kernel call: a source of group k is a
+    column of indicator(vs[k]) alone."""
+    cols, rules, sides = [], [], []
+    for k, (v, sources) in enumerate(zip(vs, groups)):
+        cols += sources
+        rules += [partial(_nth, k)] * len(sources)
+        sides += [v.side] * len(sources)
+    columns = _columns(tuple(indicator(v) for v in vs), rules, cols)
+    return [GroupoidElement(y, z, side) for (z, col), side in zip(columns, sides) for y in col]
 
 
 def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
@@ -356,7 +369,7 @@ def represent(f: LocallyConstantFunction, reg: BasisRegistry) -> SparseOperator:
     yet registered are added (or counted as truncation events when the
     registry is frozen or full).
     """
-    op, _ = _register(_columns((f,), _single, list(reg.points)), reg)
+    op, _ = _register(_columns((f,), repeat(_single), list(reg.points)), reg)
     return op
 
 
@@ -494,12 +507,12 @@ def _path_count(m: TransitionMatrix, start: int, end: int, length: int) -> int:
 # _block_window, the anchors' and each column's read once.  A domain test is
 # a slice compare, a holonomy image a slice of the column window joined to
 # a slice of an anchor window, a profile word a slice (reversed on the
-# unstable side).  A column rule (_single, _composed, _commutator) says how
-# the functions' actions make a column.  A first pass runs it with each
-# action noted, not valued: its profile words are collected and the mask of
-# the column's acting terms kept.  _word_totals values each seed's words in
-# place, a second pass runs the rule on values, and only then does a row
-# become a canonical point.
+# unstable side).  A column rule (_nth, _composed, _commutator), one per
+# column, says how the functions' actions make the column.  A first pass
+# runs it with each action noted, not valued: its profile words are
+# collected and the mask of the column's acting terms kept.  _word_totals
+# values each seed's words in place, a second pass runs the rule on values,
+# and only then does a row become a canonical point.
 
 
 def _actions(f: LocallyConstantFunction, win: Window, words: Dict[str, dict]) -> list:
@@ -531,9 +544,12 @@ def _act(actions: list, z: bytes) -> int:
     return mask
 
 
-def _single(apply, z: bytes) -> dict:
-    """Column rule of one function: its action on the window z."""
-    return apply(0, z)
+def _nth(k: int, apply, z: bytes) -> dict:
+    """Column rule of function k alone: its action on the window z."""
+    return apply(k, z)
+
+
+_single = partial(_nth, 0)  # the column rule of one function
 
 
 def _composed(apply, z: bytes) -> dict:
@@ -616,10 +632,11 @@ def _word_totals(seed: str, words: dict) -> dict:
     return words
 
 
-def _columns(fs: tuple, rule, cols: list):
+def _columns(fs: tuple, rules, cols: list):
     """(x, column) for each point x of cols, in order: rule(apply, window of
-    x) with its rows made canonical points, apply(k, y) being the action of
-    fs[k] on the window y."""
+    x) with its rows made canonical points, rule being x's among rules (one
+    per point, or repeat(rule)) and apply(k, y) the action of fs[k] on the
+    window y."""
     win = _block_window(fs, cols)
     words: Dict[str, dict] = {}  # seed -> its profile words, then their totals
     actions = [_actions(f, win, words) for f in fs]
@@ -645,7 +662,7 @@ def _columns(fs: tuple, rule, cols: list):
         masks[k][z] = mask
         return images
 
-    for column in windows:
+    for rule, column in zip(rules, windows):
         rule(note, column)
     for seed, seen in words.items():
         _word_totals(seed, seen)
@@ -668,7 +685,7 @@ def _columns(fs: tuple, rule, cols: list):
             acting >>= 1
         return out
 
-    for x, z in zip(cols, windows):
+    for x, rule, z in zip(cols, rules, windows):
         yield x, {win.point(row): v for row, v in rule(apply, z).items()}
 
 
@@ -703,7 +720,7 @@ def _block_columns(a_n: LocallyConstantFunction, b: LocallyConstantFunction, m: 
     """The nonzero columns of block [a_n, b] in support order, each held
     flat as (x, row, value, row, value, ...): a tuple, not a dict, per column."""
     cols = commutator_column_support(a_n, b, m)
-    return [(x, *chain.from_iterable(col.items())) for x, col in _columns((a_n, b), _commutator, cols) if col]
+    return [(x, *chain.from_iterable(col.items())) for x, col in _columns((a_n, b), repeat(_commutator), cols) if col]
 
 
 def _certain(est: dict, most: dict, n: int, room: int, slots: int) -> list:
@@ -784,7 +801,7 @@ def commutator_blocks(
         if n in ahead:
             columns = ((c[0], dict(zip(c[1::2], c[2::2]))) for c in ahead.pop(n))
         else:
-            columns = _columns((a_n, b), _commutator, commutator_column_support(a_n, b, m))
+            columns = _columns((a_n, b), repeat(_commutator), commutator_column_support(a_n, b, m))
         blocks[n], truncated = _register(columns, reg)
         if truncated:
             untrusted[n] = "registry cap hit during assembly"

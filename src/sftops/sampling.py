@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from .functions import elements_of
+from .functions import elements_over
 from .groupoid import GroupoidElement, base_set, c_first_time, unit
 from .sft import (
     STABLE,
@@ -84,17 +84,18 @@ def nested_family(
     depths,
     p: PeriodicOrbit,
 ) -> list:
-    """Graph elements (h(z), z) for z varying at each depth around the anchor."""
-    out = []
+    """Graph elements (h(z), z) for z varying at each depth around the
+    anchor, depth by depth: elements_of the anchor's base set at each depth
+    over that depth's variations, all from one kernel call."""
+    sets, groups = [], []
     n_a = c_first_time(anchor)
     for t in depths:
-        r = max(t - 1, n_a)
         try:
-            bs = base_set(anchor, r)
+            sets.append(base_set(anchor, max(t - 1, n_a)))
         except ValueError:
             continue
-        out += elements_of(bs, variations_at_depth(m, anchor.second, t, p))
-    return out
+        groups.append(variations_at_depth(m, anchor.second, t, p))
+    return elements_over(sets, groups)
 
 
 def stable_pairs(pool, limit: int, rng) -> list:

@@ -26,6 +26,27 @@ from .sft import (
 from .slotted import Slotted
 
 
+# The most coordinates one term may span: its anchor points' cores and the
+# coordinates that a block window marks for it (functions._block_window),
+# from its domain threshold to the end of its profile word.  Every window
+# row of a command that applies the term is at least this wide; the
+# reference terms span at most 36.
+MAX_TERM_SPAN = 1024
+
+
+def term_span(bs: BaseSet, depth: int) -> int:
+    """How many coordinates the term with support bs and profile depth
+    `depth` >= 0 spans (see MAX_TERM_SPAN).  Its marks run from time + 1 to
+    threshold + depth + 1 on the stable side and from -threshold - depth to
+    -time on the unstable side, since time < threshold."""
+    if bs.side == STABLE:
+        lo, hi = bs.time + 1, bs.threshold + depth + 1
+    else:
+        lo, hi = -bs.threshold - depth, -bs.time
+    x, y = bs.anchor.first, bs.anchor.second
+    return max(hi, x.core_end, y.core_end) - min(lo, x.core_start, y.core_start)
+
+
 class Scenario(Slotted):
     __slots__ = _fields = (
         "name",
@@ -63,8 +84,8 @@ class Scenario(Slotted):
             raise InvalidScenario("bad core bound or basis cap")
         if self.seed < 0:
             raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
-        for f in self.functions.values():
-            for bs, coeff, depth, seed in f.terms:
+        for name, f in self.functions.items():
+            for k, (bs, coeff, depth, seed) in enumerate(f.terms):
                 if not cmath.isfinite(coeff):
                     raise InvalidScenario(f"coeff must be finite, got {coeff!r}")
                 if depth < 0:
@@ -75,6 +96,11 @@ class Scenario(Slotted):
                     raise InvalidScenario(f"profile seed must be UTF-8 text, got {seed!r}") from None
                 for pt in (bs.anchor.first, bs.anchor.second):
                     validate_point(pt, self.matrix)
+                if term_span(bs, depth) > MAX_TERM_SPAN:
+                    raise InvalidScenario(
+                        f"function {name!r} term {k} spans more than {MAX_TERM_SPAN} coordinates:"
+                        f" radius_exp {bs.radius_exp}, time {bs.time}, depth {depth}"
+                    )
 
 
 def _base_set_to_dict(bs: BaseSet) -> dict:

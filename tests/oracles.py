@@ -14,6 +14,7 @@ import numpy as np
 from sftops import aufmetric as auf
 from sftops import functions as fn
 from sftops import groupoid as gd
+from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import sft
 from sftops.errors import SftopsError
@@ -113,6 +114,21 @@ def elements_of(v, sources) -> list:
     return [gd.GroupoidElement(holonomy_splice(v, z), z, v.side) for z in sources if in_domain(v, z)]
 
 
+def nested_family(m, anchor, depths, p) -> list:
+    """sampling.nested_family before its one kernel call: elements_of the
+    anchor's base set at each depth over that depth's variations, one depth
+    at a time and point by point."""
+    out = []
+    n_a = gd.c_first_time(anchor)
+    for t in depths:
+        try:
+            bs = gd.base_set(anchor, max(t - 1, n_a))
+        except ValueError:
+            continue
+        out += elements_of(bs, smp.variations_at_depth(m, anchor.second, t, p))
+    return out
+
+
 def base_set_membership(v, b) -> bool:
     """b lies on the bisection v: its source in the domain disk, its range
     the holonomy image of the source."""
@@ -208,6 +224,60 @@ def floyd_warshall(d):
     for k in range(len(d)):
         np.add(d[:, k, None], d[None, k, :], out=via)
         np.minimum(d, via, out=d)
+
+
+def v_set_threshold(n_a, v, cp):
+    """One-sided agreement threshold of the disk of V_v(a)."""
+    return max(n_a, v) + cp.disk_margin
+
+
+def build_vcap_table(family, cp):
+    """aufmetric.build_vcap_table before it kept only the V-index entries:
+    the dense m x m table, vcap[i, j] the largest V-index v with element i
+    in V_v(element j), -1 if none."""
+    m = len(family)
+    vm = np.full((m, m), -1, dtype=np.int64)
+    by_source = {}  # source index -> ({range row: row indices}, column indices)
+    for i, (first, second) in enumerate(zip(family.first.tolist(), family.second.tolist())):
+        by_range, columns = by_source.setdefault(second, ({}, []))
+        by_range.setdefault(family.window.words[first], []).append(i)
+        columns.append(i)
+    sources, groups = np.array(list(by_source), dtype=np.intp), list(by_source.values())
+    margin = cp.disk_margin
+    for source, (_, columns) in zip(sources, groups):
+        depths = family.disk_depths(sources, source)
+        for j in columns:
+            n_c = int(family.first_time[j])
+            for g in np.flatnonzero(depths >= n_c + margin):
+                rows = groups[g][0].get(auf._spliced_word(family, j, int(sources[g])))
+                if rows:
+                    d = depths[g]
+                    vm[rows, j] = auf._DEEP if d == math.inf else int(d) - margin
+    return vm
+
+
+def vcap_entries(vcap):
+    """The V-index entries (rows, centers, v) of a dense table: its entries
+    >= 0, sorted by center and then row."""
+    centers, rows = np.nonzero(vcap.T >= 0)
+    return rows.astype(np.int64), centers.astype(np.int64), vcap[rows, centers].astype(np.int64)
+
+
+def assert_same_entries(got, want):
+    """Two V-index entry triples hold the same int64 arrays."""
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def table_to_csv(t):
+    """aufmetric.write_csv's text, built as one string."""
+    rows = t.exponents.tolist()
+    cell = {e: "0" if e == -1 else ("1" if e == 0 else f"2^-{e}") for e in set().union(*rows)}
+    lines = [",".join([""] + list(t.point_ids))]
+    for pid, row in zip(t.point_ids, rows):
+        lines.append(",".join([pid] + [cell[e] for e in row]))
+    return "\n".join(lines) + "\n"
 
 
 def star_refinement_check(family, cp, rng, trials, vcap):

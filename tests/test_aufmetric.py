@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -51,7 +52,7 @@ def k_index(n_a1, n, cp):
 def v_set(a, v, cp):
     """The neighbourhood-base set V_v(a) of the self-similar model."""
     n_a = gd.c_first_time(a)
-    return gd.BaseSet(a, auf.v_set_threshold(n_a, v, cp) - 1, max(n_a, v))
+    return gd.BaseSet(a, oracles.v_set_threshold(n_a, v, cp) - 1, max(n_a, v))
 
 
 def v_set_membership(b, a, v, cp):
@@ -120,8 +121,15 @@ def quasimetric_rho(a, b, candidates, n_max, cp):
     return 2.0 ** -min(best, n_max)
 
 
+def csv_text(t):
+    """What aufmetric.write_csv writes of t."""
+    out = io.StringIO()
+    auf.write_csv(t, out)
+    return out.getvalue()
+
+
 def table_from_csv(text):
-    """The table that table_to_csv wrote out."""
+    """The table that write_csv wrote out."""
     # the table of no points is one empty header line
     lines = [ln for ln in text.strip().splitlines() if ln] or [""]
     ids = lines[0].split(",")[1:]
@@ -275,8 +283,8 @@ def reference_tables():
     for name in REFERENCE:
         els = reference_elements(name, 200)
         family = gd.ElementFamily(els)
-        vcap = auf.build_vcap_table(family, CP)
-        out[name] = (els, vcap, auf.build_quasimetric_table(family, CP, vcap=vcap))
+        vcap = oracles.build_vcap_table(family, CP)  # dense, for the loop oracles
+        out[name] = (els, vcap, auf.build_quasimetric_table(family, CP, vcap=oracles.vcap_entries(vcap)))
     return out
 
 
@@ -302,7 +310,30 @@ class TestNestedFamily:
         want = []
         for t, zs in variations.items():
             want += oracles.elements_of(gd.base_set(anchor, max(t - 1, gd.c_first_time(anchor))), zs)
-        assert els == want
+        assert els == want == oracles.nested_family(FULL, anchor, depths, P)
+
+    @pytest.mark.parametrize("name", ["full-2-shift", "golden-mean", "period-2"])
+    def test_one_kernel_call_per_anchor_matches_the_per_depth_oracle(self, monkeypatch, name):
+        # the audits' anchors, their depths and depths below their first
+        # times (where the base set's radius is N_a, or where none exists),
+        # on both sides: one _columns call per anchor, the per-depth
+        # oracle's elements in its order
+        s = REFERENCE.get(name) or oracles.period_two_scenario()
+        pool = smp.homoclinic_pool(s.matrix, s.orbit_p, s.orbit_q, 2, range(0, 6))
+        rng = np.random.default_rng(3)
+        anchors = [gd.unit(pool[int(i)]) for i in rng.integers(len(pool), size=3)]
+        anchors += smp.stable_pairs(pool, 3, rng)
+        calls, real = [], fn._columns
+        monkeypatch.setattr(fn, "_columns", lambda *args: calls.append(args) or real(*args))
+        found = 0
+        for anchor in anchors:
+            for depths in (range(gd.c_first_time(anchor) + 2, 16), range(-3, 6), range(0)):
+                del calls[:]
+                got = smp.nested_family(s.matrix, anchor, depths, s.orbit_p)
+                assert len(calls) == 1
+                assert got == oracles.nested_family(s.matrix, anchor, depths, s.orbit_p)
+                found += len(got)
+        assert found > 30
 
 
 class TestStablePairs:
@@ -400,6 +431,15 @@ class TestCovers:
                     assert u_cover_member(a, c, n, CP) == (n <= lvl)
 
 
+def assert_vcap_matches(els, cp, want):
+    """The dense oracle table of els is want, and the program's V-index
+    entries are its entries >= 0."""
+    family = gd.ElementFamily(els)
+    dense = oracles.build_vcap_table(family, cp)
+    assert np.array_equal(dense, want)
+    oracles.assert_same_entries(auf.build_vcap_table(family, cp), oracles.vcap_entries(dense))
+
+
 class TestVcapTable:
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("name", sorted(REFERENCE))
@@ -414,7 +454,7 @@ class TestVcapTable:
             assert len({a.second for a in els}) < len(els)
             want = pair_vcap(els, cp)
             assert (want[~np.eye(len(els), dtype=bool)] >= 0).any()
-            assert np.array_equal(auf.build_vcap_table(gd.ElementFamily(els), cp), want)
+            assert_vcap_matches(els, cp, want)
         # a table has one side: a family of both is refused
         mixed = (
             stable[::2]
@@ -428,7 +468,7 @@ class TestVcapTable:
         # far shifts put every core before 0 (stable) or after it
         # (unstable), so a holonomy cut can lie past the window's cores
         for els in ([gd.phi_auto(a, 40) for a in stable], [gd.phi_auto(a, -40) for a in unstable]):
-            assert np.array_equal(auf.build_vcap_table(gd.ElementFamily(els), cp), pair_vcap(els, cp))
+            assert_vcap_matches(els, cp, pair_vcap(els, cp))
 
     def test_one_depth_per_source_pair(self, monkeypatch):
         # every depth and every holonomy image comes from the one family
@@ -446,7 +486,7 @@ class TestVcapTable:
         monkeypatch.setattr(sft.EventuallyPeriodicPoint, "window", counting)
         vcap = auf.build_vcap_table(gd.ElementFamily(els), CP)
         monkeypatch.undo()
-        assert np.array_equal(vcap, pair_vcap(els, CP))
+        oracles.assert_same_entries(vcap, oracles.vcap_entries(pair_vcap(els, CP)))
         points = {x for a in els for x in (a.first, a.second)}
         assert len(reads) == len(set(reads)) == len(points) < len(els)
         assert set(reads) == points
@@ -470,7 +510,7 @@ class TestCoverLevels:
         cp = auf.CoverIndexParams(kappa)
         els = reference_elements("golden-mean", 60)
         vcap = pair_vcap(els, cp)
-        got = auf.build_quasimetric_table(gd.ElementFamily(els), cp, n_max=3, vcap=vcap).exponents
+        got = auf.build_quasimetric_table(gd.ElementFamily(els), cp, n_max=3, vcap=oracles.vcap_entries(vcap)).exponents
         assert np.array_equal(got, scalar_quasimetric_exponents(els, cp, vcap, 3))
 
     @pytest.mark.parametrize("n_max", [2, 40])
@@ -481,7 +521,7 @@ class TestCoverLevels:
         els = reference_elements("full-2-shift", 40)
         caps = rng.choice([-1, 0, 1, 3, 7, 15, 60, auf._DEEP], size=(40, 40), p=[0.9] + [0.1 / 7] * 7)
         vcap = np.maximum(caps, np.where(np.eye(40, dtype=bool), auf._DEEP, -1))
-        got = auf.build_quasimetric_table(gd.ElementFamily(els), CP, n_max=n_max, vcap=vcap).exponents
+        got = auf.build_quasimetric_table(gd.ElementFamily(els), CP, n_max=n_max, vcap=oracles.vcap_entries(vcap)).exponents
         want = scalar_quasimetric_exponents(els, CP, vcap, n_max)
         assert np.array_equal(got, want)
         off = ~np.eye(40, dtype=bool)
@@ -489,9 +529,10 @@ class TestCoverLevels:
 
     def test_memory_peak_of_the_table_stage(self):
         # auf-audit's family at --samples 20000 on full-2-shift: the levels
-        # come from the entries with vcap >= 1 only (under 1 % of them) and
-        # the exponents are int8, so the stage peaks well below one vcap
-        # table; levels over the whole table would take several
+        # come from the V-index entries with v >= 1 only (under 1 % of the
+        # pairs) and the exponents are int8, so the stage peaks well below
+        # one dense m x m int64 table; levels over all pairs would take
+        # several
         import tracemalloc
 
         if tracemalloc.is_tracing():
@@ -502,14 +543,15 @@ class TestCoverLevels:
         )
         cp = auf.CoverIndexParams(s.kappa)
         vcap = auf.build_vcap_table(family, cp)
-        assert len(family) == 400 and (vcap >= 1).mean() < 0.01
+        dense_bytes = 8 * len(family) ** 2
+        assert len(family) == 400 and (vcap[2] >= 1).sum() < 0.01 * len(family) ** 2
         tracemalloc.start()
         try:
             t = auf.build_quasimetric_table(family, cp, vcap=vcap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * vcap.nbytes
+        assert peak < 0.5 * dense_bytes
         assert t.exponents.dtype == np.int8
         with pytest.raises(ValueError, match="n_max"):
             auf.build_quasimetric_table(family, cp, vcap=vcap, n_max=128)
@@ -782,7 +824,7 @@ class TestStar:
         tampered = np.where(knock, -1, vcap)
         levels = (0, 1, 2, 3)
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, rng, 300, vcap=tampered)
+        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, rng, 300, vcap=oracles.vcap_entries(tampered))
         ref = star_oracle(els, CP, ref_rng, 300, levels, tampered)
         assert len(ref.violations) > 20
         assert rep.violations == ref.violations
@@ -792,7 +834,8 @@ class TestStar:
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_matches_loop_oracle_on_reference(self, reference_tables, name):
         els, vcap, _ = reference_tables[name]
-        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, np.random.default_rng(37), 300, vcap=vcap)
+        entries = oracles.vcap_entries(vcap)
+        rep = auf.star_refinement_check(gd.ElementFamily(els), CP, np.random.default_rng(37), 300, vcap=entries)
         ref = star_oracle(els, CP, np.random.default_rng(37), 300, (0, 1, 2, 3), vcap)
         assert rep.ok and ref.ok
         assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
@@ -801,7 +844,7 @@ class TestStar:
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_membership_walk_matches_the_dense_oracle(self, reference_tables, name):
         # the walk over per-center member lists and per-member center lists
-        # against the scan of dense columns: the counts, and the violations
+        # of the V-index entries against the scan of dense columns: the counts, and the violations
         # in their order, on the reference table, on the table with a tenth
         # of its memberships knocked out, and on a random table of dyadic
         # V-indices, one entry in ten set
@@ -814,7 +857,7 @@ class TestStar:
         for table in (vcap, tampered, dyadic):
             for seed in (0, 43):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                rep = auf.star_refinement_check(family, CP, rng, 500, vcap=table)
+                rep = auf.star_refinement_check(family, CP, rng, 500, vcap=oracles.vcap_entries(table))
                 ref = oracles.star_refinement_check(family, CP, ref_rng, 500, table)
                 assert (rep.triples_checked, rep.witnesses) == (ref.triples_checked, ref.witnesses)
                 assert rep.violations == ref.violations
@@ -856,7 +899,7 @@ class TestDiameter:
         anchors = [i for i, e in enumerate(els) if e.first == e.second][:24]
         family = gd.ElementFamily(els)
         assert np.flatnonzero(family.first == family.second)[:24].tolist() == anchors
-        fit = auf.diameter_bound_check(family, d, anchors, CP, range(0, 10), vcap=vcap)
+        fit = auf.diameter_bound_check(family, d, anchors, CP, range(0, 10), vcap=oracles.vcap_entries(vcap))
         assert len(fit.ks) >= 3
         assert fit == diameter_oracle(els, d, anchors, CP, range(0, 10), vcap)
 
@@ -865,29 +908,43 @@ class TestCsv:
     def test_roundtrip(self):
         els = elements(40)
         t = quasimetric_table(els, CP)
-        t2 = table_from_csv(auf.table_to_csv(t))
+        t2 = table_from_csv(csv_text(t))
         assert np.array_equal(t.exponents, t2.exponents)
         assert t.point_ids == t2.point_ids
 
     def test_entry_format(self):
         t = auf.QuasimetricTable(["x", "y"], np.array([[-1, 3], [3, -1]]))
-        text = auf.table_to_csv(t)
-        assert "2^-3" in text and "0" in text
+        text = csv_text(t)
+        assert text == ",x,y\nx,0,2^-3\ny,2^-3,0\n"
 
     def test_empty_table_round_trip(self):
         t = auf.QuasimetricTable([], np.zeros((0, 0), dtype=int))
-        text = auf.table_to_csv(t)
+        text = csv_text(t)
         assert text == "\n"
         back = table_from_csv(text)
         assert back.point_ids == [] and back.exponents.shape == (0, 0)
 
     def test_matches_cell_loop_oracle(self):
+        # the streamed rows against the whole-string writer and the cell
+        # loop: one point (a row of "0"), rows of "1" (exponent 0 off the
+        # diagonal), int8 tables as auf-audit's, and random deep exponents
         deep = [-1, 0, 1, 2, 9, 40, 1000, 10**6]
         rng = np.random.default_rng(41)
-        for m in (0, 1, 3, 30):
-            t = random_table(rng, m, deep)
-            text = auf.table_to_csv(t)
-            assert text == csv_oracle(t)
+        tables = [random_table(rng, m, deep) for m in (0, 1, 3, 30)]
+        tables += [random_table(rng, m, [0]) for m in (1, 2, 7)]
+        for m in (2, 30):
+            t = random_table(rng, m, [0, 1, 2, 9, 40, 127])
+            tables.append(auf.QuasimetricTable(t.point_ids, t.exponents.astype(np.int8)))
+        for t in tables:
+            text = csv_text(t)
+            assert text == oracles.table_to_csv(t) == csv_oracle(t)
             back = table_from_csv(text)
             assert np.array_equal(back.exponents, t.exponents)
             assert back.point_ids == t.point_ids
+        assert csv_text(tables[1]) == ",p0\np0,0\n"
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_the_string_oracle_on_reference(self, reference_tables, name):
+        t = reference_tables[name][2]
+        assert t.exponents.dtype == np.int8
+        assert csv_text(t) == oracles.table_to_csv(t)

@@ -689,6 +689,47 @@ class TestBadInput:
         assert "invalid scenario" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["radius_exp", "time"])
+    def test_huge_term_span_exit_2_within_a_memory_limit(self, tmp_path, field):
+        # a radius_exp of 10**9 made spectrum build window rows of about
+        # 10**9 symbols: killed by the kernel, or exit 4 with a MemoryError
+        # under a memory limit, while the other commands exited 0.  Each
+        # command runs in a child under RLIMIT_AS, so a regression fails
+        # here instead of exhausting the machine's memory.
+        resource = pytest.importorskip("resource")
+        data = json.loads((REFERENCE_DIR / "full-2-shift.json").read_text())
+        data["functions"]["a"]["profile"]["support"].update(radius_exp=10**9, time=10**9 if field == "time" else 0)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        limit = 1 << 30
+
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for command in [*cli.COMMANDS, "report-all"]:
+            argv = [sys.executable, "-m", "sftops.cli", command, "--scenario", str(path), "--window=-2..6"]
+            argv += ["--samples", "200", "--out", str(tmp_path / "o")]
+            proc = subprocess.run(argv, env=env, preexec_fn=limited, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2, (command, proc.stderr[-2000:])
+            assert "function 'a' term 0 spans" in proc.stderr and f"{field} 1000000000" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "function,field,value,code",
+        [("b", "radius_exp", 10**9, 2), ("a", "depth", 1020, 2), ("b", "depth", 1019, 2), ("a", "depth", 1019, 0)],
+    )
+    def test_term_span_bound_on_both_sides(self, tmp_path, capsys, function, field, value, code):
+        # the stable a spans 5 + depth coordinates: from its anchor cores
+        # (-2..0) to its profile word's end at radius_exp + depth + 2; the
+        # unstable b spans 6 + depth: from its word's end at -radius_exp - 1
+        # - depth to its anchor cores (0..4)
+        keys = ["functions", function, "profile"] + (["support"] if field == "radius_exp" else []) + [field]
+        path = edited_reference(tmp_path, keys, value)
+        assert run(["validate", "--scenario", path, "--out", str(tmp_path / "o")]) == code
+        message = f"function {function!r} term 0 spans more than {sn.MAX_TERM_SPAN} coordinates"
+        assert (message in capsys.readouterr().err) == (code == 2)
+
     def test_swapped_sides_exit_2(self, tmp_path, capsys):
         path = small_scenario(tmp_path)
         argv = ["spectrum", "--scenario", path, "--out", str(tmp_path)]
@@ -962,6 +1003,39 @@ def test_halves_keep_one_chunk_of_draws():
     finally:
         tracemalloc.stop()
     assert peak < 0.2e6
+
+
+@pytest.mark.parametrize(
+    "command,bound_mib",
+    # traced peaks on full-2-shift: auf-audit 5.25 MiB with a dense m x m
+    # V-index table and quasimetric.csv as one string, 2.54 MiB without;
+    # fredholm 2.43 MiB with its three summability operators held at once
+    # and e's matrix kept, 1.47 MiB without
+    [("auf-audit", 3.5), ("fredholm", 2.0)],
+)
+def test_command_memory_peak(tmp_path, command, bound_mib):
+    # tracemalloc counts what the command itself allocates, the same in
+    # every run, unlike the process's RSS; numpy.random, numpy.linalg and
+    # the command's modules are imported first, so their import is not
+    # counted, whichever tests ran before
+    import importlib
+    import tracemalloc
+
+    import numpy.linalg  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    importlib.import_module(f"sftops.{cli.COMMANDS[command]}")
+    argv = [command, "--scenario", "full-2-shift", "--out", str(tmp_path), "--samples", "20000"]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= bound_mib * 2**20
 
 
 def _audit_reports(tmp_path, monkeypatch, cpus, scenario, samples, label):

@@ -263,6 +263,71 @@ class TestOddModule:
         assert row["q2"] == 0.0
 
 
+def summability_oracle(module, funcs, p_grid):
+    """fd.summability_report before it built its operators one at a time:
+    all three dense products first, from the plain expressions."""
+    f_op = module.f_op
+    rows = []
+    for name, x in funcs.items():
+        rho_x = module.rep(x)
+        ops = (
+            rho_x @ (f_op.conj().T - f_op),
+            rho_x @ (f_op @ f_op - np.eye(f_op.shape[0])),
+            rho_x @ f_op - f_op @ rho_x,
+        )
+        spectra = [sc.singular_values(q) for q in ops]
+        for p in p_grid:
+            q1, q2, q3 = (sc.schatten_norm(spec, p) for spec in spectra)
+            verdict = sc.summability_verdict(spectra[2], p).verdict
+            rows.append({"func_id": name, "p": p, "q1": q1, "q2": q2, "q3": q3, "verdict": verdict})
+    return rows
+
+
+def signed_zeros(rng, n):
+    """A complex n x n matrix with a third of its parts -0.0 or +0.0."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x.real[rng.random((n, n)) < 0.3] = -0.0
+    x.imag[rng.random((n, n)) < 0.3] = -0.0
+    x.imag[rng.random((n, n)) < 0.1] = 0.0
+    return x
+
+
+class TestOneOperatorAtATime:
+    """The in-place forms give the bytes of the expressions they replace."""
+
+    def test_defects_match_the_expressions(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 7, 40):
+            f_op = signed_zeros(rng, n)
+            assert fd.adjoint_defect(f_op).tobytes() == (f_op.conj().T - f_op).tobytes()
+            assert fd.square_defect(f_op).tobytes() == (f_op @ f_op - np.eye(n)).tobytes()
+            assert fd.adjoint_defect(f_op).flags.c_contiguous
+
+    def test_odd_module_matches_the_expression(self, reg):
+        e = fn.represent(E_FN, reg).to_dense(len(reg))
+        e.imag[:] = -0.0  # still a projection, and 2e - 1 keeps the signs
+        for proj in (e, np.zeros((3, 3), dtype=complex), np.diag([1.0, 0.0, 1.0])):
+            want = 2.0 * np.asarray(proj, dtype=complex) - np.eye(len(proj))
+            assert fd.make_odd_module(proj).f_op.tobytes() == want.tobytes()
+
+    def test_summability_matches_the_three_at_once_oracle(self, reg):
+        rng = np.random.default_rng(67)
+        dim = len(reg)
+        e = fn.represent(E_FN, reg).to_dense(dim)
+        b = fn.represent(B_FN, reg).to_dense(dim)
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        v = np.zeros((4, 4), dtype=complex)
+        v[0, 1] = v[1, 0] = 1.0
+        cases = [
+            (fd.make_odd_module(e), {"b": b, "noise": signed_zeros(rng, dim)}),
+            (fd.FredholmModule(signed_zeros(rng, 12)), {"x": signed_zeros(rng, 12)}),
+            (fd.make_even_module(v, p), {"b": np.diag([1.0, 2.0, 3.0, 4.0]), "noise": signed_zeros(rng, 4)}),
+        ]
+        for module, funcs in cases:
+            grid = [0.7, 1.0, 1.3]
+            assert fd.summability_report(module, funcs, grid) == summability_oracle(module, funcs, grid)
+
+
 class TestEvenModule:
     def test_grading(self):
         # gamma is a Z/2 grading: an involution that F anticommutes with and

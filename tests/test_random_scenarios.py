@@ -4,7 +4,8 @@ A scenario is drawn on a random irreducible matrix of 2 to 4 symbols, with
 two disjoint periodic orbits and anchors from enumerate_homoclinic whose
 cores lie nearest coordinate 0 (see oracles.anchored_scenario).  Every command runs twice on it: each exits 0,
 1, 2 or 3, never 4, and the two runs write the same bytes.  Its blocks
-from the word-level kernel equal the point-level assembly.
+from the word-level kernel equal the point-level assembly, and the audits'
+V-index entries and nested families equal their oracles'.
 """
 
 import contextlib
@@ -19,9 +20,11 @@ from unittest import mock
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from sftops import aufmetric as auf
 from sftops import cli
 from sftops import functions as fn
 from sftops import groupoid as gd
+from sftops import sampling as smp
 from sftops import scenarios as sn
 from sftops import sft
 from sftops.errors import SftopsError
@@ -88,6 +91,23 @@ def random_scenarios(draw):
     return s
 
 
+def checked_vcap_table(family, cp):
+    """auf.build_vcap_table, checked against the dense oracle's entries >= 0."""
+    got = REAL_VCAP(family, cp)
+    oracles.assert_same_entries(got, oracles.vcap_entries(oracles.build_vcap_table(family, cp)))
+    return got
+
+
+def checked_nested_family(m, anchor, depths, p):
+    """smp.nested_family, checked against one elements_of oracle call per depth."""
+    got = REAL_NESTED(m, anchor, depths, p)
+    assert got == oracles.nested_family(m, anchor, depths, p)
+    return got
+
+
+REAL_VCAP, REAL_NESTED = auf.build_vcap_table, smp.nested_family
+
+
 def digests(out: pathlib.Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
@@ -95,7 +115,13 @@ def digests(out: pathlib.Path) -> dict:
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(random_scenarios())
 def test_every_command_runs_twice_alike(s):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fn, "DENSE_SIDE_CAP", DENSE_SIDE):
+    s.validate()  # a random scenario's terms span far less than MAX_TERM_SPAN
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(fn, "DENSE_SIDE_CAP", DENSE_SIDE),
+        mock.patch.object(auf, "build_vcap_table", checked_vcap_table),
+        mock.patch.object(smp, "nested_family", checked_nested_family),
+    ):
         path = pathlib.Path(tmp) / "random.json"
         path.write_text(json.dumps(sn.scenario_to_dict(s)))
         for command in COMMANDS:
