@@ -330,16 +330,18 @@ def star_refinement_check(
     draw; all 2 * trials draws come from one rng.integers call over the
     alternating bounds, which draws the same values as the scalar calls
     (tests/test_cli.py pins this).  Each distinct (center, level) pair is
-    checked once, by a walk over the V-index entries (build_vcap_table):
-    per center its members and per member its centers, both ascending.
+    checked once, in first-seen order, by a walk over the V-index entries
+    (build_vcap_table): per center its members and per member its
+    centers, both ascending.
     The counts and violations are then replayed in trial order.
     Violations are listed by trial, then witness b, then member e, both
     ascending.
     """
     m, k = len(family), len(STAR_LEVELS)
     n_first = family.first_time.tolist()
-    draws = rng.integers(np.tile([m, k], trials))
-    pairs, at = np.unique(draws[::2] * k + draws[1::2], return_inverse=True)
+    draws = rng.integers(np.tile([m, k], trials)).tolist()
+    pairs = {}  # (center, level) -> its index
+    at = [pairs.setdefault(pair, len(pairs)) for pair in zip(draws[::2], draws[1::2])]
     members, centers = [[] for _ in range(m)], [[] for _ in range(m)]
     for e, c, v in zip(*(a.tolist() for a in vcap)):
         members[c].append((e, v))
@@ -347,7 +349,7 @@ def star_refinement_check(
     # a center with no member in V_j(a) counts as one triple
     triples, witnesses = np.ones(len(pairs), np.int64), np.zeros(len(pairs), np.int64)
     violations = {}  # pair -> its violations, for the pairs with some
-    for u, (ai, level) in enumerate(divmod(pair, k) for pair in pairs.tolist()):
+    for u, (ai, level) in enumerate(pairs):
         n = STAR_LEVELS[level]
         j = j_index(n_first[ai], n, cp)
         in_a = [e for e, v in members[ai] if v >= j]
@@ -362,7 +364,7 @@ def star_refinement_check(
             violations[u] = bad
     rep = StarReport(int(triples[at].sum()), int(witnesses[at].sum()))
     if violations:
-        for u in at.tolist():
+        for u in at:
             rep.violations += violations.get(u, [])
     return rep
 

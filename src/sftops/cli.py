@@ -19,10 +19,11 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
-from .errors import InvalidScenario, NonFiniteOperator, SftopsError
-from .report import EXIT_INTERNAL, EXIT_INVALID
-from .scenarios import REFERENCE_SCENARIOS, load_scenario
+from .errors import NonFiniteOperator, ResourceLimit, SftopsError
+from .report import EXIT_INTERNAL, EXIT_INVALID, EXIT_RESOURCE
+from .scenarios import REFERENCE_SCENARIOS, load_scenario, validate_window
 
 # command -> the module of its body; report-all runs them all, in this order
 COMMANDS = {
@@ -41,8 +42,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _run(command: str, scenario, args) -> int:
-    """One command's body, its JSON reports written; its exit code."""
-    code, reports = importlib.import_module(f"sftops.{COMMANDS[command]}").run(scenario, args)
+    """One command's body, its JSON reports written; its exit code, 3 with
+    the message when it refuses a table over its size bound."""
+    try:
+        code, reports = importlib.import_module(f"sftops.{COMMANDS[command]}").run(scenario, args)
+    except ResourceLimit as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     for name, payload in reports.items():
         _write_json(os.path.join(args.out, name), payload)
     return code
@@ -81,21 +87,13 @@ def main(argv=None) -> int:
     if args.samples < 0:
         print(f"invalid option: --samples must be >= 0, got {args.samples}", file=sys.stderr)
         return EXIT_INVALID
+    given = {"seed": args.seed, "p_grid": args.p_grid, "basis_cap": args.cap}
+    overrides = {name: value for name, value in given.items() if value is not None}
     try:
-        if args.scenario in REFERENCE_SCENARIOS:
-            scenario = REFERENCE_SCENARIOS[args.scenario]()
-        else:
-            scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
-        if args.p_grid is not None:
-            scenario.p_grid = args.p_grid
-        if args.cap is not None:
-            scenario.basis_cap = args.cap
-        # --window only feeds spectrum and stays out of the scenario (and
-        # so out of scenario_hash), but is validated with it
-        scenario.replace(window=args.window or scenario.window).validate()
-    except (InvalidScenario, SftopsError, ValueError) as exc:
+        if args.window:  # --window only feeds spectrum and stays out of the scenario
+            validate_window(args.window)
+        scenario = REFERENCE_SCENARIOS.get(args.scenario, partial(load_scenario, args.scenario))(**overrides)
+    except (SftopsError, ValueError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

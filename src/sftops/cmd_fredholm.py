@@ -12,8 +12,8 @@ import numpy as np
 from . import fredholm as fd
 from . import functions as fn
 from . import sft
-from .errors import NotAProjection
-from .report import EXIT_FINDINGS, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, function_pair, seeded_rng, skeleton
+from .errors import NotAProjection, ResourceLimit
+from .report import EXIT_FINDINGS, EXIT_INVALID, EXIT_OK, function_pair, seeded_rng, skeleton
 
 
 def run(scenario, args):
@@ -42,12 +42,9 @@ def run(scenario, args):
     width = lab_window[1] - lab_window[0] + 1
     dim = len(reg) * width
     if dim > fn.DENSE_SIDE_CAP:
-        print(
-            f"fredholm: dense side {dim} ({len(reg)} basis points x {width} window slots)"
-            f" exceeds the cap {fn.DENSE_SIDE_CAP}",
-            file=sys.stderr,
+        raise ResourceLimit(
+            f"dense side {dim} ({len(reg)} basis points x {width} window slots) exceeds the cap {fn.DENSE_SIDE_CAP}"
         )
-        return EXIT_RESOURCE, {}
 
     # e's dense matrix lives only while F is built and b's is built after
     # it, so F, b and one summability operator are the dense matrices held

@@ -16,11 +16,11 @@ from .report import EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, function_pair, skeleto
 from .scenarios import Scenario
 
 
-def _norm_slope(ns, norms):
-    """Log-linear fit over the deepest two thirds of the nonzero blocks;
-    None when fewer than two of them fall in that window."""
-    lo = ns[-1] - (2 * (ns[-1] - ns[0])) // 3
-    pos = [(n, v) for n, v in zip(ns, norms) if n >= lo and v > 0]
+def _norm_slope(nonzero):
+    """Log-linear fit over the deepest two thirds of the nonzero blocks
+    (n, norm, rank); None when fewer than two of them fall in that window."""
+    lo = nonzero[-1][0] - (2 * (nonzero[-1][0] - nonzero[0][0])) // 3
+    pos = [(n, v) for n, v, _ in nonzero if n >= lo]
     if len(pos) < 2:
         return None
     xs = np.array([n for n, _ in pos], dtype=float)
@@ -28,8 +28,10 @@ def _norm_slope(ns, norms):
     return float(np.polyfit(xs, ys, 1)[0]), (int(pos[0][0]), int(pos[-1][0]))
 
 
-def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None) -> dict:
-    """Shared by the command and the acceptance suite."""
+def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None):
+    """The report of the pair's trusted blocks over the window, their merged
+    spectrum (None when no block is trusted) and the trusted blocks by
+    ascending n.  Shared by the command and the acceptance suite."""
     m = scenario.matrix
     h = sft.entropy(m)
     window = window or scenario.window
@@ -38,38 +40,30 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
     seeds = sft.enumerate_homoclinic(m, scenario.orbit_p, scenario.orbit_q, 3)
     reg = fn.BasisRegistry.seeded(seeds, cap=scenario.basis_cap)
     blocks = fn.commutator_blocks(a, b, window, reg, m)
-    trusted = blocks.trusted_blocks()
+    trusted = dict(sorted(blocks.trusted_blocks().items()))
+    spectra = {n: sc.singular_values(op, source=f"block {n}") for n, op in trusted.items()}
     per_block = {}
-    spectra = []
-    spectra_by_n = {}
-    ns, norms, ranks = [], [], []
-    for n in sorted(trusted):
-        spec = sc.singular_values(trusted[n], source=f"block {n}")
-        spectra.append(spec)
-        spectra_by_n[n] = spec
+    nonzero = []  # (n, norm, rank) of the blocks of nonzero norm
+    for n, spec in spectra.items():
         norm = float(spec.values[0]) if len(spec.values) else 0.0
         rank = sc.numerical_rank(spec)
-        per_block[n] = {"rank": rank, "norm": norm}
+        per_block[str(n)] = {"rank": rank, "norm": norm}
         if norm > 0:
-            ns.append(n)
-            norms.append(norm)
-            ranks.append(rank)
+            nonzero.append((n, norm, rank))
     out = {
         "window": list(window),
         "basis_size": len(reg),
         "untrusted_blocks": {str(k): v for k, v in sorted(blocks.untrusted.items())},
-        "trusted_blocks": sorted(trusted),
-        "per_block": {str(k): v for k, v in per_block.items()},
+        "trusted_blocks": list(trusted),
+        "per_block": per_block,
     }
     if not trusted:
-        return out
-    merged = sc.merge_spectra(spectra, source=f"[{a_name},{b_name}]")
-    out["_merged"] = merged
-    out["_blocks"] = blocks
+        return out, None, trusted
+    merged = sc.merge_spectra(list(spectra.values()), source=f"[{a_name},{b_name}]")
     out["spectrum_count"] = merged.total_count
-    if ns:
-        out["vanishing_n0"] = int(-min(0, ns[0]))
-        fit = _norm_slope(ns, norms)
+    if nonzero:
+        out["vanishing_n0"] = int(-min(0, nonzero[0][0]))
+        fit = _norm_slope(nonzero)
         if fit is not None:
             slope, fit_window = fit
             out["norm_fit"] = {
@@ -81,7 +75,7 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
         # rank certificates and the certified blockwise schedule from the
         # fitted constants, checked against the merged spectrum of the
         # positive blocks; both need a nonzero block n >= 1
-        deep = [(n, v, r) for n, v, r in zip(ns, norms, ranks) if n >= 1]
+        deep = [block for block in nonzero if block[0] >= 1]
         if deep:
             rank_certs = {}
             for eps in (0.01, 0.05, 0.1):
@@ -105,9 +99,7 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
                 cert = sc.decay_bound_schedule(
                     c1_fit, alpha_c, c2_fit, scenario.kappa, 0, len(deep)
                 )
-                tail = sc.merge_spectra(
-                    [spectra_by_n[n] for n in sorted(spectra_by_n) if n >= 1]
-                )
+                tail = sc.merge_spectra([spec for n, spec in spectra.items() if n >= 1])
                 out["decay_certificate"] = cert.to_json_dict()
                 out["decay_certificate"]["violations"] = len(
                     sc.schedule_violations(cert, tail)
@@ -124,36 +116,27 @@ def spectrum_analysis(scenario: Scenario, a_name: str, b_name: str, window=None)
     for p in scenario.p_grid:
         v = sc.summability_verdict(merged, p)
         out["verdicts"][str(p)] = v.to_json_dict()
-    return out
+    return out, merged, trusted
 
 
 def run(scenario: Scenario, args):
     names = function_pair(scenario, "spectrum", [args.stable_function], [args.unstable_function])
     if names is None:
         return EXIT_INVALID, {}
-    a_name, b_name = names
-    analysis = spectrum_analysis(scenario, a_name, b_name, args.window)
-    rep = skeleton(scenario, "spectrum")
-    merged = analysis.pop("_merged", None)
-    blocks = analysis.pop("_blocks", None)
-    rep.update(analysis)
-    if merged is not None:
+    analysis, merged, trusted = spectrum_analysis(scenario, *names, args.window)
+    reports = {}
+    if trusted:
         vals = merged.expanded(limit=2_000_000).tolist()
         with open(os.path.join(args.out, "spectrum.csv"), "w") as handle:
             handle.write("index,value\n" + "".join(["%d,%.17g\n" % iv for iv in enumerate(vals, start=1)]))
-    reports = {}
-    if blocks is not None:
-        manifest = {
+        for n, op in trusted.items():
+            rows = ["%s,%s,%.17g,%.17g\n" % (i, jj, v.real, v.imag) for (i, jj), v in sorted(op.entries.items())]
+            with open(os.path.join(args.out, f"block_{n:+03d}.csv"), "w") as handle:
+                handle.write("row,col,re,im\n" + "".join(rows))
+        reports["blocks_manifest.json"] = {
             "window": analysis["window"],
             "basis_size": analysis["basis_size"],
             "untrusted": analysis["untrusted_blocks"],
         }
-        for n, op in sorted(blocks.trusted_blocks().items()):
-            path = os.path.join(args.out, f"block_{n:+03d}.csv")
-            entries = sorted(op.entries.items())
-            rows = ["%s,%s,%.17g,%.17g\n" % (i, jj, v.real, v.imag) for (i, jj), v in entries]
-            with open(path, "w") as handle:
-                handle.write("row,col,re,im\n" + "".join(rows))
-        reports["blocks_manifest.json"] = manifest
-    reports["spectrum.json"] = rep
-    return EXIT_OK if analysis.get("trusted_blocks") else EXIT_RESOURCE, reports
+    reports["spectrum.json"] = dict(skeleton(scenario, "spectrum"), **analysis)
+    return EXIT_OK if trusted else EXIT_RESOURCE, reports

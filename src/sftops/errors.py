@@ -59,3 +59,7 @@ class InvalidScenario(SftopsError):
 
 class NonFiniteOperator(SftopsError):
     pass
+
+
+class ResourceLimit(SftopsError):
+    pass

@@ -14,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from .errors import ResourceLimit
 from .functions import elements_over
 from .groupoid import GroupoidElement, base_set, c_first_time, unit
 from .sft import (
@@ -98,14 +99,25 @@ def nested_family(
     return elements_over(sets, groups)
 
 
+# The bound on the pair tables of a pool of P points with rows of W symbols:
+# P * P * W bytes comparing every pair of rows, and P * P * 8 per int64
+# table (stable_pairs' permutation, metric-audit's units close_table).
+POOL_TABLE_BYTES = 2**26
+
+
 def stable_pairs(pool, limit: int, rng) -> list:
     """Stably equivalent ordered pairs drawn from the pool (of distinct
     points): the first `limit` of them in the order of one permutation of
     the n * n pool pairs, pair (i, j) at i * n + j.  Which pairs are stably
-    equivalent is read from one table of the pool's agreement floors."""
+    equivalent is read from one table of the pool's agreement floors,
+    refused before it is built when the pool passes POOL_TABLE_BYTES."""
     n = len(pool)
+    window = FamilyWindow(pool, [0])
+    need = n * n * (window.rows.shape[1] + 8)
+    if need > POOL_TABLE_BYTES:
+        raise ResourceLimit(f"pool pair tables {need} bytes ({n} pool points) exceed the cap {POOL_TABLE_BYTES}")
     every = np.arange(n)
-    stable = FamilyWindow(pool, [0]).floor(every[:, None], every[None, :]) != math.inf
+    stable = window.floor(every[:, None], every[None, :]) != math.inf
     order = rng.permutation(n * n)
     hits = order[stable.ravel()[order]][:limit]
     return [GroupoidElement(pool[i], pool[j], STABLE) for i, j in zip(*np.divmod(hits, n))]

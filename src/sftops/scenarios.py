@@ -76,8 +76,7 @@ class Scenario(Slotted):
         PeriodicOrbit.from_word(self.orbit_q.cycle, self.matrix)
         if not orbits_disjoint(self.orbit_p, self.orbit_q):
             raise OrbitsNotDisjoint("orbit_P and orbit_Q share a point")
-        if self.window[0] > self.window[1]:
-            raise InvalidScenario("empty window")
+        validate_window(self.window)
         if not all(math.isfinite(p) and p > 0 for p in self.p_grid):
             raise InvalidScenario("p grid must be finite and positive")
         if self.core_bound < 0 or self.basis_cap < 1:
@@ -101,6 +100,14 @@ class Scenario(Slotted):
                         f"function {name!r} term {k} spans more than {MAX_TERM_SPAN} coordinates:"
                         f" radius_exp {bs.radius_exp}, time {bs.time}, depth {depth}"
                     )
+
+
+def validate_window(window) -> None:
+    """The block window rule, for a scenario's window and for --window."""
+    if len(window) != 2:
+        raise InvalidScenario("window must be two integers")
+    if window[0] > window[1]:
+        raise InvalidScenario("empty window")
 
 
 def _base_set_to_dict(bs: BaseSet) -> dict:
@@ -220,11 +227,14 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    if not isinstance(d, dict) or not isinstance(d.get("functions", {}), dict):
-        raise InvalidScenario("a scenario and its functions must be JSON objects")
+def load_scenario(path: str, **overrides) -> Scenario:
+    """The scenario of the JSON file at path, `overrides` replacing its fields."""
     try:
-        s = Scenario(
+        with open(path) as handle:
+            d = json.load(handle)
+        if not isinstance(d, dict) or not isinstance(d.get("functions", {}), dict):
+            raise InvalidScenario("a scenario and its functions must be JSON objects")
+        fields = dict(
             name=_string(d.get("name", "scenario"), "name"),
             matrix=TransitionMatrix.from_rows(
                 [[_integer(v, "matrix entry") for v in row] for row in d["matrix"]]
@@ -239,21 +249,14 @@ def scenario_from_dict(d: dict) -> Scenario:
             p_grid=[_number(p, "p_grid entry") for p in d.get("p_grid", [0.7, 1.0, 1.3])],
             seed=_integer(d.get("seed", 0), "seed"),
         )
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise InvalidScenario(str(exc)) from exc
-    if len(s.window) != 2:
-        raise InvalidScenario("window must be two integers")
-    s.validate()
-    return s
-
-
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as handle:
-            return scenario_from_dict(json.load(handle))
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting past the interpreter's limit, in the decoder or a `sum`
         raise InvalidScenario(f"cannot read scenario: {exc}") from exc
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise InvalidScenario(str(exc)) from exc
+    s = Scenario(**dict(fields, **overrides))
+    s.validate()
+    return s
 
 
 def scenario_hash(s: Scenario) -> str:

@@ -255,7 +255,7 @@ def test_criterion_3_auf_engine():
 def full_shift_analysis():
     t0 = time.time()
     scenario = sn.REFERENCE_SCENARIOS["full-2-shift"]()
-    out = spectrum_analysis(scenario, "a", "b")
+    out, _, _ = spectrum_analysis(scenario, "a", "b")
     out["_elapsed"] = time.time() - t0
     out["_scenario"] = scenario
     return out
@@ -265,7 +265,7 @@ def full_shift_analysis():
 def golden_analysis():
     t0 = time.time()
     scenario = sn.REFERENCE_SCENARIOS["golden-mean"]()
-    out = spectrum_analysis(scenario, "a", "b")
+    out, _, _ = spectrum_analysis(scenario, "a", "b")
     out["_elapsed"] = time.time() - t0
     out["_scenario"] = scenario
     return out

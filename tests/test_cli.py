@@ -22,6 +22,7 @@ from sftops import forked
 from sftops import groupoid as gd
 from sftops import sampling as smp
 from sftops import scenarios as sn
+from sftops import sft
 
 import oracles
 from oracles import period_two_scenario
@@ -368,6 +369,10 @@ class TestSpectrum:
         assert len(csv_lines) == rep["spectrum_count"] + 1
         # 17 significant digits in the CSV payload
         assert any(len(line.split(",")[1]) >= 17 for line in csv_lines[1:])
+        # spectrum_analysis returns its merged spectrum and blocks beside
+        # the report; they used to ride in it under "_merged" and "_blocks"
+        assert not [key for key in rep if key.startswith("_")]
+        assert {p.name for p in out.glob("block_*.csv")} == {f"block_{n:+03d}.csv" for n in rep["trusted_blocks"]}
 
     def test_unknown_function_exit_2(self, tmp_path):
         path = small_scenario(tmp_path)
@@ -406,8 +411,10 @@ class TestSpectrum:
         s.basis_cap = 500
         s.window = (-2, 4)
         s.functions["zero"] = fnmod.LocallyConstantFunction("stable", ())
-        analysis = cmd_spectrum.spectrum_analysis(s, "zero", "b")
-        assert analysis["spectrum_count"] == 0
+        analysis, merged, trusted = cmd_spectrum.spectrum_analysis(s, "zero", "b")
+        assert analysis["spectrum_count"] == 0 and merged.total_count == 0
+        assert list(trusted) == analysis["trusted_blocks"] and trusted
+        assert not [key for key in analysis if key.startswith("_")]
         assert all(v["verdict"] == "CONVERGENT" for v in analysis["verdicts"].values())
 
     def test_window_flag(self, tmp_path):
@@ -465,6 +472,60 @@ class TestFredholmCommand:
         err = capsys.readouterr().err
         assert "dense side 12115 (2423 basis points x 5 window slots)" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "report-all"])
+def test_one_validation_per_command(tmp_path, monkeypatch, command):
+    # load_scenario merges --seed, --p-grid and --cap into the file's fields
+    # and validates once; main used to edit the loaded scenario in place and
+    # validate a copy with --window a second time
+    argv = [command, "--scenario", small_scenario(tmp_path), "--out", str(tmp_path / "o"), "--samples", "200"]
+    validated, real = [], sn.Scenario.validate
+
+    def validate(s):
+        validated.append((s.seed, s.p_grid, s.basis_cap))
+        real(s)
+
+    monkeypatch.setattr(sn.Scenario, "validate", validate)
+    assert run(argv + ["--seed", "7", "--p-grid=0.5,1", "--cap", "2000", "--window=-2..4"]) in (0, 1)
+    assert validated == [(7, [0.5, 1.0], 2000)]
+
+
+class TestAuditPoolBound:
+    def test_shipped_and_fuzzed_pools_are_under_the_bound(self):
+        # the reference pools and the period-2 fixture's take a few KB; the
+        # fuzzer's largest, of two 3-cycles on the full 4-shift, 24 MB
+        full4 = sft.TransitionMatrix.from_rows([[1] * 4] * 4)
+        shipped = [mk() for mk in sn.REFERENCE_SCENARIOS.values()] + [period_two_scenario()]
+        orbits = [(s.matrix, s.orbit_p, s.orbit_q) for s in shipped]
+        for m, p, q in orbits + [(full4, sft.PeriodicOrbit((0, 0, 1)), sft.PeriodicOrbit((2, 2, 3)))]:
+            pool = smp.homoclinic_pool(m, p, q, 2, range(0, 6))
+            width = sft.FamilyWindow(pool, [0]).rows.shape[1]
+            assert len(pool) ** 2 * (width + 8) <= smp.POOL_TABLE_BYTES
+
+    def test_period_128_pool_exit_3_within_a_memory_limit(self, tmp_path):
+        # a 128-symbol orbit_P gives a pool of 2433 points with rows of 139
+        # symbols: stable_pairs asked for a 785 MiB comparison and both
+        # audits exited 4 with a MemoryError under this limit (a period of
+        # 800 asked for 175 GiB).  Each audit runs in a child under
+        # RLIMIT_AS, so a regression fails here instead of exhausting the
+        # machine's memory
+        resource = pytest.importorskip("resource")
+        path = edited_reference(tmp_path, ["orbit_P"], [1] + [0] * 127)
+        limit = 1 << 30
+
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for command in ("metric-audit", "auf-audit"):
+            argv = [sys.executable, "-m", "sftops.cli", command, "--scenario", path, "--out", str(tmp_path / "o")]
+            proc = subprocess.run(argv, env=env, preexec_fn=limited, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 3, (command, proc.stderr[-2000:])
+            first = proc.stderr.splitlines()[0]
+            assert first == f"{command}: pool pair tables 870164883 bytes (2433 pool points) exceed the cap 67108864"
+            assert "Traceback" not in proc.stderr
+        assert not list((tmp_path / "o").iterdir())
 
 
 class TestScenarioRoundTrip:
@@ -640,18 +701,25 @@ class TestBadInput:
         path = edited_reference(tmp_path, ["functions", "a", "profile", "depth"], -1)
         assert run(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
 
-    def test_bad_p_grid_and_window_exit_2(self, tmp_path):
-        path = small_scenario(tmp_path)
-        argv = ["spectrum", "--scenario", path, "--out", str(tmp_path), "--p-grid=-1,0", "--window=2..1"]
-        assert run(argv) == 2
-
-    def test_empty_window_exit_2(self, tmp_path):
-        path = small_scenario(tmp_path)
-        assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--window=2..1"]) == 2
-
-    def test_zero_cap_exit_2(self, tmp_path):
-        path = small_scenario(tmp_path)
-        assert run(["spectrum", "--scenario", path, "--out", str(tmp_path), "--cap=0"]) == 2
+    @pytest.mark.parametrize(
+        "flags,edit,message",
+        [
+            (["--seed", "-5"], None, "seed must be >= 0, got -5"),
+            (["--cap=0"], None, "bad core bound or basis cap"),
+            (["--p-grid=-1,0"], None, "p grid must be finite and positive"),
+            (["--window=2..1"], None, "empty window"),
+            (["--p-grid=-1,0", "--window=2..1"], None, "empty window"),
+            ([], [3], "window must be two integers"),
+        ],
+        ids=["seed", "cap", "p-grid", "window", "p-grid-and-window", "one-ended-window"],
+    )
+    def test_bad_override_message(self, tmp_path, capsys, flags, edit, message):
+        # the overrides are merged into the file's fields before the one
+        # validation, and --window meets the scenario's window rule
+        path = edited_reference(tmp_path, ["window"], edit) if edit else "full-2-shift"
+        assert run(["spectrum", "--scenario", path, "--out", str(tmp_path / "o"), *flags]) == 2
+        assert capsys.readouterr().err.rstrip().splitlines() == [f"invalid scenario: {message}"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "malform",

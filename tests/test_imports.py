@@ -518,3 +518,33 @@ def test_every_file_is_opened_by_a_with():
     # closed in a finally before the child is reaped.
     found = {path.name: [where for where, _ in unmanaged_opens(path.read_text())] for path in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {"forked.py": ["_fork"]}
+
+
+def test_scenarios_are_validated_in_one_place():
+    # a scenario is validated once, when load_scenario has merged the
+    # command line's overrides into the file's fields
+    callers = {path.stem: method_callers(path.read_text(), {"validate"}) for path in SRC.glob("*.py")}
+    assert {stem: where for stem, where in callers.items() if where} == {"scenarios": ["load_scenario"]}
+
+
+def attribute_stores(source: str) -> list:
+    """The lines that assign, augment or delete an attribute, or call setattr."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+    )
+
+
+def test_checker_finds_attribute_stores():
+    source = "a.b = 1\nx = a.b\na.c += 2\nsetattr(a, 'd', 3)\nx, a.e = 1, 2\ndel a.f\nf(a.g)\n"
+    assert attribute_stores(source) == [1, 3, 4, 5, 6]
+
+
+def test_the_command_layer_edits_no_loaded_scenario():
+    # main and the command bodies store no attribute, so no scenario field
+    # is set after load_scenario has validated it
+    layer = [SRC / "cli.py", SRC / "report.py", *sorted(SRC.glob("cmd_*.py"))]
+    assert len(layer) == 7
+    assert {path.name: attribute_stores(path.read_text()) for path in layer} == {path.name: [] for path in layer}
