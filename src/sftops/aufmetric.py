@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InsufficientData
 from .groupoid import ElementFamily
+from .sampling import draws
 from .sft import STABLE
 from .slotted import Frozen, Slotted
 
@@ -327,45 +328,47 @@ def star_refinement_check(
 
     Each trial draws the center index and then the level index, the level
     as STAR_LEVELS[rng.integers(len(STAR_LEVELS))], which is rng.choice's
-    draw; all 2 * trials draws come from one rng.integers call over the
-    alternating bounds, which draws the same values as the scalar calls
-    (tests/test_cli.py pins this).  Each distinct (center, level) pair is
-    checked once, in first-seen order, by a walk over the V-index entries
-    (build_vcap_table): per center its members and per member its
-    centers, both ascending.
-    The counts and violations are then replayed in trial order.
+    draw; the draws come from sampling.draws, one chunk at a time.  Each
+    distinct (center, level) pair is checked once, the first time it is
+    drawn, by a walk over the V-index entries (build_vcap_table): per
+    center its members and per member its centers, both ascending.  Each
+    chunk then adds its trials' counts and violations in trial order.
     Violations are listed by trial, then witness b, then member e, both
     ascending.
     """
     m, k = len(family), len(STAR_LEVELS)
     n_first = family.first_time.tolist()
-    draws = rng.integers(np.tile([m, k], trials)).tolist()
-    pairs = {}  # (center, level) -> its index
-    at = [pairs.setdefault(pair, len(pairs)) for pair in zip(draws[::2], draws[1::2])]
     members, centers = [[] for _ in range(m)], [[] for _ in range(m)]
     for e, c, v in zip(*(a.tolist() for a in vcap)):
         members[c].append((e, v))
         centers[e].append((c, v))
-    # a center with no member in V_j(a) counts as one triple
-    triples, witnesses = np.ones(len(pairs), np.int64), np.zeros(len(pairs), np.int64)
+    # per pair center * k + level, -1 until checked; a center with no
+    # member in V_j(a) counts as one triple
+    triples, witnesses = np.full(m * k, -1, np.int64), np.zeros(m * k, np.int64)
     violations = {}  # pair -> its violations, for the pairs with some
-    for u, (ai, level) in enumerate(pairs):
-        n = STAR_LEVELS[level]
-        j = j_index(n_first[ai], n, cp)
-        in_a = [e for e, v in members[ai] if v >= j]
-        if not in_a:
-            continue
-        bis = sorted({b for e in in_a for b, v in centers[e] if v >= j})  # b with a shared witness
-        triples[u] = witnesses[u] = len(bis)
-        # e in V_j(b) but not in V_n(a); a non-member of a has no entry >= 0
-        level_in_a = dict(members[ai])
-        bad = [(ai, b, e, n) for b in bis for e, v in members[b] if v >= j and level_in_a.get(e, -1) < n]
-        if bad:
-            violations[u] = bad
-    rep = StarReport(int(triples[at].sum()), int(witnesses[at].sum()))
-    if violations:
-        for u in at:
-            rep.violations += violations.get(u, [])
+    rep = StarReport()
+    for ais, levels in draws(rng, (m, k), trials):
+        pairs = ais * k + levels
+        for u in dict.fromkeys(pairs[triples[pairs] < 0].tolist()):
+            triples[u] = 1
+            ai, level = divmod(u, k)
+            n = STAR_LEVELS[level]
+            j = j_index(n_first[ai], n, cp)
+            in_a = [e for e, v in members[ai] if v >= j]
+            if not in_a:
+                continue
+            bis = sorted({b for e in in_a for b, v in centers[e] if v >= j})  # b with a shared witness
+            triples[u] = witnesses[u] = len(bis)
+            # e in V_j(b) but not in V_n(a); a non-member of a has no entry >= 0
+            level_in_a = dict(members[ai])
+            bad = [(ai, b, e, n) for b in bis for e, v in members[b] if v >= j and level_in_a.get(e, -1) < n]
+            if bad:
+                violations[u] = bad
+        rep.triples_checked += int(triples[pairs].sum())
+        rep.witnesses += int(witnesses[pairs].sum())
+        if violations:
+            for u in pairs.tolist():
+                rep.violations += violations.get(u, [])
     return rep
 
 

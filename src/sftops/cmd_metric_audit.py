@@ -11,26 +11,6 @@ from . import sampling as smp
 from . import sft
 from .report import EXIT_FINDINGS, EXIT_OK, seeded_rng, skeleton
 
-DRAW_CHUNK = 1024
-
-
-def _draws(rng, bound: int, width: int, count: int):
-    """The values of `width * count` successive int(rng.integers(bound))
-    calls, in order, as width-tuples: per chunk of at most DRAW_CHUNK
-    values, `width` index arrays, the k-th tuple's entries at position k.
-
-    numpy draws rng.integers(bound, size=k) as k scalar draws, so the
-    values and the generator state after them are the same
-    (tests/test_cli.py pins this).  Drawing by chunk keeps only one chunk
-    of draws alive.
-    """
-    per = max(1, DRAW_CHUNK // width)
-    while count > 0:
-        k = min(per, count)
-        yield rng.integers(bound, size=(k, width)).T
-        count -= k
-
-
 def _record(checks: dict, name: str, checked: int, failed, witness) -> None:
     """Count `checked` checks of one chunk of draws, those flagged in the
     bool array `failed` failing; the run's first failure gives the report
@@ -53,9 +33,9 @@ def run(scenario, args):
 
     Draw order: the elements, then two indices per sampled pair, three per
     triangle and two pool indices per unit pair, each loop consuming its
-    draws in order; no other draw comes between.  The loops take the same
-    draws in the same order from `_draws`, one chunk at a time, in this one
-    process, and check a chunk as array operations: the metric of the
+    draws in order; no other draw comes between.  The loops take their
+    draws from sampling.draws, one chunk at a time, in this one process,
+    and check a chunk as array operations: the metric of the
     elements, their Phi^-1 shifts and their inverses comes from one
     groupoid.ElementFamily, and the unit pairs compare the metric of one
     ElementFamily of the pool's units with its close branch.  Each check's
@@ -84,7 +64,7 @@ def run(scenario, args):
         "holonomy_isometry": [0, 0, None],
     }
 
-    for i, j in _draws(rng, n, 2, samples):
+    for i, j in smp.draws(rng, (n, n), samples):
         e, ee, ei = metric(i, j), metric(i + n, j + n), metric(i + 2 * n, j + 2 * n)
 
         def against(other):
@@ -104,19 +84,14 @@ def run(scenario, args):
         failed = (csm != cs + 1) & (cs != 0)
         _record(checks, "first_time_shift", len(e), failed, lambda k: (int(i[k]), int(cs[k]), int(csm[k])))
 
-    def values(e):
-        """kappa**-e per entry, 0.0 for NO_DISTANCE, each as Python computes it."""
-        distinct, at = np.unique(e, return_inverse=True)
-        return np.array([0.0 if x == gd.NO_DISTANCE else scenario.kappa ** -int(x) for x in distinct])[at]
-
-    for i, j, k in _draws(rng, n, 3, samples // 3):
-        dij, djk, dik = values(metric(i, j)), values(metric(j, k)), values(metric(i, k))
-        held = dik <= np.maximum(dij, djk) + 1e-15
+    # d(i, k) <= max(d(i, j), d(j, k)) on exponents; NO_DISTANCE is the largest
+    for i, j, k in smp.draws(rng, (n, n, n), samples // 3):
+        held = metric(i, k) >= np.minimum(metric(i, j), metric(j, k))
         _record(checks, "ultrametric_triangle", len(i), ~held, lambda t: (int(i[t]), int(j[t]), int(k[t])))
 
     # the pool's units: window index k is pool[k], and so is element k
     units = gd.ElementFamily([gd.unit(x) for x in pool])
-    for xs, ys in _draws(rng, len(pool), 2, samples // 5):
+    for xs, ys in smp.draws(rng, (len(pool), len(pool)), samples // 5):
         failed = units.metric_exponents(xs, ys) != units.close_exponents(xs, ys)
         _record(checks, "units_two_branch", len(xs), failed, lambda k: (str(pool[xs[k]]), str(pool[ys[k]])))
 

@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 
-from . import sft
+from . import __version__, sft
 from .scenarios import Scenario, scenario_hash
 
-TOOL_VERSION = "sftops 0.1.0"
+TOOL_VERSION = f"sftops {__version__}"
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1

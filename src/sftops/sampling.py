@@ -9,7 +9,6 @@ sampling is reproducible from a seeded generator.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
@@ -20,14 +19,29 @@ from .groupoid import GroupoidElement, base_set, c_first_time, unit
 from .sft import (
     STABLE,
     EventuallyPeriodicPoint,
-    FamilyWindow,
     PeriodicOrbit,
     TransitionMatrix,
+    Window,
     enumerate_homoclinic,
     periodic_point,
     shift,
     splice_at,
 )
+
+DRAW_CHUNK = 1024
+
+
+def draws(rng, bounds, count: int):
+    """`count` rounds of int(rng.integers(b)) for b in bounds, as one index
+    array per position of `bounds` for each chunk of at most DRAW_CHUNK
+    values; numpy draws a (k, len(bounds)) batch as those scalar calls, to
+    the values and the generator state after them (tests/test_cli.py pins
+    this), and only one chunk is alive at a time."""
+    per = max(1, DRAW_CHUNK // len(bounds))
+    while count > 0:
+        k = min(per, count)
+        yield rng.integers(bounds, size=(k, len(bounds))).T
+        count -= k
 
 
 def homoclinic_pool(
@@ -100,26 +114,27 @@ def nested_family(
 
 
 # The bound on the pair tables of a pool of P points with rows of W symbols:
-# P * P * W bytes comparing every pair of rows, and P * P * 8 per int64
-# table (stable_pairs' permutation, metric-audit's units close_table).
+# P * P * W bytes as if every pair of rows were compared, and P * P * 8 per
+# int64 table (stable_pairs' permutation, metric-audit's units close_table).
 POOL_TABLE_BYTES = 2**26
 
 
 def stable_pairs(pool, limit: int, rng) -> list:
     """Stably equivalent ordered pairs drawn from the pool (of distinct
     points): the first `limit` of them in the order of one permutation of
-    the n * n pool pairs, pair (i, j) at i * n + j.  Which pairs are stably
-    equivalent is read from one table of the pool's agreement floors,
-    refused before it is built when the pool passes POOL_TABLE_BYTES."""
+    the n * n pool pairs, pair (i, j) at i * n + j.  Past the cores of one
+    Window of the pool each right tail repeats with a period dividing
+    `right`, so two points are stably equivalent when their rows end in the
+    same `right` symbols.  A pool over POOL_TABLE_BYTES is refused."""
     n = len(pool)
-    window = FamilyWindow(pool, [0])
-    need = n * n * (window.rows.shape[1] + 8)
+    window = Window(pool, [0])
+    need = n * n * (window.hi - window.lo + 8)
     if need > POOL_TABLE_BYTES:
         raise ResourceLimit(f"pool pair tables {need} bytes ({n} pool points) exceed the cap {POOL_TABLE_BYTES}")
-    every = np.arange(n)
-    stable = window.floor(every[:, None], every[None, :]) != math.inf
+    tails = {}
+    codes = np.array([tails.setdefault(x.window(window.hi - window.right, window.hi), len(tails)) for x in pool])
     order = rng.permutation(n * n)
-    hits = order[stable.ravel()[order]][:limit]
+    hits = order[(codes[:, None] == codes).ravel()[order]][:limit]
     return [GroupoidElement(pool[i], pool[j], STABLE) for i, j in zip(*np.divmod(hits, n))]
 
 
@@ -134,7 +149,7 @@ def audit_elements(
     units and random stably equivalent pairs."""
     pool = homoclinic_pool(m, p, q, 2, range(0, 6))
     units = [unit(x) for x in pool]
-    anchor_units = [units[int(rng.integers(len(units)))] for _ in range(4)]
+    anchor_units = [units[i] for (picks,) in draws(rng, (len(units),), 4) for i in picks.tolist()]
     anchor_pairs = stable_pairs(pool, 4, rng)
     seen = {}
     for a in anchor_units + anchor_pairs:

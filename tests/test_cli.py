@@ -15,7 +15,6 @@ import pytest
 
 from sftops import aufmetric as auf
 from sftops import cli
-from sftops import cmd_metric_audit
 from sftops import cmd_spectrum
 from sftops import cmd_validate
 from sftops import forked
@@ -92,10 +91,11 @@ class TestValidate:
         assert run(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
-def _tamper_metric(monkeypatch):
+def _tamper_metric(monkeypatch, offset, hit_offset):
     # the tamper is a function of the (unordered) element pair alone, on
     # the family metric that the sampled loops and the unit pairs read, so
-    # its witnesses do not depend on call order
+    # its witnesses do not depend on call order: every exponent moves by
+    # `offset`, and those of the pairs it picks by `hit_offset` more
     def broken(a, b):
         x, y = sorted([f"{a.first}{a.second}", f"{b.first}{b.second}"])
         return zlib.crc32((x + y).encode()) % 31 == 0
@@ -110,7 +110,7 @@ def _tamper_metric(monkeypatch):
             return gd.GroupoidElement(pts[family.first[k]], pts[family.second[k]], family.side)
 
         hit = np.array([broken(element(a), element(b)) for a, b in zip(i, j)], dtype=bool)
-        return np.where(hit & (e != gd.NO_DISTANCE), e + 1, e)
+        return np.where(e == gd.NO_DISTANCE, e, e + offset + hit_offset * hit)
 
     monkeypatch.setattr(gd.ElementFamily, "metric_exponents", tampered_family)
 
@@ -134,7 +134,7 @@ class TestMetricAudit:
             assert rep["checks"][name]["checked"] == 777
 
     def test_tampered_metric_surfaces_failure(self, tmp_path, monkeypatch):
-        _tamper_metric(monkeypatch)
+        _tamper_metric(monkeypatch, 0, 1)
         out = tmp_path / "o"
         code = run(
             ["metric-audit", "--scenario", "full-2-shift", "--out", str(out), "--samples", "2000"]
@@ -153,6 +153,17 @@ class TestMetricAudit:
             "Point('0*|@0|1*')",
             "Point('0*|@-1|1*')",
         ]
+
+    def test_triangles_below_the_float_slack_are_checked(self, tmp_path, monkeypatch):
+        # at kappa = 2 every distance lies below 1e-15 when the exponents
+        # are 60 or more, the picked pairs 5 nearer: the check on
+        # kappa**-e floats with a 1e-15 slack passed all 666 triangles, the
+        # check on the exponents fails 15
+        _tamper_metric(monkeypatch, 60, -5)
+        out = tmp_path / "o"
+        assert run(["metric-audit", "--scenario", "full-2-shift", "--out", str(out), "--samples", "2000"]) == 1
+        triangle = json.loads((out / "metric_audit.json").read_text())["checks"]["ultrametric_triangle"]
+        assert (triangle["checked"], triangle["failures"]) == (666, 15)
 
 
 @pytest.mark.parametrize("command", ["metric-audit", "auf-audit"])
@@ -307,21 +318,22 @@ def audit_draw_bounds(name):
 
 @pytest.mark.parametrize("name", sorted(sn.REFERENCE_SCENARIOS))
 def test_numpy_draw_contract(name):
-    # the audits batch their index draws; if a numpy release changes how a
-    # batch relates to scalar draws, this fails instead of the reports
-    # changing silently
+    # the audits draw their indices in chunks through sampling.draws; if a
+    # numpy release changes how a batch relates to scalar draws, this
+    # fails instead of the reports changing silently.  The star check draws
+    # a center index and a level index per trial
     bounds = audit_draw_bounds(name)
     assert len(bounds) >= 3
-    for bound in bounds:
-        for seed in (0, 1, 2**32 + 7):
-            for count in (1, 7, cmd_metric_audit.DRAW_CHUNK, 2 * cmd_metric_audit.DRAW_CHUNK + 3):
-                scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                scalar = [int(scalar_rng.integers(bound)) for _ in range(count)]
-                assert [int(v) for (chunk,) in cmd_metric_audit._draws(batch_rng, bound, 1, count) for v in chunk] == scalar
-                chunk = batch_rng.integers(bound, size=count).tolist()
-                assert chunk == [int(scalar_rng.integers(bound)) for _ in range(count)]
-                assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
     levels = auf.STAR_LEVELS
+    shapes = [(bound,) * width for bound in bounds for width in (1, 2, 3)] + [(bound, len(levels)) for bound in bounds]
+    for per in shapes:
+        for seed in (0, 1, 2**32 + 7):
+            for count in (1, 7, smp.DRAW_CHUNK, 2 * smp.DRAW_CHUNK + 3):
+                scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                scalar = [int(scalar_rng.integers(b)) for _ in range(count) for b in per]
+                drawn = [int(v) for chunk in smp.draws(batch_rng, per, count) for row in zip(*chunk) for v in row]
+                assert drawn == scalar
+                assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
     for seed in (0, 1, 2):
         choice_rng, index_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for bound in bounds:
@@ -330,15 +342,6 @@ def test_numpy_draw_contract(name):
                 drawn = levels[int(index_rng.integers(len(levels)))]
                 assert int(choice_rng.choice(levels)) == drawn
         assert choice_rng.bit_generator.state == index_rng.bit_generator.state
-    # the star check draws each trial's center index and level index in one
-    # call over the alternating bounds
-    for bound in bounds:
-        for seed in (0, 1, 2**32 + 7):
-            for trials in (1, 7, 1000, 2003):
-                scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                scalar = [int(scalar_rng.integers(b)) for _ in range(trials) for b in (bound, len(levels))]
-                assert batch_rng.integers(np.tile([bound, len(levels)], trials)).tolist() == scalar
-                assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestAufAudit:
@@ -1055,22 +1058,61 @@ def test_spectrum_huge_kappa_skips_the_decay_certificate(tmp_path):
 # the audits in one process
 
 
-def test_halves_keep_one_chunk_of_draws():
-    # the sampled loops draw one chunk at a time, not the whole loop as a
-    # list: 100000 draws as Python ints would take about 3.6 MB
+def traced_peak(work) -> int:
+    """The tracemalloc peak of work(), in bytes."""
     import tracemalloc
 
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     tracemalloc.start()
     try:
-        for width in (2, 3):
-            for _ in cmd_metric_audit._draws(np.random.default_rng(0), 1000, width, 50000):
-                pass
+        work()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.2e6
+    return peak
+
+
+def test_halves_keep_one_chunk_of_draws():
+    # the sampled loops draw one chunk at a time, not the whole loop as a
+    # list: 100000 draws as Python ints would take about 3.6 MB.  The
+    # generator is made before tracing, so numpy.random's import is not
+    # counted when this test runs first
+    rng = np.random.default_rng(0)
+
+    def work():
+        for width in (2, 3):
+            for _ in smp.draws(rng, (1000,) * width, 50000):
+                pass
+
+    assert traced_peak(work) < 0.2e6
+
+
+def test_star_check_keeps_one_chunk_of_draws():
+    # the star check drew all 2 * trials indices at once and replayed a
+    # trial-length list: 5.58 MB at 100000 trials on the 400 elements
+    # auf-audit samples on full-2-shift at --samples 20000, 0.30 MB by chunk
+    s = sn.REFERENCE_SCENARIOS["full-2-shift"]()
+    rng = np.random.default_rng(s.seed + 2)
+    family = gd.ElementFamily(smp.audit_elements(s.matrix, s.orbit_p, s.orbit_q, rng, 400))
+    assert len(family) == 400
+    cp = auf.CoverIndexParams(s.kappa)
+    vcap = auf.build_vcap_table(family, cp)
+    reports = []
+    assert traced_peak(lambda: reports.append(auf.star_refinement_check(family, cp, rng, 100000, vcap))) < 2**20
+    assert reports[0].ok and reports[0].triples_checked > 100000
+
+
+def test_stable_pairs_reads_one_code_per_point():
+    # the fuzzer's largest pool, of two 3-cycles on the full 4-shift
+    # (P = 1008): comparing every pair of 16-symbol rows peaked at 41.9 MB,
+    # one tail code per point at 11.9 MB, the permutation's 8 MB included
+    full4 = sft.TransitionMatrix.from_rows([[1] * 4] * 4)
+    pool = smp.homoclinic_pool(full4, sft.PeriodicOrbit((0, 0, 1)), sft.PeriodicOrbit((2, 2, 3)), 2, range(0, 6))
+    assert len(pool) == 1008
+    pairs, rng = [], np.random.default_rng(0)
+    assert traced_peak(lambda: pairs.append(smp.stable_pairs(pool, 240, rng))) < 16 * 2**20
+    assert len(pairs[0]) == 240
 
 
 @pytest.mark.parametrize(
@@ -1087,23 +1129,15 @@ def test_command_memory_peak(tmp_path, command, bound_mib):
     # the command's modules are imported first, so their import is not
     # counted, whichever tests ran before
     import importlib
-    import tracemalloc
 
     import numpy.linalg  # noqa: F401
     import numpy.random  # noqa: F401
 
-    if tracemalloc.is_tracing():
-        pytest.skip("tracemalloc is already tracing")
     importlib.import_module(f"sftops.{cli.COMMANDS[command]}")
     argv = [command, "--scenario", "full-2-shift", "--out", str(tmp_path), "--samples", "20000"]
-    tracemalloc.start()
-    try:
-        code = run(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak <= bound_mib * 2**20
+    codes = []
+    assert traced_peak(lambda: codes.append(run(argv))) <= bound_mib * 2**20
+    assert codes == [0]
 
 
 def _audit_reports(tmp_path, monkeypatch, cpus, scenario, samples, label):
@@ -1148,7 +1182,7 @@ def test_tampered_metric_in_two_processes_matches_one(tmp_path, monkeypatch):
     argv = ["metric-audit", "--scenario", "full-2-shift", "--samples", "2000"]
     reports = []
     for cpus in (1, 2):
-        _tamper_metric(monkeypatch)
+        _tamper_metric(monkeypatch, 0, 1)
         forks = []
 
         def fork():

@@ -242,6 +242,20 @@ def test_package_data_ships_reference_scenarios():
     assert files <= shipped
 
 
+def test_one_version_string():
+    # the version is written once in the package and once in pyproject,
+    # and every report names the package's
+    tomllib = pytest.importorskip("tomllib")
+    import sftops
+    from sftops import report
+    from sftops import scenarios as sn
+
+    version = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["version"]
+    assert version == sftops.__version__
+    rep = report.skeleton(sn.REFERENCE_SCENARIOS["full-2-shift"](), "validate")
+    assert rep["tool_version"] == f"sftops {version}"
+
+
 def _fresh_import(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
@@ -352,10 +366,29 @@ def test_one_implementation_per_groupoid_construct():
     local_sets = {"in_stable_set", "in_unstable_set"}
     assert [stem for stem, source in sources.items() if stem != "sft" and local_sets & calls_by_name({stem: source}).keys()] == []
     # one path from window rows to exponents: sft.FamilyWindow's depth and
-    # floor are read by groupoid.ElementFamily, whose close table every
-    # metric question indexes, and by the pool table of sampling.stable_pairs
+    # floor are read only by groupoid.ElementFamily, whose close table every
+    # metric question indexes (sampling.stable_pairs reads tail codes)
     readers = {f"{stem}.{where}" for stem, source in sources.items() for where in method_callers(source, {"depth", "floor"})}
-    assert readers == {"groupoid.ElementFamily", "sampling.stable_pairs"}
+    assert readers == {"groupoid.ElementFamily"}
+
+
+def test_checker_finds_draw_callers():
+    source = (
+        "def draws(rng, bounds):\n    return rng.integers(bounds)\n"
+        "class Star:\n    def pick(self, g):\n        return np.random.default_rng(0).integers(3) + g.permutation(4)\n"
+        "ORDER = np.random.permutation(5)\n"
+    )
+    assert method_callers(source, {"integers"}) == ["draws", "Star"]
+    assert method_callers(source, {"permutation"}) == ["Star", None]
+
+
+def test_one_place_draws_from_a_generator():
+    # the audits draw bounded integers only through sampling.draws, one
+    # chunk at a time, and the only permutation is stable_pairs'
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    for names, where in (({"integers"}, ["sampling.draws"]), ({"permutation"}, ["sampling.stable_pairs"])):
+        callers = [f"{stem}.{name}" for stem, source in sorted(sources.items()) for name in method_callers(source, names)]
+        assert callers == where, names
 
 
 # the modules every command loads, and those each loads besides
