@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InsufficientData
 from .groupoid import ElementFamily
 from .sampling import draws
-from .sft import STABLE
 from .slotted import Frozen, Slotted
 
 _FUZZ = 1e-9
@@ -81,7 +80,7 @@ def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> tuple:
     of V_v(c)'s disk) and the holonomy equation holds, so the entry is d -
     disk_margin once a lies in V_{N_c}(c).  Rows are grouped by source: the
     depths come per distinct center source, for all groups at once, from
-    the family's window.  The domain test of V_{N_c}(c) is the depth test.
+    the family's rows.  The domain test of V_{N_c}(c) is the depth test.
     The holonomy image of a group's source z is then a lookup among the
     group's range rows: c's range row up to the splice cut joined to z's
     row after it (see _spliced_word).
@@ -90,7 +89,7 @@ def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> tuple:
     by_source = {}  # source index -> ({range row: row indices}, column indices)
     for i, (first, second) in enumerate(zip(family.first.tolist(), family.second.tolist())):
         by_range, columns = by_source.setdefault(second, ({}, []))
-        by_range.setdefault(family.window.words[first], []).append(i)
+        by_range.setdefault(family.words[first], []).append(i)
         columns.append(i)
     sources, groups = np.array(list(by_source), dtype=np.intp), list(by_source.values())
     margin = cp.disk_margin
@@ -110,13 +109,11 @@ def build_vcap_table(family: ElementFamily, cp: CoverIndexParams) -> tuple:
 
 
 def _spliced_word(family: ElementFamily, j: int, z: int) -> bytes:
-    """The window row of the holonomy image under V_{N_c}(c), c element j,
-    of the point z (a window index) in its domain disk: c's range point
-    before the family's cut of c and z from it (stable side), or z before
-    the cut and c's range point from it (unstable side)."""
-    win = family.window
-    first, row, p = win.words[family.first[j]], win.words[z], int(family.cut[j]) - win.lo
-    return first[:p] + row[p:] if family.side == STABLE else row[:p] + first[p:]
+    """The row of the holonomy image under V_{N_c}(c), c element j, of the
+    point z (a point index) in its domain disk: c's range point before the
+    splice cut N_c + 1 and z from it, in the family's time."""
+    p = int(family.first_time[j]) + 1 - family.lo
+    return family.words[family.first[j]][:p] + family.words[z][p:]
 
 
 # ---------------------------------------------------------------------------

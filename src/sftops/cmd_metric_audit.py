@@ -89,7 +89,7 @@ def run(scenario, args):
         held = metric(i, k) >= np.minimum(metric(i, j), metric(j, k))
         _record(checks, "ultrametric_triangle", len(i), ~held, lambda t: (int(i[t]), int(j[t]), int(k[t])))
 
-    # the pool's units: window index k is pool[k], and so is element k
+    # the pool's units: point index k is pool[k], and so is element k
     units = gd.ElementFamily([gd.unit(x) for x in pool])
     for xs, ys in smp.draws(rng, (len(pool), len(pool)), samples // 5):
         failed = units.metric_exponents(xs, ys) != units.close_exponents(xs, ys)

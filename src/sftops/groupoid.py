@@ -8,9 +8,11 @@ ElementFamily over arrays of elements: a distance kappa**-e is represented
 by e, with NO_DISTANCE standing for zero.  A base set (bisection) is data
 here; its holonomy acts through the word kernel in sftops.functions.
 
-The unstable side uses the mirrored closed forms directly (thresholds and
-first times flip sign); :func:`reverse_element` provides the time-reversal
-conjugation that the tests use to cross-check every mirrored formula.
+The point-level readings of the unstable side use the mirrored closed forms
+(thresholds and first times flip sign), while ElementFamily reads unstable
+rows in reversed time, so that its row comparisons are the stable side's;
+:func:`reverse_element` provides the time-reversal conjugation that the
+tests use to cross-check every mirrored formula.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .sft import (
     STABLE,
     UNSTABLE,
     EventuallyPeriodicPoint,
-    FamilyWindow,
+    Window,
     agreement_floor,
     agreement_depth,
     reverse_point,
@@ -189,12 +191,16 @@ _TABLE_BLOCK = 2**16
 
 
 class ElementFamily:
-    """Elements of one side, read through one sft.FamilyWindow of their
-    points: per element the window indices of its range and source points
-    and its c_first_time, so that metric_exponents evaluates the groupoid
-    metric on arrays of element indices.  The window is marked at each
-    element's `cut`, where V_{first_time}(element) splices.  The close
-    branch of every pair of window points is computed once, on the first
+    """Elements of one side and their distinct `points`: per element the
+    point indices of its range and source points and its c_first_time, so
+    that metric_exponents evaluates the groupoid metric on arrays of
+    element indices.  `words[k]` is the row of `points[k]` as bytes, read
+    over one sft.Window of the points marked where each element's
+    V_{first_time} splices, and `rows` holds them all.  On the unstable
+    side every row is read in reversed time, i -> -i as reverse_element
+    does, so that on both sides the splice cut is first_time + 1 and the
+    rows start at coordinate `lo` with `left` columns of left tails.  The
+    close branch of every pair of points is computed once, on the first
     metric question, as the P x P table `close_table`."""
 
     def __init__(self, elements):
@@ -203,9 +209,20 @@ class ElementFamily:
             raise SideMismatch("metric needs elements on one side")
         self.side = sides.pop() if sides else STABLE
         self.first_time = np.array([c_first_time(a) for a in elements], dtype=np.int64)
-        self.cut = self.first_time + 1 if self.side == STABLE else -self.first_time
-        self.window = FamilyWindow([x for a in elements for x in (a.first, a.second)], self.cut.tolist())
-        index = self.window.index
+        self.points = list(dict.fromkeys([x for a in elements for x in (a.first, a.second)]))
+        cut = self.first_time + 1
+        if self.side == STABLE:
+            window = Window(self.points, cut.tolist())
+            self.lo, self.left = window.lo, window.left
+            self.words = [window.read(x) for x in self.points]
+        else:
+            # the cut c is coordinate 1 - c forwards, and a reversed row
+            # over [lo, hi) is the row over [1 - hi, 1 - lo)
+            window = Window(self.points, (1 - cut).tolist())
+            self.lo, self.left = 1 - window.hi, window.right
+            self.words = [window.read(x)[::-1] for x in self.points]
+        self.rows = np.frombuffer(b"".join(self.words), np.uint8).reshape(-1, window.hi - window.lo)
+        index = {x: k for k, x in enumerate(self.points)}
         self.first = np.array([index[a.first] for a in elements], dtype=np.intp)
         self.second = np.array([index[a.second] for a in elements], dtype=np.intp)
 
@@ -213,14 +230,19 @@ class ElementFamily:
         return len(self.first)
 
     def disk_depths(self, i, j) -> np.ndarray:
-        """disk_depth of the points at window indices i and j, as floats."""
-        return self.window.depth(i, j) if self.side == STABLE else -self.window.floor(i, j)
+        """disk_depth of the points at point indices i and j, as floats: the
+        points agree through lo + k - 1 for k the first column where their
+        rows differ, and their left tails differ when k < left."""
+        differ = self.rows[i] != self.rows[j]
+        k = differ.argmax(axis=-1)
+        out = np.where(k < self.left, -math.inf, self.lo + k - 1.0)
+        return np.where(differ.any(axis=-1), out, math.inf)
 
     @cached_property
     def close_table(self) -> np.ndarray:
-        """close_exponents of every pair of window points, by window index.
+        """close_exponents of every pair of the family's points, by point index.
 
-        Built in blocks of rows, each compared with every row of the window
+        Built in blocks of rows, each compared with every row of the family
         through at most _TABLE_BLOCK row entries at once.
 
         The close branch is the closed disk: distance at most kappa**-1
@@ -235,7 +257,7 @@ class ElementFamily:
         disks, a pair at distance exactly kappa**-1 enters the close branch
         only after shifting and undershoots the lower bound.
         """
-        p, width = self.window.rows.shape
+        p, width = self.rows.shape
         table = np.empty((p, p), dtype=np.int64)
         step = max(1, _TABLE_BLOCK // max(1, p * width))
         every = np.arange(p)[None, :]
@@ -245,7 +267,7 @@ class ElementFamily:
         return table
 
     def close_exponents(self, i, j) -> np.ndarray:
-        """Metric exponent of the points at window indices i and j on the
+        """Metric exponent of the points at point indices i and j on the
         close branch (see close_table), or 0 off it; NO_DISTANCE where the
         points are equal."""
         return self.close_table[i, j]

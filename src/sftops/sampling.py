@@ -114,8 +114,10 @@ def nested_family(
 
 
 # The bound on the pair tables of a pool of P points with rows of W symbols:
-# P * P * W bytes as if every pair of rows were compared, and P * P * 8 per
-# int64 table (stable_pairs' permutation, metric-audit's units close_table).
+# P * P * 8 per int64 table (stable_pairs' permutation, metric-audit's units
+# close_table), plus a P * P * W term that no table fills any more (no code
+# compares every pair of pool rows); it is kept so that the same pools exit
+# 3, as tests/test_cli.py::TestAuditPoolBound pins.
 POOL_TABLE_BYTES = 2**26
 
 

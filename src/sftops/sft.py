@@ -383,33 +383,6 @@ def agreement_floor(x, y):
     return math.inf if k > len(a) - w.right else w.lo + k
 
 
-class FamilyWindow(Window):
-    """The distinct points of a family, each read once over one Window of
-    them all: `words[k]` is the row of `points[k]` as bytes, and two rows
-    decide agreement_depth and agreement_floor."""
-
-    def __init__(self, points, marks):
-        self.points = list(dict.fromkeys(points))
-        super().__init__(self.points, marks)
-        self.index = {x: k for k, x in enumerate(self.points)}
-        self.words = [self.read(x) for x in self.points]
-        self.rows = np.frombuffer(b"".join(self.words), np.uint8).reshape(-1, self.hi - self.lo)
-
-    def depth(self, i, j) -> np.ndarray:
-        """agreement_depth of the points at index arrays i and j, as floats."""
-        differ = self.rows[i] != self.rows[j]
-        k = differ.argmax(axis=-1)
-        out = np.where(k < self.left, -math.inf, self.lo + k - 1.0)
-        return np.where(differ.any(axis=-1), out, math.inf)
-
-    def floor(self, i, j) -> np.ndarray:
-        """agreement_floor of the points at index arrays i and j, as floats."""
-        differ = self.rows[i] != self.rows[j]
-        k = differ.shape[-1] - differ[..., ::-1].argmax(axis=-1)
-        out = np.where(k > differ.shape[-1] - self.right, math.inf, self.lo + k + 0.0)
-        return np.where(differ.any(axis=-1), out, -math.inf)
-
-
 def agreement_radius(x, y) -> Optional[int]:
     """Largest n >= 0 with x.at(i) == y.at(i) for |i| < n (None when x == y),
     scanned out from index -lo; a tail mismatch repeats in the window, nearer 0."""

@@ -240,7 +240,7 @@ def build_vcap_table(family, cp):
     by_source = {}  # source index -> ({range row: row indices}, column indices)
     for i, (first, second) in enumerate(zip(family.first.tolist(), family.second.tolist())):
         by_range, columns = by_source.setdefault(second, ({}, []))
-        by_range.setdefault(family.window.words[first], []).append(i)
+        by_range.setdefault(family.words[first], []).append(i)
         columns.append(i)
     sources, groups = np.array(list(by_source), dtype=np.intp), list(by_source.values())
     margin = cp.disk_margin

@@ -104,7 +104,7 @@ def _tamper_metric(monkeypatch, offset, hit_offset):
 
     def tampered_family(family, i, j):
         e = real_family(family, i, j)
-        pts = family.window.points
+        pts = family.points
 
         def element(k):
             return gd.GroupoidElement(pts[family.first[k]], pts[family.second[k]], family.side)
@@ -503,7 +503,8 @@ class TestAuditPoolBound:
         orbits = [(s.matrix, s.orbit_p, s.orbit_q) for s in shipped]
         for m, p, q in orbits + [(full4, sft.PeriodicOrbit((0, 0, 1)), sft.PeriodicOrbit((2, 2, 3)))]:
             pool = smp.homoclinic_pool(m, p, q, 2, range(0, 6))
-            width = sft.FamilyWindow(pool, [0]).rows.shape[1]
+            window = sft.Window(pool, [0])
+            width = window.hi - window.lo
             assert len(pool) ** 2 * (width + 8) <= smp.POOL_TABLE_BYTES
 
     def test_period_128_pool_exit_3_within_a_memory_limit(self, tmp_path):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftops import sft
@@ -14,7 +14,7 @@ from sftops.errors import NotComposable, SideMismatch
 
 import oracles
 from oracles import OutsideDomain, base_set_membership, holonomy_apply, in_domain, local_set_membership, metric_exponent
-from test_sft import WINDOW_SHIFTS, window_points
+from test_sft import WINDOW_SHIFTS, raw_encodings, window_families, window_points
 
 FULL = sft.TransitionMatrix.from_rows([[1, 1], [1, 1]])
 P = sft.PeriodicOrbit((1,))
@@ -327,7 +327,7 @@ class TestElementFamily:
                     x, y = ends[i + block], ends[j + block]
                     pairs = sorted(set(zip(x.tolist(), y.tolist())))
                     u, v = np.array(pairs).T
-                    points = fam.window.points
+                    points = fam.points
                     scalar = [gd.disk_depth(fam.side, points[a], points[b]) for a, b in pairs]
                     assert fam.disk_depths(u, v).tolist() == scalar
                     depths.update(scalar)
@@ -342,7 +342,7 @@ class TestElementFamily:
         st.sampled_from([gd.STABLE, gd.UNSTABLE]),
         st.integers(1, 400),
     )
-    def test_close_table_matches_the_family_window(self, points, side, block):
+    def test_close_table_matches_the_scalar_disk_depth(self, points, side, block):
         # the units of the points and every pair of them equivalent on the
         # side, so the window is marked at several cuts; the table is built
         # in blocks of at most `block` row entries (of one row at least)
@@ -354,12 +354,11 @@ class TestElementFamily:
         with mock.patch.object(gd, "_TABLE_BLOCK", block):
             fam = gd.ElementFamily(els)
             table = fam.close_table
-        win = fam.window
-        p = len(win.points)
+        p = len(fam.points)
         assert table.shape == (p, p) and table.dtype == np.int64
-        for i in range(p):
-            for j in range(p):
-                d = win.depth(i, j) if side == gd.STABLE else -win.floor(i, j)
+        for i, x in enumerate(fam.points):
+            for j, y in enumerate(fam.points):
+                d = gd.disk_depth(side, x, y)
                 want = gd.NO_DISTANCE if d == math.inf else 0 if d == -math.inf else max(int(d) + 1, 0)
                 assert table[i, j] == want
         # both exponent readings index the table
@@ -370,6 +369,45 @@ class TestElementFamily:
         ]
         u, v = np.divmod(np.arange(p * p), p)
         assert fam.close_exponents(u, v).tolist() == table.ravel().tolist()
+
+    @staticmethod
+    def assert_units_read_the_scalar_depths(points):
+        """The units of the points on each side make a family of the
+        distinct points, whose disk_depths over every pair of elements,
+        equal pairs included, are agreement_depth (stable side) and
+        -agreement_floor (unstable side)."""
+        unstable_depth = lambda x, y: -sft.agreement_floor(x, y)
+        for side, depth in ((gd.STABLE, sft.agreement_depth), (gd.UNSTABLE, unstable_depth)):
+            fam = gd.ElementFamily([gd.unit(x, side) for x in points])
+            assert fam.points == list(dict.fromkeys(points))
+            got = fam.disk_depths(fam.first[:, None], fam.first[None, :])
+            assert got.tolist() == [[depth(x, y) for y in points] for x in points]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(st.tuples(raw_encodings(n), st.booleans(), st.booleans()), min_size=1, max_size=6)
+        ),
+        st.integers(0, 5),
+    )
+    @example([(((0,), (1,), (1,), 0), False, False), (((1,), (), (1,), 0), False, False)], 0)
+    @example([(((0, 1), (2,), (3, 2, 1), -9), False, False), (((0, 1, 1), (2,), (3, 2, 1), 9), False, True)], 1)
+    def test_disk_depths_match_the_pair_oracles(self, drawn, repeat):
+        # a member shares the first one's left or right cycle (at its own
+        # phase) or not, so tails agree or disagree arbitrarily far out;
+        # one member appears twice, so the family holds an equal pair
+        (left, _, right, _), _, _ = drawn[0]
+        points = [
+            sft.build_point(left if same_left else raw[0], raw[1], right if same_right else raw[2], raw[3])
+            for raw, same_left, same_right in drawn
+        ]
+        points.append(points[repeat % len(points)])
+        self.assert_units_read_the_scalar_depths(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(window_families(6))
+    def test_disk_depths_match_the_scalar_questions(self, points):
+        self.assert_units_read_the_scalar_depths(points + points[:1])
 
     @pytest.mark.parametrize("name, points", [("full-2-shift", 173), ("golden-mean", 75)])
     def test_close_table_is_bounded(self, name, points):
@@ -394,7 +432,7 @@ class TestElementFamily:
             finally:
                 tracemalloc.stop()
             sides.add(table.shape)
-            width = fam.window.rows.shape[1]
+            width = fam.rows.shape[1]
             assert points * points * width > gd._TABLE_BLOCK
             assert peak < table.nbytes + 4 * gd._TABLE_BLOCK
         assert sides == {(points, points)}

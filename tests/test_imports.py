@@ -346,11 +346,32 @@ def method_callers(source: str, names) -> list:
 def test_checker_finds_method_callers():
     source = (
         "import math\n"
-        "class F:\n    def d(self, i):\n        return self.window.depth(i, i) + math.floor(i)\n"
-        "def pool(p):\n    return Window(p, [0]).floor(0, 1) + np.floor(2)\n"
-        "X = w.depth(1, 2)\n"
+        "class F:\n    def d(self, i):\n        return (self.rows[i] != 0).argmax(axis=-1) + math.floor(i)\n"
+        "def pool(p):\n    return p.argmax() + np.argmax(p)\n"
+        "X = w.argmax()\n"
     )
-    assert method_callers(source, {"depth", "floor"}) == ["F", "pool", None]
+    assert method_callers(source, {"argmax"}) == ["F", "pool", None]
+
+
+def name_readers(source: str, name: str) -> list:
+    """The top-level function or class around each use of the bare name
+    `name`, None at module level; an import binds it and does not count."""
+    out = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        out += [where for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == name]
+    return out
+
+
+def test_checker_finds_name_readers():
+    source = (
+        "import numpy as np\n"
+        "class M:\n    def as_array(self) -> np.ndarray:\n        return np.array(self.entries)\n"
+        "def entropy(m):\n    return np.eye(m.n)\n"
+        "ROWS = np.zeros(3)\n"
+        "def depth(w):\n    return w.np + len(w)\n"
+    )
+    assert name_readers(source, "np") == ["M", "M", "entropy", None]
 
 
 def test_one_implementation_per_groupoid_construct():
@@ -365,11 +386,17 @@ def test_one_implementation_per_groupoid_construct():
     assert [stem for stem, defined in names.items() if "elements_of" in defined] == ["functions"]
     local_sets = {"in_stable_set", "in_unstable_set"}
     assert [stem for stem, source in sources.items() if stem != "sft" and local_sets & calls_by_name({stem: source}).keys()] == []
-    # one path from window rows to exponents: sft.FamilyWindow's depth and
-    # floor are read only by groupoid.ElementFamily, whose close table every
-    # metric question indexes (sampling.stable_pairs reads tail codes)
-    readers = {f"{stem}.{where}" for stem, source in sources.items() for where in method_callers(source, {"depth", "floor"})}
+    # one path from rows to exponents: only groupoid.ElementFamily finds
+    # where two rows first differ, and every metric question indexes its
+    # close table (sampling.stable_pairs reads tail codes)
+    readers = {f"{stem}.{where}" for stem, source in sources.items() for where in method_callers(source, {"argmax"})}
     assert readers == {"groupoid.ElementFamily"}
+
+
+def test_sft_uses_numpy_only_for_the_entropy():
+    # sft's points and windows are bytes and integers: numpy serves the
+    # Perron root alone, through the matrix as an array
+    assert set(name_readers((SRC / "sft.py").read_text(), "np")) == {"entropy", "TransitionMatrix"}
 
 
 def test_checker_finds_draw_callers():

@@ -2,7 +2,6 @@ import math
 from itertools import product
 
 import pytest
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -515,32 +514,6 @@ class TestWordOracles:
     def test_build_point_matches_the_raw_window_oracle(self, raw):
         assert sft.build_point(*raw) == oracles.build_point(*raw)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda n: st.lists(st.tuples(raw_encodings(n), st.booleans(), st.booleans()), min_size=1, max_size=6)
-        ),
-        st.integers(0, 5),
-    )
-    @example([(((0,), (1,), (1,), 0), False, False), (((1,), (), (1,), 0), False, False)], 0)
-    @example([(((0, 1), (2,), (3, 2, 1), -9), False, False), (((0, 1, 1), (2,), (3, 2, 1), 9), False, True)], 1)
-    def test_family_window_matches_the_pair_oracles(self, drawn, repeat):
-        # a member shares the first one's left or right cycle (at its own
-        # phase) or not, so tails agree or disagree arbitrarily far out;
-        # one member appears twice, so the family holds an equal pair
-        (left, _, right, _), _, _ = drawn[0]
-        points = [
-            sft.build_point(left if same_left else raw[0], raw[1], right if same_right else raw[2], raw[3])
-            for raw, same_left, same_right in drawn
-        ]
-        points.append(points[repeat % len(points)])
-        win = sft.FamilyWindow(points, [0])
-        assert win.points == list(dict.fromkeys(points))
-        at = np.array([win.index[x] for x in points])
-        i, j = at[:, None], at[None, :]
-        assert win.depth(i, j).tolist() == [[sft.agreement_depth(x, y) for y in points] for x in points]
-        assert win.floor(i, j).tolist() == [[sft.agreement_floor(x, y) for y in points] for x in points]
-
     @pytest.mark.parametrize(
         "raw, want",
         [
@@ -709,13 +682,3 @@ class TestWindow:
         rows += [x[: c - w.lo] + y[c - w.lo :] for c in cuts for x, y in zip(rows, rows[::-1])]
         for z in rows:
             assert w.point(z) == oracles.build_point(z[: w.left], z, z[-w.right :], w.lo)
-
-    @settings(max_examples=100, deadline=None)
-    @given(window_families(6), marks)
-    def test_family_window_matches_the_scalar_questions(self, points, cuts):
-        win = sft.FamilyWindow(points + points[:1], cuts)
-        assert win.points == list(dict.fromkeys(points))
-        at = np.array([win.index[x] for x in points])
-        i, j = at[:, None], at[None, :]
-        assert win.depth(i, j).tolist() == [[sft.agreement_depth(x, y) for y in points] for x in points]
-        assert win.floor(i, j).tolist() == [[sft.agreement_floor(x, y) for y in points] for x in points]
