@@ -33,6 +33,7 @@ from .sft import (
     EventuallyPeriodicPoint,
     TransitionMatrix,
     Window,
+    _first_difference,
     agreement_depth,
     shift,
     splice_at,
@@ -64,6 +65,16 @@ class Term(NamedTuple):
     coeff: complex
     depth: int = 0
     seed: str = ""
+
+    def marks(self) -> Tuple[int, int, int]:
+        """(past, future, end), with future < past: the domain disk pins the
+        coordinates below past (stable side) or from future on (unstable),
+        the holonomy keeps the point from future on (stable) or below past
+        (unstable), and the profile word runs from the pinned edge to end."""
+        bs = self.support
+        if bs.side == STABLE:
+            return bs.threshold + 1, bs.time + 1, bs.threshold + 1 + self.depth
+        return -bs.time, -bs.threshold, -bs.threshold - self.depth
 
 
 class LocallyConstantFunction(Frozen):
@@ -116,13 +127,10 @@ class LocallyConstantFunction(Frozen):
 
     def profile_value(self, z: EventuallyPeriodicPoint) -> complex:
         """Value of the first term, a profile, on the graph element with source z."""
-        bs, coeff, depth, seed = self.terms[0]
-        t = bs.threshold
-        if self.side == STABLE:
-            word = z.window(t + 1, t + depth + 1)
-        else:
-            word = z.window(-t - depth, -t)[::-1]
-        return coeff * _word_totals(seed, {word: None})[word]
+        term = self.terms[0]
+        past, future, end = term.marks()
+        word = z.window(past, end) if self.side == STABLE else z.window(end, future)[::-1]
+        return term.coeff * _word_totals(term.seed, {word: None})[word]
 
     def evaluate(self, gamma: GroupoidElement) -> complex:
         """Sum of the term values over the base sets containing gamma: the
@@ -398,25 +406,25 @@ class BlockOperator(Slotted):
 
 
 def _anchor_groups(f: LocallyConstantFunction):
-    """Terms grouped by source anchor point: (weakest threshold, deepest time)."""
+    """Terms grouped by source anchor point: (least past, greatest future) of
+    their marks, the weakest pins on both sides."""
     groups = {}
-    for bs in f.supports():
-        key = bs.anchor.second
-        thr, tmax = groups.get(key, (bs.threshold, bs.time))
-        groups[key] = (min(thr, bs.threshold), max(tmax, bs.time))
+    for term in f.terms:
+        key = term.support.anchor.second
+        past, future, _ = term.marks()
+        least, greatest = groups.get(key, (past, future))
+        groups[key] = (min(least, past), max(greatest, future))
     return groups
 
 
 def _block_window(fs, cols) -> Window:
     """The Window over the columns cols and the term anchors of fs, marked
-    where a term's domain test, splice or profile word starts or ends."""
+    at each term's marks."""
     pts, cuts = list(cols), []
     for f in fs:
-        for bs, _, depth, _ in f.terms:
-            pts += (bs.anchor.first, bs.anchor.second)
-            t = bs.threshold
-            stable = (t + 1, bs.time + 1, t + depth + 1)
-            cuts += stable if f.side == STABLE else (-t, -bs.time, -t - depth)
+        for term in f.terms:
+            pts += (term.support.anchor.first, term.support.anchor.second)
+            cuts += term.marks()
     return Window(pts, cuts)
 
 
@@ -463,19 +471,22 @@ def commutator_column_support(
 
 
 def _support_windows(a_n: LocallyConstantFunction, b: LocallyConstantFunction):
-    """Free-window specs covering the columns of both composition orders.
+    """Free-window specs (stable pattern, unstable pattern, past_hi,
+    future_lo) covering the columns of both composition orders, from the
+    weakest pins of each stable and unstable source anchor (_anchor_groups).
 
-    Order alpha^n(a).b pins a column's future to the unstable source
-    pattern from -T_u and its past (through the unstable splice) to the
-    stable source pattern below min(T_s, -N_u - 1); order b.alpha^n(a)
-    pins the past directly below T_s and the future (through the stable
-    splice) above max(-T_u, N_s + 1).  Weakest pins give safe supersets.
+    Order alpha^n(a).b pins a column to the unstable pattern from the
+    unstable future on and, below the unstable past that its holonomy
+    keeps, to the stable pattern below the stable past.  Order b.alpha^n(a)
+    pins it to the stable pattern below the stable past and, from the
+    stable future on that its holonomy keeps, to the unstable pattern from
+    the unstable future on.
     """
     out = []
-    for s_pat, (s_thr, s_tmax) in _anchor_groups(a_n).items():
-        for u_pat, (u_thr, u_tmax) in _anchor_groups(b).items():
-            out.append((s_pat, u_pat, min(s_thr, -u_tmax - 1), -u_thr))
-            out.append((s_pat, u_pat, s_thr, max(-u_thr, s_tmax + 1)))
+    for s_pat, (s_past, s_future) in _anchor_groups(a_n).items():
+        for u_pat, (u_past, u_future) in _anchor_groups(b).items():
+            out.append((s_pat, u_pat, min(s_past, u_past) - 1, u_future))
+            out.append((s_pat, u_pat, s_past - 1, max(u_future, s_future)))
     return out
 
 
@@ -521,16 +532,16 @@ def _actions(f: LocallyConstantFunction, win: Window, words: Dict[str, dict]) ->
     (unstable), stable, profile word slice, its seed's words or None)."""
     out = []
     stable = f.side == STABLE
-    for bs, coeff, depth, seed in f.terms:
-        rng, src = win.read(bs.anchor.first), win.read(bs.anchor.second)
+    for term in f.terms:
+        anchor = term.support.anchor
+        rng, src = win.read(anchor.first), win.read(anchor.second)
+        past, future, end = (mark - win.lo for mark in term.marks())
         if stable:
-            t, cut = bs.threshold + 1 - win.lo, bs.time + 1 - win.lo
-            domain, keep, word = slice(0, t), slice(0, cut), slice(t, t + depth)
+            domain, cut, keep, word = slice(past), future, slice(future), slice(past, end)
         else:
-            t, cut = -bs.threshold - win.lo, -bs.time - win.lo
-            domain, keep, word = slice(t, None), slice(cut, None), slice(t - 1, t - 1 - depth, -1)
-        seen = words.setdefault(seed, {}) if depth else None
-        out.append((coeff, domain, src[domain], cut, rng[keep], stable, word, seen))
+            domain, cut, keep, word = slice(future, None), past, slice(past, None), slice(future - 1, end - 1, -1)
+        seen = words.setdefault(term.seed, {}) if term.depth else None
+        out.append((term.coeff, domain, src[domain], cut, rng[keep], stable, word, seen))
     return out
 
 
@@ -574,12 +585,6 @@ def _twice(apply, f: int, g: int, z: bytes) -> dict:
     return out
 
 
-def _common_prefix(u: bytes, v: bytes) -> int:
-    """The bytes u and v share before the highest byte of their XOR (big-endian)."""
-    n = min(len(u), len(v))
-    return n - ((int.from_bytes(u[:n], "big") ^ int.from_bytes(v[:n], "big")).bit_length() + 7) // 8
-
-
 def _word_totals(seed: str, words: dict) -> dict:
     """Sets each words[w] to 1 + sum_{m <= len(w)} 2**-m * bit(w[:m]) and
     returns words.
@@ -592,7 +597,7 @@ def _word_totals(seed: str, words: dict) -> dict:
     of the following neighbours.  So a node costs a copy only per later
     branch off it."""
     order = sorted(words)
-    starts = [0] + [_common_prefix(u, v) for u, v in zip(order, order[1:])]
+    starts = [0] + [_first_difference(u[: len(v)], v[: len(u)]) for u, v in zip(order, order[1:])]
     # Backward over the words, minima is the increasing stack of the running
     # minima of starts[i + 1:]: word i keeps its states at those deeper than
     # where it starts, and copies its start state if that one is among them.

@@ -139,7 +139,7 @@ def c_first_time(a: GroupoidElement) -> int:
     check it against the definition: the first N at which the shifted pair
     lies in one local stable (unstable) set.
     """
-    return max(int(max(min_splice_time(a), -(10**9))), 0)
+    return max(min_splice_time(a), 0)
 
 
 # ---------------------------------------------------------------------------

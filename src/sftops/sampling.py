@@ -105,10 +105,7 @@ def nested_family(
     sets, groups = [], []
     n_a = c_first_time(anchor)
     for t in depths:
-        try:
-            sets.append(base_set(anchor, max(t - 1, n_a)))
-        except ValueError:
-            continue
+        sets.append(base_set(anchor, max(t - 1, n_a)))
         groups.append(variations_at_depth(m, anchor.second, t, p))
     return elements_over(sets, groups)
 

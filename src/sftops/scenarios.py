@@ -26,25 +26,18 @@ from .sft import (
 from .slotted import Slotted
 
 
-# The most coordinates one term may span: its anchor points' cores and the
-# coordinates that a block window marks for it (functions._block_window),
-# from its domain threshold to the end of its profile word.  Every window
-# row of a command that applies the term is at least this wide; the
-# reference terms span at most 36.
+# The most coordinates one term may span: its anchor points' cores and its
+# marks (functions.Term.marks), where its domain disk, holonomy and profile
+# word start or end.  Every window row of a command that applies the term
+# is at least this wide; the reference terms span at most 36.
 MAX_TERM_SPAN = 1024
 
 
-def term_span(bs: BaseSet, depth: int) -> int:
-    """How many coordinates the term with support bs and profile depth
-    `depth` >= 0 spans (see MAX_TERM_SPAN).  Its marks run from time + 1 to
-    threshold + depth + 1 on the stable side and from -threshold - depth to
-    -time on the unstable side, since time < threshold."""
-    if bs.side == STABLE:
-        lo, hi = bs.time + 1, bs.threshold + depth + 1
-    else:
-        lo, hi = -bs.threshold - depth, -bs.time
-    x, y = bs.anchor.first, bs.anchor.second
-    return max(hi, x.core_end, y.core_end) - min(lo, x.core_start, y.core_start)
+def term_span(term: Term) -> int:
+    """How many coordinates the term spans (see MAX_TERM_SPAN)."""
+    x, y = term.support.anchor.first, term.support.anchor.second
+    marks = term.marks()
+    return max(*marks, x.core_end, y.core_end) - min(*marks, x.core_start, y.core_start)
 
 
 class Scenario(Slotted):
@@ -84,7 +77,8 @@ class Scenario(Slotted):
         if self.seed < 0:
             raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         for name, f in self.functions.items():
-            for k, (bs, coeff, depth, seed) in enumerate(f.terms):
+            for k, term in enumerate(f.terms):
+                bs, coeff, depth, seed = term
                 if not cmath.isfinite(coeff):
                     raise InvalidScenario(f"coeff must be finite, got {coeff!r}")
                 if depth < 0:
@@ -95,7 +89,7 @@ class Scenario(Slotted):
                     raise InvalidScenario(f"profile seed must be UTF-8 text, got {seed!r}") from None
                 for pt in (bs.anchor.first, bs.anchor.second):
                     validate_point(pt, self.matrix)
-                if term_span(bs, depth) > MAX_TERM_SPAN:
+                if term_span(term) > MAX_TERM_SPAN:
                     raise InvalidScenario(
                         f"function {name!r} term {k} spans more than {MAX_TERM_SPAN} coordinates:"
                         f" radius_exp {bs.radius_exp}, time {bs.time}, depth {depth}"

@@ -400,21 +400,44 @@ def apply_to_column(f, col):
     return out
 
 
+def support_windows(a_n, b):
+    """fn._support_windows in thresholds and times: per source anchor the
+    weakest threshold T and the deepest time N of its terms, and per pair
+    of a stable and an unstable anchor the specs of the two composition
+    orders, past through min(T_s, -N_u - 1) and future from -T_u, then past
+    through T_s and future from max(-T_u, N_s + 1)."""
+
+    def groups(f):
+        out = {}
+        for bs in f.supports():
+            thr, time = out.get(bs.anchor.second, (bs.threshold, bs.time))
+            out[bs.anchor.second] = (min(thr, bs.threshold), max(time, bs.time))
+        return out
+
+    specs = []
+    for s_pat, (t_s, n_s) in groups(a_n).items():
+        for u_pat, (t_u, n_u) in groups(b).items():
+            specs.append((s_pat, u_pat, min(t_s, -n_u - 1), -t_u))
+            specs.append((s_pat, u_pat, t_s, max(-t_u, n_s + 1)))
+    return specs
+
+
 def point_level_blocks(a, b, window, reg, m):
-    """commutator_blocks on points: the support spliced point by point, each
-    column through apply_to_column(f, apply_to_point(g, x)), every image a
-    canonical point."""
+    """commutator_blocks on points: the support of the specs of
+    support_windows spliced point by point, each column through
+    apply_to_column(f, apply_to_point(g, x)), every image a canonical point."""
     blocks, untrusted = {}, {}
     for n in range(window[0], window[1] + 1):
         a_n, b_n = a.alpha(n), b
-        est = fn.estimate_column_count(a_n, b_n, m)
+        specs = support_windows(a_n, b_n)
+        est = sum(fn._spec_count(m, spec) for spec in specs)
         room = reg.cap - len(reg)
         blocks[n] = op = fn.SparseOperator()
         if est > room:
             untrusted[n] = f"support estimate {est} exceeds remaining capacity {room}"
             continue
         cols = {}
-        for s_pat, u_pat, past_hi, future_lo in fn._support_windows(a_n, b_n):
+        for s_pat, u_pat, past_hi, future_lo in specs:
             cols.update(dict.fromkeys(bridge_points(m, s_pat, past_hi, u_pat, future_lo)))
         for x in sorted(cols, key=sft.EventuallyPeriodicPoint.sort_key):
             col = apply_to_column(a_n, apply_to_point(b_n, x))

@@ -649,6 +649,37 @@ LINEARITY_REGISTRY = {
 }
 
 
+MARK_ANCHORS = sorted(
+    {bs.anchor for s in REFERENCE.values() for f in s.functions.values() for bs in f.supports()},
+    key=gd.GroupoidElement.sort_key,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(MARK_ANCHORS),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 16),
+    st.integers(-6, 6),
+)
+def test_term_marks_follow_the_base_set(anchor, late, wide, depth, k):
+    # alpha moves every mark by -k, the involution keeps them, time reversal
+    # reflects them about 1/2, and the word spans depth coordinates beyond
+    # the pinned edge
+    time = int(max(gd.min_splice_time(anchor), -4)) + late
+    term = fn.Term(gd.BaseSet(anchor, time + wide, time), 0.5 - 1j, depth, "marks")
+    f = fn.LocallyConstantFunction(anchor.side, (term,))
+    past, future, end = marks = term.marks()
+    assert future < past
+    assert (end - past if anchor.side == gd.STABLE else future - end) == depth
+    assert f.alpha(k).terms[0].marks() == (past - k, future - k, end - k)
+    assert f.involution().terms[0].marks() == marks
+    reversed_term = term._replace(support=fn.reverse_base_set(term.support))
+    assert reversed_term.marks() == (1 - future, 1 - past, 1 - end)
+    assert reversed_term._replace(support=fn.reverse_base_set(reversed_term.support)).marks() == marks
+
+
 class TestLinearity:
     # a function is the sum of its terms: represent of a mix of indicator
     # and profile terms is the entrywise sum of represent of each one-term
@@ -1020,6 +1051,25 @@ def test_support_enumerates_each_window_spec_once(monkeypatch, name, window, rep
         assert len(calls) == len(set(calls)) == len(set(specs))
         seen += len(specs) - len(set(specs))
     assert seen == repeats
+
+
+SPEC_CASES = [
+    (s, pair)
+    for s in [*REFERENCE.values(), period_two_scenario(), unequal_cycles_scenario()]
+    for pair in (("a", "b"), ("a_terms", "b_terms"))
+    if set(pair) <= set(s.functions)
+]
+
+
+@pytest.mark.parametrize("s, pair", SPEC_CASES, ids=[f"{s.name}-{a}-{b}" for s, (a, b) in SPEC_CASES])
+def test_support_windows_match_the_threshold_oracle(s, pair):
+    # the planner reads the terms' marks; the oracle pins the same windows
+    # from thresholds and times, spec for spec and in order, over the
+    # scenario's whole block window
+    a, b = (s.functions[name] for name in pair)
+    for n in range(s.window[0], s.window[1] + 1):
+        specs = fn._support_windows(a.alpha(n), b)
+        assert specs and specs == oracles.support_windows(a.alpha(n), b), n
 
 
 def _processes(monkeypatch, cpus):

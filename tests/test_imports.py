@@ -393,6 +393,45 @@ def test_one_implementation_per_groupoid_construct():
     assert readers == {"groupoid.ElementFamily"}
 
 
+def attribute_readers(source: str, attr: str) -> list:
+    """The qualified name (Class.method) of the function or class around
+    each read of an attribute named `attr`, None at module level; a store
+    does not count."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else f"{where}.{child.name}"
+            if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
+                out.append(where)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_checker_finds_attribute_readers():
+    source = (
+        "class Term:\n    def marks(self):\n        return self.support.threshold + 1\n"
+        "    @property\n    def threshold(self):\n        return self.radius_exp + 1\n"
+        "def plan(bs):\n    def inner():\n        return bs.threshold\n    return inner\n"
+        "T = bs.threshold\nbs.threshold = 2\n"
+    )
+    assert attribute_readers(source, "threshold") == ["Term.marks", "plan.inner", None]
+
+
+def test_one_layout_per_term():
+    # a term's threshold, time, depth and side become the coordinates of
+    # its domain disk, holonomy and profile word in functions.Term.marks
+    # alone; _compose_stable reads two base sets' thresholds to compose them
+    readers = {
+        f"{path.stem}.{where}" for path in SRC.glob("*.py") for where in attribute_readers(path.read_text(), "threshold")
+    }
+    assert readers == {"functions.Term.marks", "functions._compose_stable"}
+
+
 def test_sft_uses_numpy_only_for_the_entropy():
     # sft's points and windows are bytes and integers: numpy serves the
     # Perron root alone, through the matrix as an array
